@@ -201,6 +201,31 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
 # validation
 
 
+def representation_fault(table: np.ndarray, mats: np.ndarray, p: int) -> Optional[tuple[int, int, int]]:
+    """First (i, j, col) where mats[i] @ mats[j] != sum_k table[i, j, k] mats[k].
+
+    ``col`` is the first column of the failing product.  Returns None when
+    the matrices respect the multiplication.  Works one basis element at a
+    time, so memory stays O(n^3) rather than O(n^4).
+    """
+    for i in range(table.shape[0]):
+        lhs = (mats[i] @ mats) % p  # lhs[j] = mats[i] @ mats[j]
+        rhs = np.einsum("jk,kab->jab", table[i], mats) % p
+        diff = lhs != rhs
+        if diff.any():
+            j = int(np.nonzero(diff.any(axis=(1, 2)))[0][0])
+            col = int(np.nonzero(diff[j].any(axis=0))[0][0])
+            return i, j, col
+    return None
+
+
+def intertwine_fault(f: np.ndarray, src: np.ndarray, tgt: np.ndarray, p: int) -> Optional[int]:
+    """First i where tgt[i] @ f != f @ src[i], or None when f intertwines."""
+    bad = ((tgt @ f) % p != (f @ src) % p).any(axis=(1, 2))
+    hits = np.nonzero(bad)[0]
+    return int(hits[0]) if hits.size else None
+
+
 def validate_algebra(a: GradedAlgebra, check_primitivity: bool = True) -> GradedAlgebra:
     """Verify all GradedAlgebra invariants, raising a ValidationError subclass.
 
@@ -214,7 +239,6 @@ def validate_algebra(a: GradedAlgebra, check_primitivity: bool = True) -> Graded
     if p <= n:
         raise PrimeTooSmall(f"prime {p} must exceed dim {n}")
 
-    L = a.left
     # unit: two-sided identity
     if not np.array_equal(a.left_mult(a.unit), modp.identity(n)):
         raise UnitMismatch("unit is not a left identity")
@@ -232,16 +256,13 @@ def validate_algebra(a: GradedAlgebra, check_primitivity: bool = True) -> Graded
         )
 
     # associativity: L(b_i) L(b_j) == L(b_i b_j) suffices on basis vectors
-    for i in range(n):
-        lhs = (L[i] @ L) % p  # (n, n, n): lhs[j] = L_i L_j
-        rhs = np.einsum("jk,kab->jab", a.table[i], L) % p
-        if not np.array_equal(lhs, rhs):
-            j = int(np.nonzero((lhs != rhs).any(axis=(1, 2)))[0][0])
-            k = int(np.nonzero((lhs[j] != rhs[j]).any(axis=0))[0][0])
-            raise NonAssociative(
-                f"({a.names[i]} * {a.names[j]}) * {a.names[k]} != "
-                f"{a.names[i]} * ({a.names[j]} * {a.names[k]})"
-            )
+    fault = representation_fault(a.table, a.left, p)
+    if fault is not None:
+        i, j, k = fault
+        raise NonAssociative(
+            f"({a.names[i]} * {a.names[j]}) * {a.names[k]} != "
+            f"{a.names[i]} * ({a.names[j]} * {a.names[k]})"
+        )
 
     _check_idempotents(a)
     if check_primitivity:
@@ -491,13 +512,15 @@ class Bimodule:
         if not np.array_equal(self.act_right(a.unit), ident):
             raise ActionFault("right action is not unital")
         la, ra = self.left_action, self.right_action
+        # left is a representation, right an anti-representation
+        fault = representation_fault(a.table, la, p)
+        if fault is not None:
+            raise ActionFault(f"left action not associative at {a.names[fault[0]]}")
+        fault = representation_fault(a.table.transpose(1, 0, 2), ra, p)
+        if fault is not None:
+            raise ActionFault(f"right action not associative at {a.names[fault[1]]}")
         for i in range(a.dim):
-            # left is a representation, right an anti-representation
-            if not np.array_equal((la[i] @ la) % p, np.einsum("jk,kab->jab", a.table[i], la) % p):
-                raise ActionFault(f"left action not associative at {a.names[i]}")
-            if not np.array_equal((ra @ ra[i]) % p, np.einsum("jk,kab->jab", a.table[i], ra) % p):
-                raise ActionFault(f"right action not associative at {a.names[i]}")
-            if not np.array_equal((la[i] @ ra) % p, (ra @ la[i][None]) % p):
+            if intertwine_fault(la[i], ra, ra, p) is not None:
                 raise ActionFault(f"left/right actions do not commute at {a.names[i]}")
         return self
 

@@ -22,7 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import modp
-from .algebra import Bimodule, GradedAlgebra, dual_bimodule_of, regular_bimodule
+from .algebra import (
+    Bimodule,
+    GradedAlgebra,
+    dual_bimodule_of,
+    intertwine_fault,
+    regular_bimodule,
+)
 from .errors import (
     ActionFault,
     GradingViolation,
@@ -65,11 +71,10 @@ class AlgebraAutomorphism:
             raise NotAutomorphism("does not fix the unit")
         if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
             raise NotAutomorphism("does not preserve degrees")
-        for i in range(a.dim):
-            lhs = (s @ a.table[i].T) % p  # columns: sigma(b_i b_j)
-            rhs = a.left_mult(s[:, i]) @ s % p  # columns: sigma(b_i) sigma(b_j)
-            if not np.array_equal(lhs, rhs):
-                raise NotAutomorphism(f"not multiplicative at {a.names[i]}")
+        # L(sigma(b_i)) sigma == sigma L(b_i) on every basis element
+        i = intertwine_fault(s, a.left, np.einsum("ki,kab->iab", s, a.left) % p, p)
+        if i is not None:
+            raise NotAutomorphism(f"not multiplicative at {a.names[i]}")
         return self
 
 
@@ -215,7 +220,8 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
 
 def t_of(a: GradedAlgebra) -> GradedAlgebra:
     """t(A) = b(A) |x x(A)."""
-    return trivial_extension(beilinson(a), x_bimodule(a))
+    x = x_bimodule(a)
+    return trivial_extension(x.algebra, x)
 
 
 def T_of(b: GradedAlgebra) -> GradedAlgebra:

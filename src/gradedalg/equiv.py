@@ -39,6 +39,7 @@ from .algebra import (
     GradedAlgebra,
     degree_zero_subalgebra,
     dual_bimodule_of,
+    intertwine_fault,
     is_basic,
     is_left_well_graded,
     is_right_well_graded,
@@ -197,6 +198,26 @@ def _adapt_basis(n: GradedModule, projs) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
+# the hypotheses of the theorem
+
+
+def _require_hypotheses(a: GradedAlgebra, a0: GradedAlgebra, basic: str, basic_detail: str) -> None:
+    """Raise PreconditionFailed unless the degree-0 part a0 of a is basic and a
+    is well-graded and graded self-injective; ``basic`` names the first hypothesis."""
+    if not is_basic(a0):
+        raise PreconditionFailed(basic, basic_detail)
+    ok, wit = is_left_well_graded(a)
+    if not ok:
+        raise PreconditionFailed("well-graded", f"left witness idempotent {wit}")
+    ok, wit = is_right_well_graded(a)
+    if not ok:
+        raise PreconditionFailed("well-graded", f"right witness idempotent {wit}")
+    cert = is_graded_selfinjective(a)
+    if not cert.holds:
+        raise PreconditionFailed("self-injective", f"injective {cert.witness} is not projective")
+
+
+# ---------------------------------------------------------------------------
 # sigma extraction (trivial extension recognition)
 
 
@@ -241,17 +262,7 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     X -> D(B^sigma).  All claims are re-verified before returning.
     """
     b, x, _, _ = split_trivial_extension(t)
-    if not is_basic(b):
-        raise PreconditionFailed("B-basic", "degree-0 part is not basic")
-    ok, wit = is_left_well_graded(t)
-    if not ok:
-        raise PreconditionFailed("well-graded", f"left witness idempotent {wit}")
-    ok, wit = is_right_well_graded(t)
-    if not ok:
-        raise PreconditionFailed("well-graded", f"right witness idempotent {wit}")
-    cert = is_graded_selfinjective(t)
-    if not cert.holds:
-        raise PreconditionFailed("self-injective", f"injective {cert.witness} is not projective")
+    _require_hypotheses(t, b, "B-basic", "degree-0 part is not basic")
     p = b.p
     if x.dim != b.dim:
         raise GeneratorNotFound(f"dim X = {x.dim} differs from dim B = {b.dim}")
@@ -299,11 +310,12 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
         raise CheckFailed("m b != sigma(b) m on the basis")
     theta = lm.T % p
     twisted = twisted_dual_bimodule(b, sigma)
-    for i in range(b.dim):
-        if not np.array_equal((theta @ x.left_action[i]) % p, (twisted.left_action[i] @ theta) % p):
-            raise CheckFailed(f"iso does not intertwine the left action at {b.names[i]}")
-        if not np.array_equal((theta @ x.right_action[i]) % p, (twisted.right_action[i] @ theta) % p):
-            raise CheckFailed(f"iso does not intertwine the right action at {b.names[i]}")
+    i = intertwine_fault(theta, x.left_action, twisted.left_action, p)
+    if i is not None:
+        raise CheckFailed(f"iso does not intertwine the left action at {b.names[i]}")
+    i = intertwine_fault(theta, x.right_action, twisted.right_action, p)
+    if i is not None:
+        raise CheckFailed(f"iso does not intertwine the right action at {b.names[i]}")
     return SigmaExtraction(b, sigma, m_vec, theta, trials_used)
 
 
@@ -409,17 +421,7 @@ def theorem_pipeline(
     c = a.top_degree()
     if c < 1:
         raise PreconditionFailed("nontrivial-grading", "top degree is 0")
-    if not is_basic(degree_zero_subalgebra(a)):
-        raise PreconditionFailed("A0-basic", "degree-0 component is not basic")
-    ok, wit = is_left_well_graded(a)
-    if not ok:
-        raise PreconditionFailed("well-graded", f"left witness idempotent {wit}")
-    ok, wit = is_right_well_graded(a)
-    if not ok:
-        raise PreconditionFailed("well-graded", f"right witness idempotent {wit}")
-    cert_si = is_graded_selfinjective(a)
-    if not cert_si.holds:
-        raise PreconditionFailed("self-injective", f"injective {cert_si.witness} is not projective")
+    _require_hypotheses(a, degree_zero_subalgebra(a), "A0-basic", "degree-0 component is not basic")
 
     t = t_of(a)
     ext = extract_sigma(t, seed=seed)
@@ -437,11 +439,9 @@ def theorem_pipeline(
     if h_inv is None:
         raise CheckFailed("transport matrix is singular")
     # h must be an isomorphism of algebras T -> T(B^sigma)
-    for i in range(t.dim):
-        lhs = (h @ t.table[i].T) % p
-        rhs = (t_twist.left_mult(h[:, i]) @ h) % p
-        if not np.array_equal(lhs, rhs):
-            raise CheckFailed(f"transport is not multiplicative at {t.names[i]}")
+    i = intertwine_fault(h, t.left, np.einsum("ki,kab->iab", h, t_twist.left) % p, p)
+    if i is not None:
+        raise CheckFailed(f"transport is not multiplicative at {t.names[i]}")
 
     def functor(m: GradedModule) -> GradedModule:
         mt = phi(a, m, t)

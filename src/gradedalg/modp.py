@@ -116,23 +116,6 @@ def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return len(pivots), ker
 
 
-def solve(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution x of ``m @ x = b`` (mod p), or None when inconsistent."""
-    a = normalize(m, p)
-    rhs = normalize(b, p)
-    if a.ndim != 2 or rhs.ndim != 1 or rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} vs {rhs.shape}")
-    aug = np.hstack([a, rhs[:, None]])
-    red, pivots = rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = zeros(ncols)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, ncols]
-    return x
-
-
 def invert(m: np.ndarray, p: int) -> Optional[np.ndarray]:
     """Inverse of a square matrix, or None when singular."""
     a = normalize(m, p)
@@ -177,7 +160,3 @@ def in_row_span(basis: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> 
     res = (v - v[pivots] @ basis) % p
     return not np.any(res)
 
-
-def coords_in_row_basis(basis: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of ``v`` w.r.t. an RREF row basis (caller guarantees membership)."""
-    return normalize(v, p)[list(pivots)]

@@ -18,8 +18,10 @@ from . import modp
 from .algebra import (
     GradedAlgebra,
     homogeneous_row_basis,
+    intertwine_fault,
     quotient_maps,
     radical,
+    representation_fault,
     semisimple_quotient,
 )
 from .errors import AlgebraMismatch
@@ -61,11 +63,9 @@ class GradedModule:
             return self
         if not np.array_equal(self.act(a.unit), modp.identity(self.dim)):
             raise AssertionError("module action is not unital")
-        for i in range(a.dim):
-            lhs = (self.action[i] @ self.action) % p
-            rhs = np.einsum("jk,kab->jab", a.table[i], self.action) % p
-            if not np.array_equal(lhs, rhs):
-                raise AssertionError(f"module action not associative at {a.names[i]}")
+        fault = representation_fault(a.table, self.action, p)
+        if fault is not None:
+            raise AssertionError(f"module action not associative at {a.names[fault[0]]}")
         dm = self.degrees
         shiftgrid = dm[:, None] - dm[None, :]  # output deg - input deg
         bad = (self.action != 0) & (shiftgrid[None, :, :] != a.degrees[:, None, None])
@@ -107,17 +107,14 @@ class GradedMorphism:
 
     def validate(self) -> "GradedMorphism":
         m, n, f = self.source, self.target, self.matrix
-        p = m.p
         if not m.algebra.same_as(n.algebra):
             raise AlgebraMismatch("morphism endpoints live over different algebras")
         bad = (f != 0) & (n.degrees[:, None] != m.degrees[None, :])
         if np.any(bad):
             raise AssertionError("morphism does not preserve degrees")
-        for i in range(m.algebra.dim):
-            if not np.array_equal((n.action[i] @ f) % p, (f @ m.action[i]) % p):
-                raise AssertionError(
-                    f"morphism does not intertwine {m.algebra.names[i]}"
-                )
+        i = intertwine_fault(f, m.action, n.action, m.p)
+        if i is not None:
+            raise AssertionError(f"morphism does not intertwine {m.algebra.names[i]}")
         return self
 
     def compose(self, inner: "GradedMorphism") -> "GradedMorphism":

@@ -1,11 +1,13 @@
 """Decision procedures: self-injectivity, Frobenius property, Nakayama data.
 
 Graded self-injectivity is decided dually: every graded injective D(e_i A)
-must be projective, certified by its minimal projective cover.  A seeded
-randomized search for a Frobenius functional (a linear form whose induced
-pairing (u, v) -> lam(u v) is nondegenerate) serves as an independent
-oracle on basic algebras; a failed search is never treated as a proof of
-absence.
+must be projective, certified by its minimal projective cover.  The graded
+Frobenius test and the Nakayama data read the summands of those same
+covers (the tops of the projective-injectives) instead of computing their
+own.  A seeded randomized search for a Frobenius functional (a linear form
+whose induced pairing (u, v) -> lam(u v) is nondegenerate) serves as an
+independent oracle on basic algebras; a failed search is never treated as
+a proof of absence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .modules import (
     inj,
     proj,
     projective_cover,
-    shift,
     simple_classes,
     simple_multiplicities,
     syzygy,
@@ -106,46 +107,25 @@ def is_Ac_faithful(a: GradedAlgebra) -> bool:
     return rank == len(zero_idx)
 
 
-def _top_of_injective(a: GradedAlgebra, j: int) -> tuple[int, int]:
-    """(idempotent class rep, degree) of the simple top of D(e_j A).
-
-    Requires the top to be simple (true when the injective is an
-    indecomposable projective); raises AmbiguousMatch otherwise.
-    """
-    mults = simple_multiplicities(inj(a, j, 0))
-    if len(mults) != 1 or set(mults.values()) != {1}:
-        raise AmbiguousMatch(f"top of D(e_{j} A) is not simple: {mults}")
-    (rep, g), _ = next(iter(mults.items()))
-    return rep, g
-
-
 def is_graded_frobenius(a: GradedAlgebra) -> bool:
     """Does _AA match D(A_A)(-c) as graded left modules?
 
-    Criterion: every D(e_i A)(-c) is projective with simple top in degree 0
+    Criterion: A is graded self-injective, the cover of every D(e_i A) is a
+    single summand Ae_r(c) (so D(e_i A)(-c) has simple top in degree 0),
     and the induced assignment of projective summands is a bijection on the
     designated idempotent indices.
     """
     c = a.top_degree()
     if c == 0:
         raise TrivialGrading("graded Frobenius needs top degree >= 1")
+    cert = is_graded_selfinjective(a)
+    if not cert.holds:
+        return False
+    if any(len(cov.summands) != 1 or cov.summands[0][1] != -c for cov in cert.covers):
+        return False
     _, class_of, _ = simple_classes(a)
-    seen = []
-    for i in range(a.n_idempotents):
-        m = shift(inj(a, i, 0), -c)
-        P, _, summands = projective_cover(m)
-        if P.dim != m.dim:
-            return False
-        mults = simple_multiplicities(m)
-        if len(mults) != 1 or set(mults.values()) != {1}:
-            return False
-        (rep, g), _ = next(iter(mults.items()))
-        if g != 0:
-            return False
-        seen.append(rep)
     # bijectivity on index classes: each class must appear with the right count
-    want = sorted(class_of)
-    return sorted(class_of[r] for r in seen) == want
+    return sorted(class_of[cov.summands[0][0]] for cov in cert.covers) == sorted(class_of)
 
 
 @dataclass
@@ -167,8 +147,8 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
 
     Matches each injective's simple top against the projectives: the
     injective D(e_j A) with top S_i concentrated in degree g is isomorphic
-    to Ae_i(-g), giving s(i) = j and d_i = g.  Certified by the cover data
-    already computed for the self-injectivity test.
+    to Ae_i(-g), giving s(i) = j and d_i = g.  That top is read off the
+    single summand of the cover computed by the self-injectivity test.
     """
     cert = is_graded_selfinjective(a)
     if not cert.holds:
@@ -186,7 +166,10 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
     witnesses: list[dict] = []
     used = [False] * l
     for j in range(l):
-        rep, g = _top_of_injective(a, j)
+        summands = cert.covers[j].summands
+        if len(summands) != 1:
+            raise AmbiguousMatch(f"top of D(e_{j} A) is not simple: {summands}")
+        rep, g = summands[0]
         candidates = [i for i in range(l) if top_of_proj[i] == rep and not used[i]]
         if len(candidates) != 1:
             raise AmbiguousMatch(

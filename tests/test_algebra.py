@@ -3,6 +3,7 @@ import pytest
 
 from gradedalg import modp
 from gradedalg.algebra import (
+    Bimodule,
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
@@ -11,10 +12,12 @@ from gradedalg.algebra import (
     is_right_well_graded,
     quotient_algebra,
     radical,
+    regular_bimodule,
     validate_algebra,
 )
 from gradedalg.construct import t_of
 from gradedalg.errors import (
+    ActionFault,
     GradingViolation,
     IdempotentFault,
     NonAssociative,
@@ -68,6 +71,31 @@ def test_nonassociative_detected():
     a = GradedAlgebra(P, ["1", "x", "y"], [0, 0, 0], table, [1, 0, 0], [[1, 0, 0]])
     with pytest.raises(NonAssociative):
         validate_algebra(a)
+
+
+def test_bimodule_faults_detected(truncated):
+    a = truncated(3)
+    x = a.index_of("x")
+    reg = regular_bimodule(a)
+    for side in ("left", "right"):
+        actions = {"left": np.array(reg.left_action), "right": np.array(reg.right_action)}
+        actions[side][x] = 2 * actions[side][x] % P  # still unital, no longer multiplicative
+        bad = Bimodule(a, a.names, actions["left"], actions["right"])
+        with pytest.raises(ActionFault, match=f"{side} action not associative"):
+            bad.validate()
+
+    # k x k acting on k^2 through two idempotent projections that do not commute
+    table = modp.zeros(2, 2, 2)
+    table[0, 0, 0] = 1
+    table[1, 1, 1] = 1
+    kk = GradedAlgebra(P, ["e1", "e2"], [0, 0], table, [1, 1], [[1, 0], [0, 1]])
+    proj_p = np.array([[1, 0], [0, 0]])
+    proj_q = np.array([[1, 1], [0, 0]])
+    ident = modp.identity(2)
+    left = [proj_p, (ident - proj_p) % P]
+    right = [proj_q, (ident - proj_q) % P]
+    with pytest.raises(ActionFault, match="do not commute"):
+        Bimodule(kk, ["v", "w"], left, right).validate()
 
 
 def test_unit_mismatch():

@@ -243,6 +243,9 @@ def test_automorphism_validation_rejects_bad_maps(truncated):
     mat[0, 1] = 1  # mixes degrees
     with pytest.raises(NotAutomorphism):
         AlgebraAutomorphism(a, mat).validate()
+    # fixes the unit, keeps degrees, invertible, but sigma(x)^2 != sigma(x^2)
+    with pytest.raises(NotAutomorphism, match="not multiplicative"):
+        AlgebraAutomorphism(a, np.diag([1, 1, 2])).validate()
 
 
 def test_frobenius_dims_symmetric(equivalence_corpus):

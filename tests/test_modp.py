@@ -28,26 +28,6 @@ def test_rank_one_kernel_line():
     assert (v[0] * ref[1] - v[1] * ref[0]) % 7 == 0  # proportional
 
 
-def test_solve_identity():
-    b = np.array([3, 4])
-    assert np.array_equal(modp.solve(modp.identity(2), b, 7), b)
-
-
-def test_solve_zero_inconsistent():
-    assert modp.solve(modp.zeros(2, 2), np.array([1, 0]), 7) is None
-
-
-def test_solve_back_substitution():
-    m = np.array([[1, 1], [0, 1]])
-    x = modp.solve(m, np.array([3, 2]), 5)
-    assert np.array_equal(x, np.array([1, 2]))
-
-
-def test_solve_shape_mismatch():
-    with pytest.raises(ValueError):
-        modp.solve(modp.identity(2), np.array([1, 2, 3]), 7)
-
-
 def test_invert_identity_and_swap():
     assert np.array_equal(modp.invert(modp.identity(3), 7), modp.identity(3))
     swap = np.array([[0, 1], [1, 0]])
@@ -91,16 +71,3 @@ def test_mat_pow_negative():
     p = 7919
     m = np.array([[1, 1], [0, 1]])
     assert np.array_equal(modp.mat_pow(m, -2, p), np.array([[1, p - 2], [0, 1]]))
-
-
-def test_solve_random_consistent_systems():
-    p = 101
-    rng = np.random.default_rng(99)
-    for _ in range(30):
-        rows, cols = rng.integers(1, 8, size=2)
-        m = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
-        x = rng.integers(0, p, size=cols, dtype=np.int64)
-        b = (m @ x) % p
-        got = modp.solve(m, b, p)
-        assert got is not None
-        assert np.array_equal((m @ got) % p, b)

@@ -6,6 +6,8 @@ from gradedalg.algebra import is_left_well_graded, radical
 from gradedalg.construct import t_of
 from gradedalg.errors import AlgebraMismatch
 from gradedalg.modules import (
+    GradedModule,
+    GradedMorphism,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -92,6 +94,26 @@ def test_module_validation(graded_corpus):
             proj(a, i, 1).validate()
             inj(a, i, -1).validate()
             simple(a, i, 2).validate()
+
+
+def test_module_validation_rejects_non_multiplicative_action(truncated):
+    a = truncated(3)
+    m = proj(a, 0, 0)
+    action = np.array(m.action)
+    x2 = a.index_of("x2")
+    r, c = np.argwhere(action[x2])[0]
+    action[x2, r, c] = 2 * action[x2, r, c] % a.p  # degree-compatible, but x * x != x2
+    with pytest.raises(AssertionError, match="not associative"):
+        GradedModule(a, m.degrees, action).validate()
+
+
+def test_morphism_validation_rejects_non_intertwiner(truncated):
+    a = truncated(3)
+    m = proj(a, 0, 0)
+    f = modp.zeros(m.dim, m.dim)
+    f[0, 0] = 1  # degree-preserving, but kills x while fixing 1
+    with pytest.raises(AssertionError, match="does not intertwine"):
+        GradedMorphism(m, m, f).validate()
 
 
 def test_width_biconditional_with_well_gradedness(graded_corpus):
