@@ -442,27 +442,25 @@ def corner(a: GradedAlgebra, e: np.ndarray, _known_members: Optional[list[int]] 
 # predicates
 
 
-def is_left_well_graded(a: GradedAlgebra) -> tuple[bool, Optional[int]]:
-    """e_i A_c != 0 for every designated primitive idempotent (witness on failure)."""
+def _well_graded_witness(a: GradedAlgebra, mult) -> tuple[bool, Optional[int]]:
     c = a.top_degree()
     if c == 0:
         raise TrivialGrading("well-gradedness needs top degree >= 1")
     top = a.degree_indices(c)
     for i in range(a.n_idempotents):
-        if not np.any(a.left_mult(a.idempotents[i])[:, top]):
+        if not np.any(mult(a.idempotents[i])[:, top]):
             return False, i
     return True, None
+
+
+def is_left_well_graded(a: GradedAlgebra) -> tuple[bool, Optional[int]]:
+    """e_i A_c != 0 for every designated primitive idempotent (witness on failure)."""
+    return _well_graded_witness(a, a.left_mult)
 
 
 def is_right_well_graded(a: GradedAlgebra) -> tuple[bool, Optional[int]]:
-    c = a.top_degree()
-    if c == 0:
-        raise TrivialGrading("well-gradedness needs top degree >= 1")
-    top = a.degree_indices(c)
-    for i in range(a.n_idempotents):
-        if not np.any(a.right_mult(a.idempotents[i])[:, top]):
-            return False, i
-    return True, None
+    """A_c e_i != 0 for every designated primitive idempotent (witness on failure)."""
+    return _well_graded_witness(a, a.right_mult)
 
 
 def is_well_graded(a: GradedAlgebra) -> bool:

@@ -15,9 +15,11 @@ for a generator m of D(X) whose two multiplication maps B -> D(X) are
 bijective, reads off sigma = L_m^{-1} R_m, and dualizes to an explicit
 bimodule isomorphism X -> D(B^sigma).
 
-twist_transport is the isomorphism of categories T(B)-gr = T(B^sigma)-gr:
-on a homogeneous element of degree n, the degree-0 part acts through
-sigma^n and the dual part through precomposition with sigma^{-n}.
+_transport moves a graded module to another algebra by a change of algebra
+basis per degree slice. It moves modules both ways along the isomorphism of
+categories T(B)-gr = T(B^sigma)-gr, where on degree n the degree-0 part acts
+through sigma^n and the dual part through precomposition with sigma^{-n}; with
+h : t(A) -> T(B^sigma) folded in, it carries the functor F and its inverse.
 
 theorem_pipeline composes everything into an equivalence
 F : A-gr -> T(b(A))-gr and certifies it on a finite sample set: exact
@@ -67,6 +69,7 @@ from .modules import (
     inj,
     is_projective,
     proj,
+    shift,
     simple,
 )
 from .selfinj import is_graded_selfinjective
@@ -323,26 +326,25 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
 # Lemma-2.1 style transport between T(B)-gr and T(B^sigma)-gr
 
 
-def _twist_action(
-    b: GradedAlgebra,
-    power: Callable[[int], np.ndarray],
-    m: GradedModule,
-    target: GradedAlgebra,
+def _transport(
+    m: GradedModule, target: GradedAlgebra, change: Callable[[int], np.ndarray]
 ) -> GradedModule:
-    """(b, f) * v = sigma^{|v|}(b) v + (f . sigma^{-|v|}) v, per degree slice."""
-    p = b.p
-    nb = b.dim
-    action = np.array(m.action)
-    new = modp.zeros(*action.shape)
+    """Move ``m`` to ``target``: on the degree-g slice, target basis element i
+    acts as sum_k change(g)[k, i] * m.action[k]."""
+    new = modp.zeros(target.dim, m.dim, m.dim)
     for g in sorted(set(int(x) for x in m.degrees)):
         cols = m.slice_indices(g)
-        s_pos = power(g)
-        s_neg_t = power(-g).T
-        twb = np.einsum("ki,kab->iab", s_pos, action[:nb]) % p
-        twf = np.einsum("ki,kab->iab", s_neg_t, action[nb:]) % p
-        new[:nb, :, cols] = twb[:, :, cols]
-        new[nb:, :, cols] = twf[:, :, cols]
+        new[:, :, cols] = np.einsum("ki,kab->iab", change(g), m.action[:, :, cols]) % m.p
     return GradedModule(target, m.degrees, new)
+
+
+def _twist(sigma: AlgebraAutomorphism, g: int) -> np.ndarray:
+    """diag(sigma^g, (sigma^{-g})^T): b acts as sigma^g(b), f as f . sigma^{-g}."""
+    nb = sigma.algebra.dim
+    out = modp.zeros(2 * nb, 2 * nb)
+    out[:nb, :nb] = sigma.power(g)
+    out[nb:, nb:] = sigma.power(-g).T
+    return out
 
 
 def twist_transport(
@@ -353,8 +355,7 @@ def twist_transport(
     tb = T_of(b)
     if not m.algebra.same_as(tb):
         raise AlgebraMismatch("module is not over T(B)")
-    target = T_twisted(b, sigma)
-    out = _twist_action(b, sigma.power, m, target)
+    out = _transport(m, T_twisted(b, sigma), lambda g: _twist(sigma, g))
     out.validate()
     return out
 
@@ -363,8 +364,7 @@ def twist_transport_back(
     b: GradedAlgebra, sigma: AlgebraAutomorphism, m: GradedModule
 ) -> GradedModule:
     """Inverse direction T(B^sigma)-gr -> T(B)-gr (transport with sigma^{-1})."""
-    target = T_of(b)
-    out = _twist_action(b, lambda k: sigma.power(-k), m, target)
+    out = _transport(m, T_of(b), lambda g: _twist(sigma, -g))
     out.validate()
     return out
 
@@ -443,27 +443,21 @@ def theorem_pipeline(
     if i is not None:
         raise CheckFailed(f"transport is not multiplicative at {t.names[i]}")
 
+    # F: Phi, then h^{-1} and the twist back to T(B) on each slice; G undoes both
     def functor(m: GradedModule) -> GradedModule:
-        mt = phi(a, m, t)
-        over_twist = GradedModule(
-            t_twist, mt.degrees, np.einsum("ki,kab->iab", h_inv, mt.action) % p
-        )
-        return _twist_action(b, lambda k: sigma.power(-k), over_twist, tb)
+        return _transport(phi(a, m, t), tb, lambda g: (h_inv @ _twist(sigma, -g)) % p)
 
     def inverse_functor(m: GradedModule) -> GradedModule:
-        over_twist = _twist_action(b, sigma.power, m, t_twist)
-        over_t = GradedModule(
-            t, over_twist.degrees, np.einsum("ki,kab->iab", h, over_twist.action) % p
-        )
-        return psi(a, over_t, t)
+        return psi(a, _transport(m, t, lambda g: (_twist(sigma, g) @ h) % p), t)
 
     w = c if window is None else int(window)
     samples: list[tuple[str, GradedModule, str]] = []
     for i in range(a.n_idempotents):
+        pi, si, ii = proj(a, i), simple(a, i), inj(a, i)
         for d in range(-w, w + 1):
-            samples.append((f"Ae_{i}({d})", proj(a, i, d), "projective"))
-            samples.append((f"S_{i}({d})", simple(a, i, d), "simple"))
-            samples.append((f"D(e_{i}A)({d})", inj(a, i, d), "injective"))
+            samples.append((f"Ae_{i}({d})", shift(pi, d), "projective"))
+            samples.append((f"S_{i}({d})", shift(si, d), "simple"))
+            samples.append((f"D(e_{i}A)({d})", shift(ii, d), "injective"))
 
     cert = EquivalenceCertificate(
         prime=p,
@@ -510,9 +504,11 @@ def theorem_pipeline(
             transcript={"sample": label, "module": m.to_dict(), "returned": back.to_dict()},
         )
 
-    for (la, ma, _), fa in zip(samples, images):
-        for (lb, mb, _), fb in zip(samples, images):
-            d_src = len(hom_basis(ma, mb))
+    src_homs = {}
+    for ia, ((la, ma, _), fa) in enumerate(zip(samples, images)):
+        for ib, ((lb, mb, _), fb) in enumerate(zip(samples, images)):
+            src_homs[ia, ib] = homs = hom_basis(ma, mb)
+            d_src = len(homs)
             d_img = len(hom_basis(fa, fb))
             record(
                 "hom-dim",
@@ -546,14 +542,14 @@ def theorem_pipeline(
     for (label, m, kind), fm in list(zip(samples, images))[:9]:
         record("functoriality", f"F(id_{label}) = id", is_morphism(fm, fm, modp.identity(fm.dim)))
     pairs_checked = 0
-    for ia, (la, ma, _) in enumerate(samples):
+    for ia, (la, _, _) in enumerate(samples):
         if pairs_checked >= 6:
             break
-        for ib, (lb, mb, _) in enumerate(samples):
+        for ib, (lb, _, _) in enumerate(samples):
             if ia == ib:
                 continue
-            homs = hom_basis(ma, mb)
-            back = hom_basis(mb, ma)
+            homs = src_homs[ia, ib]
+            back = src_homs[ib, ia]
             if not homs or not back:
                 continue
             pairs_checked += 1

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import modp
-from .algebra import GradedAlgebra, is_basic, is_left_well_graded, is_right_well_graded
+from .algebra import GradedAlgebra, is_basic, is_well_graded
 from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
 from .modules import (
     GradedModule,
@@ -185,7 +185,7 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
     if sorted(s) != list(range(l)):
         raise AmbiguousMatch("matching is not a permutation")
     c = a.top_degree()
-    if c >= 1 and is_left_well_graded(a)[0] and is_right_well_graded(a)[0]:
+    if c >= 1 and is_well_graded(a):
         if any(x != -c for x in d):
             raise AmbiguousMatch(
                 f"well-graded self-injective algebra with shifts {d} != -{c}"

@@ -181,3 +181,24 @@ def kx2_degree0(truncated):
     base = truncated(2)
     a = GradedAlgebra(P, list(base.names), [0, 0], base.table, base.unit, base.idempotents)
     return validate_algebra(a)
+
+
+@pytest.fixture(scope="session")
+def left_only_well_graded():
+    """e1, e2 in degree 0, beta = e1 beta e1 and alpha = e2 alpha e1 in
+    degree 1, all degree-2 products zero: e_i A_1 != 0 for both i, but
+    A_1 e2 = 0, so left well-graded and not right well-graded."""
+    import numpy as np
+
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    table[0, 0, 0] = 1
+    table[1, 1, 1] = 1
+    table[0, 2, 2] = 1  # e1 beta
+    table[2, 0, 2] = 1  # beta e1
+    table[1, 3, 3] = 1  # e2 alpha
+    table[3, 0, 3] = 1  # alpha e1
+    a = GradedAlgebra(
+        P, ["e1", "e2", "beta", "alpha"], [0, 0, 1, 1], table, [1, 1, 0, 0],
+        [[1, 0, 0, 0], [0, 1, 0, 0]],
+    )
+    return validate_algebra(a)

@@ -183,7 +183,7 @@ def test_component_dims(truncated, exterior2, uppertri):
         assert a.dim == sum(a.component_dims())
 
 
-def test_well_graded(truncated, exterior2, a4):
+def test_well_graded(truncated, exterior2, a4, left_only_well_graded):
     assert is_left_well_graded(truncated(4)) == (True, None)
     assert is_right_well_graded(truncated(4)) == (True, None)
     assert is_left_well_graded(exterior2) == (True, None)
@@ -192,6 +192,8 @@ def test_well_graded(truncated, exterior2, a4):
     assert not ok and witness == 0  # e kills the top component
     ok, witness = is_right_well_graded(a4)
     assert not ok and witness == 0
+    assert is_left_well_graded(left_only_well_graded) == (True, None)
+    assert is_right_well_graded(left_only_well_graded) == (False, 1)  # A_1 e2 = 0
 
 
 def test_well_graded_needs_grading(uppertri):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -215,8 +217,10 @@ def test_pipeline_counts_and_certificate(truncated):
     cert = theorem_pipeline(truncated(3))
     assert cert.passed
     assert len(cert.samples) == 15
-    families = {c.family for c in cert.checks}
-    assert families == {"target", "round-trip", "hom-dim", "preservation", "functoriality"}
+    counts = Counter(c.family for c in cert.checks)
+    assert counts == {
+        "target": 1, "round-trip": 15, "hom-dim": 225, "preservation": 10, "functoriality": 21,
+    }
     d = cert.to_dict()
     assert d["passed"] and len(d["checks"]) == len(cert.checks)
 
@@ -226,6 +230,13 @@ def test_pipeline_rejects_product(a4):
         theorem_pipeline(a4)
     assert err.value.hypothesis == "well-graded"
     assert "0" in err.value.detail
+
+
+def test_pipeline_rejects_right_ill_graded(left_only_well_graded):
+    with pytest.raises(PreconditionFailed) as err:
+        theorem_pipeline(left_only_well_graded)
+    assert err.value.hypothesis == "well-graded"
+    assert err.value.detail == "right witness idempotent 1"
 
 
 def test_pipeline_rejects_trivially_graded(uppertri):
@@ -259,6 +270,10 @@ def test_twisted_extension_round_trip(swap_twisted_extension):
     assert np.array_equal(ext.sigma.matrix, np.array([[0, 1], [1, 0]]))
     cert = theorem_pipeline(tw)
     assert cert.passed
+    counts = Counter(c.family for c in cert.checks)
+    assert counts == {
+        "target": 1, "round-trip": 18, "hom-dim": 324, "preservation": 12, "functoriality": 21,
+    }
 
 
 def test_extract_sigma_deterministic_fallback(truncated):

@@ -46,7 +46,7 @@ def test_width_basics(truncated, graded_corpus):
         assert width(regular_module(alg)) == alg.top_degree() + 1, name
 
 
-def test_shift_rules(truncated):
+def test_shift_rules(truncated, product_of_duals):
     a = truncated(2)
     m = regular_module(a)
     assert shift(m, 0).equals(m)
@@ -55,6 +55,13 @@ def test_shift_rules(truncated):
     assert shift(shift(m, 3), -3).equals(m)
     assert shift(shift(m, 2), 1).equals(shift(m, 3))
     assert width(shift(m, 5)) == width(m)
+    # proj, simple and inj at shift d are the shifts of their degree-0 versions
+    for a in (truncated(3), product_of_duals):
+        for i in range(a.n_idempotents):
+            for build in (proj, simple, inj):
+                base = build(a, i)
+                for d in range(-2, 3):
+                    assert build(a, i, d).equals(shift(base, d)), (build.__name__, i, d)
 
 
 def test_proj_inj_slices(truncated):
