@@ -45,6 +45,7 @@ class GradedAlgebra:
         "_left",
         "_right",
         "_radical",
+        "_generators",
         "_semisimple",
         "_classes",
     )
@@ -73,6 +74,7 @@ class GradedAlgebra:
         self._left = None
         self._right = None
         self._radical = None
+        self._generators = None
         self._semisimple = None
         self._classes = None
 
@@ -346,6 +348,28 @@ def radical(a: GradedAlgebra) -> np.ndarray:
     rows.flags.writeable = False
     a._radical = rows
     return rows
+
+
+def generators(a: GradedAlgebra) -> np.ndarray:
+    """Basis indices whose elements generate ``a`` as an algebra (cached).
+
+    They are the free columns of the RREF of rad^2, so they span a complement
+    of rad^2, and there are dim A - dim rad^2 of them.  A subalgebra S with
+    S + rad^2 = A is A itself, because rad is nilpotent (Assem-Simson-
+    Skowronski, Elements of the Representation Theory of Associative Algebras
+    I, ch. II).
+    """
+    if a._generators is None:
+        rad, p = radical(a), a.p
+        # prods[u, k, v] = coordinate k of rad[u] * rad[v]
+        prods = ((np.tensordot(rad, a.left, axes=1) % p) @ rad.T) % p
+        rows = prods.transpose(0, 2, 1).reshape(-1, a.dim)
+        # most products vanish; reducing only the rest keeps the rref temporaries small
+        _, pivots = modp.row_basis(rows[rows.any(axis=1)], p)
+        gens = np.setdiff1d(np.arange(a.dim), pivots)
+        gens.flags.writeable = False
+        a._generators = gens
+    return a._generators
 
 
 def _trace_form_kernel(a: GradedAlgebra) -> np.ndarray:

@@ -42,7 +42,7 @@ from .errors import (
 class AlgebraAutomorphism:
     """Degree-preserving algebra automorphism, stored as a coordinate matrix."""
 
-    __slots__ = ("algebra", "matrix", "inverse")
+    __slots__ = ("algebra", "matrix", "inverse", "_powers")
 
     def __init__(self, algebra: GradedAlgebra, matrix):
         self.algebra = algebra
@@ -53,6 +53,7 @@ class AlgebraAutomorphism:
         self.inverse = inv
         self.matrix.flags.writeable = False
         self.inverse.flags.writeable = False
+        self._powers: dict[int, np.ndarray] = {}
 
     @classmethod
     def identity(cls, algebra: GradedAlgebra) -> "AlgebraAutomorphism":
@@ -62,8 +63,13 @@ class AlgebraAutomorphism:
         return (self.matrix @ (v % self.algebra.p)) % self.algebra.p
 
     def power(self, k: int) -> np.ndarray:
-        base = self.matrix if k >= 0 else self.inverse
-        return modp.mat_pow(base, abs(k), self.algebra.p)
+        """sigma^k as a read-only matrix, computed once per exponent."""
+        if k not in self._powers:
+            base = self.matrix if k >= 0 else self.inverse
+            out = modp.mat_pow(base, abs(k), self.algebra.p)
+            out.flags.writeable = False
+            self._powers[k] = out
+        return self._powers[k]
 
     def validate(self) -> "AlgebraAutomorphism":
         a, s, p = self.algebra, self.matrix, self.algebra.p

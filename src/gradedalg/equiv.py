@@ -196,7 +196,7 @@ def _adapt_basis(n: GradedModule, projs) -> GradedModule:
     Et_inv = modp.invert(Et, p)
     if Et_inv is None:
         raise AssertionError("component splitting did not produce a basis")
-    action = np.einsum("ab,ibc,cd->iad", Et_inv, n.action, Et) % p
+    action = ((np.einsum("ab,ibc->iac", Et_inv, n.action) % p) @ Et) % p
     return GradedModule(n.algebra, np.array(degs, dtype=np.int64), action)
 
 

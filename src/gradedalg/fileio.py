@@ -79,7 +79,7 @@ def algebra_from_doc(doc: dict) -> GradedAlgebra:
             raise ParseError(f"missing required key {key!r}")
     try:
         p = modp.require_prime(doc["prime"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"prime: {exc}")
     basis = doc["basis"]
     if not isinstance(basis, list) or not basis:

@@ -11,6 +11,7 @@ sparsity or asymptotics.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,16 @@ from .errors import PrimeTooSmall
 #: Session default prime.  Large enough that the trace-form radical
 #: criterion (valid for p > dim) applies to every algebra built here.
 DEFAULT_PRIME = 7919
+
+#: Longest sum of products accumulated in int64 anywhere in the package.  Every
+#: kernel multiplies two residues in [0, p) and sums them; the longest such sum
+#: is the trace form's dim(A)^2 terms, so this covers algebras of dimension up
+#: to 2896, whose dense structure table alone would hold 2.4e10 entries.
+MAX_INNER = 2**23
+
+#: Largest modulus accepted: (p - 1)^2 * MAX_INNER <= 2^63 - 1, so no int64
+#: accumulation overflows.  Equals 2^20.
+PRIME_BOUND = math.isqrt((2**63 - 1) // MAX_INNER) + 1
 
 
 def is_prime(p: int) -> bool:
@@ -34,7 +45,13 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int) -> int:
+    """``p`` as an int, or ValueError unless it is a prime <= PRIME_BOUND.
+
+    The bound is checked first, so a huge modulus never reaches trial division.
+    """
     p = int(p)
+    if p > PRIME_BOUND:
+        raise ValueError(f"modulus {p} exceeds {PRIME_BOUND}, the largest with exact int64 arithmetic")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
@@ -59,7 +76,8 @@ def identity(n: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # max accumulated entry is (p-1)^2 * inner-dim, far below int64 overflow
+    # max accumulated entry is (p-1)^2 * inner-dim <= 2^63 - 1 for
+    # p <= PRIME_BOUND and inner-dim <= MAX_INNER
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 

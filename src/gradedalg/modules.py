@@ -17,6 +17,7 @@ import numpy as np
 from . import modp
 from .algebra import (
     GradedAlgebra,
+    generators,
     homogeneous_row_basis,
     intertwine_fault,
     quotient_maps,
@@ -192,7 +193,7 @@ def quotient_module(m: GradedModule, rows: np.ndarray):
             img = (m.action[i] @ basis.T) % m.p
             if np.any((basis.T @ img[pivots] - img) % m.p):
                 raise AssertionError("rows do not span an action-stable subspace")
-        action[i] = (red @ m.action[i] @ sec) % m.p
+        action[i] = (((red @ m.action[i]) % m.p) @ sec) % m.p
     q = GradedModule(m.algebra, m.degrees[free], action)
     return q, red, sec
 
@@ -265,34 +266,42 @@ def socle(m: GradedModule) -> GradedModule:
 def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     """Basis of degree-preserving module maps M -> N.
 
-    Solves the linear system {f @ act_M(b) = act_N(b) @ f, f degree-0} over
-    the entries of f allowed by the gradings.
+    Solves N(x) f = f M(x) over the entries f[t, u] allowed by the gradings
+    (deg N_t = deg M_u), for x running over ``generators(A)`` only: a map
+    that commutes with the generators commutes with their products and sums,
+    which make up A.  So the system has the solutions of the one over every
+    basis element, hence the same row space and the same RREF, and the
+    kernel basis comes back bit-identical, in the same order.
+
+    Equation (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s].
+    Both sides vanish unless deg N_r - deg M_s = deg x, so only those rows
+    are gathered, each against the allowed columns.
+
+    The generators come from ``radical``, so this raises PrimeTooSmall when
+    p <= dim A, an algebra that ``validate_algebra`` already refuses.
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraMismatch("hom endpoints live over different algebras")
-    p = m.p
-    if m.dim == 0 or n.dim == 0:
+    a, p = m.algebra, m.p
+    gens = generators(a)
+    t, u = np.nonzero(n.degrees[:, None] == m.degrees[None, :])
+    if t.size == 0:
         return []
-    allowed = np.nonzero((n.degrees[:, None] == m.degrees[None, :]).ravel())[0]
-    if allowed.size == 0:
-        return []
-    eye_m = modp.identity(m.dim)
-    eye_n = modp.identity(n.dim)
-    blocks = []
-    for i in range(m.algebra.dim):
-        row = (np.kron(n.action[i], eye_m) - np.kron(eye_n, m.action[i].T)) % p
-        blocks.append(row[:, allowed])
-    system = np.vstack(blocks)
-    system = system[np.any(system, axis=1)]
+    x, r, s = np.nonzero(
+        a.degrees[gens][:, None, None] == n.degrees[None, :, None] - m.degrees[None, None, :]
+    )
+    x, r, s = gens[x][:, None], r[:, None], s[:, None]
+    system = np.where(s == u, n.action[x, r, t], 0) - np.where(r == t, m.action[x, u, s], 0)
+    system = system[np.any(system, axis=1)] % p
     if system.shape[0] == 0:
-        ker = modp.identity(allowed.size)
+        ker = modp.identity(t.size)
     else:
         _, ker = modp.rank_kernel(system, p)
     out = []
     for vec in ker:
-        f = modp.zeros(n.dim * m.dim)
-        f[allowed] = vec
-        out.append(GradedMorphism(m, n, f.reshape(n.dim, m.dim)))
+        f = modp.zeros(n.dim, m.dim)
+        f[t, u] = vec
+        out.append(GradedMorphism(m, n, f))
     return out
 
 
@@ -379,7 +388,7 @@ def projective_cover(m: GradedModule):
     reps, _, endo_dims = simple_classes(a)
     t, _, sec = quotient_module(m, radical_rows(m))
     summands: list[tuple[int, int]] = []
-    generators: list[np.ndarray] = []
+    lifts: list[np.ndarray] = []
     for ci, r in enumerate(reps):
         er_top = t.act(a.idempotents[r])
         er_mod = m.act(a.idempotents[r])
@@ -398,17 +407,17 @@ def projective_cover(m: GradedModule):
                 if modp.in_row_span(spanned, spiv, w, p):
                     continue
                 summands.append((r, g))
-                generators.append((er_mod @ ((sec @ w) % p)) % p)
+                lifts.append((er_mod @ ((sec @ w) % p)) % p)
                 orbit = (corner_mats @ w) % p  # the endomorphism-field span of w
                 spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
     if not summands:
         return zero_module(a), modp.zeros(m.dim, 0), []
     parts = []
     cols = []
-    for (r, g), v in zip(summands, generators):
+    for (r, g), v in zip(summands, lifts):
         pr, basis = _proj_with_embedding(a, r)
         parts.append(shift(pr, -g))
-        block = np.einsum("tj,jab,b->at", basis, m.action, v) % p
+        block = (basis @ ((m.action @ v) % p)).T % p
         cols.append(block)
     P = direct_sum(parts)
     K = np.hstack(cols) % p

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradedalg import corpus
+from gradedalg import corpus, modp
 from gradedalg.algebra import GradedAlgebra, validate_algebra
 from gradedalg.modp import DEFAULT_PRIME
 
@@ -200,5 +200,40 @@ def left_only_well_graded():
     a = GradedAlgebra(
         P, ["e1", "e2", "beta", "alpha"], [0, 0, 1, 1], table, [1, 1, 0, 0],
         [[1, 0, 0, 0], [0, 1, 0, 0]],
+    )
+    return validate_algebra(a)
+
+
+@pytest.fixture(scope="session")
+def rebased_nakayama32():
+    """N(3, 2), the cyclic quiver on 3 vertices modulo paths of length 3,
+    rewritten in a seeded random basis that keeps every vector homogeneous:
+    three idempotents, a non-trivial Nakayama permutation, dense products."""
+    paths = [(i, l) for l in range(3) for i in range(3)]  # path from i of length l
+    pos = {path: t for t, path in enumerate(paths)}
+    n = len(paths)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for (i, l), s in pos.items():
+        for (j, m), u in pos.items():
+            if j == (i + l) % 3 and l + m <= 2:
+                table[s, u, pos[(i, l + m)]] = 1
+    degrees = np.array([l for _, l in paths])
+    idems = np.eye(3, n, dtype=np.int64)
+    rng = np.random.default_rng(32)
+    basis = np.zeros((n, n), dtype=np.int64)  # column t: old coordinates of new vector t
+    for d in range(3):
+        idx = np.nonzero(degrees == d)[0]
+        while True:
+            block = rng.integers(1, P, size=(idx.size, idx.size))
+            if modp.invert(block, P) is not None:
+                break
+        basis[np.ix_(idx, idx)] = block
+    inv = modp.invert(basis, P)
+    half = np.einsum("si,suk->iuk", basis, table) % P
+    prods = np.einsum("uj,iuk->ijk", basis, half) % P
+    new_table = np.einsum("lk,ijk->ijl", inv, prods) % P
+    names = [f"p{i}_{l}" for i, l in paths]
+    a = GradedAlgebra(
+        P, names, degrees, new_table, inv @ idems.sum(axis=0) % P, idems @ inv.T % P
     )
     return validate_algebra(a)

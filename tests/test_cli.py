@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gradedalg import fileio
+from gradedalg import fileio, modp
 from gradedalg.algebra import validate_algebra
 from gradedalg.cli import main
 from gradedalg.corpus import gen_example
@@ -135,6 +135,22 @@ def test_cli_exit_codes(capsys, tmp_path, a4_file):
     fileio.save(ut, gen_example("upper_triangular", c=2))
     code, rep = run(capsys, "nakayama", str(ut))
     assert code == 2
+
+
+def test_cli_refuses_prime_past_bound(capsys, tmp_path):
+    # a prime past modp.PRIME_BOUND would overflow int64: exit 1, before trial division
+    doc = json.loads(fileio.dumps(gen_example("exterior", m=2)))
+    for prime in (modp.PRIME_BOUND + 1, 2**31 - 1, 4294967291, 10**15 + 37, "Infinity"):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"prime": 7919', f'"prime": {prime}'))
+        code, rep = run(capsys, "equiv", str(path))
+        assert code == 1, prime
+        assert rep["error"]["kind"] == "parse"
+        assert rep["error"]["message"].startswith("prime: "), prime
+    # the largest prime below the bound loads
+    fileio.save(path, gen_example("exterior", prime=1048573, m=2))
+    code, rep = run(capsys, "equiv", str(path))
+    assert code == 0 and rep["results"]["passed"]
 
 
 def test_cli_corner(capsys, tmp_path, t4_file):

@@ -289,3 +289,18 @@ def test_width_two_iff_well_graded_extension(truncated, a4):
     ws = [width(proj(t4, i, 0)) for i in range(t4.n_idempotents)]
     assert is_left_well_graded(t4)[0] == all(w == 2 for w in ws)
     assert not is_left_well_graded(t4)[0]
+
+
+def test_automorphism_power_cached(exterior2):
+    # x -> 2x + 5y, y -> 3x + 7y on Lambda(x, y), so xy -> (2*7 - 3*5) xy
+    a = exterior2
+    mat = modp.zeros(4, 4)
+    mat[0, 0] = 1
+    mat[1:3, 1:3] = [[2, 3], [5, 7]]
+    mat[3, 3] = -1
+    sigma = AlgebraAutomorphism(a, mat).validate()
+    for k in range(-3, 4):
+        first = sigma.power(k)
+        assert np.array_equal(first, modp.mat_pow(sigma.matrix, k, a.p)), k
+        assert sigma.power(k) is first
+        assert not first.flags.writeable

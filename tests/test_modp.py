@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,36 @@ def test_mat_pow_negative():
     p = 7919
     m = np.array([[1, 1], [0, 1]])
     assert np.array_equal(modp.mat_pow(m, -2, p), np.array([[1, p - 2], [0, 1]]))
+
+
+def test_prime_bound_keeps_int64_exact():
+    # (p - 1)^2 * MAX_INNER fits in int64 at the bound and not one past it
+    bound = modp.PRIME_BOUND
+    assert (bound - 1) ** 2 * modp.MAX_INNER <= 2**63 - 1
+    assert bound**2 * modp.MAX_INNER > 2**63 - 1
+    # the largest accepted prime, summed over the longest inner dimension
+    p = max(q for q in range(bound - 10, bound + 1) if modp.is_prime(q))
+    assert modp.require_prime(p) == p
+    row = np.broadcast_to(np.int64(p - 1), (1, modp.MAX_INNER))
+    assert modp.mat_mul(row, row.T, p)[0, 0] == modp.MAX_INNER % p
+
+
+def test_require_prime_refuses_past_the_bound():
+    bound = modp.PRIME_BOUND
+    with pytest.raises(ValueError, match="not prime"):
+        modp.require_prime(bound)  # 2^20
+    with pytest.raises(ValueError, match="exceeds"):
+        modp.require_prime(bound + 1)
+    nxt = next(q for q in range(bound + 1, bound + 100) if modp.is_prime(q))
+    with pytest.raises(ValueError, match="exceeds"):
+        modp.require_prime(nxt)
+    # where mat_mul would overflow: a 1x3 by 3x1 product of (p - 1)s is 3
+    with pytest.raises(ValueError, match="exceeds"):
+        modp.require_prime(2**31 - 1)
+
+
+def test_require_prime_refuses_huge_prime_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        modp.require_prime(10**15 + 37)
+    assert time.perf_counter() - start < 0.1

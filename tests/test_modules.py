@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gradedalg import modp
-from gradedalg.algebra import is_left_well_graded, radical
-from gradedalg.construct import t_of
-from gradedalg.errors import AlgebraMismatch
+from gradedalg import corpus
+from gradedalg.algebra import generators, is_left_well_graded, radical
+from gradedalg.construct import T_of, beilinson, t_of
+from gradedalg.errors import AlgebraMismatch, PrimeTooSmall
 from gradedalg.modules import (
     GradedModule,
     GradedMorphism,
@@ -154,6 +155,103 @@ def test_hom_projective_oracle(graded_corpus):
             p_i = proj(a, i, 0)
             for m in mods:
                 assert hom_dim(p_i, m) == slice0_dim_of_corner(a, i, m), name
+
+
+def kron_hom_basis(m, n):
+    """Exact oracle: hom(M, N) from N(b) f = f M(b) over every basis element b,
+    assembled with Kronecker products over all entries of f and reduced to
+    the entries the gradings allow."""
+    p = m.p
+    if m.dim == 0 or n.dim == 0:
+        return []
+    allowed = np.nonzero((n.degrees[:, None] == m.degrees[None, :]).ravel())[0]
+    if allowed.size == 0:
+        return []
+    eye_m = modp.identity(m.dim)
+    eye_n = modp.identity(n.dim)
+    blocks = []
+    for i in range(m.algebra.dim):
+        row = (np.kron(n.action[i], eye_m) - np.kron(eye_n, m.action[i].T)) % p
+        blocks.append(row[:, allowed])
+    system = np.vstack(blocks)
+    system = system[np.any(system, axis=1)]
+    if system.shape[0] == 0:
+        ker = modp.identity(allowed.size)
+    else:
+        _, ker = modp.rank_kernel(system, p)
+    out = []
+    for vec in ker:
+        f = modp.zeros(n.dim * m.dim)
+        f[allowed] = vec
+        out.append(f.reshape(n.dim, m.dim))
+    return out
+
+
+def test_hom_basis_matches_kronecker_oracle(
+    graded_corpus, product_of_duals, product_c2, left_only_well_graded, rebased_nakayama32
+):
+    # bit-identical bases, same matrices in the same order, on every ordered
+    # pair of proj/simple/inj shifted by -c..c
+    algebras = graded_corpus + [
+        ("k[x]/(x^2) x k[y]/(y^2)", product_of_duals),
+        ("k[x]/(x^3) x k[y]/(y^3)", product_c2),
+        ("left-only well-graded", left_only_well_graded),
+        ("rebased N(3,2)", rebased_nakayama32),
+    ]
+    for name, a in algebras:
+        c = a.top_degree()
+        samples = [
+            build(a, i, d)
+            for build in (proj, simple, inj)
+            for i in range(a.n_idempotents)
+            for d in range(-c, c + 1)
+        ]
+        for m in samples:
+            for n in samples:
+                got = [f.matrix for f in hom_basis(m, n)]
+                want = kron_hom_basis(m, n)
+                assert len(got) == len(want), name
+                for f, g in zip(got, want):
+                    assert f.dtype == g.dtype and np.array_equal(f, g), name
+
+
+def _span_rank(vectors, p):
+    return modp.rank(np.array(vectors), p) if len(vectors) else 0
+
+
+def test_generators_span_under_products(graded_corpus, product_c2, rebased_nakayama32, truncated):
+    # the subalgebra the generators generate is A, and there are
+    # dim A - dim rad^2 of them
+    b6 = beilinson(truncated(6))
+    algebras = graded_corpus + [
+        ("k[x]/(x^3) x k[y]/(y^3)", product_c2),
+        ("rebased N(3,2)", rebased_nakayama32),
+        ("T(b(k[x]/(x^6)))", T_of(b6)),
+    ]
+    for name, a in algebras:
+        p, n = a.p, a.dim
+        gens = generators(a)
+        span, piv = modp.row_basis(modp.identity(n)[gens], p)
+        while True:
+            prods = [a.mul(u, v) for u in span for v in span]
+            grown, grown_piv = modp.row_basis(np.vstack([span] + prods), p)
+            if len(grown_piv) == len(piv):
+                break
+            span, piv = grown, grown_piv
+        assert len(piv) == n, name
+        rad = radical(a)
+        rad2 = [a.mul(u, v) for u in rad for v in rad]
+        assert len(gens) == n - _span_rank(rad2, p), name
+    assert len(generators(truncated(6))) == 2
+    assert len(generators(T_of(b6))) == 10
+
+
+def test_hom_basis_refuses_small_prime():
+    # the generators need the radical, which needs p > dim A
+    a = corpus.truncated_poly(5, prime=5)
+    m = regular_module(a)
+    with pytest.raises(PrimeTooSmall):
+        hom_basis(m, m)
 
 
 def test_hom_algebra_mismatch(truncated):
