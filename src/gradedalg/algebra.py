@@ -22,6 +22,7 @@ import numpy as np
 
 from . import modp
 from .errors import (
+    CheckFailed,
     GradingViolation,
     IdempotentFault,
     NonAssociative,
@@ -163,16 +164,12 @@ def homogeneous_row_basis(
     """
     rows = modp.normalize(rows, p)
     n = ambient_degrees.shape[0]
-    pieces: dict[int, list[np.ndarray]] = {}
-    for row in rows:
-        for d in np.unique(ambient_degrees[np.nonzero(row)[0]]):
-            comp = np.where(ambient_degrees == d, row, 0)
-            pieces.setdefault(int(d), []).append(comp)
     basis_rows: list[np.ndarray] = []
     basis_degs: list[int] = []
     pivots: list[int] = []
-    for d in sorted(pieces):
-        red, piv = modp.row_basis(np.array(pieces[d]), p)
+    for d in np.unique(ambient_degrees[rows.any(axis=0)]).tolist():
+        comp = np.where(ambient_degrees == d, rows, 0)
+        red, piv = modp.row_basis(comp[comp.any(axis=1)], p)
         basis_rows.extend(red)
         basis_degs.extend([d] * len(piv))
         pivots.extend(piv)
@@ -208,23 +205,30 @@ def representation_fault(table: np.ndarray, mats: np.ndarray, p: int) -> Optiona
 
     ``col`` is the first column of the failing product.  Returns None when
     the matrices respect the multiplication.  Works one basis element at a
-    time, so memory stays O(n^3) rather than O(n^4).
+    time, so memory stays O(n^3) rather than O(n^4).  Both sides come from
+    ``modp.dot``, so their difference is exact and fmod tells whether it
+    vanishes mod p.
     """
+    n, d = mats.shape[0], mats.shape[-1]
+    mats = np.asarray(mats, dtype=np.float64)
+    flat = mats.reshape(n, d * d)
     for i in range(table.shape[0]):
-        lhs = (mats[i] @ mats) % p  # lhs[j] = mats[i] @ mats[j]
-        rhs = np.einsum("jk,kab->jab", table[i], mats) % p
-        diff = lhs != rhs
+        diff = modp.dot(mats[i], mats, p).reshape(n, d * d)  # diff[j] = mats[i] @ mats[j]
+        diff -= modp.dot(table[i], flat, p)
+        np.fmod(diff, p, out=diff)
         if diff.any():
-            j = int(np.nonzero(diff.any(axis=(1, 2)))[0][0])
-            col = int(np.nonzero(diff[j].any(axis=0))[0][0])
+            j = int(np.flatnonzero(diff.any(axis=1))[0])
+            col = int(np.flatnonzero(diff[j].reshape(d, d).any(axis=0))[0])
             return i, j, col
     return None
 
 
 def intertwine_fault(f: np.ndarray, src: np.ndarray, tgt: np.ndarray, p: int) -> Optional[int]:
     """First i where tgt[i] @ f != f @ src[i], or None when f intertwines."""
-    bad = ((tgt @ f) % p != (f @ src) % p).any(axis=(1, 2))
-    hits = np.nonzero(bad)[0]
+    diff = modp.dot(tgt, f, p)
+    diff -= modp.dot(f, src, p)
+    np.fmod(diff, p, out=diff)
+    hits = np.flatnonzero(diff.any(axis=(1, 2)))
     return int(hits[0]) if hits.size else None
 
 
@@ -344,7 +348,7 @@ def radical(a: GradedAlgebra) -> np.ndarray:
     rows, _, _ = homogeneous_row_basis(rad, a.degrees, a.p)
     q, _, _ = quotient_algebra(a, rows)
     if q.dim and _trace_form_kernel(q).shape[0] != 0:
-        raise AssertionError("radical check failed: quotient is not semisimple")
+        raise CheckFailed("radical check failed: quotient is not semisimple")
     rows.flags.writeable = False
     a._radical = rows
     return rows

@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         report["timing_s"] = round(time.time() - t0, 6)
         _emit(report, args.out)
         return 2
-    except (CheckFailed, GeneratorNotFound, AmbiguousMatch, AssertionError) as exc:
+    except (CheckFailed, GeneratorNotFound, AmbiguousMatch) as exc:
         report["error"] = {"kind": "internal-check", "message": str(exc)}
         report["timing_s"] = round(time.time() - t0, 6)
         _emit(report, args.out)

@@ -191,11 +191,11 @@ def _adapt_basis(n: GradedModule, projs) -> GradedModule:
             degs.extend([g] * block.shape[0])
     E = np.array(rows) % p
     if E.shape[0] != n.dim:
-        raise AssertionError("component splitting did not produce a basis")
+        raise CheckFailed("component splitting did not produce a basis")
     Et = E.T
     Et_inv = modp.invert(Et, p)
     if Et_inv is None:
-        raise AssertionError("component splitting did not produce a basis")
+        raise CheckFailed("component splitting did not produce a basis")
     action = ((np.einsum("ab,ibc->iac", Et_inv, n.action) % p) @ Et) % p
     return GradedModule(n.algebra, np.array(degs, dtype=np.int64), action)
 
@@ -536,7 +536,7 @@ def theorem_pipeline(
         try:
             GradedMorphism(src, tgt, matrix).validate()
             return True
-        except AssertionError:
+        except CheckFailed:
             return False
 
     for (label, m, kind), fm in list(zip(samples, images))[:9]:

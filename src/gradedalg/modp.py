@@ -4,9 +4,21 @@ Vectors are 1-d int64 numpy arrays with entries reduced into [0, p);
 matrices are 2-d arrays, row-major.  Every routine is a pure function and
 returns fresh arrays, so results can be shared freely between threads.
 
-Row reduction is plain Gauss-Jordan: all inputs in this project are
-desk-scale (dimension a few hundred at most), so no effort is spent on
-sparsity or asymptotics.
+Two kinds of kernel multiply residues:
+
+* ``dot`` multiplies in float64 through BLAS, exactly: a sum of at most
+  ``block_len(p)`` = (2^53 - 1) // (p - 1)^2 products of residues stays
+  below 2^53, and longer inner dimensions are reduced blockwise with fmod
+  (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM
+  TOMS 35(3), 2008).  ``mat_mul`` and the multiplication checks
+  ``algebra.representation_fault`` and ``algebra.intertwine_fault`` use it;
+* everything else (row reduction, einsum and tensordot contractions, the
+  trace form) sums in int64, which is exact while the inner dimension is at
+  most ``MAX_INNER``.
+
+Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
+project are desk-scale (dimension a few hundred at most).  Each pivot step
+touches only the rows with a non-zero entry in the pivot column.
 """
 
 from __future__ import annotations
@@ -23,13 +35,16 @@ from .errors import PrimeTooSmall
 DEFAULT_PRIME = 7919
 
 #: Longest sum of products accumulated in int64 anywhere in the package.  Every
-#: kernel multiplies two residues in [0, p) and sums them; the longest such sum
-#: is the trace form's dim(A)^2 terms, so this covers algebras of dimension up
-#: to 2896, whose dense structure table alone would hold 2.4e10 entries.
+#: int64 kernel (all but ``dot``) multiplies two residues in [0, p) and sums
+#: them; the longest such sum is the trace form's dim(A)^2 terms, so this
+#: covers algebras of dimension up to 2896, whose dense structure table alone
+#: would hold 2.4e10 entries.
 MAX_INNER = 2**23
 
 #: Largest modulus accepted: (p - 1)^2 * MAX_INNER <= 2^63 - 1, so no int64
-#: accumulation overflows.  Equals 2^20.
+#: accumulation overflows.  Equals 2^20.  ``dot`` needs no bound of its own,
+#: but at this one its blocks are at least 8192 terms long, longer than any
+#: inner dimension the package multiplies, so its block loop never runs.
 PRIME_BOUND = math.isqrt((2**63 - 1) // MAX_INNER) + 1
 
 
@@ -75,10 +90,41 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def block_len(p: int) -> int:
+    """Most products of two residues mod ``p`` that float64 sums exactly.
+
+    K (p - 1)^2 <= 2^53 - 1, and every integer of magnitude below 2^53 is a
+    float64, so a sum of K such products is exact in any order, with or
+    without fused multiply-adds.  K >= 8192 for every p <= PRIME_BOUND.
+    """
+    return (2**53 - 1) // (p - 1) ** 2
+
+
+def dot(a, b, p: int) -> np.ndarray:
+    """``a @ b`` as float64 integers congruent to the exact product mod ``p``.
+
+    Operands hold residues in [0, p); ``b`` is at least 2-d and may be a
+    stack.  Each entry of the result is an integer in [0, 2^53), so a
+    difference of two results is exact too, and ``np.fmod(x, p)`` reduces
+    either.  Inner dimensions longer than ``block_len(p)`` are cut into
+    blocks, each reduced with fmod before it joins the running sum, which
+    then stays below 2p.  No inner dimension in this package is that long,
+    so the block loop never runs outside the tests.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    k, step = a.shape[-1], block_len(p)
+    if k <= step:
+        return a @ b
+    out = np.fmod(a[..., :step] @ b[..., :step, :], p)
+    for s in range(step, k, step):
+        out += np.fmod(a[..., s : s + step] @ b[..., s : s + step, :], p)
+        np.fmod(out, p, out=out)
+    return out
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # max accumulated entry is (p-1)^2 * inner-dim <= 2^63 - 1 for
-    # p <= PRIME_BOUND and inner-dim <= MAX_INNER
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    return np.fmod(dot(normalize(a, p), normalize(b, p), p), p).astype(np.int64)
 
 
 def inv_scalar(x: int, p: int) -> int:
@@ -87,7 +133,7 @@ def inv_scalar(x: int, p: int) -> int:
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a copy of ``m``; returns (rref, pivot columns)."""
-    a = normalize(m, p).copy()
+    a = normalize(m, p)
     if a.ndim != 2:
         raise ValueError("rref expects a 2-d array")
     nrows, ncols = a.shape
@@ -102,11 +148,17 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * inv_scalar(int(a[r, c]), p)) % p
+        # row r is zero left of c, so the row operations start at column c,
+        # and only rows with a non-zero entry in column c change
+        a[r, c:] = (a[r, c:] * inv_scalar(int(a[r, c]), p)) % p
         col = a[:, c].copy()
         col[r] = 0
-        if np.any(col):
-            a = (a - np.outer(col, a[r])) % p
+        hit = np.flatnonzero(col)
+        if hit.size:
+            sub = a[hit, c:]
+            sub -= sub[:, :1] * a[r, c:]
+            sub %= p
+            a[hit, c:] = sub
         pivots.append(c)
         r += 1
     return a, pivots

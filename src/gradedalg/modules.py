@@ -25,7 +25,7 @@ from .algebra import (
     representation_fault,
     semisimple_quotient,
 )
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, CheckFailed
 
 
 class GradedModule:
@@ -63,16 +63,16 @@ class GradedModule:
         if self.dim == 0:
             return self
         if not np.array_equal(self.act(a.unit), modp.identity(self.dim)):
-            raise AssertionError("module action is not unital")
+            raise CheckFailed("module action is not unital")
         fault = representation_fault(a.table, self.action, p)
         if fault is not None:
-            raise AssertionError(f"module action not associative at {a.names[fault[0]]}")
+            raise CheckFailed(f"module action not associative at {a.names[fault[0]]}")
         dm = self.degrees
         shiftgrid = dm[:, None] - dm[None, :]  # output deg - input deg
         bad = (self.action != 0) & (shiftgrid[None, :, :] != a.degrees[:, None, None])
         if np.any(bad):
             i = int(np.argwhere(bad)[0][0])
-            raise AssertionError(f"action of {a.names[i]} is not degree-compatible")
+            raise CheckFailed(f"action of {a.names[i]} is not degree-compatible")
         return self
 
     def equals(self, other: "GradedModule") -> bool:
@@ -112,10 +112,10 @@ class GradedMorphism:
             raise AlgebraMismatch("morphism endpoints live over different algebras")
         bad = (f != 0) & (n.degrees[:, None] != m.degrees[None, :])
         if np.any(bad):
-            raise AssertionError("morphism does not preserve degrees")
+            raise CheckFailed("morphism does not preserve degrees")
         i = intertwine_fault(f, m.action, n.action, m.p)
         if i is not None:
-            raise AssertionError(f"morphism does not intertwine {m.algebra.names[i]}")
+            raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
         return self
 
     def compose(self, inner: "GradedMorphism") -> "GradedMorphism":
@@ -174,7 +174,7 @@ def submodule(m: GradedModule, rows: np.ndarray) -> GradedModule:
         img = (m.action[i] @ basis.T) % m.p
         action[i] = img[pivots]
         if not np.array_equal((basis.T @ action[i]) % m.p, img):
-            raise AssertionError("rows do not span an action-stable subspace")
+            raise CheckFailed("rows do not span an action-stable subspace")
     return GradedModule(m.algebra, degs, action)
 
 
@@ -192,7 +192,7 @@ def quotient_module(m: GradedModule, rows: np.ndarray):
         if basis.shape[0]:
             img = (m.action[i] @ basis.T) % m.p
             if np.any((basis.T @ img[pivots] - img) % m.p):
-                raise AssertionError("rows do not span an action-stable subspace")
+                raise CheckFailed("rows do not span an action-stable subspace")
         action[i] = (((red @ m.action[i]) % m.p) @ sec) % m.p
     q = GradedModule(m.algebra, m.degrees[free], action)
     return q, red, sec
@@ -372,7 +372,7 @@ def simple_multiplicities(m: GradedModule) -> dict[tuple[int, int], int]:
                 continue
             mult, rem = divmod(dim_slice, endo_dims[ci])
             if rem:
-                raise AssertionError("slice dimension not a multiple of the endo field")
+                raise CheckFailed("slice dimension not a multiple of the endo field")
             out[(r, g)] = mult
     return out
 
@@ -393,7 +393,7 @@ def projective_cover(m: GradedModule):
         er_top = t.act(a.idempotents[r])
         er_mod = m.act(a.idempotents[r])
         corner_cols = (a.left_mult(a.idempotents[r]) @ a.right_mult(a.idempotents[r])) % p
-        corner_mats = np.array([t.act(corner_cols[:, j]) for j in range(a.dim)])
+        corner_mats = np.tensordot(corner_cols.T, t.action, axes=1) % p
         for g in sorted(set(int(x) for x in t.degrees)):
             cols = t.slice_indices(g)
             if cols.size == 0:
@@ -422,7 +422,7 @@ def projective_cover(m: GradedModule):
     P = direct_sum(parts)
     K = np.hstack(cols) % p
     if modp.rank(K, p) != m.dim:
-        raise AssertionError("projective cover map is not surjective")
+        raise CheckFailed("projective cover map is not surjective")
     return P, K, summands
 
 

@@ -7,12 +7,15 @@ from gradedalg.algebra import (
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
+    homogeneous_row_basis,
+    intertwine_fault,
     is_basic,
     is_left_well_graded,
     is_right_well_graded,
     quotient_algebra,
     radical,
     regular_bimodule,
+    representation_fault,
     validate_algebra,
 )
 from gradedalg.construct import t_of
@@ -26,6 +29,7 @@ from gradedalg.errors import (
     PrimeTooSmall,
     TrivialGrading,
 )
+from gradedalg.modules import inj, proj
 
 P = 7919
 
@@ -269,3 +273,102 @@ def test_degree_zero_subalgebra(a4, exterior2):
     a0 = degree_zero_subalgebra(a4)
     assert a0.dim == 2 and a0.top_degree() == 0
     assert degree_zero_subalgebra(exterior2).dim == 1
+
+
+# ---------------------------------------------------------------------------
+# exact oracles for the float64 multiplication checks and the per-degree split
+
+
+def _representation_fault_int64(table, mats, p):
+    for i in range(table.shape[0]):
+        lhs = (mats[i] @ mats) % p  # lhs[j] = mats[i] @ mats[j]
+        rhs = np.einsum("jk,kab->jab", table[i], mats) % p
+        diff = lhs != rhs
+        if diff.any():
+            j = int(np.nonzero(diff.any(axis=(1, 2)))[0][0])
+            col = int(np.nonzero(diff[j].any(axis=0))[0][0])
+            return i, j, col
+    return None
+
+
+def _intertwine_fault_int64(f, src, tgt, p):
+    bad = ((tgt @ f) % p != (f @ src) % p).any(axis=(1, 2))
+    hits = np.nonzero(bad)[0]
+    return int(hits[0]) if hits.size else None
+
+
+def _homogeneous_row_basis_rowwise(rows, ambient_degrees, p):
+    rows = modp.normalize(rows, p)
+    n = ambient_degrees.shape[0]
+    pieces = {}
+    for row in rows:
+        for d in np.unique(ambient_degrees[np.nonzero(row)[0]]):
+            comp = np.where(ambient_degrees == d, row, 0)
+            pieces.setdefault(int(d), []).append(comp)
+    basis_rows, basis_degs, pivots = [], [], []
+    for d in sorted(pieces):
+        red, piv = modp.row_basis(np.array(pieces[d]), p)
+        basis_rows.extend(red)
+        basis_degs.extend([d] * len(piv))
+        pivots.extend(piv)
+    if not basis_rows:
+        return modp.zeros(0, n), np.zeros(0, dtype=np.int64), []
+    return np.array(basis_rows), np.array(basis_degs, dtype=np.int64), pivots
+
+
+def _corrupt(arr, rng, p):
+    """A copy of ``arr`` with one entry moved to another residue."""
+    out = np.array(arr)
+    idx = tuple(int(rng.integers(0, s)) for s in out.shape)
+    out[idx] = (out[idx] + rng.integers(1, p)) % p
+    return out
+
+
+def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakayama32):
+    rng = np.random.default_rng(2024)
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32]
+    algebras += [t_of(a) for a in algebras]
+    faults = 0
+    for a in algebras:
+        p, table, left, right = a.p, a.table, a.left, a.right
+        anti = table.transpose(1, 0, 2)
+        actions = [(table, left), (anti, right)]
+        actions += [(table, m.action) for m in (proj(a, 0, 0), inj(a, 0, 1))]
+        for tab, mats in actions:
+            assert representation_fault(tab, mats, p) is None
+            for _ in range(4):
+                cases = [(_corrupt(tab, rng, p), mats), (tab, _corrupt(mats, rng, p))]
+                for t2, m2 in cases:
+                    got = representation_fault(t2, m2, p)
+                    assert got == _representation_fault_int64(t2, m2, p)
+                    faults += got is not None
+        # right multiplications intertwine the left regular action, and back
+        for j in range(a.dim):
+            assert intertwine_fault(right[j], left, left, p) is None
+            assert intertwine_fault(left[j], right, right, p) is None
+        for _ in range(6):
+            f = _corrupt(right[int(rng.integers(0, a.dim))], rng, p)
+            src = _corrupt(left, rng, p) if rng.integers(0, 2) else left
+            got = intertwine_fault(f, src, left, p)
+            assert got == _intertwine_fault_int64(f, src, left, p)
+            faults += got is not None
+    assert faults > 300  # the corruptions are mostly caught, so faults are compared
+
+
+def test_homogeneous_row_basis_matches_rowwise_oracle():
+    rng = np.random.default_rng(11)
+    for p in (2, 7, P):
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            degrees = rng.integers(0, 4, size=n)
+            rows = rng.integers(0, p, size=(int(rng.integers(0, 8)), n))
+            rows[rng.random(rows.shape) < 0.5] = 0  # sparse, mixed-degree rows
+            if rows.shape[0]:
+                rows[rng.integers(0, rows.shape[0])] = 0  # a zero row
+                d = rng.integers(0, 4)  # a homogeneous row
+                rows[rng.integers(0, rows.shape[0]), degrees != d] = 0
+            got = homogeneous_row_basis(rows, degrees, p)
+            want = _homogeneous_row_basis_rowwise(rows, degrees, p)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]

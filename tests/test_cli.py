@@ -188,3 +188,24 @@ def test_cli_report_to_file(capsys, tmp_path, t4_file):
     rep = json.loads(out.read_text())
     assert rep["command"] == "info"
     assert rep["results"]["dim"] == 4
+
+
+def test_cli_internal_check_failures_and_bugs(capsys, monkeypatch, t4_file):
+    from gradedalg import selfinj
+    from gradedalg.modules import GradedModule
+
+    def ungraded_regular(a):
+        # every vector in degree 0: unital and associative, but x has degree 1
+        return GradedModule(a, [0] * a.dim, a.left).validate()
+
+    monkeypatch.setattr(selfinj, "graded_nakayama", ungraded_regular)
+    code, rep = run(capsys, "nakayama", t4_file)
+    assert code == 3
+    assert rep["error"] == {"kind": "internal-check", "message": "action of x is not degree-compatible"}
+
+    def bug(a):
+        raise AssertionError("a genuine bug")
+
+    monkeypatch.setattr(selfinj, "graded_nakayama", bug)
+    with pytest.raises(AssertionError, match="a genuine bug"):
+        main(["nakayama", t4_file])

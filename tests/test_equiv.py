@@ -15,7 +15,7 @@ from gradedalg.equiv import (
     twist_transport,
     twist_transport_back,
 )
-from gradedalg.errors import PreconditionFailed, TrivialGrading
+from gradedalg.errors import CheckFailed, PreconditionFailed, TrivialGrading
 from gradedalg.modules import (
     GradedModule,
     hom_basis,
@@ -300,3 +300,17 @@ def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
     assert nd.permutation == [0] and nd.shifts == [-1]
     cert = theorem_pipeline(a)
     assert cert.passed
+
+
+def test_pipeline_records_a_failed_morphism_check(truncated, monkeypatch):
+    # a morphism check that raises CheckFailed is a failed functoriality check
+    from gradedalg.modules import GradedMorphism
+
+    def refuse(self):
+        raise CheckFailed("refused")
+
+    monkeypatch.setattr(GradedMorphism, "validate", refuse)
+    with pytest.raises(CheckFailed, match=r"^functoriality: F\(id_") as err:
+        theorem_pipeline(truncated(2))
+    checks = err.value.transcript["certificate"]["checks"]
+    assert checks[-1]["family"] == "functoriality" and not checks[-1]["passed"]

@@ -106,3 +106,70 @@ def test_require_prime_refuses_huge_prime_quickly():
     with pytest.raises(ValueError, match="exceeds"):
         modp.require_prime(10**15 + 37)
     assert time.perf_counter() - start < 0.1
+
+
+def test_dot_is_exact_past_one_block():
+    # 8200 products of (p - 1)s sum past 2^53, so they take two blocks; the
+    # odd squares of (p - 2)s also lose their last bit in one float64 sum
+    p = 1048573
+    assert modp.block_len(p) == 8192 and 8200 * (p - 2) ** 2 > 2**53
+    for v in (p - 1, p - 2):
+        row = np.full((1, 8200), v, dtype=np.int64)
+        assert modp.mat_mul(row, row.T, p)[0, 0] == 8200 * v**2 % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 7919, 1048573])
+def test_dot_matches_python_integers(p):
+    # stacks and inner dimensions on both sides of a block boundary
+    rng = np.random.default_rng(p)
+    for k in (1, 17, 8191, 8192, 8193, 20000):
+        a = rng.integers(0, p, size=(2, 3, k))
+        b = rng.integers(0, p, size=(k, 2))
+        a[0, 0] = p - 1
+        b[:, 0] = p - 1
+        got = modp.dot(a, b, p)
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert np.all((got % p).astype(np.int64) == want.astype(np.int64))
+        assert got.min() >= 0 and got.max() < 2**53
+
+
+def _rref_outer(m, p):
+    """Gauss-Jordan updating every row with a full outer product per pivot."""
+    a = modp.normalize(m, p)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * modp.inv_scalar(int(a[r, c]), p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        if np.any(col):
+            a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@pytest.mark.parametrize("p", [2, 7, 7919])
+def test_rref_matches_outer_product_oracle(p):
+    rng = np.random.default_rng(100 + p)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
+        m = rng.integers(0, p, size=(rows, cols))
+        m[rng.random(m.shape) < rng.random()] = 0  # sparse columns, zero rows
+        if rng.integers(0, 2) and rows > 1:
+            m[-1] = m[0] * 3 % p  # a dependent row
+        frozen = m.copy()
+        red, piv = modp.rref(m, p)
+        want, want_piv = _rref_outer(m, p)
+        assert np.array_equal(red, want) and red.dtype == want.dtype
+        assert piv == want_piv
+        assert np.array_equal(m, frozen) and red is not m

@@ -5,7 +5,7 @@ from gradedalg import modp
 from gradedalg import corpus
 from gradedalg.algebra import generators, is_left_well_graded, radical
 from gradedalg.construct import T_of, beilinson, t_of
-from gradedalg.errors import AlgebraMismatch, PrimeTooSmall
+from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
 from gradedalg.modules import (
     GradedModule,
     GradedMorphism,
@@ -111,7 +111,7 @@ def test_module_validation_rejects_non_multiplicative_action(truncated):
     x2 = a.index_of("x2")
     r, c = np.argwhere(action[x2])[0]
     action[x2, r, c] = 2 * action[x2, r, c] % a.p  # degree-compatible, but x * x != x2
-    with pytest.raises(AssertionError, match="not associative"):
+    with pytest.raises(CheckFailed, match="not associative"):
         GradedModule(a, m.degrees, action).validate()
 
 
@@ -120,7 +120,7 @@ def test_morphism_validation_rejects_non_intertwiner(truncated):
     m = proj(a, 0, 0)
     f = modp.zeros(m.dim, m.dim)
     f[0, 0] = 1  # degree-preserving, but kills x while fixing 1
-    with pytest.raises(AssertionError, match="does not intertwine"):
+    with pytest.raises(CheckFailed, match="does not intertwine"):
         GradedMorphism(m, m, f).validate()
 
 
