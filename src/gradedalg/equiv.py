@@ -66,6 +66,7 @@ from .modules import (
     GradedModule,
     GradedMorphism,
     hom_basis,
+    hom_dim,
     inj,
     is_projective,
     proj,
@@ -452,12 +453,16 @@ def theorem_pipeline(
 
     w = c if window is None else int(window)
     samples: list[tuple[str, GradedModule, str]] = []
+    bases: list[GradedModule] = []
+    origin: list[tuple[int, int]] = []  # (index in bases, shift) of each sample
     for i in range(a.n_idempotents):
-        pi, si, ii = proj(a, i), simple(a, i), inj(a, i)
+        k = len(bases)
+        bases += [proj(a, i), simple(a, i), inj(a, i)]
         for d in range(-w, w + 1):
-            samples.append((f"Ae_{i}({d})", shift(pi, d), "projective"))
-            samples.append((f"S_{i}({d})", shift(si, d), "simple"))
-            samples.append((f"D(e_{i}A)({d})", shift(ii, d), "injective"))
+            samples.append((f"Ae_{i}({d})", shift(bases[k], d), "projective"))
+            samples.append((f"S_{i}({d})", shift(bases[k + 1], d), "simple"))
+            samples.append((f"D(e_{i}A)({d})", shift(bases[k + 2], d), "injective"))
+            origin += [(k, d), (k + 1, d), (k + 2, d)]
 
     cert = EquivalenceCertificate(
         prime=p,
@@ -504,12 +509,20 @@ def theorem_pipeline(
             transcript={"sample": label, "module": m.to_dict(), "returned": back.to_dict()},
         )
 
-    src_homs = {}
-    for ia, ((la, ma, _), fa) in enumerate(zip(samples, images)):
-        for ib, ((lb, mb, _), fb) in enumerate(zip(samples, images)):
-            src_homs[ia, ib] = homs = hom_basis(ma, mb)
-            d_src = len(homs)
-            d_img = len(hom_basis(fa, fb))
+    # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
+    # the relative shift.  The endomorphism keys go first: they adapt each
+    # base module once, and its shifts keep that basis.  F(M(d)) is only
+    # isomorphic to a shift of F(M), so every image pair is solved on its own.
+    by_shift = {(k, k, 0): hom_dim(base, base) for k, base in enumerate(bases)}
+    src_dims = {}
+    for ia, ((la, _, _), fa) in enumerate(zip(samples, images)):
+        for ib, ((lb, _, _), fb) in enumerate(zip(samples, images)):
+            (ka, da), (kb, db) = origin[ia], origin[ib]
+            key = (ka, kb, db - da)
+            if key not in by_shift:
+                by_shift[key] = hom_dim(bases[ka], shift(bases[kb], db - da))
+            src_dims[ia, ib] = d_src = by_shift[key]
+            d_img = hom_dim(fa, fb)
             record(
                 "hom-dim",
                 f"{la} -> {lb}",
@@ -542,16 +555,14 @@ def theorem_pipeline(
     for (label, m, kind), fm in list(zip(samples, images))[:9]:
         record("functoriality", f"F(id_{label}) = id", is_morphism(fm, fm, modp.identity(fm.dim)))
     pairs_checked = 0
-    for ia, (la, _, _) in enumerate(samples):
+    for ia, (la, ma, _) in enumerate(samples):
         if pairs_checked >= 6:
             break
-        for ib, (lb, _, _) in enumerate(samples):
-            if ia == ib:
+        for ib, (lb, mb, _) in enumerate(samples):
+            if ia == ib or not src_dims[ia, ib] or not src_dims[ib, ia]:
                 continue
-            homs = src_homs[ia, ib]
-            back = src_homs[ib, ia]
-            if not homs or not back:
-                continue
+            homs = hom_basis(ma, mb)
+            back = hom_basis(mb, ma)
             pairs_checked += 1
             for f in homs:
                 record(

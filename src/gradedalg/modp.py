@@ -179,10 +179,10 @@ def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     red, pivots = rref(a, p)
     free = [c for c in range(ncols) if c not in pivots]
     ker = zeros(len(free), ncols)
-    for t, f in enumerate(free):
-        ker[t, f] = 1
-        for r, c in enumerate(pivots):
-            ker[t, c] = (-red[r, f]) % p
+    # most inputs are 1x1 of full rank, where the indexing would cost more than the rref
+    if free:
+        ker[range(len(free)), free] = 1
+        ker[:, pivots] = -red[: len(pivots), free].T % p
     return len(pivots), ker
 
 

@@ -29,7 +29,7 @@ from .errors import AlgebraMismatch, CheckFailed
 
 
 class GradedModule:
-    __slots__ = ("algebra", "degrees", "action")
+    __slots__ = ("algebra", "degrees", "action", "_adapted")
 
     def __init__(self, algebra: GradedAlgebra, degrees, action):
         self.algebra = algebra
@@ -38,6 +38,7 @@ class GradedModule:
         self.action = modp.normalize(action, algebra.p).reshape(algebra.dim, d, d)
         self.degrees.flags.writeable = False
         self.action.flags.writeable = False
+        self._adapted = None
 
     @property
     def dim(self) -> int:
@@ -118,12 +119,6 @@ class GradedMorphism:
             raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
         return self
 
-    def compose(self, inner: "GradedMorphism") -> "GradedMorphism":
-        """self after inner."""
-        return GradedMorphism(
-            inner.source, self.target, (self.matrix @ inner.matrix) % self.source.p
-        )
-
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -145,7 +140,11 @@ def width(m: GradedModule) -> int:
 
 def shift(m: GradedModule, d: int) -> GradedModule:
     """Degree shift M(d): an element of old degree g gets degree g - d."""
-    return GradedModule(m.algebra, m.degrees - d, m.action)
+    out = GradedModule(m.algebra, m.degrees - d, m.action)
+    if m._adapted is not None:
+        degs, verts, action = m._adapted
+        out._adapted = (degs - d, verts, action)
+    return out
 
 
 def direct_sum(parts: list[GradedModule]) -> GradedModule:
@@ -263,6 +262,21 @@ def socle(m: GradedModule) -> GradedModule:
 # hom spaces (degree 0 only; the constructions here never need other degrees)
 
 
+def _intertwining_system(gen_degrees, src, tgt, t, u, p: int) -> np.ndarray:
+    """Non-zero rows of N(x) f = f M(x) in the unknowns f[t, u].
+
+    ``src`` and ``tgt`` are (degrees, generator action) of M and N.  Equation
+    (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s].  Both
+    sides vanish unless deg N_r - deg M_s = deg x, so only those rows are
+    gathered, each against the unknowns.
+    """
+    (deg_m, act_m), (deg_n, act_n) = src, tgt
+    x, r, s = np.nonzero(gen_degrees[:, None, None] == deg_n[None, :, None] - deg_m[None, None, :])
+    x, r, s = x[:, None], r[:, None], s[:, None]
+    system = np.where(s == u, act_n[x, r, t], 0) - np.where(r == t, act_m[x, u, s], 0)
+    return system[np.any(system, axis=1)] % p
+
+
 def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     """Basis of degree-preserving module maps M -> N.
 
@@ -272,10 +286,6 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     which make up A.  So the system has the solutions of the one over every
     basis element, hence the same row space and the same RREF, and the
     kernel basis comes back bit-identical, in the same order.
-
-    Equation (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s].
-    Both sides vanish unless deg N_r - deg M_s = deg x, so only those rows
-    are gathered, each against the allowed columns.
 
     The generators come from ``radical``, so this raises PrimeTooSmall when
     p <= dim A, an algebra that ``validate_algebra`` already refuses.
@@ -287,12 +297,9 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     t, u = np.nonzero(n.degrees[:, None] == m.degrees[None, :])
     if t.size == 0:
         return []
-    x, r, s = np.nonzero(
-        a.degrees[gens][:, None, None] == n.degrees[None, :, None] - m.degrees[None, None, :]
+    system = _intertwining_system(
+        a.degrees[gens], (m.degrees, m.action[gens]), (n.degrees, n.action[gens]), t, u, p
     )
-    x, r, s = gens[x][:, None], r[:, None], s[:, None]
-    system = np.where(s == u, n.action[x, r, t], 0) - np.where(r == t, m.action[x, u, s], 0)
-    system = system[np.any(system, axis=1)] % p
     if system.shape[0] == 0:
         ker = modp.identity(t.size)
     else:
@@ -305,8 +312,63 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     return out
 
 
+def _adapted(m: GradedModule):
+    """(degrees, vertices, generator action) in a basis adapted to the idempotents.
+
+    The basis is the RREF row basis of each e_i M in turn, and the action is
+    that of ``generators(A)`` in it.  Cached on the module; ``shift`` keeps it.
+    e_i has degree 0, so e_i M is the sum of the e_i M_g, whose RREF rows sit
+    in the columns of one degree each, and together they are in RREF: each
+    row is homogeneous, of the degree of its pivot.
+    """
+    if m._adapted is None:
+        a, p = m.algebra, m.p
+        splits = np.tensordot(a.idempotents, m.action, axes=1) % p
+        rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
+        for i, e in enumerate(splits):
+            block, piv = modp.row_basis(e.T, p)
+            rows.append(block)
+            pivots += piv
+            verts += [i] * len(piv)
+        basis = np.vstack(rows)
+        degs = m.degrees[pivots]
+        inv = modp.invert(basis.T, p) if basis.shape[0] == m.dim else None
+        if inv is None or np.any((basis != 0) & (m.degrees[None, :] != degs[:, None])):
+            raise CheckFailed("the idempotents do not split the module into a basis")
+        action = ((inv @ m.action[generators(a)]) % p @ basis.T) % p
+        m._adapted = (degs, np.array(verts, dtype=np.int64), action)
+        for arr in m._adapted:
+            arr.flags.writeable = False
+    return m._adapted
+
+
 def hom_dim(m: GradedModule, n: GradedModule) -> int:
-    return len(hom_basis(m, n))
+    """dim of the degree-preserving module maps M -> N, from a rank only.
+
+    The designated idempotents e_i are orthogonal, have degree 0 and sum to
+    1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
+    map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
+    in bases adapted to these sums (``_adapted``) every map is block
+    diagonal, with a block for each label (g, i).  So the unknowns are the
+    entries f[t, u] whose labels agree, and among their combinations the
+    equations N(x) f = f M(x), for x in ``generators(A)``, cut out exactly
+    the module maps (see ``hom_basis``).  The dimension is the number of
+    unknowns minus the rank of those equations.
+
+    Raises CheckFailed when the rows of the e_i M_g do not form a basis,
+    which happens only if the idempotents fail one of the three facts.
+    """
+    if not m.algebra.same_as(n.algebra):
+        raise AlgebraMismatch("hom endpoints live over different algebras")
+    deg_m, vert_m, act_m = _adapted(m)
+    deg_n, vert_n, act_n = _adapted(n)
+    t, u = np.nonzero((deg_n[:, None] == deg_m[None, :]) & (vert_n[:, None] == vert_m[None, :]))
+    if t.size == 0:
+        return 0
+    a, p = m.algebra, m.p
+    gen_degrees = a.degrees[generators(a)]
+    system = _intertwining_system(gen_degrees, (deg_m, act_m), (deg_n, act_n), t, u, p)
+    return t.size - modp.rank(system, p)
 
 
 # ---------------------------------------------------------------------------

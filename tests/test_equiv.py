@@ -29,13 +29,22 @@ from gradedalg.modules import (
 )
 
 
-def sample_set(a, window=None):
+def labelled_samples(a, window=None):
+    """The pipeline's samples with their labels, in the pipeline's order."""
     w = a.top_degree() if window is None else window
     out = []
     for i in range(a.n_idempotents):
         for d in range(-w, w + 1):
-            out.extend([proj(a, i, d), simple(a, i, d), inj(a, i, d)])
+            out += [
+                (f"Ae_{i}({d})", proj(a, i, d)),
+                (f"S_{i}({d})", simple(a, i, d)),
+                (f"D(e_{i}A)({d})", inj(a, i, d)),
+            ]
     return out
+
+
+def sample_set(a, window=None):
+    return [m for _, m in labelled_samples(a, window)]
 
 
 def test_phi_slice_dims(truncated, exterior2):
@@ -223,6 +232,34 @@ def test_pipeline_counts_and_certificate(truncated):
     }
     d = cert.to_dict()
     assert d["passed"] and len(d["checks"]) == len(cert.checks)
+
+
+def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
+    truncated, product_of_duals, rebased_nakayama32
+):
+    # oracle: the source hom dimensions from full kernel bases, and the
+    # functoriality checks on the first six samples with maps both ways
+    for a in (truncated(3), product_of_duals, rebased_nakayama32):
+        cert = theorem_pipeline(a)
+        samples = labelled_samples(a)
+        homs = {(la, lb): hom_basis(m, n) for la, m in samples for lb, n in samples}
+        got = [c.detail.split(" vs ")[0] for c in cert.checks if c.family == "hom-dim"]
+        assert got == [str(len(homs[la, lb])) for la, _ in samples for lb, _ in samples]
+        want = [f"F(id_{la}) = id" for la, _ in samples[:9]]
+        pairs = 0
+        for la, _ in samples:
+            if pairs == 6:
+                break
+            both_ways = [lb for lb, _ in samples if lb != la and homs[la, lb] and homs[lb, la]]
+            if not both_ways:
+                continue
+            pairs += 1
+            lb = both_ways[0]
+            for _ in homs[la, lb]:
+                want.append(f"F on hom {la} -> {lb}")
+                want += [f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}"] * len(homs[lb, la])
+        got = [c.name for c in cert.checks if c.family == "functoriality"]
+        assert got == want
 
 
 def test_pipeline_rejects_product(a4):

@@ -69,6 +69,37 @@ def test_random_rank_nullity_and_inverse(p):
             assert np.array_equal(modp.mat_mul(m, inv, p), modp.identity(n))
 
 
+def loop_rank_kernel(m, p):
+    """The double loop over free x pivot columns that rank_kernel replaced."""
+    a = modp.normalize(m, p)
+    red, pivots = modp.rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    ker = modp.zeros(len(free), a.shape[1])
+    for t, f in enumerate(free):
+        ker[t, f] = 1
+        for r, c in enumerate(pivots):
+            ker[t, c] = (-red[r, f]) % p
+    return len(pivots), ker
+
+
+def test_rank_kernel_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for p in (2, 7, 7919):
+        cases = [modp.zeros(0, 0), modp.zeros(0, 4), modp.zeros(3, 0), modp.zeros(3, 5)]
+        cases += [modp.identity(4), np.hstack([modp.identity(3), rng.integers(0, p, size=(3, 2))])]
+        for _ in range(40):
+            rows, cols, r = (int(v) for v in rng.integers(1, 9, size=3))
+            # rank at most r, so the kernels are not all empty
+            cases.append(rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols)))
+            cases.append(rng.integers(0, p, size=(rows, cols)))
+        for m in cases:
+            rank, ker = modp.rank_kernel(m, p)
+            want_rank, want = loop_rank_kernel(m, p)
+            assert rank == want_rank
+            assert ker.dtype == want.dtype and ker.shape == want.shape
+            assert np.array_equal(ker, want)
+
+
 def test_mat_pow_negative():
     p = 7919
     m = np.array([[1, 1], [0, 1]])
@@ -83,8 +114,9 @@ def test_prime_bound_keeps_int64_exact():
     # the largest accepted prime, summed over the longest inner dimension
     p = max(q for q in range(bound - 10, bound + 1) if modp.is_prime(q))
     assert modp.require_prime(p) == p
+    # the int64 product then % p, as in the trace form; (p - 1)^2 = 1 mod p
     row = np.broadcast_to(np.int64(p - 1), (1, modp.MAX_INNER))
-    assert modp.mat_mul(row, row.T, p)[0, 0] == modp.MAX_INNER % p
+    assert ((row @ row.T) % p)[0, 0] == modp.MAX_INNER % p
 
 
 def test_require_prime_refuses_past_the_bound():

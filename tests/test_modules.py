@@ -3,7 +3,7 @@ import pytest
 
 from gradedalg import modp
 from gradedalg import corpus
-from gradedalg.algebra import generators, is_left_well_graded, radical
+from gradedalg.algebra import GradedAlgebra, generators, is_left_well_graded, radical
 from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
 from gradedalg.modules import (
@@ -213,6 +213,61 @@ def test_hom_basis_matches_kronecker_oracle(
                 assert len(got) == len(want), name
                 for f, g in zip(got, want):
                     assert f.dtype == g.dtype and np.array_equal(f, g), name
+
+
+@pytest.fixture(scope="module")
+def vertex_corpus(graded_corpus, product_of_duals, left_only_well_graded, rebased_nakayama32, truncated):
+    # T(b(A)) has several vertices even when A has one, and its modules come
+    # in bases that the idempotents do not split
+    return graded_corpus + [
+        ("k[x]/(x^2) x k[y]/(y^2)", product_of_duals),
+        ("left-only well-graded", left_only_well_graded),
+        ("rebased N(3,2)", rebased_nakayama32),
+        ("T(b(k[x]/(x^3)))", T_of(beilinson(truncated(3)))),
+        ("T(b(rebased N(3,2)))", T_of(beilinson(rebased_nakayama32))),
+    ]
+
+
+def _base_samples(a):
+    return [build(a, i) for build in (proj, simple, inj) for i in range(a.n_idempotents)]
+
+
+def test_hom_dim_matches_hom_basis(vertex_corpus):
+    # the rank-only solve on the split system against the kernel basis, on
+    # every ordered pair of proj/simple/inj shifted by -c..c; the sources are
+    # adapted on their own, the targets are shifts of an adapted module
+    for name, a in vertex_corpus:
+        c = a.top_degree()
+        bases = _base_samples(a) + [zero_module(a)]
+        sources = [shift(m, d) for m in bases for d in range(-c, c + 1)]
+        for m in bases:
+            hom_dim(m, m)
+        targets = [shift(m, d) for m in bases for d in range(-c, c + 1)]
+        for m in sources:
+            for n in targets:
+                assert hom_dim(m, n) == len(hom_basis(m, n)), name
+
+
+def test_hom_dim_depends_on_relative_shift(vertex_corpus):
+    # Hom(M(d), N(d')) = Hom(M, N(d' - d)), the key of the pipeline's source side
+    for name, a in vertex_corpus:
+        c = a.top_degree()
+        bases = _base_samples(a)
+        for m in bases:
+            for n in bases:
+                for d in range(-c, c + 1):
+                    for e in range(-c, c + 1):
+                        want = hom_dim(m, shift(n, e - d))
+                        assert hom_dim(shift(m, d), shift(n, e)) == want, name
+
+
+def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals):
+    # drop f: e alone does not sum to 1, so the rows of e M_g miss a basis
+    a = product_of_duals
+    bad = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents[:1])
+    m = regular_module(bad)
+    with pytest.raises(CheckFailed, match="do not split"):
+        hom_dim(m, m)
 
 
 def _span_rank(vectors, p):
