@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,23 @@ from .errors import (
 )
 
 
+def cached(fn):
+    """Compute fn(obj, *args) once per object and arguments, kept in obj._cache.
+
+    Every caller shares the value, so none may change it.  It must not refer
+    back to obj: the cycle would keep obj alive until the cyclic GC runs.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn, *args)
+        if key not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
+
+    return wrapper
+
+
 class GradedAlgebra:
     __slots__ = (
         "p",
@@ -43,12 +61,7 @@ class GradedAlgebra:
         "table",
         "unit",
         "idempotents",
-        "_left",
-        "_right",
-        "_radical",
-        "_generators",
-        "_semisimple",
-        "_classes",
+        "_cache",
     )
 
     def __init__(self, p, names, degrees, table, unit, idempotents):
@@ -72,12 +85,7 @@ class GradedAlgebra:
             raise ValueError("unit must be a coordinate vector")
         for arr in (self.degrees, self.table, self.unit, self.idempotents):
             arr.flags.writeable = False
-        self._left = None
-        self._right = None
-        self._radical = None
-        self._generators = None
-        self._semisimple = None
-        self._classes = None
+        self._cache = {}
 
     # -- basic geometry ------------------------------------------------
 
@@ -105,22 +113,20 @@ class GradedAlgebra:
     # -- multiplication ------------------------------------------------
 
     @property
+    @cached
     def left(self) -> np.ndarray:
         """Stack of left-multiplication matrices; left[i] @ v = basis_i * v."""
-        if self._left is None:
-            L = np.ascontiguousarray(self.table.transpose(0, 2, 1))
-            L.flags.writeable = False
-            self._left = L
-        return self._left
+        L = np.ascontiguousarray(self.table.transpose(0, 2, 1))
+        L.flags.writeable = False
+        return L
 
     @property
+    @cached
     def right(self) -> np.ndarray:
         """Stack of right-multiplication matrices; right[j] @ v = v * basis_j."""
-        if self._right is None:
-            R = np.ascontiguousarray(self.table.transpose(1, 2, 0))
-            R.flags.writeable = False
-            self._right = R
-        return self._right
+        R = np.ascontiguousarray(self.table.transpose(1, 2, 0))
+        R.flags.writeable = False
+        return R
 
     def left_mult(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("i,iab->ab", v % self.p, self.left) % self.p
@@ -334,15 +340,14 @@ def _element_power(a: GradedAlgebra, v: np.ndarray, k: int) -> np.ndarray:
 # radical / semisimple quotient
 
 
+@cached
 def radical(a: GradedAlgebra) -> np.ndarray:
-    """Homogeneous row basis of the Jacobson radical.
+    """Homogeneous row basis of the Jacobson radical (cached).
 
     Computed as the kernel of the trace form (x, y) -> trace(L_{xy}) of the
     left regular representation, valid whenever p > dim (Dickson).  The
     result is verified: the quotient's own trace form must be nondegenerate.
     """
-    if a._radical is not None:
-        return a._radical
     modp.require_prime_exceeds(a.p, a.dim)
     rad = _trace_form_kernel(a)
     rows, _, _ = homogeneous_row_basis(rad, a.degrees, a.p)
@@ -350,10 +355,10 @@ def radical(a: GradedAlgebra) -> np.ndarray:
     if q.dim and _trace_form_kernel(q).shape[0] != 0:
         raise CheckFailed("radical check failed: quotient is not semisimple")
     rows.flags.writeable = False
-    a._radical = rows
     return rows
 
 
+@cached
 def generators(a: GradedAlgebra) -> np.ndarray:
     """Basis indices whose elements generate ``a`` as an algebra (cached).
 
@@ -363,17 +368,15 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     Skowronski, Elements of the Representation Theory of Associative Algebras
     I, ch. II).
     """
-    if a._generators is None:
-        rad, p = radical(a), a.p
-        # prods[u, k, v] = coordinate k of rad[u] * rad[v]
-        prods = ((np.tensordot(rad, a.left, axes=1) % p) @ rad.T) % p
-        rows = prods.transpose(0, 2, 1).reshape(-1, a.dim)
-        # most products vanish; reducing only the rest keeps the rref temporaries small
-        _, pivots = modp.row_basis(rows[rows.any(axis=1)], p)
-        gens = np.setdiff1d(np.arange(a.dim), pivots)
-        gens.flags.writeable = False
-        a._generators = gens
-    return a._generators
+    rad, p = radical(a), a.p
+    # prods[u, k, v] = coordinate k of rad[u] * rad[v]
+    prods = ((np.tensordot(rad, a.left, axes=1) % p) @ rad.T) % p
+    rows = prods.transpose(0, 2, 1).reshape(-1, a.dim)
+    # most products vanish; reducing only the rest keeps the rref temporaries small
+    _, pivots = modp.row_basis(rows[rows.any(axis=1)], p)
+    gens = np.setdiff1d(np.arange(a.dim), pivots)
+    gens.flags.writeable = False
+    return gens
 
 
 def _trace_form_kernel(a: GradedAlgebra) -> np.ndarray:
@@ -388,12 +391,10 @@ def _trace_form_kernel(a: GradedAlgebra) -> np.ndarray:
     return ker
 
 
+@cached
 def semisimple_quotient(a: GradedAlgebra):
     """A/rad(A) together with the projection matrix (cached)."""
-    if a._semisimple is None:
-        q, red, sec = quotient_algebra(a, radical(a))
-        a._semisimple = (q, red, sec)
-    return a._semisimple
+    return quotient_algebra(a, radical(a))
 
 
 def quotient_algebra(a: GradedAlgebra, ideal_rows: np.ndarray):
@@ -419,6 +420,7 @@ def quotient_algebra(a: GradedAlgebra, ideal_rows: np.ndarray):
 # substructures
 
 
+@cached
 def degree_zero_subalgebra(a: GradedAlgebra) -> GradedAlgebra:
     idx = a.degree_indices(0)
     sub = np.ix_(idx, idx, idx)

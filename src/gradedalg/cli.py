@@ -252,9 +252,11 @@ def main(argv=None) -> int:
             _emit(report, args.out)
             return 1
         try:
-            report["prime"] = json.loads(Path(args.file).read_text()).get("prime")
-        except (json.JSONDecodeError, OSError):
-            pass
+            doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+        except (ValueError, OSError):  # undecodable bytes or malformed JSON
+            doc = None
+        if isinstance(doc, dict):
+            report["prime"] = doc.get("prime")
     else:
         report["prime"] = getattr(args, "prime", DEFAULT_PRIME)
     try:

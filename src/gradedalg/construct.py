@@ -25,6 +25,7 @@ from . import modp
 from .algebra import (
     Bimodule,
     GradedAlgebra,
+    cached,
     dual_bimodule_of,
     intertwine_fault,
     regular_bimodule,
@@ -42,7 +43,7 @@ from .errors import (
 class AlgebraAutomorphism:
     """Degree-preserving algebra automorphism, stored as a coordinate matrix."""
 
-    __slots__ = ("algebra", "matrix", "inverse", "_powers")
+    __slots__ = ("algebra", "matrix", "inverse", "_cache")
 
     def __init__(self, algebra: GradedAlgebra, matrix):
         self.algebra = algebra
@@ -53,7 +54,7 @@ class AlgebraAutomorphism:
         self.inverse = inv
         self.matrix.flags.writeable = False
         self.inverse.flags.writeable = False
-        self._powers: dict[int, np.ndarray] = {}
+        self._cache = {}
 
     @classmethod
     def identity(cls, algebra: GradedAlgebra) -> "AlgebraAutomorphism":
@@ -62,14 +63,13 @@ class AlgebraAutomorphism:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return (self.matrix @ (v % self.algebra.p)) % self.algebra.p
 
+    @cached
     def power(self, k: int) -> np.ndarray:
         """sigma^k as a read-only matrix, computed once per exponent."""
-        if k not in self._powers:
-            base = self.matrix if k >= 0 else self.inverse
-            out = modp.mat_pow(base, abs(k), self.algebra.p)
-            out.flags.writeable = False
-            self._powers[k] = out
-        return self._powers[k]
+        base = self.matrix if k >= 0 else self.inverse
+        out = modp.mat_pow(base, abs(k), self.algebra.p)
+        out.flags.writeable = False
+        return out
 
     def validate(self) -> "AlgebraAutomorphism":
         a, s, p = self.algebra, self.matrix, self.algebra.p
@@ -88,8 +88,9 @@ class AlgebraAutomorphism:
 # block layout shared by b(A), x(A) and the functors in equiv
 
 
+@cached
 def block_layout(a: GradedAlgebra):
-    """Index lists for the block algebra and bimodule of ``a``.
+    """Index lists for the block algebra and bimodule of ``a`` (cached).
 
     Returns (b_index, x_index): each entry is (row, col, source basis index),
     rows/cols in 0..c-1; the basis order of every construction downstream is
@@ -224,8 +225,9 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
     return Bimodule(b, [f"{s}^" for s in b.names], left, right % p)
 
 
+@cached
 def t_of(a: GradedAlgebra) -> GradedAlgebra:
-    """t(A) = b(A) |x x(A)."""
+    """t(A) = b(A) |x x(A), built once per algebra."""
     x = x_bimodule(a)
     return trivial_extension(x.algebra, x)
 

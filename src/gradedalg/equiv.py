@@ -7,7 +7,14 @@ With the upper-triangular block orientation used in construct, degree
 bookkeeping forces the old slice nc+r into column component c-1-r (the
 component index decreases as the inner degree rises); Psi reads components
 back off the diagonal idempotents with the same reflection, which makes
-Psi . Phi the identity on the nose, tables included.
+Psi . Phi the identity on the nose, tables included.  Both take t(A) from
+``t_of(a)``, which is built once per algebra, so their modules live over
+the very algebra object that theorem_pipeline uses.
+
+The hypotheses of the theorem (A_0 basic, A well-graded, A graded
+self-injective) are decided in one place, _require_hypotheses.  A_0, the
+self-injectivity certificate and the other facts of an algebra alone are
+cached on it, so later calls on the same algebra object reuse them.
 
 extract_sigma realizes the dual of the degree-1 part of a well-graded
 self-injective trivial extension as a twisted regular bimodule: it hunts
@@ -80,8 +87,8 @@ from .selfinj import is_graded_selfinjective
 # the functors Phi and Psi
 
 
-def phi(a: GradedAlgebra, m: GradedModule, t: Optional[GradedAlgebra] = None) -> GradedModule:
-    """Repackage a graded A-module as a graded t(A)-module.
+def phi(a: GradedAlgebra, m: GradedModule) -> GradedModule:
+    """Repackage a graded A-module as a graded module over t_of(a).
 
     The underlying basis and its order are kept; only degrees are retagged
     and the action is re-read through the block layout, so the functor is
@@ -92,8 +99,7 @@ def phi(a: GradedAlgebra, m: GradedModule, t: Optional[GradedAlgebra] = None) ->
         raise TrivialGrading("phi needs a nontrivially graded source")
     if not m.algebra.same_as(a):
         raise AlgebraMismatch("module is not over the given algebra")
-    if t is None:
-        t = t_of(a)
+    t = t_of(a)
     b_index, x_index = block_layout(a)
     nb = len(b_index)
     comp = (c - 1 - (m.degrees % c)) % c
@@ -108,21 +114,21 @@ def phi(a: GradedAlgebra, m: GradedModule, t: Optional[GradedAlgebra] = None) ->
     return GradedModule(t, new_degrees, action)
 
 
-def _component_projectors(a: GradedAlgebra, t: GradedAlgebra, n: GradedModule):
+def _component_projectors(a: GradedAlgebra, n: GradedModule):
     c = a.top_degree()
     b_index, _ = block_layout(a)
     bpos = {key: i for i, key in enumerate(b_index)}
     projs = []
     for q in range(c):
-        e = modp.zeros(t.dim)
+        e = modp.zeros(n.algebra.dim)
         for j in a.degree_indices(0):
             e[bpos[(q, q, int(j))]] = a.unit[j]
         projs.append(n.act(e))
     return projs
 
 
-def psi(a: GradedAlgebra, n: GradedModule, t: Optional[GradedAlgebra] = None) -> GradedModule:
-    """Unpack a graded t(A)-module into a graded A-module.
+def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
+    """Unpack a graded module over t_of(a) into a graded A-module.
 
     When every basis vector of ``n`` lies in a single diagonal component
     (always the case for images of phi and for the projectives built here),
@@ -132,17 +138,14 @@ def psi(a: GradedAlgebra, n: GradedModule, t: Optional[GradedAlgebra] = None) ->
     c = a.top_degree()
     if c < 1:
         raise TrivialGrading("psi needs a nontrivially graded target")
-    if t is None:
-        t = t_of(a)
-    if not n.algebra.same_as(t):
+    if not n.algebra.same_as(t_of(a)):
         raise AlgebraMismatch("module is not over t(A)")
     if n.dim == 0:
         return GradedModule(a, n.degrees, modp.zeros(a.dim, 0, 0))
-    projs = _component_projectors(a, t, n)
+    projs = _component_projectors(a, n)
     comp = _read_components(projs, n.dim)
     if comp is None:
-        adapted = _adapt_basis(n, projs)
-        return psi(a, adapted, t)
+        return psi(a, _adapt_basis(n, projs))
     b_index, x_index = block_layout(a)
     bpos = {key: i for i, key in enumerate(b_index)}
     xpos = {key: i for i, key in enumerate(x_index)}
@@ -205,10 +208,10 @@ def _adapt_basis(n: GradedModule, projs) -> GradedModule:
 # the hypotheses of the theorem
 
 
-def _require_hypotheses(a: GradedAlgebra, a0: GradedAlgebra, basic: str, basic_detail: str) -> None:
-    """Raise PreconditionFailed unless the degree-0 part a0 of a is basic and a
+def _require_hypotheses(a: GradedAlgebra, basic: str, basic_detail: str) -> None:
+    """Raise PreconditionFailed unless the degree-0 part of a is basic and a
     is well-graded and graded self-injective; ``basic`` names the first hypothesis."""
-    if not is_basic(a0):
+    if not is_basic(degree_zero_subalgebra(a)):
         raise PreconditionFailed(basic, basic_detail)
     ok, wit = is_left_well_graded(a)
     if not ok:
@@ -266,7 +269,7 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     X -> D(B^sigma).  All claims are re-verified before returning.
     """
     b, x, _, _ = split_trivial_extension(t)
-    _require_hypotheses(t, b, "B-basic", "degree-0 part is not basic")
+    _require_hypotheses(t, "B-basic", "degree-0 part is not basic")
     p = b.p
     if x.dim != b.dim:
         raise GeneratorNotFound(f"dim X = {x.dim} differs from dim B = {b.dim}")
@@ -422,7 +425,7 @@ def theorem_pipeline(
     c = a.top_degree()
     if c < 1:
         raise PreconditionFailed("nontrivial-grading", "top degree is 0")
-    _require_hypotheses(a, degree_zero_subalgebra(a), "A0-basic", "degree-0 component is not basic")
+    _require_hypotheses(a, "A0-basic", "degree-0 component is not basic")
 
     t = t_of(a)
     ext = extract_sigma(t, seed=seed)
@@ -446,10 +449,10 @@ def theorem_pipeline(
 
     # F: Phi, then h^{-1} and the twist back to T(B) on each slice; G undoes both
     def functor(m: GradedModule) -> GradedModule:
-        return _transport(phi(a, m, t), tb, lambda g: (h_inv @ _twist(sigma, -g)) % p)
+        return _transport(phi(a, m), tb, lambda g: (h_inv @ _twist(sigma, -g)) % p)
 
     def inverse_functor(m: GradedModule) -> GradedModule:
-        return psi(a, _transport(m, t, lambda g: (_twist(sigma, g) @ h) % p), t)
+        return psi(a, _transport(m, t, lambda g: (_twist(sigma, g) @ h) % p))
 
     w = c if window is None else int(window)
     samples: list[tuple[str, GradedModule, str]] = []

@@ -137,7 +137,11 @@ def dumps(a: GradedAlgebra) -> str:
 
 
 def load(path: Union[str, Path]) -> GradedAlgebra:
-    return loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}")
+    return loads(text)
 
 
 def save(path: Union[str, Path], a: GradedAlgebra) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 from . import modp
 from .algebra import (
     GradedAlgebra,
+    cached,
     generators,
     homogeneous_row_basis,
     intertwine_fault,
@@ -375,15 +376,14 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
 # simples, multiplicities, projective covers
 
 
+@cached
 def simple_classes(a: GradedAlgebra):
-    """Partition designated idempotents into isomorphism classes.
+    """Partition designated idempotents into isomorphism classes (cached).
 
     Returns (reps, class_of, endo_dims): representative index per class,
     the class index of every designated idempotent, and the F_p-dimension
     of each representative simple's endomorphism field.
     """
-    if a._classes is not None:
-        return a._classes
     q, red, _ = semisimple_quotient(a)
     l = a.n_idempotents
     imgs = []
@@ -409,8 +409,7 @@ def simple_classes(a: GradedAlgebra):
     for r in reps:
         ere = (red @ ((imgs[r] @ a.right_mult(a.idempotents[r])) % a.p)) % a.p
         endo_dims.append(modp.rank(ere.T, a.p))
-    a._classes = (reps, class_of, endo_dims)
-    return a._classes
+    return reps, class_of, endo_dims
 
 
 def simple_multiplicities(m: GradedModule) -> dict[tuple[int, int], int]:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import modp
-from .algebra import GradedAlgebra, is_basic, is_well_graded
+from .algebra import GradedAlgebra, cached, is_basic, is_well_graded
 from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
 from .modules import (
     GradedModule,
@@ -58,8 +58,9 @@ class SelfInjectivity:
         }
 
 
+@cached
 def is_graded_selfinjective(a: GradedAlgebra) -> SelfInjectivity:
-    """Each graded injective D(e_i A) must be projective (checked by cover)."""
+    """Each graded injective D(e_i A) must be projective (checked by cover, once)."""
     covers = []
     witness = None
     for i in range(a.n_idempotents):

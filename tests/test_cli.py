@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from gradedalg import fileio, modp
+from gradedalg import cli, fileio, modp, selfinj
 from gradedalg.algebra import validate_algebra
 from gradedalg.cli import main
+from gradedalg.construct import t_of
 from gradedalg.corpus import gen_example
 
 
@@ -124,12 +125,14 @@ def test_cli_exit_codes(capsys, tmp_path, a4_file):
     code, rep = run(capsys, "equiv", a4_file)
     assert code == 2
     assert rep["error"]["hypothesis"] == "well-graded"
-    # parse failure
+    # parse failures: not JSON, JSON that is not an object, bytes that are not UTF-8
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, rep = run(capsys, "validate", str(bad))
-    assert code == 1
-    assert rep["error"]["kind"] == "parse"
+    for content in (b"{not json", b"[1, 2]", b'"x"', b'{"prime": 7919, "basis": "\xff"}'):
+        bad.write_bytes(content)
+        code, rep = run(capsys, "validate", str(bad))
+        assert code == 1, content
+        assert rep["error"]["kind"] == "parse", content
+        assert rep["prime"] is None, content
     # nakayama needs self-injectivity
     ut = tmp_path / "ut.json"
     fileio.save(ut, gen_example("upper_triangular", c=2))
@@ -209,3 +212,20 @@ def test_cli_internal_check_failures_and_bugs(capsys, monkeypatch, t4_file):
     monkeypatch.setattr(selfinj, "graded_nakayama", bug)
     with pytest.raises(AssertionError, match="a genuine bug"):
         main(["nakayama", t4_file])
+
+
+def test_info_decides_self_injectivity_once(monkeypatch):
+    # info reports self-injectivity and the Frobenius property, which reads
+    # the same covers: one projective cover per injective, not two
+    calls = []
+    cover = selfinj.projective_cover
+
+    def counted(m):
+        calls.append(m)
+        return cover(m)
+
+    monkeypatch.setattr(selfinj, "projective_cover", counted)
+    t = t_of(gen_example("truncated_poly", n=3))
+    res = cli._predicates(t)
+    assert res["selfinjective"] and res["frobenius"]
+    assert len(calls) == t.n_idempotents == 2

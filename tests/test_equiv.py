@@ -1,11 +1,18 @@
+import gc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gradedalg import modp
-from gradedalg.algebra import degree_zero_subalgebra, is_left_well_graded
-from gradedalg.construct import AlgebraAutomorphism, T_of, t_of
+from gradedalg import corpus, modp
+from gradedalg.algebra import (
+    degree_zero_subalgebra,
+    generators,
+    is_left_well_graded,
+    radical,
+    semisimple_quotient,
+)
+from gradedalg.construct import AlgebraAutomorphism, T_of, block_layout, t_of
 from gradedalg.equiv import (
     extract_sigma,
     phi,
@@ -24,9 +31,11 @@ from gradedalg.modules import (
     proj,
     regular_module,
     simple,
+    simple_classes,
     width,
     zero_module,
 )
+from gradedalg.selfinj import is_graded_selfinjective
 
 
 def labelled_samples(a, window=None):
@@ -67,11 +76,10 @@ def test_phi_needs_grading(uppertri):
 
 def test_round_trip_exact(equivalence_corpus):
     for name, a in equivalence_corpus:
-        t = t_of(a)
         for m in sample_set(a):
-            f = phi(a, m, t)
+            f = phi(a, m)
             f.validate()
-            assert psi(a, f, t).equals(m), name
+            assert psi(a, f).equals(m), name
 
 
 def test_reverse_round_trip_on_projectives(truncated, exterior2):
@@ -79,34 +87,32 @@ def test_reverse_round_trip_on_projectives(truncated, exterior2):
         t = t_of(a)
         for i in range(t.n_idempotents):
             n = proj(t, i, 0)
-            m = psi(a, n, t)
+            m = psi(a, n)
             m.validate()
             assert width(m) == a.top_degree() + 1
-            assert phi(a, m, t).equals(n)
+            assert phi(a, m).equals(n)
 
 
 def test_psi_zero(truncated):
     a = truncated(3)
     t = t_of(a)
     z = zero_module(t)
-    assert psi(a, z, t).dim == 0
+    assert psi(a, z).dim == 0
 
 
 def test_phi_preserves_hom_dimensions(equivalence_corpus):
     for name, a in equivalence_corpus[:3]:
-        t = t_of(a)
         mods = sample_set(a, window=1)
         for m in mods:
             for n in mods:
-                assert hom_dim(m, n) == hom_dim(phi(a, m, t), phi(a, n, t)), name
+                assert hom_dim(m, n) == hom_dim(phi(a, m), phi(a, n)), name
 
 
 def test_phi_identity_on_morphisms(truncated):
     a = truncated(3)
-    t = t_of(a)
     m = regular_module(a)
     n = inj(a, 0, -2)
-    fm, fn = phi(a, m, t), phi(a, n, t)
+    fm, fn = phi(a, m), phi(a, n)
     for f in hom_basis(m, n):
         from gradedalg.modules import GradedMorphism
 
@@ -119,7 +125,7 @@ def test_psi_on_component_mixed_basis(truncated):
     # psi must still produce a valid module of the right shape
     a = truncated(3)
     t = t_of(a)
-    f = phi(a, regular_module(a), t)
+    f = phi(a, regular_module(a))
     rng = np.random.default_rng(7)
     d = f.dim
     while True:
@@ -131,7 +137,7 @@ def test_psi_on_component_mixed_basis(truncated):
     ginv = modp.invert(g, a.p)
     mixed = GradedModule(t, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
     mixed.validate()
-    m = psi(a, mixed, t)
+    m = psi(a, mixed)
     m.validate()
     assert sorted(m.degrees.tolist()) == sorted(regular_module(a).degrees.tolist())
 
@@ -351,3 +357,35 @@ def test_pipeline_records_a_failed_morphism_check(truncated, monkeypatch):
         theorem_pipeline(truncated(2))
     checks = err.value.transcript["certificate"]["checks"]
     assert checks[-1]["family"] == "functoriality" and not checks[-1]["passed"]
+
+
+def test_t_of_and_phi_share_one_extension(truncated):
+    a = truncated(4)
+    assert t_of(a) is t_of(a)
+    assert phi(a, regular_module(a)).algebra is t_of(a)
+
+
+def _decide_every_cached_fact():
+    """Call every cached function on a fresh k[x]/(x^3), its t(A) and sigma."""
+    a = corpus.truncated_poly(3)
+    t = t_of(a)
+    for alg in (a, t):
+        alg.left, alg.right
+        radical(alg), generators(alg), semisimple_quotient(alg), simple_classes(alg)
+        degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
+    block_layout(a)
+    sigma = extract_sigma(t).sigma
+    sigma.power(2), sigma.power(-3)
+
+
+def test_cached_facts_make_no_reference_cycles():
+    # a cached value that refers back to its object would leave a cycle for
+    # the collector; the warm-up lets numpy build its own cyclic helpers first
+    _decide_every_cached_fact()
+    gc.collect()
+    gc.disable()
+    try:
+        _decide_every_cached_fact()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
