@@ -418,10 +418,13 @@ def theorem_pipeline(
     """Build and certify the equivalence F : A-gr -> T(b(A))-gr.
 
     Preconditions (each raises PreconditionFailed with a witness): c >= 1,
-    A_0 basic, A well-graded, A graded self-injective.  Any failed
+    A_0 basic, A well-graded, A graded self-injective, and a sample window
+    of at least 0 (a negative one leaves no samples to check).  Any failed
     certificate check afterwards raises CheckFailed: with the preconditions
     satisfied a failure indicates a bug, not a property of the input.
     """
+    if window is not None and window < 0:
+        raise PreconditionFailed("samples-window", f"window {window} leaves no samples")
     c = a.top_degree()
     if c < 1:
         raise PreconditionFailed("nontrivial-grading", "top degree is 0")

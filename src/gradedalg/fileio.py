@@ -1,6 +1,6 @@
 """Algebra files: a JSON presentation of a graded algebra.
 
-Schema (all coefficients are decimal residues mod the file's prime):
+Schema (coefficients are integers of any size, read mod the file's prime):
 
     {
       "prime": 7919,
@@ -36,21 +36,37 @@ def _lin_to_doc(vec: np.ndarray, names: list[str]) -> list[dict]:
     ]
 
 
+def _integer(value):
+    """``value`` as an exact Python int, or None unless it is an integer.
+
+    JSON numbers may arrive as floats (``1.5``, ``1e400`` = inf, ``Infinity``);
+    only finite integral ones are integers.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
+
+
 def _lin_from_doc(doc, names: dict[str, int], n: int, p: int, where: str) -> np.ndarray:
-    vec = modp.zeros(n)
     if not isinstance(doc, list):
         raise ParseError(f"{where}: expected a list of {{basis, coeff}} terms")
+    coeffs: dict[int, int] = {}  # Python ints: repeated terms sum exactly
     for term in doc:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ParseError(f"{where}: malformed term {term!r}")
         name = term["basis"]
         if name not in names:
             raise ParseError(f"{where}: unknown basis element {name!r}")
-        try:
-            coeff = int(term["coeff"])
-        except (TypeError, ValueError):
+        coeff = _integer(term["coeff"])
+        if coeff is None:
             raise ParseError(f"{where}: coefficient {term['coeff']!r} is not an integer")
-        vec[names[name]] = (vec[names[name]] + coeff) % p
+        coeffs[names[name]] = coeffs.get(names[name], 0) + coeff
+    vec = modp.zeros(n)
+    for k, coeff in coeffs.items():
+        vec[k] = coeff % p
     return vec
 
 
@@ -94,12 +110,13 @@ def algebra_from_doc(doc: dict) -> GradedAlgebra:
             raise ParseError(f"basis: name {nm!r} may not contain '*'")
         if nm in names:
             raise ParseError(f"basis: duplicate name {nm!r}")
-        try:
-            deg = int(entry["degree"])
-        except (TypeError, ValueError):
+        deg = _integer(entry["degree"])
+        if deg is None:
             raise ParseError(f"basis: degree of {nm!r} is not an integer")
         if deg < 0:
             raise ParseError(f"basis: negative degree for {nm!r}")
+        if deg > np.iinfo(np.int64).max:
+            raise ParseError(f"basis: degree of {nm!r} exceeds 2^63 - 1")
         names.append(nm)
         degrees.append(deg)
     n = len(names)

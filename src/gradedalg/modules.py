@@ -7,7 +7,9 @@ matrix of the i-th algebra basis element acting on coordinate columns.
 Projectives Ae_i and graded injectives D(e_i A) are built from the regular
 representation; tops, socles, projective covers and the projectivity test
 follow the usual artin-algebra recipes, everything computed by exact row
-reduction over F_p.
+reduction over F_p.  One decomposition of the top, ``top_summands``, picks
+the summands of every minimal cover; ``cover_map`` turns it into the cover
+map, and only callers that need the cover module P build it.
 """
 
 from __future__ import annotations
@@ -165,17 +167,22 @@ def direct_sum(parts: list[GradedModule]) -> GradedModule:
     return GradedModule(a, degrees, action)
 
 
+def _stable_action(m: GradedModule, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Action of A on the row span of ``basis``, read off its pivot columns.
+
+    Raises CheckFailed unless the span is action-stable.
+    """
+    img = (m.action @ basis.T) % m.p  # img[i]: columns b_i * (basis rows)
+    action = img[:, pivots, :]
+    if np.any((basis.T @ action - img) % m.p):
+        raise CheckFailed("rows do not span an action-stable subspace")
+    return action
+
+
 def submodule(m: GradedModule, rows: np.ndarray) -> GradedModule:
     """Submodule spanned by ``rows`` (must be action-stable), as its own module."""
     basis, degs, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
-    k = basis.shape[0]
-    action = modp.zeros(m.algebra.dim, k, k)
-    for i in range(m.algebra.dim):
-        img = (m.action[i] @ basis.T) % m.p
-        action[i] = img[pivots]
-        if not np.array_equal((basis.T @ action[i]) % m.p, img):
-            raise CheckFailed("rows do not span an action-stable subspace")
-    return GradedModule(m.algebra, degs, action)
+    return GradedModule(m.algebra, degs, _stable_action(m, basis, pivots))
 
 
 def quotient_module(m: GradedModule, rows: np.ndarray):
@@ -186,46 +193,35 @@ def quotient_module(m: GradedModule, rows: np.ndarray):
     """
     basis, _, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
     red, sec, free = quotient_maps(basis, pivots, m.dim, m.p)
-    k = len(free)
-    action = modp.zeros(m.algebra.dim, k, k)
-    for i in range(m.algebra.dim):
-        if basis.shape[0]:
-            img = (m.action[i] @ basis.T) % m.p
-            if np.any((basis.T @ img[pivots] - img) % m.p):
-                raise CheckFailed("rows do not span an action-stable subspace")
-        action[i] = (((red @ m.action[i]) % m.p) @ sec) % m.p
+    _stable_action(m, basis, pivots)
+    action = ((red @ m.action) % m.p @ sec) % m.p
     q = GradedModule(m.algebra, m.degrees[free], action)
     return q, red, sec
 
 
-def _proj_with_embedding(a: GradedAlgebra, i: int):
-    e = a.idempotents[i]
-    span = a.right_mult(e).T  # rows: b_j * e_i
+@cached
+def _proj_arrays(a: GradedAlgebra, i: int):
+    """(degrees, action, basis) of Ae_i, whose basis rows b_j e_i sit in A (cached)."""
+    span = a.right_mult(a.idempotents[i]).T  # rows: b_j * e_i
     basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
-    k = basis.shape[0]
-    action = modp.zeros(a.dim, k, k)
-    for t in range(a.dim):
-        action[t] = ((a.left[t] @ basis.T) % a.p)[pivots]
-    return GradedModule(a, degs, action), basis
+    action = (a.left[:, pivots, :] @ basis.T) % a.p
+    for arr in (degs, action, basis):
+        arr.flags.writeable = False
+    return degs, action, basis
 
 
 def proj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The indecomposable projective Ae_i(d)."""
-    m, _ = _proj_with_embedding(a, i)
-    return shift(m, d)
+    degs, action, _ = _proj_arrays(a, i)
+    return GradedModule(a, degs - d, action)
 
 
 def inj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The graded injective D(e_i A)(d), with D(eA)_n = D(e A_{-n})."""
-    e = a.idempotents[i]
-    span = a.left_mult(e).T  # rows: e_i * b_j
+    span = a.left_mult(a.idempotents[i]).T  # rows: e_i * b_j
     basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
-    k = basis.shape[0]
-    action = modp.zeros(a.dim, k, k)
-    for t in range(a.dim):
-        rho = ((a.right[t] @ basis.T) % a.p)[pivots]  # right action on e_i A
-        action[t] = rho.T % a.p
-    return GradedModule(a, -degs - d, action)
+    rho = (a.right[:, pivots, :] @ basis.T) % a.p  # right action on e_i A
+    return GradedModule(a, -degs - d, rho.transpose(0, 2, 1))
 
 
 def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
@@ -239,11 +235,8 @@ def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
 
 def radical_rows(m: GradedModule) -> np.ndarray:
     """Rows spanning rad(A) * M."""
-    rad = radical(m.algebra)
-    if rad.shape[0] == 0 or m.dim == 0:
-        return modp.zeros(0, m.dim)
-    imgs = [m.act(r).T for r in rad]
-    return np.vstack(imgs)
+    acts = np.tensordot(radical(m.algebra), m.action, axes=1) % m.p  # acts[u]: rad[u] on M
+    return acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim)
 
 
 def top(m: GradedModule) -> GradedModule:
@@ -373,69 +366,94 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simples, multiplicities, projective covers
+# simples, tops, projective covers
 
 
 @cached
 def simple_classes(a: GradedAlgebra):
     """Partition designated idempotents into isomorphism classes (cached).
 
-    Returns (reps, class_of, endo_dims): representative index per class,
-    the class index of every designated idempotent, and the F_p-dimension
-    of each representative simple's endomorphism field.
+    Returns (reps, class_of, corners): representative index per class, the
+    class index of every designated idempotent, and for each representative
+    r the non-zero rows e_r b_j e_r, which span the corner e_r A e_r.
     """
-    q, red, _ = semisimple_quotient(a)
-    l = a.n_idempotents
-    imgs = []
-    for i in range(l):
-        li = a.left_mult(a.idempotents[i])
-        imgs.append(li)
-    nonzero = np.zeros((l, l), dtype=bool)
-    for i in range(l):
-        for j in range(l):
-            block = (red @ ((imgs[i] @ a.right_mult(a.idempotents[j])) % a.p)) % a.p
-            nonzero[i, j] = bool(np.any(block))
+    _, red, _ = semisimple_quotient(a)
+    l, p = a.n_idempotents, a.p
+    lefts = [a.left_mult(e) for e in a.idempotents]
+    rights = [a.right_mult(e) for e in a.idempotents]
+    # sandwich[i][j] has the columns e_i b e_j, one per basis element b
+    sandwich = [[(left @ right) % p for right in rights] for left in lefts]
+    nonzero = [[bool(np.any((red @ s) % p)) for s in row] for row in sandwich]
     reps: list[int] = []
     class_of = [-1] * l
     for i in range(l):
         for ci, r in enumerate(reps):
-            if nonzero[i, r] and nonzero[r, i]:
+            if nonzero[i][r] and nonzero[r][i]:
                 class_of[i] = ci
                 break
         else:
             class_of[i] = len(reps)
             reps.append(i)
-    endo_dims = []
+    corners = []
     for r in reps:
-        ere = (red @ ((imgs[r] @ a.right_mult(a.idempotents[r])) % a.p)) % a.p
-        endo_dims.append(modp.rank(ere.T, a.p))
-    return reps, class_of, endo_dims
+        rows = sandwich[r][r].T
+        rows = rows[rows.any(axis=1)]
+        rows.flags.writeable = False
+        corners.append(rows)
+    return reps, class_of, corners
 
 
-def simple_multiplicities(m: GradedModule) -> dict[tuple[int, int], int]:
-    """Multiplicity of each shifted simple S_rep(-g) in top(m).
+def top_summands(m: GradedModule):
+    """The simple summands of top(M) = M / rad(A) M, each with a lift to M.
 
-    Keys are (representative idempotent index, degree g); the multiplicity
-    divides out the endomorphism field dimension, so it counts summands.
+    Returns (summands, lifts): one (representative index r, degree g) pair
+    per summand S_r(-g) of top(M), and a vector of e_r M_g whose image in
+    the top generates that summand, so Ae_r(-g) -> M, x -> x v covers it.
+    Per class and degree, the vectors of e_r top(M)_g are taken in turn, and
+    one starts a new summand only outside the span of those found so far.
+    The summand of w is e_r A e_r w, not F_p w: End(S_r) may be a larger
+    field, and then one summand holds several F_p-independent vectors.
     """
-    t = top(m)
-    a = m.algebra
-    reps, _, endo_dims = simple_classes(a)
-    out: dict[tuple[int, int], int] = {}
-    for ci, r in enumerate(reps):
-        er = t.act(a.idempotents[r])
-        for g in sorted(set(int(x) for x in t.degrees)):
-            cols = t.slice_indices(g)
-            if cols.size == 0:
-                continue
-            dim_slice = modp.rank(er[:, cols].T, a.p)
-            if dim_slice == 0:
-                continue
-            mult, rem = divmod(dim_slice, endo_dims[ci])
-            if rem:
-                raise CheckFailed("slice dimension not a multiple of the endo field")
-            out[(r, g)] = mult
-    return out
+    a, p = m.algebra, m.p
+    reps, _, corners = simple_classes(a)
+    t, _, sec = quotient_module(m, radical_rows(m))
+    summands: list[tuple[int, int]] = []
+    lifts: list[np.ndarray] = []
+    for r, corner in zip(reps, corners):
+        er_top = t.act(a.idempotents[r])
+        er_mod = m.act(a.idempotents[r])
+        corner_mats = np.tensordot(corner, t.action, axes=1) % p
+        for g in np.unique(t.degrees).tolist():
+            cand, _, _ = homogeneous_row_basis(er_top[:, t.slice_indices(g)].T, t.degrees, p)
+            spanned, spiv = modp.zeros(0, t.dim), []
+            for w in cand:
+                if modp.in_row_span(spanned, spiv, w, p):
+                    continue
+                summands.append((r, g))
+                lifts.append((er_mod @ ((sec @ w) % p)) % p)
+                orbit = (corner_mats @ w) % p  # the summand e_r A e_r w
+                spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
+    return summands, lifts
+
+
+def cover_map(m: GradedModule):
+    """The minimal projective cover P -> M, without building P.
+
+    Returns (summands, K): the (idempotent index, degree) pair of each
+    indecomposable summand Ae_i(-g) of P, as ``top_summands`` lists them, and
+    the (dim M, dim P) matrix K of the cover map in the basis of P that
+    ``projective_cover`` builds.  Raises CheckFailed unless K is onto.
+    """
+    a, p = m.algebra, m.p
+    summands, lifts = top_summands(m)
+    cols = [modp.zeros(m.dim, 0)]
+    for (r, _), v in zip(summands, lifts):
+        basis = _proj_arrays(a, r)[2]
+        cols.append((basis @ ((m.action @ v) % p)).T % p)  # column x: x v
+    K = np.hstack(cols)
+    if modp.rank(K, p) != m.dim:
+        raise CheckFailed("projective cover map is not surjective")
+    return summands, K
 
 
 def projective_cover(m: GradedModule):
@@ -445,53 +463,14 @@ def projective_cover(m: GradedModule):
     cover map and summands lists one (idempotent index, degree) pair per
     indecomposable summand Ae_i(-g) of P.
     """
-    a, p = m.algebra, m.p
-    reps, _, endo_dims = simple_classes(a)
-    t, _, sec = quotient_module(m, radical_rows(m))
-    summands: list[tuple[int, int]] = []
-    lifts: list[np.ndarray] = []
-    for ci, r in enumerate(reps):
-        er_top = t.act(a.idempotents[r])
-        er_mod = m.act(a.idempotents[r])
-        corner_cols = (a.left_mult(a.idempotents[r]) @ a.right_mult(a.idempotents[r])) % p
-        corner_mats = np.tensordot(corner_cols.T, t.action, axes=1) % p
-        for g in sorted(set(int(x) for x in t.degrees)):
-            cols = t.slice_indices(g)
-            if cols.size == 0:
-                continue
-            cand, _, _ = homogeneous_row_basis(er_top[:, cols].T, t.degrees, p)
-            if cand.shape[0] == 0:
-                continue
-            spanned = modp.zeros(0, t.dim)
-            spiv: list[int] = []
-            for w in cand:
-                if modp.in_row_span(spanned, spiv, w, p):
-                    continue
-                summands.append((r, g))
-                lifts.append((er_mod @ ((sec @ w) % p)) % p)
-                orbit = (corner_mats @ w) % p  # the endomorphism-field span of w
-                spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
-    if not summands:
-        return zero_module(a), modp.zeros(m.dim, 0), []
-    parts = []
-    cols = []
-    for (r, g), v in zip(summands, lifts):
-        pr, basis = _proj_with_embedding(a, r)
-        parts.append(shift(pr, -g))
-        block = (basis @ ((m.action @ v) % p)).T % p
-        cols.append(block)
-    P = direct_sum(parts)
-    K = np.hstack(cols) % p
-    if modp.rank(K, p) != m.dim:
-        raise CheckFailed("projective cover map is not surjective")
+    summands, K = cover_map(m)
+    parts = [proj(m.algebra, r, -g) for r, g in summands]
+    P = direct_sum(parts) if parts else zero_module(m.algebra)
     return P, K, summands
 
 
 def projective_cover_dim(m: GradedModule) -> int:
-    if m.dim == 0:
-        return 0
-    P, _, _ = projective_cover(m)
-    return P.dim
+    return cover_map(m)[1].shape[1]
 
 
 def is_projective(m: GradedModule) -> bool:

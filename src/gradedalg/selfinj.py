@@ -1,13 +1,16 @@
 """Decision procedures: self-injectivity, Frobenius property, Nakayama data.
 
 Graded self-injectivity is decided dually: every graded injective D(e_i A)
-must be projective, certified by its minimal projective cover.  The graded
-Frobenius test and the Nakayama data read the summands of those same
-covers (the tops of the projective-injectives) instead of computing their
-own.  A seeded randomized search for a Frobenius functional (a linear form
-whose induced pairing (u, v) -> lam(u v) is nondegenerate) serves as an
-independent oracle on basic algebras; a failed search is never treated as
-a proof of absence.
+must be projective, certified by the map of its minimal projective cover.
+The graded Frobenius test and the Nakayama data read the summands of those
+same covers (the tops of the projective-injectives) instead of computing
+their own.  Both sides of the Nakayama match come from one top
+decomposition, ``modules.top_summands``: the covers of the D(e_j A) are
+built on it, and the tops of the Ae_i are read from it.  A seeded
+randomized search for a Frobenius functional (a linear form whose induced
+pairing (u, v) -> lam(u v) is nondegenerate) serves as an independent
+oracle on basic algebras; a failed search is never treated as a proof of
+absence.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from .algebra import GradedAlgebra, cached, is_basic, is_well_graded
 from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
 from .modules import (
     GradedModule,
+    cover_map,
     inj,
     proj,
-    projective_cover,
     simple_classes,
-    simple_multiplicities,
     syzygy,
     top,
+    top_summands,
 )
 
 
@@ -65,9 +68,9 @@ def is_graded_selfinjective(a: GradedAlgebra) -> SelfInjectivity:
     witness = None
     for i in range(a.n_idempotents):
         m = inj(a, i, 0)
-        P, _, summands = projective_cover(m)
-        ok = P.dim == m.dim
-        covers.append(InjectiveCover(i, m.dim, P.dim, ok, summands))
+        summands, K = cover_map(m)
+        ok = K.shape[1] == m.dim
+        covers.append(InjectiveCover(i, m.dim, K.shape[1], ok, summands))
         if not ok and witness is None:
             witness = i
     return SelfInjectivity(witness is None, covers, witness)
@@ -149,19 +152,19 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
     Matches each injective's simple top against the projectives: the
     injective D(e_j A) with top S_i concentrated in degree g is isomorphic
     to Ae_i(-g), giving s(i) = j and d_i = g.  That top is read off the
-    single summand of the cover computed by the self-injectivity test.
+    single summand of the cover computed by the self-injectivity test, and
+    the top of each Ae_i from ``top_summands`` too.
     """
     cert = is_graded_selfinjective(a)
     if not cert.holds:
         raise NotSelfInjective(f"injective {cert.witness} is not projective")
-    reps, class_of, _ = simple_classes(a)
     l = a.n_idempotents
     top_of_proj = []  # class rep of top(Ae_i), to resolve class -> index
     for i in range(l):
-        mults = simple_multiplicities(proj(a, i, 0))
-        if len(mults) != 1 or set(mults.values()) != {1}:
-            raise AmbiguousMatch(f"top of Ae_{i} is not simple: {mults}")
-        top_of_proj.append(next(iter(mults))[0])
+        summands, _ = top_summands(proj(a, i, 0))
+        if len(summands) != 1:
+            raise AmbiguousMatch(f"top of Ae_{i} is not simple: {summands}")
+        top_of_proj.append(summands[0][0])
     s = [-1] * l
     d = [0] * l
     witnesses: list[dict] = []

@@ -156,6 +156,61 @@ def test_cli_refuses_prime_past_bound(capsys, tmp_path):
     assert code == 0 and rep["results"]["passed"]
 
 
+def _doc_text(doc, **literals):
+    """JSON text of ``doc`` with each string "@name" replaced by a raw literal."""
+    text = json.dumps(doc)
+    for name, literal in literals.items():
+        text = text.replace(f'"@{name}"', literal)
+    return text
+
+
+def test_cli_refuses_inexact_numbers(capsys, tmp_path):
+    # non-finite or non-integral coefficients and degrees, and degrees past
+    # int64, are parse errors, not an OverflowError or a silent truncation
+    doc = fileio.algebra_to_doc(gen_example("truncated_poly", n=2))
+    path = tmp_path / "bad.json"
+    for literal in ("Infinity", "-Infinity", "NaN", "1e400", "1.5", str(2**63), str(10**30)):
+        bad_degree = json.loads(json.dumps(doc))
+        bad_degree["basis"][1]["degree"] = "@v"
+        bad_coeff = json.loads(json.dumps(doc))
+        bad_coeff["unit"][0]["coeff"] = "@v"
+        cases = [("degree of 'x'", bad_degree)]
+        if literal not in (str(2**63), str(10**30)):  # integers: fine as coefficients
+            cases.append(("unit: coefficient", bad_coeff))
+        for where, bad in cases:
+            path.write_text(_doc_text(bad, v=literal))
+            code, rep = run(capsys, "validate", str(path))
+            assert code == 1, (literal, where)
+            assert rep["error"]["kind"] == "parse", (literal, where)
+            assert where in rep["error"]["message"], (literal, where)
+
+
+def test_cli_sums_coefficients_exactly(capsys, tmp_path):
+    # coefficients are summed as integers, then reduced: two terms of 2^63 - 1
+    # on one basis element would overflow int64
+    a = gen_example("truncated_poly", n=2)
+    p, big = a.p, 2**63 - 1
+    doc = fileio.algebra_to_doc(a)
+    doc["unit"] = [{"basis": "1", "coeff": (1 - big) % p}, {"basis": "1", "coeff": big}]
+    doc["idempotents"] = [[{"basis": "1", "coeff": 10**30 * p + 1}]]
+    doc["products"]["x*1"] = [{"basis": "x", "coeff": big}, {"basis": "x", "coeff": big}]
+    doc["products"]["x*1"].append({"basis": "x", "coeff": (1 - 2 * big) % p})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    b = fileio.load(path)
+    assert fileio.algebra_to_doc(b) == fileio.algebra_to_doc(a)
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 0 and rep["results"]["valid"]
+
+
+def test_cli_refuses_negative_samples_window(capsys, t4_file):
+    # a negative window has no samples, so its certificate would be vacuous
+    code, rep = run(capsys, "equiv", t4_file, "--samples-window", "-1")
+    assert code == 2
+    assert rep["error"]["hypothesis"] == "samples-window"
+    assert rep["results"] is None
+
+
 def test_cli_corner(capsys, tmp_path, t4_file):
     out_t = tmp_path / "t.json"
     run(capsys, "trivext", t4_file, "--algebra-out", str(out_t))
@@ -216,15 +271,15 @@ def test_cli_internal_check_failures_and_bugs(capsys, monkeypatch, t4_file):
 
 def test_info_decides_self_injectivity_once(monkeypatch):
     # info reports self-injectivity and the Frobenius property, which reads
-    # the same covers: one projective cover per injective, not two
+    # the same covers: one cover map per injective, not two
     calls = []
-    cover = selfinj.projective_cover
+    cover = selfinj.cover_map
 
     def counted(m):
         calls.append(m)
         return cover(m)
 
-    monkeypatch.setattr(selfinj, "projective_cover", counted)
+    monkeypatch.setattr(selfinj, "cover_map", counted)
     t = t_of(gen_example("truncated_poly", n=3))
     res = cli._predicates(t)
     assert res["selfinjective"] and res["frobenius"]

@@ -25,6 +25,7 @@ from gradedalg.equiv import (
 from gradedalg.errors import CheckFailed, PreconditionFailed, TrivialGrading
 from gradedalg.modules import (
     GradedModule,
+    _proj_arrays,
     hom_basis,
     hom_dim,
     inj,
@@ -333,12 +334,14 @@ def test_pipeline_two_idempotents_top_degree_two(product_c2):
 
 
 def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
-    from gradedalg.modules import simple_classes
+    from gradedalg.modules import top, top_summands
     from gradedalg.selfinj import graded_nakayama
 
     a = nonsplit_dual_numbers
-    _, _, endo = simple_classes(a)
-    assert endo == [2]
+    # End(S) = F_{p^2}: the top of Ae is 2-dimensional and one summand
+    m = proj(a, 0)
+    summands, lifts = top_summands(m)
+    assert top(m).dim == 2 and summands == [(0, 0)] and len(lifts) == 1
     nd = graded_nakayama(a)
     assert nd.permutation == [0] and nd.shifts == [-1]
     cert = theorem_pipeline(a)
@@ -373,6 +376,7 @@ def _decide_every_cached_fact():
         alg.left, alg.right
         radical(alg), generators(alg), semisimple_quotient(alg), simple_classes(alg)
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
+        [_proj_arrays(alg, i) for i in range(alg.n_idempotents)]
     block_layout(a)
     sigma = extract_sigma(t).sigma
     sigma.power(2), sigma.power(-3)

@@ -1,9 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from gradedalg import modp
 from gradedalg import corpus
-from gradedalg.algebra import GradedAlgebra, generators, is_left_well_graded, radical
+from gradedalg.algebra import (
+    GradedAlgebra,
+    generators,
+    homogeneous_row_basis,
+    is_left_well_graded,
+    quotient_maps,
+    radical,
+    semisimple_quotient,
+)
 from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
 from gradedalg.modules import (
@@ -18,13 +28,16 @@ from gradedalg.modules import (
     projective_cover,
     projective_cover_dim,
     quotient_module,
+    radical_rows,
     regular_module,
     shift,
     simple,
+    simple_classes,
     socle,
     submodule,
     syzygy,
     top,
+    top_summands,
     width,
     zero_module,
 )
@@ -368,8 +381,6 @@ def test_syzygy_in_radical(truncated, uppertri):
 
 
 def test_direct_sum_and_submodule(truncated):
-    from gradedalg.modules import radical_rows
-
     a = truncated(3)
     m = direct_sum([proj(a, 0, 0), simple(a, 0, -1)])
     m.validate()
@@ -391,7 +402,6 @@ def test_module_zoo_invariants(graded_corpus):
     # everything must stay a valid graded module and survive phi/psi exactly
     from gradedalg.construct import t_of
     from gradedalg.equiv import phi, psi
-    from gradedalg.modules import radical_rows
 
     rng = np.random.default_rng(2024)
     for name, a in graded_corpus:
@@ -417,3 +427,194 @@ def test_module_zoo_invariants(graded_corpus):
             assert socle(made).dim <= made.dim
             if made.dim and made.dim < 12:
                 pool.append(made)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: one basis element at a time, and the cover
+# assembled as a module, with multiplicities from ranks
+
+
+def ref_submodule(m, rows):
+    basis, degs, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
+    k = basis.shape[0]
+    action = modp.zeros(m.algebra.dim, k, k)
+    for i in range(m.algebra.dim):
+        img = (m.action[i] @ basis.T) % m.p
+        action[i] = img[pivots]
+        if not np.array_equal((basis.T @ action[i]) % m.p, img):
+            raise CheckFailed("rows do not span an action-stable subspace")
+    return GradedModule(m.algebra, degs, action)
+
+
+def ref_quotient_module(m, rows):
+    basis, _, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
+    red, sec, free = quotient_maps(basis, pivots, m.dim, m.p)
+    k = len(free)
+    action = modp.zeros(m.algebra.dim, k, k)
+    for i in range(m.algebra.dim):
+        if basis.shape[0]:
+            img = (m.action[i] @ basis.T) % m.p
+            if np.any((basis.T @ img[pivots] - img) % m.p):
+                raise CheckFailed("rows do not span an action-stable subspace")
+        action[i] = (((red @ m.action[i]) % m.p) @ sec) % m.p
+    return GradedModule(m.algebra, m.degrees[free], action), red, sec
+
+
+def ref_proj_with_embedding(a, i):
+    span = a.right_mult(a.idempotents[i]).T
+    basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
+    k = basis.shape[0]
+    action = modp.zeros(a.dim, k, k)
+    for t in range(a.dim):
+        action[t] = ((a.left[t] @ basis.T) % a.p)[pivots]
+    return GradedModule(a, degs, action), basis
+
+
+def ref_inj(a, i, d=0):
+    span = a.left_mult(a.idempotents[i]).T
+    basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
+    k = basis.shape[0]
+    action = modp.zeros(a.dim, k, k)
+    for t in range(a.dim):
+        action[t] = ((a.right[t] @ basis.T) % a.p)[pivots].T
+    return GradedModule(a, -degs - d, action)
+
+
+def ref_endo_dims(a):
+    """F_p-dimension of End(S_r) = e_r A e_r / e_r rad e_r per representative."""
+    reps, _, _ = simple_classes(a)
+    _, red, _ = semisimple_quotient(a)
+    out = []
+    for r in reps:
+        e = a.idempotents[r]
+        ere = (red @ ((a.left_mult(e) @ a.right_mult(e)) % a.p)) % a.p
+        out.append(modp.rank(ere.T, a.p))
+    return out
+
+
+def ref_simple_multiplicities(m):
+    """Multiplicity of S_r(-g) in top(M): dim e_r top(M)_g over dim End(S_r)."""
+    a, t = m.algebra, top(m)
+    reps, _, _ = simple_classes(a)
+    out = {}
+    for r, endo in zip(reps, ref_endo_dims(a)):
+        er = t.act(a.idempotents[r])
+        for g in np.unique(t.degrees).tolist():
+            dim_slice = modp.rank(er[:, t.slice_indices(g)].T, a.p)
+            if dim_slice:
+                mult, rem = divmod(dim_slice, endo)
+                assert rem == 0
+                out[(r, g)] = mult
+    return out
+
+
+def ref_projective_cover(m):
+    a, p = m.algebra, m.p
+    reps, _, _ = simple_classes(a)
+    t, _, sec = ref_quotient_module(m, radical_rows(m))
+    summands, lifts = [], []
+    for r in reps:
+        er_top = t.act(a.idempotents[r])
+        er_mod = m.act(a.idempotents[r])
+        corner_cols = (a.left_mult(a.idempotents[r]) @ a.right_mult(a.idempotents[r])) % p
+        corner_mats = np.tensordot(corner_cols.T, t.action, axes=1) % p
+        for g in sorted(set(int(x) for x in t.degrees)):
+            cols = t.slice_indices(g)
+            cand, _, _ = homogeneous_row_basis(er_top[:, cols].T, t.degrees, p)
+            spanned, spiv = modp.zeros(0, t.dim), []
+            for w in cand:
+                if modp.in_row_span(spanned, spiv, w, p):
+                    continue
+                summands.append((r, g))
+                lifts.append((er_mod @ ((sec @ w) % p)) % p)
+                spanned, spiv = modp.row_basis(np.vstack([spanned, (corner_mats @ w) % p]), p)
+    if not summands:
+        return zero_module(a), modp.zeros(m.dim, 0), []
+    parts, cols = [], []
+    for (r, g), v in zip(summands, lifts):
+        pr, basis = ref_proj_with_embedding(a, r)
+        parts.append(shift(pr, -g))
+        cols.append((basis @ ((m.action @ v) % p)).T % p)
+    K = np.hstack(cols) % p
+    assert modp.rank(K, p) == m.dim
+    return direct_sum(parts), K, summands
+
+
+@pytest.fixture(scope="module")
+def cover_corpus(vertex_corpus, nonsplit_dual_numbers, matrix2x2, uppertri, product_c2):
+    # a non-split top (End S = F_{p^2}), a class of two isomorphic idempotents
+    # and an algebra whose injectives are not projective
+    return vertex_corpus + [
+        ("F_{p^2}[x]/(x^2)", nonsplit_dual_numbers),
+        ("M_2(k)", matrix2x2),
+        ("upper-triangular c=2", uppertri(2)),
+        ("k[x]/(x^3) x k[y]/(y^3)", product_c2),
+    ]
+
+
+def _cover_samples(a):
+    """Every shifted proj/simple/inj, a non-projective quotient, and sums whose
+    tops hold a simple twice, once with a non-projective summand."""
+    c = a.top_degree()
+    out = [
+        build(a, i, d)
+        for build in (proj, simple, inj)
+        for i in range(a.n_idempotents)
+        for d in range(-c, c + 1)
+    ]
+    p0 = proj(a, 0)
+    socle_rows = modp.identity(p0.dim)[p0.degrees == p0.degrees.max()]
+    out.append(quotient_module(p0, socle_rows)[0])
+    out.append(direct_sum([p0, shift(p0, 0), simple(a, a.n_idempotents - 1, 1)]))
+    out.append(direct_sum([simple(a, 0), inj(a, 0), simple(a, 0)]))
+    return out
+
+
+def test_cover_matches_reference_assembly(cover_corpus):
+    # the cover from top_summands and cover_map against the old assembly
+    # and the rank/endo-field multiplicities, on every sample; the samples
+    # include projective and non-projective modules, tops that hold a simple
+    # twice, and a simple whose endomorphism field is larger than F_p
+    projective, repeated, endo_dims = Counter(), 0, set()
+    for name, a in cover_corpus:
+        endo_dims.update(ref_endo_dims(a))
+        for m in _cover_samples(a):
+            P, K, summands = projective_cover(m)
+            projective[is_projective(m)] += 1
+            repeated += max(Counter(summands).values(), default=0) > 1
+            want_P, want_K, want_summands = ref_projective_cover(m)
+            assert np.array_equal(P.degrees, want_P.degrees), name
+            assert np.array_equal(P.action, want_P.action), name
+            assert K.dtype == want_K.dtype and np.array_equal(K, want_K), name
+            assert summands == want_summands, name
+            assert projective_cover_dim(m) == want_P.dim, name
+            assert top_summands(m)[0] == summands, name
+            assert is_projective(m) == (want_P.dim == m.dim), name
+            assert Counter(summands) == ref_simple_multiplicities(m), name
+    assert projective[True] and projective[False] and repeated and max(endo_dims) == 2
+
+
+def test_module_builders_match_loop_references(cover_corpus):
+    for name, a in cover_corpus:
+        c = a.top_degree()
+        for i in range(a.n_idempotents):
+            for d in range(-c, c + 1):
+                assert proj(a, i, d).equals(shift(ref_proj_with_embedding(a, i)[0], d)), name
+                assert inj(a, i, d).equals(ref_inj(a, i, d)), name
+        for m in _cover_samples(a):
+            rows = radical_rows(m)
+            assert submodule(m, rows).equals(ref_submodule(m, rows)), name
+            q, red, sec = quotient_module(m, rows)
+            want_q, want_red, want_sec = ref_quotient_module(m, rows)
+            assert q.equals(want_q), name
+            assert np.array_equal(red, want_red) and np.array_equal(sec, want_sec), name
+
+
+def test_submodule_and_quotient_refuse_unstable_rows(truncated):
+    # the degree-0 vector of Ae is not stable under x
+    a = truncated(3)
+    m = proj(a, 0)
+    rows = modp.identity(m.dim)[m.degrees == 0]
+    for build in (submodule, ref_submodule, lambda m, r: quotient_module(m, r)[0]):
+        with pytest.raises(CheckFailed, match="rows do not span an action-stable subspace"):
+            build(m, rows)
