@@ -101,8 +101,7 @@ class GradedAlgebra:
         return int(self.degrees.max(initial=0))
 
     def component_dims(self) -> list[int]:
-        c = self.top_degree()
-        return [int(np.sum(self.degrees == d)) for d in range(c + 1)]
+        return np.bincount(self.degrees, minlength=self.top_degree() + 1).tolist()
 
     def degree_indices(self, d: int) -> np.ndarray:
         return np.nonzero(self.degrees == d)[0]
@@ -238,7 +237,7 @@ def intertwine_fault(f: np.ndarray, src: np.ndarray, tgt: np.ndarray, p: int) ->
     return int(hits[0]) if hits.size else None
 
 
-def validate_algebra(a: GradedAlgebra, check_primitivity: bool = True) -> GradedAlgebra:
+def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     """Verify all GradedAlgebra invariants, raising a ValidationError subclass.
 
     Checks: prime size, associativity on all basis pairs, two-sided unit,
@@ -277,9 +276,8 @@ def validate_algebra(a: GradedAlgebra, check_primitivity: bool = True) -> Graded
         )
 
     _check_idempotents(a)
-    if check_primitivity:
-        for i in range(a.n_idempotents):
-            _check_primitive(a, i)
+    for i in range(a.n_idempotents):
+        _check_primitive(a, i)
     return a
 
 
@@ -310,7 +308,7 @@ def _check_primitive(a: GradedAlgebra, i: int) -> None:
     is a product of finite fields; Frobenius fixes an F_p from each factor).
     """
     a0 = degree_zero_subalgebra(a)
-    corner_i = corner(a0, a0.idempotents[i], _known_members=[i])
+    corner_i = corner(a0, a0.idempotents[i])
     rad = radical(corner_i)
     q, _, _ = quotient_algebra(corner_i, rad)
     if not np.array_equal(q.table, q.table.transpose(1, 0, 2)):
@@ -434,7 +432,7 @@ def degree_zero_subalgebra(a: GradedAlgebra) -> GradedAlgebra:
     )
 
 
-def corner(a: GradedAlgebra, e: np.ndarray, _known_members: Optional[list[int]] = None) -> GradedAlgebra:
+def corner(a: GradedAlgebra, e: np.ndarray) -> GradedAlgebra:
     """The corner algebra eAe for e a sum of designated idempotents.
 
     The corner keeps the induced grading, has unit e, and designates the
@@ -442,20 +440,16 @@ def corner(a: GradedAlgebra, e: np.ndarray, _known_members: Optional[list[int]] 
     """
     p = a.p
     e = modp.normalize(e, p)
-    if not np.array_equal(a.mul(e, e), e) or not np.any(e):
+    left, right = a.left_mult(e), a.right_mult(e)
+    if not np.array_equal(left @ e % p, e) or not np.any(e):
         raise NotIdempotent("corner element is not a nonzero idempotent")
-    if _known_members is None:
-        members = [
-            i
-            for i in range(a.n_idempotents)
-            if np.array_equal(a.mul(e, a.idempotents[i]), a.idempotents[i])
-            and np.array_equal(a.mul(a.idempotents[i], e), a.idempotents[i])
-        ]
-        if not np.array_equal(a.idempotents[members].sum(axis=0) % p, e):
-            raise NotIdempotent("corner element is not a sum of designated idempotents")
-    else:
-        members = _known_members
-    span = (a.left_mult(e) @ a.right_mult(e)) % p  # columns: e * b_j * e
+    E = a.idempotents
+    # e_i is a summand of e when e e_i = e_i = e_i e: columns of left E^T, right E^T
+    fixed = ((left @ E.T % p).T == E) & ((right @ E.T % p).T == E)
+    members = np.flatnonzero(fixed.all(axis=1))
+    if not np.array_equal(E[members].sum(axis=0) % p, e):
+        raise NotIdempotent("corner element is not a sum of designated idempotents")
+    span = (left @ right) % p  # columns: e * b_j * e
     basis, degs, pivots = homogeneous_row_basis(span.T, a.degrees, p)
     k = basis.shape[0]
     table = modp.zeros(k, k, k)
@@ -517,8 +511,9 @@ class Bimodule:
         self.names = [str(s) for s in names]
         d = len(self.names)
         n = algebra.dim
-        self.left_action = modp.normalize(left_action, algebra.p).reshape(n, d, d)
-        self.right_action = modp.normalize(right_action, algebra.p).reshape(n, d, d)
+        # C order, also when a transposed view comes in
+        self.left_action = np.ascontiguousarray(modp.normalize(left_action, algebra.p).reshape(n, d, d))
+        self.right_action = np.ascontiguousarray(modp.normalize(right_action, algebra.p).reshape(n, d, d))
         self.left_action.flags.writeable = False
         self.right_action.flags.writeable = False
 

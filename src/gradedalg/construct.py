@@ -11,6 +11,13 @@ Block conventions (0-indexed, c = top degree of the source):
 so each row of the combined grid carries each of A_0 .. A_c exactly once,
 which is the canonical counting test (dim t(A) = c * dim A).
 
+``block_layout`` records which basis element of A sits in which block as two
+read-only int64 arrays of rows (row, col, source index), b(A) first, then
+x(A); their order is the basis order of b(A), x(A) and t(A).  Everything
+built on the grid is a gather over these arrays: the structure constants
+of b(A) and both actions on x(A) are A's table at the source indices,
+masked to the block products (row, k)(k, col) -> (row, col).
+
 Trivial extensions B |x X put B in degree 0 and X in degree 1 with product
 (b, m)(b', m') = (b b', b m' + m b').  The dual bimodule D(B) acts by
 (b f)(x) = f(x b), (f b)(x) = f(b x); the sigma-twisted variant precomposes
@@ -90,28 +97,42 @@ class AlgebraAutomorphism:
 
 @cached
 def block_layout(a: GradedAlgebra):
-    """Index lists for the block algebra and bimodule of ``a`` (cached).
+    """The block grid of b(A) and x(A) as index arrays (cached, read-only).
 
-    Returns (b_index, x_index): each entry is (row, col, source basis index),
-    rows/cols in 0..c-1; the basis order of every construction downstream is
-    exactly the order of these lists.
+    Returns (b_rows, x_rows): int64 arrays whose rows are (row, col, source
+    basis index), with row and col in 0..c-1; the basis order of every
+    construction downstream is exactly the order of these rows.  Row r of
+    the grid is the basis of A sorted by degree: an element of degree
+    d < c - r sits in b(A) at col r + d, any other in x(A) at col r + d - c.
     """
     c = a.top_degree()
     if c < 1:
         raise TrivialGrading("block constructions need top degree >= 1")
-    b_index = [
-        (r, s, int(j))
-        for r in range(c)
-        for s in range(r, c)
-        for j in a.degree_indices(s - r)
-    ]
-    x_index = [
-        (r, s, int(j))
-        for r in range(c)
-        for s in range(r + 1)
-        for j in a.degree_indices(c + s - r)
-    ]
-    return b_index, x_index
+    order = np.argsort(a.degrees, kind="stable")
+    deg = a.degrees[order]
+    in_b = np.arange(c)[:, None] + deg < c
+    layouts = []
+    for mask, offset in ((in_b, 0), (~in_b, c)):
+        r, k = np.nonzero(mask)
+        rows = np.column_stack([r, r + deg[k] - offset, order[k]]).astype(np.int64)
+        rows.flags.writeable = False
+        layouts.append(rows)
+    return tuple(layouts)
+
+
+def _block_products(a: GradedAlgebra, lhs, rhs, out) -> np.ndarray:
+    """T[l, r, o], the coefficient of out[o] in lhs[l] * rhs[r], for layout rows.
+
+    Blocks multiply as matrix entries: (row, k)(k, col) lands in block
+    (row, col).  No degree mask is needed, because the product of A vanishes
+    outside the degree of that block.
+    """
+    # one axis at a time: the same gather as np.ix_, three times faster here
+    prods = a.table[lhs[:, 2]][:, rhs[:, 2]][:, :, out[:, 2]]
+    meets = (lhs[:, 1, None] == rhs[:, 0])[:, :, None]
+    lands = (out[:, 0] == lhs[:, 0, None, None]) & (out[:, 1] == rhs[:, 1, None])
+    prods *= meets & lands
+    return prods
 
 
 def beilinson(a: GradedAlgebra) -> GradedAlgebra:
@@ -121,54 +142,27 @@ def beilinson(a: GradedAlgebra) -> GradedAlgebra:
     by (r, i).
     """
     c = a.top_degree()
-    b_index, _ = block_layout(a)
-    pos = {key: t for t, key in enumerate(b_index)}
-    nb = len(b_index)
+    b_rows, _ = block_layout(a)
+    nb = len(b_rows)
     if a.p <= nb:
         raise PrimeTooSmall(f"prime {a.p} must exceed dim b(A) = {nb}")
-    table = modp.zeros(nb, nb, nb)
-    for t, (r, s, j) in enumerate(b_index):
-        for u, (r2, s2, j2) in enumerate(b_index):
-            if s != r2:
-                continue
-            prod = a.table[j, j2]
-            for k in np.nonzero(prod)[0]:
-                table[t, u, pos[(r, s2, int(k))]] = prod[k]
-    names = [f"b[{r},{s}]{a.names[j]}" for (r, s, j) in b_index]
-    unit = modp.zeros(nb)
-    for r in range(c):
-        for j in a.degree_indices(0):
-            unit[pos[(r, r, int(j))]] = a.unit[j]
-    idems = modp.zeros(c * a.n_idempotents, nb)
-    row = 0
-    for r in range(c):
-        for i in range(a.n_idempotents):
-            for j in a.degree_indices(0):
-                idems[row, pos[(r, r, int(j))]] = a.idempotents[i][j]
-            row += 1
-    return GradedAlgebra(a.p, names, np.zeros(nb, dtype=np.int64), table, unit, idems)
+    table = _block_products(a, b_rows, b_rows, b_rows)
+    names = [f"b[{r},{s}]{a.names[j]}" for r, s, j in b_rows.tolist()]
+    row, col, src = b_rows.T
+    diag = row == col
+    unit = np.where(diag, a.unit[src], 0)
+    idems = np.where(diag & (row == np.arange(c)[:, None, None]), a.idempotents[:, src], 0)
+    return GradedAlgebra(a.p, names, np.zeros(nb, dtype=np.int64), table, unit, idems.reshape(-1, nb))
 
 
 def x_bimodule(a: GradedAlgebra) -> Bimodule:
     """The complementary block bimodule over beilinson(a)."""
-    b_index, x_index = block_layout(a)
-    bpos = {key: t for t, key in enumerate(b_index)}
-    xpos = {key: t for t, key in enumerate(x_index)}
-    nb, nx = len(b_index), len(x_index)
+    b_rows, x_rows = block_layout(a)
     b_alg = beilinson(a)
-    left = modp.zeros(nb, nx, nx)
-    right = modp.zeros(nb, nx, nx)
-    for t, (r, s, j) in enumerate(b_index):
-        for u, (r2, s2, j2) in enumerate(x_index):
-            if s == r2:  # left multiplication lands in block (r, s2)
-                prod = a.table[j, j2]
-                for k in np.nonzero(prod)[0]:
-                    left[t, xpos[(r, s2, int(k))], u] = prod[k]
-            if s2 == r:  # right multiplication by (r, s, j) on (r2, s2, j2)
-                prod = a.table[j2, j]
-                for k in np.nonzero(prod)[0]:
-                    right[t, xpos[(r2, s, int(k))], u] = prod[k]
-    names = [f"x[{r},{s}]{a.names[j]}" for (r, s, j) in x_index]
+    # left[t, o, u] is the coefficient of x_o in b_t x_u, right[t, o, u] that in x_u b_t
+    left = _block_products(a, b_rows, x_rows, x_rows).transpose(0, 2, 1)
+    right = _block_products(a, x_rows, b_rows, x_rows).transpose(1, 2, 0)
+    names = [f"x[{r},{s}]{a.names[j]}" for r, s, j in x_rows.tolist()]
     return Bimodule(b_alg, names, left, right)
 
 
@@ -191,9 +185,8 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
         raise PrimeTooSmall(f"prime {b.p} must exceed dim {n}")
     table = modp.zeros(n, n, n)
     table[:nb, :nb, :nb] = b.table
-    for i in range(nb):
-        table[i, nb:, nb:] = x.left_action[i].T
-        table[nb:, i, nb:] = x.right_action[i].T
+    table[:nb, nb:, nb:] = x.left_action.transpose(0, 2, 1)
+    table[nb:, :nb, nb:] = x.right_action.transpose(2, 0, 1)
     names = list(b.names) + list(x.names)
     if len(set(names)) != n:
         names = list(b.names) + [f"X.{s}" for s in x.names]
@@ -218,9 +211,7 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
         raise NotAutomorphism("automorphism is not over the given algebra")
     sigma.validate()
     p = b.p
-    left = modp.zeros(b.dim, b.dim, b.dim)
-    for i in range(b.dim):
-        left[i] = b.right_mult(sigma.matrix[:, i]).T
+    left = np.einsum("ji,jba->iab", sigma.matrix, b.right) % p  # left[i] = R(sigma(b_i))^T
     right = np.ascontiguousarray(b.left.transpose(0, 2, 1))
     return Bimodule(b, [f"{s}^" for s in b.names], left, right % p)
 

@@ -7,9 +7,12 @@ With the upper-triangular block orientation used in construct, degree
 bookkeeping forces the old slice nc+r into column component c-1-r (the
 component index decreases as the inner degree rises); Psi reads components
 back off the diagonal idempotents with the same reflection, which makes
-Psi . Phi the identity on the nose, tables included.  Both take t(A) from
-``t_of(a)``, which is built once per algebra, so their modules live over
-the very algebra object that theorem_pipeline uses.
+Psi . Phi the identity on the nose, tables included.  Each is one pass over
+the rows of block_layout: phi gathers the action of a row's source element
+on the vectors of the row's column component, and psi scatters it back, so
+that each (basis element, component) is read from exactly one block.  Both
+take t(A) from ``t_of(a)``, which is built once per algebra, so their
+modules live over the very algebra object that theorem_pipeline uses.
 
 The hypotheses of the theorem (A_0 basic, A well-graded, A graded
 self-injective) are decided in one place, _require_hypotheses.  A_0, the
@@ -100,31 +103,19 @@ def phi(a: GradedAlgebra, m: GradedModule) -> GradedModule:
     if not m.algebra.same_as(a):
         raise AlgebraMismatch("module is not over the given algebra")
     t = t_of(a)
-    b_index, x_index = block_layout(a)
-    nb = len(b_index)
+    layout = np.concatenate(block_layout(a))
     comp = (c - 1 - (m.degrees % c)) % c
     new_degrees = m.degrees // c
-    action = modp.zeros(t.dim, m.dim, m.dim)
-    for pos, (r, s, j) in enumerate(b_index):
-        cols = comp == s
-        action[pos][:, cols] = m.action[j][:, cols]
-    for pos, (r, s, j) in enumerate(x_index):
-        cols = comp == s
-        action[nb + pos][:, cols] = m.action[j][:, cols]
+    action = m.action[layout[:, 2]]  # a fresh gather, masked in place
+    action *= layout[:, 1, None, None] == comp
     return GradedModule(t, new_degrees, action)
 
 
 def _component_projectors(a: GradedAlgebra, n: GradedModule):
-    c = a.top_degree()
-    b_index, _ = block_layout(a)
-    bpos = {key: i for i, key in enumerate(b_index)}
-    projs = []
-    for q in range(c):
-        e = modp.zeros(n.algebra.dim)
-        for j in a.degree_indices(0):
-            e[bpos[(q, q, int(j))]] = a.unit[j]
-        projs.append(n.act(e))
-    return projs
+    """The action on ``n`` of each diagonal unit e_qq = sum_i e_qq e_i of t(A)."""
+    t = n.algebra
+    units = t.idempotents.reshape(a.top_degree(), a.n_idempotents, t.dim).sum(axis=1)
+    return [n.act(e) for e in units]
 
 
 def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
@@ -146,23 +137,11 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
     comp = _read_components(projs, n.dim)
     if comp is None:
         return psi(a, _adapt_basis(n, projs))
-    b_index, x_index = block_layout(a)
-    bpos = {key: i for i, key in enumerate(b_index)}
-    xpos = {key: i for i, key in enumerate(x_index)}
-    nb = len(b_index)
+    # every (basis element j, component q) is read from exactly one block
+    layout = np.concatenate(block_layout(a))
     new_degrees = n.degrees * c + (c - 1 - comp)
     action = modp.zeros(a.dim, n.dim, n.dim)
-    for j in range(a.dim):
-        dj = int(a.degrees[j])
-        for q in range(c):
-            cols = comp == q
-            if not np.any(cols):
-                continue
-            if dj <= q:
-                g = bpos[(q - dj, q, j)]
-            else:
-                g = nb + xpos[(q - dj + c, q, j)]
-            action[j][:, cols] = n.action[g][:, cols]
+    np.add.at(action, layout[:, 2], np.where(layout[:, 1, None, None] == comp, n.action, 0))
     return GradedModule(a, new_degrees, action)
 
 
@@ -252,9 +231,8 @@ def split_trivial_extension(t: GradedAlgebra) -> tuple[GradedAlgebra, Bimodule, 
     zero_idx = t.degree_indices(0)
     one_idx = t.degree_indices(1)
     b = degree_zero_subalgebra(t)
-    grid = np.ix_(one_idx, one_idx)
-    left = np.array([t.left[j][grid] for j in zero_idx])
-    right = np.array([t.right[j][grid] for j in zero_idx])
+    grid = np.ix_(zero_idx, one_idx, one_idx)
+    left, right = t.left[grid], t.right[grid]
     x = Bimodule(b, [t.names[i] for i in one_idx], left, right)
     return b, x, zero_idx, one_idx
 

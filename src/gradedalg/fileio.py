@@ -115,8 +115,8 @@ def algebra_from_doc(doc: dict) -> GradedAlgebra:
             raise ParseError(f"basis: degree of {nm!r} is not an integer")
         if deg < 0:
             raise ParseError(f"basis: negative degree for {nm!r}")
-        if deg > np.iinfo(np.int64).max:
-            raise ParseError(f"basis: degree of {nm!r} exceeds 2^63 - 1")
+        if deg > modp.PRIME_BOUND:  # block constructions need p > dim b(A) >= c
+            raise ParseError(f"basis: degree of {nm!r} exceeds PRIME_BOUND = {modp.PRIME_BOUND}")
         names.append(nm)
         degrees.append(deg)
     n = len(names)

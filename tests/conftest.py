@@ -204,24 +204,22 @@ def left_only_well_graded():
     return validate_algebra(a)
 
 
-@pytest.fixture(scope="session")
-def rebased_nakayama32():
-    """N(3, 2), the cyclic quiver on 3 vertices modulo paths of length 3,
-    rewritten in a seeded random basis that keeps every vector homogeneous:
-    three idempotents, a non-trivial Nakayama permutation, dense products."""
-    paths = [(i, l) for l in range(3) for i in range(3)]  # path from i of length l
+def _rebased_nakayama(n_vertices, k, seed):
+    """N(n, k), the cyclic quiver on n vertices modulo paths of length > k,
+    rewritten in a seeded random basis that keeps every vector homogeneous."""
+    paths = [(i, l) for l in range(k + 1) for i in range(n_vertices)]  # path from i of length l
     pos = {path: t for t, path in enumerate(paths)}
     n = len(paths)
     table = np.zeros((n, n, n), dtype=np.int64)
     for (i, l), s in pos.items():
         for (j, m), u in pos.items():
-            if j == (i + l) % 3 and l + m <= 2:
+            if j == (i + l) % n_vertices and l + m <= k:
                 table[s, u, pos[(i, l + m)]] = 1
     degrees = np.array([l for _, l in paths])
-    idems = np.eye(3, n, dtype=np.int64)
-    rng = np.random.default_rng(32)
+    idems = np.eye(n_vertices, n, dtype=np.int64)
+    rng = np.random.default_rng(seed)
     basis = np.zeros((n, n), dtype=np.int64)  # column t: old coordinates of new vector t
-    for d in range(3):
+    for d in range(k + 1):
         idx = np.nonzero(degrees == d)[0]
         while True:
             block = rng.integers(1, P, size=(idx.size, idx.size))
@@ -237,3 +235,16 @@ def rebased_nakayama32():
         P, names, degrees, new_table, inv @ idems.sum(axis=0) % P, idems @ inv.T % P
     )
     return validate_algebra(a)
+
+
+@pytest.fixture(scope="session")
+def rebased_nakayama():
+    """Factory for rebased N(n, k); N(3, 2) is the ``rebased_nakayama32`` fixture."""
+    return _rebased_nakayama
+
+
+@pytest.fixture(scope="session")
+def rebased_nakayama32():
+    """N(3, 2) in a seeded random homogeneous basis: three idempotents, a
+    non-trivial Nakayama permutation, dense products."""
+    return _rebased_nakayama(3, 2, 32)

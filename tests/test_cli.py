@@ -185,6 +185,18 @@ def test_cli_refuses_inexact_numbers(capsys, tmp_path):
             assert where in rep["error"]["message"], (literal, where)
 
 
+def test_loader_refuses_degree_past_prime_bound():
+    # a block construction needs p > dim b(A) >= c and p <= PRIME_BOUND, so a
+    # larger degree is refused when the file is read
+    doc = fileio.algebra_to_doc(gen_example("truncated_poly", n=2))
+    for degree in (10**12, modp.PRIME_BOUND + 1):
+        doc["basis"][1]["degree"] = degree
+        with pytest.raises(fileio.ParseError, match="degree of 'x' exceeds"):
+            fileio.loads(json.dumps(doc))
+    doc["basis"][1]["degree"] = modp.PRIME_BOUND
+    assert fileio.loads(json.dumps(doc)).component_dims()[-1] == 1
+
+
 def test_cli_sums_coefficients_exactly(capsys, tmp_path):
     # coefficients are summed as integers, then reduced: two terms of 2^63 - 1
     # on one basis element would overflow int64

@@ -14,6 +14,8 @@ from gradedalg.algebra import (
 )
 from gradedalg.construct import AlgebraAutomorphism, T_of, block_layout, t_of
 from gradedalg.equiv import (
+    _component_projectors,
+    _read_components,
     extract_sigma,
     phi,
     psi,
@@ -29,10 +31,12 @@ from gradedalg.modules import (
     hom_basis,
     hom_dim,
     inj,
+    is_projective,
     proj,
     regular_module,
     simple,
     simple_classes,
+    top_summands,
     width,
     zero_module,
 )
@@ -121,26 +125,33 @@ def test_phi_identity_on_morphisms(truncated):
         moved.validate()  # the same matrix intertwines over t(A)
 
 
-def test_psi_on_component_mixed_basis(truncated):
-    # conjugate Phi(regular) by a degree-preserving change mixing components;
-    # psi must still produce a valid module of the right shape
-    a = truncated(3)
-    t = t_of(a)
-    f = phi(a, regular_module(a))
+def test_psi_on_component_mixed_basis(graded_corpus):
+    # conjugate Phi(regular) by a random invertible block on every degree
+    # slice, which mixes the components; psi must give back the regular
+    # module up to isomorphism, and a projective is determined by its top
     rng = np.random.default_rng(7)
-    d = f.dim
-    while True:
-        g = modp.identity(d)
-        cols0 = f.slice_indices(0)
-        g[np.ix_(cols0, cols0)] = rng.integers(0, a.p, size=(cols0.size, cols0.size))
-        if modp.invert(g, a.p) is not None:
-            break
-    ginv = modp.invert(g, a.p)
-    mixed = GradedModule(t, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
-    mixed.validate()
-    m = psi(a, mixed)
-    m.validate()
-    assert sorted(m.degrees.tolist()) == sorted(regular_module(a).degrees.tolist())
+    unadapted = 0
+    for name, a in graded_corpus:
+        r = regular_module(a)
+        f = phi(a, r)
+        g = modp.zeros(f.dim, f.dim)
+        for deg in np.unique(f.degrees):
+            cols = f.slice_indices(deg)
+            while True:
+                block = rng.integers(0, a.p, size=(cols.size, cols.size))
+                if modp.invert(block, a.p) is not None:
+                    break
+            g[np.ix_(cols, cols)] = block
+        ginv = modp.invert(g, a.p)
+        mixed = GradedModule(f.algebra, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
+        mixed.validate()
+        unadapted += _read_components(_component_projectors(a, mixed), mixed.dim) is None
+        m = psi(a, mixed)
+        m.validate()
+        assert sorted(m.degrees.tolist()) == sorted(r.degrees.tolist()), name
+        assert is_projective(m), name
+        assert Counter(top_summands(m)[0]) == Counter(top_summands(r)[0]), name
+    assert unadapted
 
 
 def test_well_graded_biconditional_with_extension(graded_corpus):
