@@ -189,15 +189,11 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
     reduce (nf x n) sends a vector to quotient coordinates; section (n x nf)
     picks the representative supported on free coordinates.
     """
-    free = [j for j in range(n) if j not in set(pivots)]
-    red = modp.zeros(len(free), n)
-    for t, f in enumerate(free):
-        red[t, f] = 1
+    free = np.setdiff1d(np.arange(n), pivots).tolist()
+    sec = modp.identity(n)[:, free]
+    red = sec.T.copy()
     if pivots:
         red[:, pivots] = (-rows_basis[:, free].T) % p
-    sec = modp.zeros(n, len(free))
-    for t, f in enumerate(free):
-        sec[f, t] = 1
     return red, sec, free
 
 
@@ -242,9 +238,8 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
 
     Checks: prime size, associativity on all basis pairs, two-sided unit,
     graded multiplicativity, orthogonal idempotents summing to the unit,
-    and primitivity of each designated idempotent (local corner test via
-    commutativity of the semisimple quotient plus Frobenius fixed-space
-    rank one).
+    and primitivity of each designated idempotent (its corner in
+    A_0/rad A_0 is commutative with Frobenius fixed space of dimension one).
     """
     p, n = a.p, a.dim
     if p <= n:
@@ -287,30 +282,29 @@ def _check_idempotents(a: GradedAlgebra) -> None:
         raise IdempotentFault("no designated idempotents")
     if np.any(ide[:, a.degrees != 0]):
         raise IdempotentFault("idempotents must lie in the degree-0 component")
+    # prods[i, :, j] = e_i * e_j, which must be e_i when i = j and 0 otherwise
+    prods = (np.tensordot(ide, a.left, axes=1) % a.p) @ ide.T % a.p
+    wrong = np.any(prods != np.einsum("ij,ik->ikj", modp.identity(len(ide)), ide), axis=1)
     for i in range(ide.shape[0]):
         if not np.any(ide[i]):
             raise IdempotentFault(f"designated idempotent {i} is zero")
-        for j in range(ide.shape[0]):
-            prod = a.mul(ide[i], ide[j])
-            expect = ide[i] if i == j else modp.zeros(a.dim)
-            if not np.array_equal(prod, expect):
-                raise IdempotentFault(f"e_{i} * e_{j} is not {'e_' + str(i) if i == j else '0'}")
+        if wrong[i].any():
+            j = int(np.argmax(wrong[i]))
+            raise IdempotentFault(f"e_{i} * e_{j} is not {'e_' + str(i) if i == j else '0'}")
     if not np.array_equal(ide.sum(axis=0) % a.p, a.unit):
         raise IdempotentFault("designated idempotents do not sum to the unit")
 
 
 def _check_primitive(a: GradedAlgebra, i: int) -> None:
-    """e_i is primitive iff e_i A_0 e_i is local.
+    """e_i is primitive iff its corner in S = A_0/rad A_0 is a division ring.
 
-    Over F_p localness reduces to: the semisimple quotient is commutative
-    (Wedderburn: finite division rings are fields) and the fixed space of
-    x -> x^p on it has dimension one (a commutative semisimple F_p-algebra
-    is a product of finite fields; Frobenius fixes an F_p from each factor).
+    That corner is e_i A_0 e_i modulo its radical (Assem-Simson-Skowronski,
+    Elements I, ch. I), so it is semisimple, and over F_p a division ring iff
+    commutative (Wedderburn) with a one-dimensional fixed space of x -> x^p
+    (a product of finite fields; Frobenius fixes an F_p in each factor).
     """
-    a0 = degree_zero_subalgebra(a)
-    corner_i = corner(a0, a0.idempotents[i])
-    rad = radical(corner_i)
-    q, _, _ = quotient_algebra(corner_i, rad)
+    s, _, _ = semisimple_quotient(degree_zero_subalgebra(a))
+    q = corner(s, s.idempotents[i])
     if not np.array_equal(q.table, q.table.transpose(1, 0, 2)):
         raise NotPrimitive(f"idempotent {i}: corner semisimple quotient is noncommutative")
     frob = modp.zeros(q.dim, q.dim)
@@ -339,21 +333,25 @@ def _element_power(a: GradedAlgebra, v: np.ndarray, k: int) -> np.ndarray:
 
 
 @cached
-def radical(a: GradedAlgebra) -> np.ndarray:
-    """Homogeneous row basis of the Jacobson radical (cached).
+def _radical_and_quotient(a: GradedAlgebra):
+    """(radical rows, (A/rad A, reduce, section)), built together (cached).
 
-    Computed as the kernel of the trace form (x, y) -> trace(L_{xy}) of the
-    left regular representation, valid whenever p > dim (Dickson).  The
-    result is verified: the quotient's own trace form must be nondegenerate.
+    The radical is the kernel of the trace form (x, y) -> trace(L_{xy}),
+    valid whenever p > dim (Dickson), and the quotient that verifies it (its
+    own trace form must be nondegenerate) is the one kept.
     """
     modp.require_prime_exceeds(a.p, a.dim)
-    rad = _trace_form_kernel(a)
-    rows, _, _ = homogeneous_row_basis(rad, a.degrees, a.p)
-    q, _, _ = quotient_algebra(a, rows)
+    rows, _, _ = homogeneous_row_basis(_trace_form_kernel(a), a.degrees, a.p)
+    q, red, sec = quotient_algebra(a, rows)
     if q.dim and _trace_form_kernel(q).shape[0] != 0:
         raise CheckFailed("radical check failed: quotient is not semisimple")
     rows.flags.writeable = False
-    return rows
+    return rows, (q, red, sec)
+
+
+def radical(a: GradedAlgebra) -> np.ndarray:
+    """Homogeneous row basis of the Jacobson radical (cached, and verified)."""
+    return _radical_and_quotient(a)[0]
 
 
 @cached
@@ -389,29 +387,35 @@ def _trace_form_kernel(a: GradedAlgebra) -> np.ndarray:
     return ker
 
 
-@cached
 def semisimple_quotient(a: GradedAlgebra):
-    """A/rad(A) together with the projection matrix (cached)."""
-    return quotient_algebra(a, radical(a))
+    """(A/rad A, reduce, section): the quotient that verified ``radical`` (cached)."""
+    return _radical_and_quotient(a)[1]
 
 
 def quotient_algebra(a: GradedAlgebra, ideal_rows: np.ndarray):
     """Quotient by a two-sided ideal given as homogeneous rows.
 
-    Returns (quotient, reduce, section).  The quotient's designated
-    idempotent set is the image of the unit only; quotients are internal
-    helpers and never re-validated for primitivity.
+    Returns (quotient, reduce, section).  The quotient designates the images
+    of A's idempotents and is never validated; in A/rad A each image is
+    primitive exactly when its preimage is (see ``_check_primitive``).
     """
     rows, _, pivots = homogeneous_row_basis(ideal_rows, a.degrees, a.p)
     red, sec, free = quotient_maps(rows, pivots, a.dim, a.p)
-    nf = len(free)
-    table = modp.zeros(nf, nf, nf)
-    for s in range(nf):
-        prods = a.left_mult(sec[:, s]) @ sec % a.p  # columns: b_s * b_t
-        table[s] = (red @ prods).T % a.p
-    unit = red @ a.unit % a.p
-    q = GradedAlgebra(a.p, [a.names[f] for f in free], a.degrees[free], table, unit, [unit])
+    table = _induced_table(a, sec.T, red)
+    q = GradedAlgebra(
+        a.p, [a.names[f] for f in free], a.degrees[free], table,
+        red @ a.unit % a.p, a.idempotents @ red.T % a.p,
+    )
     return q, red, sec
+
+
+def _induced_table(a: GradedAlgebra, basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """table[s, t] = coords @ (basis[s] * basis[t]): the structure constants of a
+    corner (coords picks the pivots) or a quotient (coords is the reduction)."""
+    p = a.p
+    half = np.tensordot(basis, a.table, axes=1) % p  # half[s, j]: basis[s] * b_j
+    prods = np.tensordot(half, basis, axes=(1, 1)) % p  # prods[s, k, t]: coordinate k of basis[s] * basis[t]
+    return np.tensordot(prods, coords, axes=(1, 1)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +455,8 @@ def corner(a: GradedAlgebra, e: np.ndarray) -> GradedAlgebra:
         raise NotIdempotent("corner element is not a sum of designated idempotents")
     span = (left @ right) % p  # columns: e * b_j * e
     basis, degs, pivots = homogeneous_row_basis(span.T, a.degrees, p)
-    k = basis.shape[0]
-    table = modp.zeros(k, k, k)
-    for s in range(k):
-        prods = a.left_mult(basis[s]) @ basis.T % p
-        table[s] = prods[pivots].T
-    names = [f"c{t}:{a.names[pivots[t]]}" for t in range(k)]
+    table = _induced_table(a, basis, modp.identity(a.dim)[pivots])
+    names = [f"c{t}:{a.names[pivots[t]]}" for t in range(len(pivots))]
     unit = e[pivots]
     idems = a.idempotents[members][:, pivots]
     return GradedAlgebra(p, names, degs, table, unit, idems)

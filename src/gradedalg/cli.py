@@ -233,23 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.time()
-    report = {
-        "command": args.command,
-        "prime": None,
-        "input_digest": None,
-        "results": None,
-        "timing_s": None,
-    }
+def _run(args, report: dict) -> int:
+    """Fill in the report of one command and return its exit code."""
     if getattr(args, "file", None):
         try:
             report["input_digest"] = _digest(args.file)
         except OSError as exc:
             report["error"] = {"kind": "io", "message": str(exc)}
-            report["timing_s"] = round(time.time() - t0, 6)
-            _emit(report, args.out)
             return 1
         try:
             doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
@@ -260,29 +250,36 @@ def main(argv=None) -> int:
     else:
         report["prime"] = getattr(args, "prime", DEFAULT_PRIME)
     try:
-        results = args.fn(args)
+        report["results"] = args.fn(args)
     except ParseError as exc:
         report["error"] = {"kind": "parse", "message": str(exc)}
-        report["timing_s"] = round(time.time() - t0, 6)
-        _emit(report, args.out)
         return 1
     except PreconditionError as exc:
         report["error"] = {"kind": "precondition", "message": str(exc)}
         if isinstance(exc, PreconditionFailed):
             report["error"]["hypothesis"] = exc.hypothesis
             report["error"]["detail"] = exc.detail
-        report["timing_s"] = round(time.time() - t0, 6)
-        _emit(report, args.out)
         return 2
     except (CheckFailed, GeneratorNotFound, AmbiguousMatch) as exc:
         report["error"] = {"kind": "internal-check", "message": str(exc)}
-        report["timing_s"] = round(time.time() - t0, 6)
-        _emit(report, args.out)
         return 3
-    report["results"] = results
+    return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
+    report = {
+        "command": args.command,
+        "prime": None,
+        "input_digest": None,
+        "results": None,
+        "timing_s": None,
+    }
+    code = _run(args, report)
     report["timing_s"] = round(time.time() - t0, 6)
     _emit(report, args.out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

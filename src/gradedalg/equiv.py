@@ -259,32 +259,19 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
         return lm, rm
 
     rng = np.random.default_rng(seed)
-    candidate = None
-    trials_used = 0
-    for _ in range(trials):
-        trials_used += 1
-        m_vec = rng.integers(0, p, size=x.dim, dtype=np.int64)
+    draws = (rng.integers(0, p, size=x.dim, dtype=np.int64) for _ in range(trials))
+    sweep = (
+        np.isin(np.arange(x.dim), combo).astype(np.int64)
+        for size in (1, 2, 3)
+        for combo in itertools.combinations(range(x.dim), size)
+    )
+    for trials_used, m_vec in enumerate(itertools.chain(draws, sweep), start=1):
         lm, rm = maps_of(m_vec)
         lm_inv = modp.invert(lm, p)
         if lm_inv is not None and modp.invert(rm, p) is not None:
-            candidate = (m_vec, lm, rm, lm_inv)
             break
-    if candidate is None:
-        for size in (1, 2, 3):
-            for combo in itertools.combinations(range(x.dim), size):
-                trials_used += 1
-                m_vec = modp.zeros(x.dim)
-                m_vec[list(combo)] = 1
-                lm, rm = maps_of(m_vec)
-                lm_inv = modp.invert(lm, p)
-                if lm_inv is not None and modp.invert(rm, p) is not None:
-                    candidate = (m_vec, lm, rm, lm_inv)
-                    break
-            if candidate:
-                break
-    if candidate is None:
+    else:
         raise GeneratorNotFound("no generator with bijective multiplication maps")
-    m_vec, lm, rm, lm_inv = candidate
     sigma_mat = (lm_inv @ rm) % p
     sigma = AlgebraAutomorphism(b, sigma_mat)
     try:

@@ -375,20 +375,22 @@ def simple_classes(a: GradedAlgebra):
 
     Returns (reps, class_of, corners): representative index per class, the
     class index of every designated idempotent, and for each representative
-    r the non-zero rows e_r b_j e_r, which span the corner e_r A e_r.
+    r lifts of the non-zero e_r b e_r, b in S = A/rad(A), which span e_r S e_r
+    and so act on any top as e_r A e_r does.  e_i and e_j are isomorphic iff
+    e_i S e_j != 0.
     """
-    _, red, _ = semisimple_quotient(a)
-    l, p = a.n_idempotents, a.p
-    lefts = [a.left_mult(e) for e in a.idempotents]
-    rights = [a.right_mult(e) for e in a.idempotents]
-    # sandwich[i][j] has the columns e_i b e_j, one per basis element b
-    sandwich = [[(left @ right) % p for right in rights] for left in lefts]
-    nonzero = [[bool(np.any((red @ s) % p)) for s in row] for row in sandwich]
+    s, _, sec = semisimple_quotient(a)
+    p = s.p
+    lefts = np.tensordot(s.idempotents, s.left, axes=1) % p
+    rights = np.tensordot(s.idempotents, s.right, axes=1) % p
+    # sandwich[i, j] has the columns e_i b e_j, one per basis element b of S
+    sandwich = lefts[:, None] @ rights[None, :] % p
+    nonzero = sandwich.any(axis=(2, 3))
     reps: list[int] = []
-    class_of = [-1] * l
-    for i in range(l):
+    class_of = [-1] * a.n_idempotents
+    for i in range(a.n_idempotents):
         for ci, r in enumerate(reps):
-            if nonzero[i][r] and nonzero[r][i]:
+            if nonzero[i, r]:  # S is semisimple, so then nonzero[r, i] too
                 class_of[i] = ci
                 break
         else:
@@ -396,8 +398,8 @@ def simple_classes(a: GradedAlgebra):
             reps.append(i)
     corners = []
     for r in reps:
-        rows = sandwich[r][r].T
-        rows = rows[rows.any(axis=1)]
+        rows = sandwich[r, r].T
+        rows = rows[rows.any(axis=1)] @ sec.T
         rows.flags.writeable = False
         corners.append(rows)
     return reps, class_of, corners

@@ -122,6 +122,51 @@ def test_idempotent_faults():
         validate_algebra(bad)
 
 
+def ref_idempotent_fault(a):
+    """First fault of the pairwise products, in the order (i, then j), or None."""
+    ide = a.idempotents
+    for i in range(ide.shape[0]):
+        if not np.any(ide[i]):
+            return f"designated idempotent {i} is zero"
+        for j in range(ide.shape[0]):
+            expect = ide[i] if i == j else modp.zeros(a.dim)
+            if not np.array_equal(a.mul(ide[i], ide[j]), expect):
+                return f"e_{i} * e_{j} is not {'e_' + str(i) if i == j else '0'}"
+    return None
+
+
+def _kkk():
+    table = modp.zeros(3, 3, 3)
+    table[0, 0, 0] = table[1, 1, 1] = table[2, 2, 2] = 1
+    return ["e1", "e2", "e3"], table, [1, 1, 1]
+
+
+def _upper2():
+    """Upper triangular 2 x 2 matrices: u00 u01 = u01 = u01 u11."""
+    table = modp.zeros(3, 3, 3)
+    table[0, 0, 0] = table[0, 1, 1] = table[1, 2, 1] = table[2, 2, 2] = 1
+    return ["u00", "u01", "u11"], table, [1, 0, 1]
+
+
+@pytest.mark.parametrize("build, idems, message", [
+    (_kkk, [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "e_0 * e_0 is not e_0"),
+    (_kkk, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "e_0 * e_1 is not 0"),
+    (_kkk, [[1, 0, 0], [0, 0, 0], [0, 1, 1]], "designated idempotent 1 is zero"),
+    (_kkk, [[1, 0, 0], [0, 0, 1], [0, 1, 1]], "e_1 * e_2 is not 0"),
+    # (u00 + u01) u11 = u01 but u11 (u00 + u01) = 0: only one order of each pair fails
+    (_upper2, [[1, 1, 0], [0, 0, 1]], "e_0 * e_1 is not 0"),
+    (_upper2, [[0, 0, 1], [1, 1, 0]], "e_1 * e_0 is not 0"),
+])
+def test_idempotent_faults_in_pairwise_order(build, idems, message):
+    # the first fault raised is the pairwise loop's first, message and all
+    names, table, unit = build()
+    a = GradedAlgebra(P, names, [0, 0, 0], table, unit, idems)
+    assert ref_idempotent_fault(a) == message
+    with pytest.raises(IdempotentFault) as err:
+        validate_algebra(a)
+    assert str(err.value) == message
+
+
 def test_non_primitive_unit_rejected():
     # k x k with the single idempotent 1 is not primitive
     table = modp.zeros(2, 2, 2)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from gradedalg import corpus, modp
 from gradedalg.algebra import (
     degree_zero_subalgebra,
+    dual_bimodule_of,
     generators,
     is_left_well_graded,
     radical,
@@ -336,6 +338,45 @@ def test_extract_sigma_deterministic_fallback(truncated):
     t = t_of(truncated(3))
     ext = extract_sigma(t, trials=0)
     ext.sigma.validate()
+
+
+def ref_generator_search(t, seed, trials):
+    """(generator, trials used): seeded random trials, then a separate sweep
+    over the sums of one, two and three dual basis vectors."""
+    b, x, _, _ = split_trivial_extension(t)
+    dual, p = dual_bimodule_of(x), b.p
+
+    def bijective(m_vec):
+        return all(modp.invert(((act @ m_vec) % p).T, p) is not None
+                   for act in (dual.left_action, dual.right_action))
+
+    rng = np.random.default_rng(seed)
+    used = 0
+    for _ in range(trials):
+        used += 1
+        m_vec = rng.integers(0, p, size=x.dim, dtype=np.int64)
+        if bijective(m_vec):
+            return m_vec, used
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(range(x.dim), size):
+            used += 1
+            m_vec = modp.zeros(x.dim)
+            m_vec[list(combo)] = 1
+            if bijective(m_vec):
+                return m_vec, used
+    return None, used
+
+
+def test_extract_sigma_search_matches_reference(truncated, rebased_nakayama32, swap_twisted_extension):
+    # the one chained candidate loop keeps the generator and the trial count
+    swept = 0
+    for t in (t_of(truncated(3)), t_of(rebased_nakayama32), swap_twisted_extension):
+        for seed, trials in ((0, 128), (7, 1), (0, 0)):
+            ext = extract_sigma(t, seed=seed, trials=trials)
+            m_vec, used = ref_generator_search(t, seed, trials)
+            assert np.array_equal(ext.generator, m_vec) and ext.trials_used == used
+            swept += used > trials + 1
+    assert swept  # some sweep gets past its first candidate
 
 
 def test_pipeline_two_idempotents_top_degree_two(product_c2):

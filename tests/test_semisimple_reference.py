@@ -1,0 +1,183 @@
+"""Primitivity and the simple classes against their per-idempotent definitions.
+
+The library decides both in S = A/rad A, built once per algebra: e_i is
+primitive iff the corner of its image in the semisimple quotient of A_0 is
+a division ring, and e_i, e_j are isomorphic iff e_i S e_j != 0.  The
+references below are the direct procedures: a corner, a radical and a
+quotient for every idempotent, and sandwiches e_i A e_j in A projected to S.
+"""
+
+import numpy as np
+import pytest
+
+from gradedalg import modp
+from gradedalg.algebra import (
+    GradedAlgebra,
+    _check_primitive,
+    _element_power,
+    corner,
+    degree_zero_subalgebra,
+    quotient_algebra,
+    radical,
+    semisimple_quotient,
+    validate_algebra,
+)
+from gradedalg.construct import T_of, beilinson
+from gradedalg.errors import NotPrimitive
+from gradedalg.modules import simple_classes
+
+P = 7919
+
+
+def division_invariants(q):
+    """(dim, commutative, dim of the fixed space of x -> x^p) of a semisimple q."""
+    frob = modp.zeros(q.dim, q.dim)
+    for j in range(q.dim):
+        frob[:, j] = _element_power(q, modp.identity(q.dim)[j], q.p)
+    _, ker = modp.rank_kernel((frob - modp.identity(q.dim)) % q.p, q.p)
+    return q.dim, bool(np.array_equal(q.table, q.table.transpose(1, 0, 2))), ker.shape[0]
+
+
+def ref_corner_quotient(a, i):
+    """e_i A_0 e_i modulo its own radical."""
+    a0 = degree_zero_subalgebra(a)
+    corner_i = corner(a0, a0.idempotents[i])
+    q, _, _ = quotient_algebra(corner_i, radical(corner_i))
+    return q
+
+
+def ref_check_primitive(a, i):
+    """The per-idempotent procedure: e_i is primitive iff e_i A_0 e_i is local."""
+    _, commutative, fixed = division_invariants(ref_corner_quotient(a, i))
+    if not commutative:
+        raise NotPrimitive(f"idempotent {i}: corner semisimple quotient is noncommutative")
+    if fixed != 1:
+        raise NotPrimitive(f"idempotent {i}: Frobenius fixed space has dimension {fixed}")
+
+
+def ref_simple_classes(a):
+    """(reps, class_of, corners) from the l^2 sandwiches e_i A e_j in A."""
+    _, red, _ = semisimple_quotient(a)
+    l, p = a.n_idempotents, a.p
+    lefts = [a.left_mult(e) for e in a.idempotents]
+    rights = [a.right_mult(e) for e in a.idempotents]
+    sandwich = [[(left @ right) % p for right in rights] for left in lefts]
+    nonzero = [[bool(np.any((red @ s) % p)) for s in row] for row in sandwich]
+    reps, class_of = [], [-1] * l
+    for i in range(l):
+        for ci, r in enumerate(reps):
+            if nonzero[i][r] and nonzero[r][i]:
+                class_of[i] = ci
+                break
+        else:
+            class_of[i] = len(reps)
+            reps.append(i)
+    corners = []
+    for r in reps:
+        rows = sandwich[r][r].T
+        corners.append(rows[rows.any(axis=1)])
+    return reps, class_of, corners
+
+
+def outcome(check, a, i):
+    try:
+        check(a, i)
+    except NotPrimitive as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def semisimple_corpus(graded_corpus, nonsplit_dual_numbers, kx2_degree0, matrix2x2, product_c2,
+                      rebased_nakayama32, truncated, uppertri):
+    return graded_corpus + [
+        ("F_p2[x]/(x^2)", nonsplit_dual_numbers),
+        ("k[x]/(x^2) in degree 0", kx2_degree0),
+        ("M_2(k)", matrix2x2),
+        ("k[x]/(x^3) x k[y]/(y^3)", product_c2),
+        ("rebased N(3,2)", rebased_nakayama32),
+        ("upper triangular c=3", uppertri(3)),
+        ("T(b(k[x]/(x^3)))", T_of(beilinson(truncated(3)))),
+        ("T(b(rebased N(3,2)))", T_of(beilinson(rebased_nakayama32))),
+    ]
+
+
+@pytest.fixture(scope="module")
+def non_primitive(matrix2x2):
+    """Algebras with a designated idempotent that is not primitive."""
+    kk = modp.zeros(2, 2, 2)
+    kk[0, 0, 0] = kk[1, 1, 1] = 1
+    kkk = modp.zeros(3, 3, 3)
+    kkk[0, 0, 0] = kkk[1, 1, 1] = kkk[2, 2, 2] = 1
+    # k[x]/(x^2) x k, all in degree 0, so rad A_0 = (x) != 0
+    kx2k = modp.zeros(3, 3, 3)
+    kx2k[0, 0, 0] = kx2k[0, 1, 1] = kx2k[1, 0, 1] = kx2k[2, 2, 2] = 1
+    m2 = matrix2x2
+    return {
+        "k x k": GradedAlgebra(P, ["e1", "e2"], [0, 0], kk, [1, 1], [[1, 1]]),
+        "k[x]/(x^2) x k": GradedAlgebra(P, ["1a", "x", "1b"], [0, 0, 0], kx2k, [1, 0, 1], [[1, 0, 1]]),
+        "M_2(k)": GradedAlgebra(P, m2.names, m2.degrees, m2.table, m2.unit, [m2.unit]),
+        "k x (k x k)": GradedAlgebra(P, ["e1", "e2", "e3"], [0, 0, 0], kkk, [1, 1, 1],
+                                     [[1, 0, 0], [0, 1, 1]]),
+    }
+
+
+def test_primitivity_matches_reference(semisimple_corpus):
+    for name, a in semisimple_corpus:
+        s, _, _ = semisimple_quotient(degree_zero_subalgebra(a))
+        for i in range(a.n_idempotents):
+            # the corner of S is the corner's own semisimple quotient, up to isomorphism
+            want = division_invariants(ref_corner_quotient(a, i))
+            assert division_invariants(corner(s, s.idempotents[i])) == want, (name, i)
+            assert want[1:] == (True, 1), (name, i)
+            assert outcome(_check_primitive, a, i) is None, (name, i)
+    # End(S) is F_{p^2}: the corner is two-dimensional and still a field
+    nonsplit = dict(semisimple_corpus)["F_p2[x]/(x^2)"]
+    assert division_invariants(ref_corner_quotient(nonsplit, 0)) == (2, True, 1)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("k x k", "idempotent 0: Frobenius fixed space has dimension 2"),
+    ("k[x]/(x^2) x k", "idempotent 0: Frobenius fixed space has dimension 2"),
+    ("M_2(k)", "idempotent 0: corner semisimple quotient is noncommutative"),
+    ("k x (k x k)", "idempotent 1: Frobenius fixed space has dimension 2"),
+])
+def test_non_primitive_idempotents_refused(non_primitive, name, message):
+    a = non_primitive[name]
+    outcomes = [outcome(ref_check_primitive, a, i) for i in range(a.n_idempotents)]
+    assert next(filter(None, outcomes)) == message
+    with pytest.raises(NotPrimitive) as err:
+        validate_algebra(a)
+    assert str(err.value) == message
+
+
+def test_simple_classes_match_reference(semisimple_corpus):
+    for name, a in semisimple_corpus:
+        reps, class_of, corners = simple_classes(a)
+        ref_reps, ref_class_of, ref_corners = ref_simple_classes(a)
+        assert (reps, class_of) == (ref_reps, ref_class_of), name
+        _, red, sec = semisimple_quotient(a)
+        for rows, ref_rows in zip(corners, ref_corners, strict=True):
+            # lifts through the section of S, spanning the image of e_r A e_r in S
+            assert np.array_equal(rows, (rows @ red.T % a.p) @ sec.T), name
+            got, _ = modp.row_basis(rows @ red.T, a.p)
+            want, _ = modp.row_basis(ref_rows @ red.T, a.p)
+            assert np.array_equal(got, want), name
+    # M_2(k): one class; upper triangular: e_i A e_j != 0 for i < j, but no two are isomorphic
+    named = dict(semisimple_corpus)
+    assert simple_classes(named["M_2(k)"])[1] == [0, 0]
+    assert simple_classes(named["upper triangular c=3"])[1] == [0, 1, 2]
+
+
+def test_simple_classes_multiply_in_the_quotient_only(monkeypatch, rebased_nakayama32):
+    # the classes come from S: no multiplication map of A itself is formed
+    a = rebased_nakayama32
+    fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
+    semisimple_quotient(fresh)
+
+    def refuse(self, v):
+        raise AssertionError("a multiplication map of A was formed")
+
+    monkeypatch.setattr(GradedAlgebra, "left_mult", refuse)
+    monkeypatch.setattr(GradedAlgebra, "right_mult", refuse)
+    assert simple_classes(fresh)[:2] == ([0, 1, 2], [0, 1, 2])
