@@ -201,19 +201,22 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
 # validation
 
 
-def representation_fault(table: np.ndarray, mats: np.ndarray, p: int) -> Optional[tuple[int, int, int]]:
-    """First (i, j, col) where mats[i] @ mats[j] != sum_k table[i, j, k] mats[k].
+def representation_fault(
+    table: np.ndarray, mats: np.ndarray, rows: np.ndarray, p: int
+) -> Optional[tuple[int, int, int]]:
+    """First (i, j, col), i in ``rows``, where mats[i] @ mats[j] != sum_k table[i, j, k] mats[k].
 
-    ``col`` is the first column of the failing product.  Returns None when
-    the matrices respect the multiplication.  Works one basis element at a
-    time, so memory stays O(n^3) rather than O(n^4).  Both sides come from
-    ``modp.dot``, so their difference is exact and fmod tells whether it
-    vanishes mod p.
+    ``i`` and ``j`` are basis indices and ``col`` is the first column of the
+    failing product.  Returns None when the checked products agree; with
+    ``rows`` = ``generators(A)`` that means the matrices respect the whole
+    multiplication (see ``generators``).  Works one row at a time, so memory
+    stays O(n^3) rather than O(n^4).  Both sides come from ``modp.dot``, so
+    their difference is exact and fmod tells whether it vanishes mod p.
     """
     n, d = mats.shape[0], mats.shape[-1]
     mats = np.asarray(mats, dtype=np.float64)
     flat = mats.reshape(n, d * d)
-    for i in range(table.shape[0]):
+    for i in rows.tolist():
         diff = modp.dot(mats[i], mats, p).reshape(n, d * d)  # diff[j] = mats[i] @ mats[j]
         diff -= modp.dot(table[i], flat, p)
         np.fmod(diff, p, out=diff)
@@ -224,13 +227,39 @@ def representation_fault(table: np.ndarray, mats: np.ndarray, p: int) -> Optiona
     return None
 
 
-def intertwine_fault(f: np.ndarray, src: np.ndarray, tgt: np.ndarray, p: int) -> Optional[int]:
-    """First i where tgt[i] @ f != f @ src[i], or None when f intertwines."""
+def intertwine_fault(
+    f: np.ndarray, src: np.ndarray, tgt: np.ndarray, rows: np.ndarray, p: int
+) -> Optional[int]:
+    """First rows[k] where tgt[k] @ f != f @ src[k], or None when f intertwines.
+
+    src[k] and tgt[k] are the matrices of the basis element rows[k]; with
+    ``rows`` = ``generators(A)`` and both sides representations, None means
+    f intertwines all of A (see ``generators``).
+    """
     diff = modp.dot(tgt, f, p)
     diff -= modp.dot(f, src, p)
     np.fmod(diff, p, out=diff)
     hits = np.flatnonzero(diff.any(axis=(1, 2)))
-    return int(hits[0]) if hits.size else None
+    return int(rows[hits[0]]) if hits.size else None
+
+
+def algebra_map_fault(h: np.ndarray, src: GradedAlgebra, tgt: GradedAlgebra) -> Optional[str]:
+    """Why the linear map h : src -> tgt (a coordinate matrix) is not an algebra
+    map, or None when it is.
+
+    Checks h(1) = 1, then h(g b) = h(g) h(b) for g in ``generators(src)`` and
+    every basis element b, which suffices (see ``generators``).  Both algebras
+    must be associative, with p > dim src.
+    """
+    p = src.p
+    if not np.array_equal(h @ src.unit % p, tgt.unit):
+        return "does not fix the unit"
+    gens = generators(src)
+    images = np.tensordot(h[:, gens].T, tgt.left, axes=1) % p  # images[k] = L(h(g_k))
+    i = intertwine_fault(h, src.left[gens], images, gens, p)
+    if i is not None:
+        return f"is not multiplicative at {src.names[i]}"
+    return None
 
 
 def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
@@ -261,8 +290,9 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
             f"product {a.names[i]} * {a.names[j]} leaves the graded component"
         )
 
-    # associativity: L(b_i) L(b_j) == L(b_i b_j) suffices on basis vectors
-    fault = representation_fault(a.table, a.left, p)
+    # associativity: L(b_i) L(b_j) == L(b_i b_j) on all basis pairs; the
+    # generators come from the radical, which presumes associativity
+    fault = representation_fault(a.table, a.left, np.arange(n), p)
     if fault is not None:
         i, j, k = fault
         raise NonAssociative(
@@ -356,13 +386,34 @@ def radical(a: GradedAlgebra) -> np.ndarray:
 
 @cached
 def generators(a: GradedAlgebra) -> np.ndarray:
-    """Basis indices whose elements generate ``a`` as an algebra (cached).
+    """Basis indices G whose elements generate ``a`` as an algebra (cached).
 
     They are the free columns of the RREF of rad^2, so they span a complement
-    of rad^2, and there are dim A - dim rad^2 of them.  A subalgebra S with
-    S + rad^2 = A is A itself, because rad is nilpotent (Assem-Simson-
-    Skowronski, Elements of the Representation Theory of Associative Algebras
-    I, ch. II).
+    of rad^2, and there are dim A - dim rad^2 of them.  The radical is the
+    trace-form one, so ``a`` must be associative, with p > dim A or this
+    raises PrimeTooSmall.
+
+    Every multiplication check in the package but the associativity check of
+    ``validate_algebra`` reads only the rows G, by this lemma.  Let M be a
+    linear map from A to matrices with M(g) M(b) = M(gb) for every g in G and
+    every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
+    a with M(a) M(b) = M(ab) for all b form a subspace S.  It contains G, and
+    it is closed under left multiplication by G, since then
+    M(ga) M(b) = M(g) M(a) M(b) = M(g) M(ab) = M(gab).  So S contains the
+    non-unital algebra C generated by G, and C = A: as A = C + rad^2, every
+    element of rad is one of rad and C plus one of rad^2, so expanding
+    products gives rad^j in C + rad^(j+1) for every j, and then
+    A = C + rad^2 = C + rad^3 = ... = C, since rad^k = 0 for some k
+    (Assem-Simson-Skowronski, Elements I, ch. II).  With M(1) = I checked on
+    its own, M is a representation.  The same argument gives:
+
+    * an anti-representation (a right action), from M(g) M(b) = M(bg);
+    * an intertwiner f from a representation M to a representation M', from
+      M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra;
+    * a multiplicative linear map h between associative algebras, from
+      h(g b) = h(g) h(b);
+    * commuting left and right actions, from la(g) ra(g') = ra(g') la(g) for
+      g, g' in G, applying the intertwiner case once on each side.
     """
     rad, p = radical(a), a.p
     # prods[u, k, v] = coordinate k of rad[u] * rad[v]
@@ -528,23 +579,35 @@ class Bimodule:
         return np.einsum("i,iab->ab", v % self.algebra.p, self.right_action) % self.algebra.p
 
     def validate(self) -> "Bimodule":
+        """Check that both actions are unital, the left one a representation,
+        the right one an anti-representation, and that they commute.
+
+        Each product is checked on ``generators(A)`` only, which suffices (see
+        there): A must be associative, with p > dim A or this raises
+        PrimeTooSmall.
+        """
         a, p, d = self.algebra, self.algebra.p, self.dim
         ident = modp.identity(d)
         if not np.array_equal(self.act_left(a.unit), ident):
             raise ActionFault("left action is not unital")
         if not np.array_equal(self.act_right(a.unit), ident):
             raise ActionFault("right action is not unital")
-        la, ra = self.left_action, self.right_action
+        la, ra, gens = self.left_action, self.right_action, generators(a)
         # left is a representation, right an anti-representation
-        fault = representation_fault(a.table, la, p)
+        fault = representation_fault(a.table, la, gens, p)
         if fault is not None:
             raise ActionFault(f"left action not associative at {a.names[fault[0]]}")
-        fault = representation_fault(a.table.transpose(1, 0, 2), ra, p)
+        fault = representation_fault(a.table.transpose(1, 0, 2), ra, gens, p)
         if fault is not None:
             raise ActionFault(f"right action not associative at {a.names[fault[1]]}")
-        for i in range(a.dim):
-            if intertwine_fault(la[i], ra, ra, p) is not None:
-                raise ActionFault(f"left/right actions do not commute at {a.names[i]}")
+        # comm[u, v] = la(g_u) ra(g_v) - ra(g_v) la(g_u)
+        lg, rg = la[gens][:, None], ra[gens]
+        comm = modp.dot(lg, rg, p)
+        comm -= modp.dot(rg, lg, p)
+        np.fmod(comm, p, out=comm)
+        hits = np.flatnonzero(comm.any(axis=(1, 2, 3)))
+        if hits.size:
+            raise ActionFault(f"left/right actions do not commute at {a.names[gens[hits[0]]]}")
         return self
 
 

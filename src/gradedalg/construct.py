@@ -32,9 +32,9 @@ from . import modp
 from .algebra import (
     Bimodule,
     GradedAlgebra,
+    algebra_map_fault,
     cached,
     dual_bimodule_of,
-    intertwine_fault,
     regular_bimodule,
 )
 from .errors import (
@@ -79,15 +79,12 @@ class AlgebraAutomorphism:
         return out
 
     def validate(self) -> "AlgebraAutomorphism":
-        a, s, p = self.algebra, self.matrix, self.algebra.p
-        if not np.array_equal(s @ a.unit % p, a.unit):
-            raise NotAutomorphism("does not fix the unit")
+        a, s = self.algebra, self.matrix
         if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
             raise NotAutomorphism("does not preserve degrees")
-        # L(sigma(b_i)) sigma == sigma L(b_i) on every basis element
-        i = intertwine_fault(s, a.left, np.einsum("ki,kab->iab", s, a.left) % p, p)
-        if i is not None:
-            raise NotAutomorphism(f"not multiplicative at {a.names[i]}")
+        fault = algebra_map_fault(s, a, a)
+        if fault is not None:
+            raise NotAutomorphism(fault)
         return self
 
 
@@ -178,11 +175,11 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
         raise ActionFault("bimodule is not over the given algebra")
     if x.dim == 0:
         raise ZeroBimodule("trivial extension by the zero bimodule is trivially graded")
-    x.validate()
     nb, nx = b.dim, x.dim
     n = nb + nx
     if b.p <= n:
         raise PrimeTooSmall(f"prime {b.p} must exceed dim {n}")
+    x.validate()
     table = modp.zeros(n, n, n)
     table[:nb, :nb, :nb] = b.table
     table[:nb, nb:, nb:] = x.left_action.transpose(0, 2, 1)

@@ -49,8 +49,10 @@ from . import modp
 from .algebra import (
     Bimodule,
     GradedAlgebra,
+    algebra_map_fault,
     degree_zero_subalgebra,
     dual_bimodule_of,
+    generators,
     intertwine_fault,
     is_basic,
     is_left_well_graded,
@@ -282,10 +284,12 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
         raise CheckFailed("m b != sigma(b) m on the basis")
     theta = lm.T % p
     twisted = twisted_dual_bimodule(b, sigma)
-    i = intertwine_fault(theta, x.left_action, twisted.left_action, p)
+    # both sides are bimodules, so the generators of B suffice (see ``generators``)
+    gens = generators(b)
+    i = intertwine_fault(theta, x.left_action[gens], twisted.left_action[gens], gens, p)
     if i is not None:
         raise CheckFailed(f"iso does not intertwine the left action at {b.names[i]}")
-    i = intertwine_fault(theta, x.right_action, twisted.right_action, p)
+    i = intertwine_fault(theta, x.right_action[gens], twisted.right_action[gens], gens, p)
     if i is not None:
         raise CheckFailed(f"iso does not intertwine the right action at {b.names[i]}")
     return SigmaExtraction(b, sigma, m_vec, theta, trials_used)
@@ -411,9 +415,9 @@ def theorem_pipeline(
     if h_inv is None:
         raise CheckFailed("transport matrix is singular")
     # h must be an isomorphism of algebras T -> T(B^sigma)
-    i = intertwine_fault(h, t.left, np.einsum("ki,kab->iab", h, t_twist.left) % p, p)
-    if i is not None:
-        raise CheckFailed(f"transport is not multiplicative at {t.names[i]}")
+    fault = algebra_map_fault(h, t, t_twist)
+    if fault is not None:
+        raise CheckFailed(f"transport {fault}")
 
     # F: Phi, then h^{-1} and the twist back to T(B) on each slice; G undoes both
     def functor(m: GradedModule) -> GradedModule:
@@ -469,7 +473,10 @@ def theorem_pipeline(
     images = []
     for label, m, kind in samples:
         fm = functor(m)
-        fm.validate()
+        try:
+            fm.validate()
+        except CheckFailed as exc:
+            record("image", label, False, str(exc), transcript={"sample": label, "module": m.to_dict()})
         images.append(fm)
         back = inverse_functor(fm)
         record(

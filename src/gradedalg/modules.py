@@ -63,12 +63,18 @@ class GradedModule:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def validate(self) -> "GradedModule":
+        """Check that the action is unital, a representation and degree-compatible.
+
+        The products are checked on ``generators(A)`` only, which suffices (see
+        there): A must be associative, with p > dim A or this raises
+        PrimeTooSmall.
+        """
         a, p = self.algebra, self.p
         if self.dim == 0:
             return self
         if not np.array_equal(self.act(a.unit), modp.identity(self.dim)):
             raise CheckFailed("module action is not unital")
-        fault = representation_fault(a.table, self.action, p)
+        fault = representation_fault(a.table, self.action, generators(a), p)
         if fault is not None:
             raise CheckFailed(f"module action not associative at {a.names[fault[0]]}")
         dm = self.degrees
@@ -111,13 +117,16 @@ class GradedMorphism:
         self.matrix = modp.normalize(matrix, source.p).reshape(target.dim, source.dim)
 
     def validate(self) -> "GradedMorphism":
+        """Check that the matrix preserves degrees and intertwines ``generators(A)``,
+        which suffices when both endpoints are modules (see ``generators``)."""
         m, n, f = self.source, self.target, self.matrix
         if not m.algebra.same_as(n.algebra):
             raise AlgebraMismatch("morphism endpoints live over different algebras")
         bad = (f != 0) & (n.degrees[:, None] != m.degrees[None, :])
         if np.any(bad):
             raise CheckFailed("morphism does not preserve degrees")
-        i = intertwine_fault(f, m.action, n.action, m.p)
+        gens = generators(m.algebra)
+        i = intertwine_fault(f, m.action[gens], n.action[gens], gens, m.p)
         if i is not None:
             raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
         return self
@@ -276,13 +285,13 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
 
     Solves N(x) f = f M(x) over the entries f[t, u] allowed by the gradings
     (deg N_t = deg M_u), for x running over ``generators(A)`` only: a map
-    that commutes with the generators commutes with their products and sums,
-    which make up A.  So the system has the solutions of the one over every
+    that intertwines the generators intertwines all of A (the lemma at
+    ``generators``).  So the system has the solutions of the one over every
     basis element, hence the same row space and the same RREF, and the
     kernel basis comes back bit-identical, in the same order.
 
-    The generators come from ``radical``, so this raises PrimeTooSmall when
-    p <= dim A, an algebra that ``validate_algebra`` already refuses.
+    A must be associative, with p > dim A or this raises PrimeTooSmall, as
+    ``validate_algebra`` already does for such an algebra.
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraMismatch("hom endpoints live over different algebras")
@@ -346,8 +355,9 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
     diagonal, with a block for each label (g, i).  So the unknowns are the
     entries f[t, u] whose labels agree, and among their combinations the
     equations N(x) f = f M(x), for x in ``generators(A)``, cut out exactly
-    the module maps (see ``hom_basis``).  The dimension is the number of
-    unknowns minus the rank of those equations.
+    the module maps (the lemma at ``generators``).  The dimension is the
+    number of unknowns minus the rank of those equations; A must be
+    associative, with p > dim A or this raises PrimeTooSmall.
 
     Raises CheckFailed when the rows of the e_i M_g do not form a basis,
     which happens only if the idempotents fail one of the three facts.

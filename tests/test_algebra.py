@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from gradedalg.algebra import (
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
+    generators,
     homogeneous_row_basis,
     intertwine_fault,
     is_basic,
@@ -18,18 +22,28 @@ from gradedalg.algebra import (
     representation_fault,
     validate_algebra,
 )
-from gradedalg.construct import t_of
+from gradedalg.construct import (
+    AlgebraAutomorphism,
+    T_of,
+    beilinson,
+    dual_bimodule,
+    t_of,
+    twisted_dual_bimodule,
+)
+from gradedalg.equiv import extract_sigma, split_trivial_extension
 from gradedalg.errors import (
     ActionFault,
+    CheckFailed,
     GradingViolation,
     IdempotentFault,
     NonAssociative,
+    NotAutomorphism,
     NotIdempotent,
     NotPrimitive,
     PrimeTooSmall,
     TrivialGrading,
 )
-from gradedalg.modules import inj, proj
+from gradedalg.modules import GradedModule, GradedMorphism, hom_basis, inj, proj, regular_module
 
 P = 7919
 
@@ -342,6 +356,192 @@ def _intertwine_fault_int64(f, src, tgt, p):
     return int(hits[0]) if hits.size else None
 
 
+# The full-basis multiplication checks, as they stood before the library
+# checked the generators of A only.  They are the references for the lemma at
+# ``algebra.generators``: on every input below both give the same verdict.
+
+
+def _module_validate_full(m):
+    a, p = m.algebra, m.p
+    if m.dim == 0:
+        return
+    if not np.array_equal(m.act(a.unit), modp.identity(m.dim)):
+        raise CheckFailed("module action is not unital")
+    fault = _representation_fault_int64(a.table, m.action, p)
+    if fault is not None:
+        raise CheckFailed(f"module action not associative at {a.names[fault[0]]}")
+    shiftgrid = m.degrees[:, None] - m.degrees[None, :]
+    bad = (m.action != 0) & (shiftgrid[None, :, :] != a.degrees[:, None, None])
+    if np.any(bad):
+        raise CheckFailed(f"action of {a.names[int(np.argwhere(bad)[0][0])]} is not degree-compatible")
+
+
+def _bimodule_validate_full(x):
+    a, p = x.algebra, x.algebra.p
+    ident = modp.identity(x.dim)
+    if not np.array_equal(x.act_left(a.unit), ident):
+        raise ActionFault("left action is not unital")
+    if not np.array_equal(x.act_right(a.unit), ident):
+        raise ActionFault("right action is not unital")
+    la, ra = x.left_action, x.right_action
+    fault = _representation_fault_int64(a.table, la, p)
+    if fault is not None:
+        raise ActionFault(f"left action not associative at {a.names[fault[0]]}")
+    fault = _representation_fault_int64(a.table.transpose(1, 0, 2), ra, p)
+    if fault is not None:
+        raise ActionFault(f"right action not associative at {a.names[fault[1]]}")
+    for i in range(a.dim):
+        if _intertwine_fault_int64(la[i], ra, ra, p) is not None:
+            raise ActionFault(f"left/right actions do not commute at {a.names[i]}")
+
+
+def _morphism_validate_full(f):
+    m, n, mat = f.source, f.target, f.matrix
+    if np.any((mat != 0) & (n.degrees[:, None] != m.degrees[None, :])):
+        raise CheckFailed("morphism does not preserve degrees")
+    i = _intertwine_fault_int64(mat, m.action, n.action, m.p)
+    if i is not None:
+        raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
+
+
+def _automorphism_validate_full(sigma):
+    a, s, p = sigma.algebra, sigma.matrix, sigma.algebra.p
+    if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
+        raise NotAutomorphism("does not preserve degrees")
+    if not np.array_equal(s @ a.unit % p, a.unit):
+        raise NotAutomorphism("does not fix the unit")
+    # L(sigma(b_i)) sigma == sigma L(b_i) on every basis element
+    i = _intertwine_fault_int64(s, a.left, np.einsum("ki,kab->iab", s, a.left) % p, p)
+    if i is not None:
+        raise NotAutomorphism(f"is not multiplicative at {a.names[i]}")
+
+
+def _outcome(check):
+    """None, or the class of the fault and its message without the element it
+    names: the first fault found may sit at another element in the two checks."""
+    try:
+        check()
+    except (CheckFailed, ActionFault, NotAutomorphism) as exc:
+        return type(exc), re.sub(r"( at| intertwine) \S+$", r"\1", str(exc))
+    return None
+
+
+def _same_outcomes(obj, full):
+    got, want = _outcome(obj.validate), _outcome(lambda: full(obj))
+    assert got == want
+    return got
+
+
+def _entry_corruptions(arr):
+    """Every copy of ``arr`` with one entry moved up by one."""
+    for idx in np.ndindex(arr.shape):
+        out = np.array(arr)
+        out[idx] += 1
+        yield out
+
+
+def test_generator_checks_agree_with_full_checks_on_every_single_entry(truncated):
+    # T(b(k[x]/(x^5))): 20 basis elements, of which the generators are fewer
+    tb = validate_algebra(T_of(beilinson(truncated(5))))
+    assert len(generators(tb)) < tb.dim
+    kinds = Counter()
+    for i in range(tb.n_idempotents):
+        for m in (proj(tb, i), inj(tb, i)):
+            assert _same_outcomes(m, _module_validate_full) is None
+            for action in _entry_corruptions(m.action):
+                kinds[_same_outcomes(GradedModule(tb, m.degrees, action), _module_validate_full)] += 1
+    assert sum(kinds.values()) == 4000
+    assert kinds[CheckFailed, "module action not associative at"] > 3000
+
+    # both actions of D(b(k[x]/(x^4))): 6 x 6 x 6 entries each
+    b = validate_algebra(beilinson(truncated(4)))
+    assert len(generators(b)) < b.dim
+    d = dual_bimodule(b)
+    assert _same_outcomes(d, _bimodule_validate_full) is None
+    kinds = Counter()
+    for left in _entry_corruptions(d.left_action):
+        kinds[_same_outcomes(Bimodule(b, d.names, left, d.right_action), _bimodule_validate_full)] += 1
+    for right in _entry_corruptions(d.right_action):
+        kinds[_same_outcomes(Bimodule(b, d.names, d.left_action, right), _bimodule_validate_full)] += 1
+    assert sum(kinds.values()) == 432
+    assert kinds[ActionFault, "left action not associative at"] > 100
+    assert kinds[ActionFault, "right action not associative at"] > 100
+    assert kinds[ActionFault, "left/right actions do not commute at"] > 0
+
+
+def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncated, rebased_nakayama):
+    rng = np.random.default_rng(11)
+    # b(N(4, 3)) has c = 3 block rows, so rad^2 != 0 and sigma is not the identity
+    t = t_of(rebased_nakayama(4, 3, 43))
+    ext, x = extract_sigma(t), split_trivial_extension(t)[1]
+    b, p, gens = ext.base, ext.base.p, generators(ext.base)
+    assert len(gens) < b.dim
+    twisted = twisted_dual_bimodule(b, ext.sigma)
+    kinds = Counter()
+    assert _same_outcomes(ext.sigma, _automorphism_validate_full) is None
+    for _ in range(300):
+        try:
+            sigma = AlgebraAutomorphism(b, _corrupt(ext.sigma.matrix, rng, p))
+        except NotAutomorphism:
+            continue  # singular
+        kinds[_same_outcomes(sigma, _automorphism_validate_full)] += 1
+    assert kinds[NotAutomorphism, "is not multiplicative at"] > 100
+
+    # the bimodule isomorphism theta, checked as extract_sigma does
+    sides = ((x.left_action, twisted.left_action), (x.right_action, twisted.right_action))
+    for src, tgt in sides:
+        assert intertwine_fault(ext.iso, src[gens], tgt[gens], gens, p) is None
+    faults = 0
+    for theta in (_corrupt(ext.iso, rng, p) for _ in range(100)):
+        for src, tgt in sides:
+            got = intertwine_fault(theta, src[gens], tgt[gens], gens, p)
+            assert (got is None) == (_intertwine_fault_int64(theta, src, tgt, p) is None)
+            faults += got is not None
+    assert faults > 150
+
+    tb = validate_algebra(T_of(beilinson(truncated(5))))
+    mods = [proj(tb, i) for i in range(tb.n_idempotents)] + [inj(tb, i) for i in range(tb.n_idempotents)]
+    kinds = Counter()
+    for src in mods:
+        for tgt in mods:
+            for f in hom_basis(src, tgt):
+                assert _same_outcomes(f, _morphism_validate_full) is None
+                for _ in range(8):
+                    bad = GradedMorphism(src, tgt, _corrupt(f.matrix, rng, p))
+                    kinds[_same_outcomes(bad, _morphism_validate_full)] += 1
+    assert kinds[CheckFailed, "morphism does not intertwine"] > 100
+
+
+def _permuted(a, order):
+    """``a`` with its basis listed in ``order``."""
+    sub = np.ix_(order, order, order)
+    return validate_algebra(
+        GradedAlgebra(a.p, [a.names[i] for i in order], a.degrees[order], a.table[sub],
+                      a.unit[order], a.idempotents[:, order])
+    )
+
+
+def test_faults_name_the_failing_generator(truncated):
+    # x2 listed first, so the generators 1 and x sit at indices 1 and 2
+    a = _permuted(truncated(5), [2, 0, 1, 3, 4])
+    gens = generators(a).tolist()
+    assert gens == [1, 2] and a.names[gens[1]] == "x"
+    doubled = np.array(a.left)
+    doubled[2] = 2 * doubled[2] % a.p  # only the action of x is wrong
+    with pytest.raises(CheckFailed, match=r"not associative at x$"):
+        GradedModule(a, a.degrees, doubled).validate()
+    with pytest.raises(ActionFault, match=r"left action not associative at x$"):
+        Bimodule(a, a.names, doubled, a.right).validate()
+    m = regular_module(a)
+    f = modp.identity(a.dim)
+    f[2, 2] = 2  # degree-preserving, commutes with 1 but not with x
+    with pytest.raises(CheckFailed, match=r"does not intertwine x$"):
+        GradedMorphism(m, m, f).validate()
+    # fixes the unit and preserves degrees, but sigma(x)^2 = 4 x2 != sigma(x2)
+    with pytest.raises(NotAutomorphism, match=r"not multiplicative at x$"):
+        AlgebraAutomorphism(a, f).validate()
+
+
 def _homogeneous_row_basis_rowwise(rows, ambient_degrees, p):
     rows = modp.normalize(rows, p)
     n = ambient_degrees.shape[0]
@@ -376,25 +576,26 @@ def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakaya
     faults = 0
     for a in algebras:
         p, table, left, right = a.p, a.table, a.left, a.right
+        rows = np.arange(a.dim)  # every row: a corrupted table need not be associative
         anti = table.transpose(1, 0, 2)
         actions = [(table, left), (anti, right)]
         actions += [(table, m.action) for m in (proj(a, 0, 0), inj(a, 0, 1))]
         for tab, mats in actions:
-            assert representation_fault(tab, mats, p) is None
+            assert representation_fault(tab, mats, rows, p) is None
             for _ in range(4):
                 cases = [(_corrupt(tab, rng, p), mats), (tab, _corrupt(mats, rng, p))]
                 for t2, m2 in cases:
-                    got = representation_fault(t2, m2, p)
+                    got = representation_fault(t2, m2, rows, p)
                     assert got == _representation_fault_int64(t2, m2, p)
                     faults += got is not None
         # right multiplications intertwine the left regular action, and back
         for j in range(a.dim):
-            assert intertwine_fault(right[j], left, left, p) is None
-            assert intertwine_fault(left[j], right, right, p) is None
+            assert intertwine_fault(right[j], left, left, rows, p) is None
+            assert intertwine_fault(left[j], right, right, rows, p) is None
         for _ in range(6):
             f = _corrupt(right[int(rng.integers(0, a.dim))], rng, p)
             src = _corrupt(left, rng, p) if rng.integers(0, 2) else left
-            got = intertwine_fault(f, src, left, p)
+            got = intertwine_fault(f, src, left, rows, p)
             assert got == _intertwine_fault_int64(f, src, left, p)
             faults += got is not None
     assert faults > 300  # the corruptions are mostly caught, so faults are compared

@@ -3,7 +3,11 @@ import pytest
 
 from gradedalg import modp
 from gradedalg.algebra import (
+    Bimodule,
+    GradedAlgebra,
+    _radical_and_quotient,
     degree_zero_subalgebra,
+    generators,
     is_left_well_graded,
     is_right_well_graded,
     validate_algebra,
@@ -21,7 +25,7 @@ from gradedalg.construct import (
     x_bimodule,
 )
 from gradedalg.corpus import upper_triangular
-from gradedalg.errors import NotAutomorphism, TrivialGrading, ZeroBimodule
+from gradedalg.errors import ActionFault, NotAutomorphism, PrimeTooSmall, TrivialGrading, ZeroBimodule
 from gradedalg.modules import proj, width
 from gradedalg.selfinj import is_graded_frobenius, is_graded_selfinjective
 
@@ -149,12 +153,34 @@ def test_trivial_extension_degree_zero_part(truncated):
 
 
 def test_trivial_extension_rejects_zero_bimodule(uppertri):
-    from gradedalg.algebra import Bimodule
-
     b = uppertri(2)
     zero = Bimodule(b, [], modp.zeros(b.dim, 0, 0), modp.zeros(b.dim, 0, 0))
     with pytest.raises(ZeroBimodule):
         trivial_extension(b, zero)
+
+
+def test_trivial_extension_refuses_small_prime_before_validating():
+    # k^3 over F_3: T(B) has dimension 6, and the bimodule check would need
+    # the generators of B, whose radical needs p > dim B = 3
+    table = modp.zeros(3, 3, 3)
+    for i in range(3):
+        table[i, i, i] = 1
+    b = GradedAlgebra(3, ["e1", "e2", "e3"], [0, 0, 0], table, [1, 1, 1], modp.identity(3))
+    with pytest.raises(PrimeTooSmall, match=r"^prime 3 must exceed dim 6$"):
+        T_of(b)
+    assert not {key[0] for key in b._cache} & {generators.__wrapped__, _radical_and_quotient.__wrapped__}
+
+
+def test_trivial_extension_validates_its_bimodule():
+    # k x k acting on k^2 through two idempotent projections that do not commute
+    table = modp.zeros(2, 2, 2)
+    table[0, 0, 0] = 1
+    table[1, 1, 1] = 1
+    kk = GradedAlgebra(P, ["e1", "e2"], [0, 0], table, [1, 1], [[1, 0], [0, 1]])
+    proj_p, proj_q, ident = np.array([[1, 0], [0, 0]]), np.array([[1, 1], [0, 0]]), modp.identity(2)
+    x = Bimodule(kk, ["v", "w"], [proj_p, ident - proj_p], [proj_q, ident - proj_q])
+    with pytest.raises(ActionFault, match="do not commute"):
+        trivial_extension(kk, x)
 
 
 def test_dual_bimodule_formulas(truncated, uppertri):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gradedalg import corpus, modp
+from gradedalg import corpus, equiv, modp
 from gradedalg.algebra import (
     degree_zero_subalgebra,
     dual_bimodule_of,
@@ -280,6 +280,24 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
                 want += [f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}"] * len(homs[lb, la])
         got = [c.name for c in cert.checks if c.family == "functoriality"]
         assert got == want
+
+
+def test_pipeline_names_the_sample_of_a_failed_image(truncated, monkeypatch):
+    # the first image the pipeline builds is F(Ae_0(-1)); double its action
+    real_phi, calls = equiv.phi, []
+
+    def corrupted_phi(a, m):
+        out = real_phi(a, m)
+        calls.append(m)
+        if len(calls) > 1:
+            return out
+        return GradedModule(out.algebra, out.degrees, 2 * out.action)
+
+    monkeypatch.setattr(equiv, "phi", corrupted_phi)
+    want = r"^image: Ae_0\(-1\) failed \(module action is not unital\)$"
+    with pytest.raises(CheckFailed, match=want) as err:
+        theorem_pipeline(truncated(2))
+    assert err.value.transcript["counterexample"]["sample"] == "Ae_0(-1)"
 
 
 def test_pipeline_rejects_product(a4):
