@@ -41,6 +41,7 @@ def cached(fn):
 
     Every caller shares the value, so none may change it.  It must not refer
     back to obj: the cycle would keep obj alive until the cyclic GC runs.
+    ``record(obj, value, *args)`` stores a value known to be fn(obj, *args).
     """
 
     @functools.wraps(fn)
@@ -50,6 +51,7 @@ def cached(fn):
             obj._cache[key] = fn(obj, *args)
         return obj._cache[key]
 
+    wrapper.record = lambda obj, value, *args: obj._cache.update({(fn, *args): value})
     return wrapper
 
 
@@ -201,46 +203,32 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
 # validation
 
 
-def representation_fault(
-    table: np.ndarray, mats: np.ndarray, rows: np.ndarray, p: int
-) -> Optional[tuple[int, int, int]]:
-    """First (i, j, col), i in ``rows``, where mats[i] @ mats[j] != sum_k table[i, j, k] mats[k].
-
-    ``i`` and ``j`` are basis indices and ``col`` is the first column of the
-    failing product.  Returns None when the checked products agree; with
-    ``rows`` = ``generators(A)`` that means the matrices respect the whole
-    multiplication (see ``generators``).  Works one row at a time, so memory
-    stays O(n^3) rather than O(n^4).  Both sides come from ``modp.dot``, so
-    their difference is exact and fmod tells whether it vanishes mod p.
-    """
-    n, d = mats.shape[0], mats.shape[-1]
-    mats = np.asarray(mats, dtype=np.float64)
-    flat = mats.reshape(n, d * d)
-    for i in rows.tolist():
-        diff = modp.dot(mats[i], mats, p).reshape(n, d * d)  # diff[j] = mats[i] @ mats[j]
-        diff -= modp.dot(table[i], flat, p)
-        np.fmod(diff, p, out=diff)
-        if diff.any():
-            j = int(np.flatnonzero(diff.any(axis=1))[0])
-            col = int(np.flatnonzero(diff[j].reshape(d, d).any(axis=0))[0])
-            return i, j, col
-    return None
-
-
 def intertwine_fault(
     f: np.ndarray, src: np.ndarray, tgt: np.ndarray, rows: np.ndarray, p: int
-) -> Optional[int]:
-    """First rows[k] where tgt[k] @ f != f @ src[k], or None when f intertwines.
+) -> Optional[tuple[int, int, int]]:
+    """First (rows[k], col, m) where tgt[k] @ f[m] != f[m] @ src[k], or None.
 
-    src[k] and tgt[k] are the matrices of the basis element rows[k]; with
-    ``rows`` = ``generators(A)`` and both sides representations, None means
-    f intertwines all of A (see ``generators``).
+    ``f`` is one matrix or a stack of them; src[k] and tgt[k] are the matrices
+    of the basis element rows[k].  The first failing row wins, then the first
+    column failing in any map, then the first map failing there.  The one
+    multiplication check of the package (``generators`` gives its forms).
+    Works one row at a time, so memory stays O(n^3) rather than O(n^4).  Both
+    sides come from ``modp.dot``, so their difference is exact and fmod tells
+    whether it vanishes mod p.
     """
-    diff = modp.dot(tgt, f, p)
-    diff -= modp.dot(f, src, p)
-    np.fmod(diff, p, out=diff)
-    hits = np.flatnonzero(diff.any(axis=(1, 2)))
-    return int(rows[hits[0]]) if hits.size else None
+    f = np.asarray(f)
+    n, dt, ds = f.shape if f.ndim == 3 else (1, *f.shape)
+    g = f.reshape(n, dt, ds).transpose(1, 0, 2).astype(np.float64, order="C")  # g[a, m, b] = f[m][a, b]
+    wide, tall = g.reshape(dt, n * ds), g.reshape(dt * n, ds)
+    for k, row in enumerate(rows.tolist()):
+        diff = modp.dot(tgt[k], wide, p)  # diff[a, (m, b)] = (tgt[k] @ f[m])[a, b]
+        diff -= modp.dot(tall, src[k], p).reshape(dt, n * ds)
+        np.fmod(diff, p, out=diff)
+        if diff.any():
+            bad = diff.reshape(dt, n, ds).any(axis=0)  # bad[m, b]
+            col = int(np.flatnonzero(bad.any(axis=0))[0])
+            return row, col, int(np.flatnonzero(bad[:, col])[0])
+    return None
 
 
 def algebra_map_fault(h: np.ndarray, src: GradedAlgebra, tgt: GradedAlgebra) -> Optional[str]:
@@ -256,9 +244,9 @@ def algebra_map_fault(h: np.ndarray, src: GradedAlgebra, tgt: GradedAlgebra) -> 
         return "does not fix the unit"
     gens = generators(src)
     images = np.tensordot(h[:, gens].T, tgt.left, axes=1) % p  # images[k] = L(h(g_k))
-    i = intertwine_fault(h, src.left[gens], images, gens, p)
-    if i is not None:
-        return f"is not multiplicative at {src.names[i]}"
+    fault = intertwine_fault(h, src.left[gens], images, gens, p)
+    if fault is not None:
+        return f"is not multiplicative at {src.names[fault[0]]}"
     return None
 
 
@@ -290,9 +278,9 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
             f"product {a.names[i]} * {a.names[j]} leaves the graded component"
         )
 
-    # associativity: L(b_i) L(b_j) == L(b_i b_j) on all basis pairs; the
-    # generators come from the radical, which presumes associativity
-    fault = representation_fault(a.table, a.left, np.arange(n), p)
+    # associativity on every row (see ``generators``): the generators come
+    # from the radical, which presumes associativity
+    fault = intertwine_fault(a.right, a.left, a.left, np.arange(n), p)
     if fault is not None:
         i, j, k = fault
         raise NonAssociative(
@@ -393,8 +381,11 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     trace-form one, so ``a`` must be associative, with p > dim A or this
     raises PrimeTooSmall.
 
-    Every multiplication check in the package but the associativity check of
-    ``validate_algebra`` reads only the rows G, by this lemma.  Let M be a
+    Every multiplication check in the package is a call of
+    ``intertwine_fault(f, src, tgt, rows)``, and all but the associativity
+    check of ``validate_algebra`` (f = R(b_k) for every k, src = tgt = L;
+    column j reads b_i (b_j b_k) = (b_i b_j) b_k) read only the rows G, by
+    this lemma.  Let M be a
     linear map from A to matrices with M(g) M(b) = M(gb) for every g in G and
     every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
     a with M(a) M(b) = M(ab) for all b form a subspace S.  It contains G, and
@@ -405,15 +396,22 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     products gives rad^j in C + rad^(j+1) for every j, and then
     A = C + rad^2 = C + rad^3 = ... = C, since rad^k = 0 for some k
     (Assem-Simson-Skowronski, Elements I, ch. II).  With M(1) = I checked on
-    its own, M is a representation.  The same argument gives:
+    its own, M is a representation.  The check reads the orbit maps
+    F_c : b -> M(b) e_c (f = M.T, src = L(g), tgt = M(g)): column b of
+    M(g) F_c = F_c L(g) is M(g) M(b) e_c = M(gb) e_c.  So it rests on this
+    case, not on the intertwiner case below, as M is not yet known to be a
+    representation.  The same argument gives:
 
-    * an anti-representation (a right action), from M(g) M(b) = M(bg);
+    * an anti-representation (a right action), from M(g) M(b) = M(bg): the
+      same orbit maps, with src = R(g);
     * an intertwiner f from a representation M to a representation M', from
-      M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra;
+      M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra
+      (one map f: morphisms, and the iso of ``extract_sigma``);
     * a multiplicative linear map h between associative algebras, from
-      h(g b) = h(g) h(b);
+      h(g b) = h(g) h(b) (f = h, src = L(g), tgt = L(h(g)));
     * commuting left and right actions, from la(g) ra(g') = ra(g') la(g) for
-      g, g' in G, applying the intertwiner case once on each side.
+      g, g' in G, applying the intertwiner case once on each side
+      (f = ra(G), src = tgt = la(g)).
     """
     rad, p = radical(a), a.p
     # prods[u, k, v] = coordinate k of rad[u] * rad[v]
@@ -593,21 +591,16 @@ class Bimodule:
         if not np.array_equal(self.act_right(a.unit), ident):
             raise ActionFault("right action is not unital")
         la, ra, gens = self.left_action, self.right_action, generators(a)
-        # left is a representation, right an anti-representation
-        fault = representation_fault(a.table, la, gens, p)
+        # the orbit maps .T: la(g) la(b) = la(gb) and ra(g) ra(b) = ra(bg)
+        fault = intertwine_fault(la.T, a.left[gens], la[gens], gens, p)
         if fault is not None:
             raise ActionFault(f"left action not associative at {a.names[fault[0]]}")
-        fault = representation_fault(a.table.transpose(1, 0, 2), ra, gens, p)
+        fault = intertwine_fault(ra.T, a.right[gens], ra[gens], gens, p)
         if fault is not None:
             raise ActionFault(f"right action not associative at {a.names[fault[1]]}")
-        # comm[u, v] = la(g_u) ra(g_v) - ra(g_v) la(g_u)
-        lg, rg = la[gens][:, None], ra[gens]
-        comm = modp.dot(lg, rg, p)
-        comm -= modp.dot(rg, lg, p)
-        np.fmod(comm, p, out=comm)
-        hits = np.flatnonzero(comm.any(axis=(1, 2, 3)))
-        if hits.size:
-            raise ActionFault(f"left/right actions do not commute at {a.names[gens[hits[0]]]}")
+        fault = intertwine_fault(ra[gens], la[gens], la[gens], gens, p)
+        if fault is not None:
+            raise ActionFault(f"left/right actions do not commute at {a.names[fault[0]]}")
         return self
 
 

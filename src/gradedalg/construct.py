@@ -34,6 +34,7 @@ from .algebra import (
     GradedAlgebra,
     algebra_map_fault,
     cached,
+    degree_zero_subalgebra,
     dual_bimodule_of,
     regular_bimodule,
 )
@@ -168,7 +169,7 @@ def x_bimodule(a: GradedAlgebra) -> Bimodule:
 
 
 def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
-    """B |x X with B in degree 0 and X in degree 1 (so X * X = 0)."""
+    """B |x X, B in degree 0 (and cached as the degree-0 part) and X in degree 1."""
     if b.top_degree() != 0:
         raise GradingViolation("trivial extensions here require B trivially graded")
     if not x.algebra.same_as(b):
@@ -190,7 +191,9 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
     degrees = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nx, dtype=np.int64)])
     unit = np.concatenate([b.unit, modp.zeros(nx)])
     idems = np.hstack([b.idempotents, modp.zeros(b.n_idempotents, nx)])
-    return GradedAlgebra(b.p, names, degrees, table, unit, idems)
+    t = GradedAlgebra(b.p, names, degrees, table, unit, idems)
+    degree_zero_subalgebra.record(t, b)  # equal to the one it would build
+    return t
 
 
 def dual_bimodule(b: GradedAlgebra) -> Bimodule:

@@ -39,6 +39,7 @@ projectives and injectives, and functoriality on hom bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -286,12 +287,11 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     twisted = twisted_dual_bimodule(b, sigma)
     # both sides are bimodules, so the generators of B suffice (see ``generators``)
     gens = generators(b)
-    i = intertwine_fault(theta, x.left_action[gens], twisted.left_action[gens], gens, p)
-    if i is not None:
-        raise CheckFailed(f"iso does not intertwine the left action at {b.names[i]}")
-    i = intertwine_fault(theta, x.right_action[gens], twisted.right_action[gens], gens, p)
-    if i is not None:
-        raise CheckFailed(f"iso does not intertwine the right action at {b.names[i]}")
+    sides = {"left": (x.left_action, twisted.left_action), "right": (x.right_action, twisted.right_action)}
+    for side, (src, tgt) in sides.items():
+        fault = intertwine_fault(theta, src[gens], tgt[gens], gens, p)
+        if fault is not None:
+            raise CheckFailed(f"iso does not intertwine the {side} action at {b.names[fault[0]]}")
     return SigmaExtraction(b, sigma, m_vec, theta, trials_used)
 
 
@@ -419,12 +419,15 @@ def theorem_pipeline(
     if fault is not None:
         raise CheckFailed(f"transport {fault}")
 
-    # F: Phi, then h^{-1} and the twist back to T(B) on each slice; G undoes both
+    # F: Phi, then h^{-1} and the twist back to T(B), built once per degree; G undoes both
+    to_tb = functools.cache(lambda g: (h_inv @ _twist(sigma, -g)) % p)
+    to_t = functools.cache(lambda g: (_twist(sigma, g) @ h) % p)
+
     def functor(m: GradedModule) -> GradedModule:
-        return _transport(phi(a, m), tb, lambda g: (h_inv @ _twist(sigma, -g)) % p)
+        return _transport(phi(a, m), tb, to_tb)
 
     def inverse_functor(m: GradedModule) -> GradedModule:
-        return psi(a, _transport(m, t, lambda g: (_twist(sigma, g) @ h) % p))
+        return psi(a, _transport(m, t, to_t))
 
     w = c if window is None else int(window)
     samples: list[tuple[str, GradedModule, str]] = []

@@ -10,11 +10,10 @@ Two kinds of kernel multiply residues:
   ``block_len(p)`` = (2^53 - 1) // (p - 1)^2 products of residues stays
   below 2^53, and longer inner dimensions are reduced blockwise with fmod
   (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM
-  TOMS 35(3), 2008).  ``mat_mul`` and the multiplication checks use it:
-  ``algebra.representation_fault``, ``algebra.intertwine_fault`` and the
-  commutation check of ``Bimodule.validate``, each over the rows of
-  ``algebra.generators`` but for the associativity check of
-  ``validate_algebra``, which reads every row;
+  TOMS 35(3), 2008).  ``mat_mul`` uses it, and so does the one multiplication
+  check, ``algebra.intertwine_fault``: it reads only the rows of
+  ``algebra.generators``, but every row for the associativity check of
+  ``validate_algebra``;
 * everything else (row reduction, einsum and tensordot contractions, the
   trace form) sums in int64, which is exact while the inner dimension is at
   most ``MAX_INNER``.

@@ -25,7 +25,6 @@ from .algebra import (
     intertwine_fault,
     quotient_maps,
     radical,
-    representation_fault,
     semisimple_quotient,
 )
 from .errors import AlgebraMismatch, CheckFailed
@@ -74,7 +73,8 @@ class GradedModule:
             return self
         if not np.array_equal(self.act(a.unit), modp.identity(self.dim)):
             raise CheckFailed("module action is not unital")
-        fault = representation_fault(a.table, self.action, generators(a), p)
+        gens = generators(a)  # the stack .T holds the orbit maps b -> M(b) e_c
+        fault = intertwine_fault(self.action.T, a.left[gens], self.action[gens], gens, p)
         if fault is not None:
             raise CheckFailed(f"module action not associative at {a.names[fault[0]]}")
         dm = self.degrees
@@ -126,9 +126,9 @@ class GradedMorphism:
         if np.any(bad):
             raise CheckFailed("morphism does not preserve degrees")
         gens = generators(m.algebra)
-        i = intertwine_fault(f, m.action[gens], n.action[gens], gens, m.p)
-        if i is not None:
-            raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
+        fault = intertwine_fault(f, m.action[gens], n.action[gens], gens, m.p)
+        if fault is not None:
+            raise CheckFailed(f"morphism does not intertwine {m.algebra.names[fault[0]]}")
         return self
 
 

@@ -19,7 +19,6 @@ from gradedalg.algebra import (
     quotient_algebra,
     radical,
     regular_bimodule,
-    representation_fault,
     validate_algebra,
 )
 from gradedalg.construct import (
@@ -42,6 +41,7 @@ from gradedalg.errors import (
     NotPrimitive,
     PrimeTooSmall,
     TrivialGrading,
+    UnitMismatch,
 )
 from gradedalg.modules import GradedModule, GradedMorphism, hom_basis, inj, proj, regular_module
 
@@ -351,9 +351,13 @@ def _representation_fault_int64(table, mats, p):
 
 
 def _intertwine_fault_int64(f, src, tgt, p):
-    bad = ((tgt @ f) % p != (f @ src) % p).any(axis=(1, 2))
-    hits = np.nonzero(bad)[0]
-    return int(hits[0]) if hits.size else None
+    """First (k, col) where tgt[k] @ f != f @ src[k], for one map f."""
+    bad = (tgt @ f) % p != (f @ src) % p
+    hits = np.nonzero(bad.any(axis=(1, 2)))[0]
+    if not hits.size:
+        return None
+    k = int(hits[0])
+    return k, int(np.nonzero(bad[k].any(axis=0))[0][0])
 
 
 # The full-basis multiplication checks, as they stood before the library
@@ -399,9 +403,9 @@ def _morphism_validate_full(f):
     m, n, mat = f.source, f.target, f.matrix
     if np.any((mat != 0) & (n.degrees[:, None] != m.degrees[None, :])):
         raise CheckFailed("morphism does not preserve degrees")
-    i = _intertwine_fault_int64(mat, m.action, n.action, m.p)
-    if i is not None:
-        raise CheckFailed(f"morphism does not intertwine {m.algebra.names[i]}")
+    fault = _intertwine_fault_int64(mat, m.action, n.action, m.p)
+    if fault is not None:
+        raise CheckFailed(f"morphism does not intertwine {m.algebra.names[fault[0]]}")
 
 
 def _automorphism_validate_full(sigma):
@@ -411,9 +415,9 @@ def _automorphism_validate_full(sigma):
     if not np.array_equal(s @ a.unit % p, a.unit):
         raise NotAutomorphism("does not fix the unit")
     # L(sigma(b_i)) sigma == sigma L(b_i) on every basis element
-    i = _intertwine_fault_int64(s, a.left, np.einsum("ki,kab->iab", s, a.left) % p, p)
-    if i is not None:
-        raise NotAutomorphism(f"is not multiplicative at {a.names[i]}")
+    fault = _intertwine_fault_int64(s, a.left, np.einsum("ki,kab->iab", s, a.left) % p, p)
+    if fault is not None:
+        raise NotAutomorphism(f"is not multiplicative at {a.names[fault[0]]}")
 
 
 def _outcome(check):
@@ -569,6 +573,12 @@ def _corrupt(arr, rng, p):
     return out
 
 
+def _representation_fault(table, mats, rows, p):
+    """The library's module check: the orbit maps mats.T (b -> mats[b] e_c)
+    intertwine the left multiplications of ``table`` with ``mats``."""
+    return intertwine_fault(mats.T, table.transpose(0, 2, 1)[rows], mats[rows], rows, p)
+
+
 def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakayama32):
     rng = np.random.default_rng(2024)
     algebras = [a for _, a in graded_corpus] + [rebased_nakayama32]
@@ -581,11 +591,11 @@ def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakaya
         actions = [(table, left), (anti, right)]
         actions += [(table, m.action) for m in (proj(a, 0, 0), inj(a, 0, 1))]
         for tab, mats in actions:
-            assert representation_fault(tab, mats, rows, p) is None
+            assert _representation_fault(tab, mats, rows, p) is None
             for _ in range(4):
                 cases = [(_corrupt(tab, rng, p), mats), (tab, _corrupt(mats, rng, p))]
                 for t2, m2 in cases:
-                    got = representation_fault(t2, m2, rows, p)
+                    got = _representation_fault(t2, m2, rows, p)
                     assert got == _representation_fault_int64(t2, m2, p)
                     faults += got is not None
         # right multiplications intertwine the left regular action, and back
@@ -595,10 +605,38 @@ def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakaya
         for _ in range(6):
             f = _corrupt(right[int(rng.integers(0, a.dim))], rng, p)
             src = _corrupt(left, rng, p) if rng.integers(0, 2) else left
-            got = intertwine_fault(f, src, left, rows, p)
-            assert got == _intertwine_fault_int64(f, src, left, p)
+            got, want = intertwine_fault(f, src, left, rows, p), _intertwine_fault_int64(f, src, left, p)
+            assert got == (None if want is None else (*want, 0))
             faults += got is not None
     assert faults > 300  # the corruptions are mostly caught, so faults are compared
+
+
+def test_validate_algebra_names_the_oracles_non_associative_triple(truncated, rebased_nakayama32):
+    kinds = Counter()
+    for a in (truncated(4), rebased_nakayama32):
+        names, basis = a.names, modp.identity(a.dim)
+        for table in _entry_corruptions(a.table):
+            bad = GradedAlgebra(a.p, names, a.degrees, table, a.unit, a.idempotents)
+            want = _representation_fault_int64(bad.table, bad.left, bad.p)
+            try:
+                validate_algebra(bad)
+            except (UnitMismatch, GradingViolation) as exc:  # checked before associativity
+                kinds[type(exc)] += 1
+                continue
+            except NonAssociative as exc:
+                assert want is not None
+                i, j, k = want
+                assert str(exc) == f"({names[i]} * {names[j]}) * {names[k]} != {names[i]} * ({names[j]} * {names[k]})"
+                b_i, b_j, b_k = basis[[i, j, k]]
+                assert not np.array_equal(bad.mul(bad.mul(b_i, b_j), b_k), bad.mul(b_i, bad.mul(b_j, b_k)))
+                kinds[NonAssociative] += 1
+                continue
+            except (IdempotentFault, NotPrimitive, CheckFailed):  # checked after associativity
+                pass
+            assert want is None
+            kinds[None] += 1
+    assert sum(kinds.values()) == 4**3 + 9**3
+    assert kinds[NonAssociative] > 20 and kinds[None] > 0
 
 
 def test_homogeneous_row_basis_matches_rowwise_oracle():

@@ -150,6 +150,11 @@ def test_trivial_extension_degree_zero_part(truncated):
     t = t_of(a)
     assert np.array_equal(t.table[: b.dim, : b.dim, : b.dim], b.table)
     assert degree_zero_subalgebra(t).same_as(b) or degree_zero_subalgebra(t).dim == b.dim
+    # B itself is the cached degree-0 part, equal to the one built from the extension
+    x = x_bimodule(a)
+    for base, ext in ((x.algebra, trivial_extension(x.algebra, x)), (b, T_of(b))):
+        assert degree_zero_subalgebra(ext) is base
+        assert degree_zero_subalgebra.__wrapped__(ext).same_as(base)
 
 
 def test_trivial_extension_rejects_zero_bimodule(uppertri):

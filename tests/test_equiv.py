@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from gradedalg import corpus, equiv, modp
 from gradedalg.algebra import (
+    Bimodule,
     degree_zero_subalgebra,
     dual_bimodule_of,
     generators,
@@ -298,6 +300,30 @@ def test_pipeline_names_the_sample_of_a_failed_image(truncated, monkeypatch):
     with pytest.raises(CheckFailed, match=want) as err:
         theorem_pipeline(truncated(2))
     assert err.value.transcript["counterexample"]["sample"] == "Ae_0(-1)"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_extract_sigma_checks_the_iso_on_both_actions(rebased_nakayama, monkeypatch, side):
+    # double one action of D(B^sigma) at the last generator of B, so that the
+    # iso X -> D(B^sigma) intertwines every other generator; b(N(4,3)) has
+    # rad^2 != 0, so not every basis element is a generator
+    t = t_of(rebased_nakayama(4, 3, 43))
+    b = degree_zero_subalgebra(t)
+    gens = generators(b)
+    assert len(gens) < b.dim
+    g = int(gens[-1])
+    real = equiv.twisted_dual_bimodule
+
+    def corrupted(b, sigma):
+        out = real(b, sigma)
+        actions = {"left": np.array(out.left_action), "right": np.array(out.right_action)}
+        actions[side][g] = 2 * actions[side][g] % b.p
+        return Bimodule(b, out.names, actions["left"], actions["right"])
+
+    monkeypatch.setattr(equiv, "twisted_dual_bimodule", corrupted)
+    want = rf"^iso does not intertwine the {side} action at {re.escape(b.names[g])}$"
+    with pytest.raises(CheckFailed, match=want):
+        extract_sigma(t)
 
 
 def test_pipeline_rejects_product(a4):
