@@ -1,8 +1,10 @@
 """Finite-dimensional positively graded algebras over F_p.
 
-An algebra is stored by structure constants: ``table[i, j]`` holds the
-coordinate vector of (basis_i * basis_j).  Every basis element is
-homogeneous; ``degrees[i]`` is its degree.  A complete set of orthogonal
+An algebra is given by structure constants: ``table[i, j]`` holds the
+coordinate vector of (basis_i * basis_j).  It stores them once, as the
+left-regular stack ``left`` (``left[i, k, j] = table[i, j, k]``); ``table``
+and ``right`` are read-only views of that one array.  Every basis element
+is homogeneous; ``degrees[i]`` is its degree.  A complete set of orthogonal
 primitive idempotents is part of the data, not discovered: the validator
 only certifies the supplied set.
 
@@ -60,7 +62,7 @@ class GradedAlgebra:
         "p",
         "names",
         "degrees",
-        "table",
+        "left",
         "unit",
         "idempotents",
         "_cache",
@@ -73,7 +75,7 @@ class GradedAlgebra:
         if len(set(self.names)) != n:
             raise ValueError("basis names must be unique")
         self.degrees = np.asarray(degrees, dtype=np.int64)
-        self.table = modp.normalize(table, self.p)
+        table = np.asarray(table, dtype=np.int64)
         self.unit = modp.normalize(unit, self.p)
         ide = modp.normalize(idempotents, self.p)
         self.idempotents = ide.reshape(-1, n)
@@ -81,11 +83,13 @@ class GradedAlgebra:
             raise ValueError("degrees must match the basis length")
         if np.any(self.degrees < 0):
             raise ValueError("degrees must be nonnegative")
-        if self.table.shape != (n, n, n):
+        if table.shape != (n, n, n):
             raise ValueError("structure table must have shape (n, n, n)")
         if self.unit.shape != (n,):
             raise ValueError("unit must be a coordinate vector")
-        for arr in (self.degrees, self.table, self.unit, self.idempotents):
+        # the one stored copy of the structure constants: reduced and laid out in one pass
+        self.left = np.remainder(table.transpose(0, 2, 1), self.p, order="C")
+        for arr in (self.degrees, self.left, self.unit, self.idempotents):
             arr.flags.writeable = False
         self._cache = {}
 
@@ -114,26 +118,21 @@ class GradedAlgebra:
     # -- multiplication ------------------------------------------------
 
     @property
-    @cached
-    def left(self) -> np.ndarray:
-        """Stack of left-multiplication matrices; left[i] @ v = basis_i * v."""
-        L = np.ascontiguousarray(self.table.transpose(0, 2, 1))
-        L.flags.writeable = False
-        return L
+    def table(self) -> np.ndarray:
+        """Structure constants, a view of ``left``: table[i, j] = basis_i * basis_j."""
+        return self.left.transpose(0, 2, 1)
 
     @property
-    @cached
     def right(self) -> np.ndarray:
-        """Stack of right-multiplication matrices; right[j] @ v = v * basis_j."""
-        R = np.ascontiguousarray(self.table.transpose(1, 2, 0))
-        R.flags.writeable = False
-        return R
+        """Right-multiplication matrices, a view of ``left``: right[j] @ v = v * basis_j."""
+        return self.left.transpose(2, 1, 0)
 
     def left_mult(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("i,iab->ab", v % self.p, self.left) % self.p
 
     def right_mult(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jab->ab", v % self.p, self.right) % self.p
+        # column b is basis_b * v
+        return ((self.left @ (v % self.p)) % self.p).T
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (self.left_mult(u) @ (v % self.p)) % self.p
@@ -145,7 +144,7 @@ class GradedAlgebra:
             self.p == other.p
             and self.names == other.names
             and np.array_equal(self.degrees, other.degrees)
-            and np.array_equal(self.table, other.table)
+            and np.array_equal(self.left, other.left)
             and np.array_equal(self.unit, other.unit)
             and np.array_equal(self.idempotents, other.idempotents)
         )
@@ -301,7 +300,7 @@ def _check_idempotents(a: GradedAlgebra) -> None:
     if np.any(ide[:, a.degrees != 0]):
         raise IdempotentFault("idempotents must lie in the degree-0 component")
     # prods[i, :, j] = e_i * e_j, which must be e_i when i = j and 0 otherwise
-    prods = (np.tensordot(ide, a.left, axes=1) % a.p) @ ide.T % a.p
+    prods = _products(a, ide, ide)
     wrong = np.any(prods != np.einsum("ij,ik->ikj", modp.identity(len(ide)), ide), axis=1)
     for i in range(ide.shape[0]):
         if not np.any(ide[i]):
@@ -356,12 +355,15 @@ def _radical_and_quotient(a: GradedAlgebra):
 
     The radical is the kernel of the trace form (x, y) -> trace(L_{xy}),
     valid whenever p > dim (Dickson), and the quotient that verifies it (its
-    own trace form must be nondegenerate) is the one kept.
+    own trace form must be nondegenerate) is the one kept.  Both forms are
+    read off the structure constants (see ``_trace_form``), so ``a`` must
+    be associative.
     """
     modp.require_prime_exceeds(a.p, a.dim)
-    rows, _, _ = homogeneous_row_basis(_trace_form_kernel(a), a.degrees, a.p)
+    _, ker = modp.rank_kernel(_trace_form(a), a.p)
+    rows, _, _ = homogeneous_row_basis(ker, a.degrees, a.p)
     q, red, sec = quotient_algebra(a, rows)
-    if q.dim and _trace_form_kernel(q).shape[0] != 0:
+    if modp.rank(_trace_form(q), q.p) != q.dim:
         raise CheckFailed("radical check failed: quotient is not semisimple")
     rows.flags.writeable = False
     return rows, (q, red, sec)
@@ -413,27 +415,28 @@ def generators(a: GradedAlgebra) -> np.ndarray:
       g, g' in G, applying the intertwiner case once on each side
       (f = ra(G), src = tgt = la(g)).
     """
-    rad, p = radical(a), a.p
-    # prods[u, k, v] = coordinate k of rad[u] * rad[v]
-    prods = ((np.tensordot(rad, a.left, axes=1) % p) @ rad.T) % p
-    rows = prods.transpose(0, 2, 1).reshape(-1, a.dim)
+    rad = radical(a)
+    rows = _products(a, rad, rad).transpose(0, 2, 1).reshape(-1, a.dim)
     # most products vanish; reducing only the rest keeps the rref temporaries small
-    _, pivots = modp.row_basis(rows[rows.any(axis=1)], p)
+    _, pivots = modp.row_basis(rows[rows.any(axis=1)], a.p)
     gens = np.setdiff1d(np.arange(a.dim), pivots)
     gens.flags.writeable = False
     return gens
 
 
-def _trace_form_kernel(a: GradedAlgebra) -> np.ndarray:
-    n = a.dim
-    if n == 0:
-        return modp.zeros(0, 0)
-    L = a.left
-    flat = L.reshape(n, n * n)
-    flat_t = L.transpose(0, 2, 1).reshape(n, n * n)
-    gram = (flat @ flat_t.T) % a.p  # gram[i, j] = trace(L_i L_j)
-    _, ker = modp.rank_kernel(gram, a.p)
-    return ker
+def _products(a: GradedAlgebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """prods[s, k, t] = coordinate k of u[s] * v[t], for stacks of row vectors."""
+    return (np.tensordot(u, a.left, axes=1) % a.p) @ v.T % a.p
+
+
+def _trace_form(a: GradedAlgebra) -> np.ndarray:
+    """gram[i, j] = trace(L_{b_i b_j}) = sum_k table[i, j, k] trace(L_k).
+
+    In an associative algebra L_{xy} = L_x L_y, so this is the form
+    trace(L_i L_j), read off the table in O(n^3) rather than O(n^4).
+    """
+    traces = np.trace(a.left, axis1=1, axis2=2) % a.p
+    return (traces @ a.left) % a.p  # traces[k] left[i, k, j] summed over k
 
 
 def semisimple_quotient(a: GradedAlgebra):
@@ -461,10 +464,8 @@ def quotient_algebra(a: GradedAlgebra, ideal_rows: np.ndarray):
 def _induced_table(a: GradedAlgebra, basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """table[s, t] = coords @ (basis[s] * basis[t]): the structure constants of a
     corner (coords picks the pivots) or a quotient (coords is the reduction)."""
-    p = a.p
-    half = np.tensordot(basis, a.table, axes=1) % p  # half[s, j]: basis[s] * b_j
-    prods = np.tensordot(half, basis, axes=(1, 1)) % p  # prods[s, k, t]: coordinate k of basis[s] * basis[t]
-    return np.tensordot(prods, coords, axes=(1, 1)) % p
+    left = (coords @ _products(a, basis, basis)) % a.p  # left[s, r, t] = table[s, t, r]
+    return left.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +561,10 @@ class Bimodule:
         self.names = [str(s) for s in names]
         d = len(self.names)
         n = algebra.dim
-        # C order, also when a transposed view comes in
-        self.left_action = np.ascontiguousarray(modp.normalize(left_action, algebra.p).reshape(n, d, d))
-        self.right_action = np.ascontiguousarray(modp.normalize(right_action, algebra.p).reshape(n, d, d))
+        # reduced and laid out in C order in one pass, also when a transposed view comes in
+        left, right = (np.asarray(x, dtype=np.int64).reshape(n, d, d) for x in (left_action, right_action))
+        self.left_action = np.remainder(left, algebra.p, order="C")
+        self.right_action = np.remainder(right, algebra.p, order="C")
         self.left_action.flags.writeable = False
         self.right_action.flags.writeable = False
 

@@ -210,10 +210,8 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
     if not sigma.algebra.same_as(b):
         raise NotAutomorphism("automorphism is not over the given algebra")
     sigma.validate()
-    p = b.p
-    left = np.einsum("ji,jba->iab", sigma.matrix, b.right) % p  # left[i] = R(sigma(b_i))^T
-    right = np.ascontiguousarray(b.left.transpose(0, 2, 1))
-    return Bimodule(b, [f"{s}^" for s in b.names], left, right % p)
+    left = (b.left @ sigma.matrix).transpose(2, 0, 1)  # left[i] = R(sigma(b_i))^T
+    return Bimodule(b, [f"{s}^" for s in b.names], left, b.table)
 
 
 @cached

@@ -275,13 +275,12 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
             break
     else:
         raise GeneratorNotFound("no generator with bijective multiplication maps")
-    sigma_mat = (lm_inv @ rm) % p
-    sigma = AlgebraAutomorphism(b, sigma_mat)
+    sigma = AlgebraAutomorphism(b, (lm_inv @ rm) % p)
     try:
         sigma.validate()
     except NotAutomorphism as exc:  # post-condition of the construction; never expected
         raise CheckFailed(f"extracted map is not an automorphism: {exc}") from exc
-    if not np.array_equal((lm @ sigma_mat) % p, rm):
+    if not np.array_equal((lm @ sigma.matrix) % p, rm):
         raise CheckFailed("m b != sigma(b) m on the basis")
     theta = lm.T % p
     twisted = twisted_dual_bimodule(b, sigma)

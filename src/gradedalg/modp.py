@@ -14,9 +14,10 @@ Two kinds of kernel multiply residues:
   check, ``algebra.intertwine_fault``: it reads only the rows of
   ``algebra.generators``, but every row for the associativity check of
   ``validate_algebra``;
-* everything else (row reduction, einsum and tensordot contractions, the
-  trace form) sums in int64, which is exact while the inner dimension is at
-  most ``MAX_INNER``.
+* everything else (row reduction, and the einsum, tensordot and matmul
+  contractions such as the trace form) sums in int64, which is exact while
+  the inner dimension is at most ``MAX_INNER``.  Each such sum runs over
+  one basis, of an algebra or of a module, so its length is a dimension.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
 project are desk-scale (dimension a few hundred at most).  Each pivot step
@@ -38,9 +39,10 @@ DEFAULT_PRIME = 7919
 
 #: Longest sum of products accumulated in int64 anywhere in the package.  Every
 #: int64 kernel (all but ``dot``) multiplies two residues in [0, p) and sums
-#: them; the longest such sum is the trace form's dim(A)^2 terms, so this
-#: covers algebras of dimension up to 2896, whose dense structure table alone
-#: would hold 2.4e10 entries.
+#: them over one basis, of an algebra or of a module (the trace form too: it
+#: sums dim(A) products of table entries and traces), so this covers every
+#: dimension up to 2^23, far past any whose dense structure table fits in
+#: memory.
 MAX_INNER = 2**23
 
 #: Largest modulus accepted: (p - 1)^2 * MAX_INNER <= 2^63 - 1, so no int64

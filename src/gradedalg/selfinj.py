@@ -90,7 +90,7 @@ def frobenius_functional_search(
     n = a.dim
     for _ in range(trials):
         lam = rng.integers(0, a.p, size=n, dtype=np.int64)
-        gram = np.einsum("ijk,k->ij", a.table, lam) % a.p
+        gram = (lam @ a.left) % a.p  # gram[i, j] = lam(b_i b_j)
         if modp.invert(gram, a.p) is not None:
             return lam
     return None

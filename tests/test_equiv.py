@@ -326,6 +326,22 @@ def test_extract_sigma_checks_the_iso_on_both_actions(rebased_nakayama, monkeypa
         extract_sigma(t)
 
 
+def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatch):
+    # hand back sigma composed with the inner automorphism by u = sum_r 2^r e_rr
+    # of b(k[x]/(x^3)): still an automorphism, but not the one m defines
+    t = t_of(truncated(3))
+    b = degree_zero_subalgebra(t)
+    p = b.p
+    u = (2 ** np.arange(b.n_idempotents)) @ b.idempotents % p
+    u_inv = modp.invert(b.left_mult(u), p) @ b.unit % p
+    inner = b.left_mult(u) @ b.right_mult(u_inv) % p  # column j: u b_j u^-1
+    assert not np.array_equal(inner, modp.identity(b.dim))
+    real = equiv.AlgebraAutomorphism
+    monkeypatch.setattr(equiv, "AlgebraAutomorphism", lambda alg, mat: real(alg, mat @ inner % p))
+    with pytest.raises(CheckFailed, match=r"^m b != sigma\(b\) m on the basis$"):
+        extract_sigma(t)
+
+
 def test_pipeline_rejects_product(a4):
     with pytest.raises(PreconditionFailed) as err:
         theorem_pipeline(a4)

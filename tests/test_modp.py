@@ -114,7 +114,7 @@ def test_prime_bound_keeps_int64_exact():
     # the largest accepted prime, summed over the longest inner dimension
     p = max(q for q in range(bound - 10, bound + 1) if modp.is_prime(q))
     assert modp.require_prime(p) == p
-    # the int64 product then % p, as in the trace form; (p - 1)^2 = 1 mod p
+    # the int64 product then % p, as in every int64 contraction; (p - 1)^2 = 1 mod p
     row = np.broadcast_to(np.int64(p - 1), (1, modp.MAX_INNER))
     assert ((row @ row.T) % p)[0, 0] == modp.MAX_INNER % p
 
