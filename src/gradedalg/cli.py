@@ -93,7 +93,7 @@ def _cmd_info(args) -> dict:
 def _construction_report(args, made) -> dict:
     doc = fileio.algebra_to_doc(made)
     if args.algebra_out:
-        Path(args.algebra_out).write_text(json.dumps(doc, indent=2) + "\n")
+        fileio._save_doc(args.algebra_out, doc)
     return {
         "dim": made.dim,
         "top_degree": made.top_degree(),
@@ -187,7 +187,7 @@ def _cmd_gen_example(args) -> dict:
         raise ParseError(str(exc))
     doc = fileio.algebra_to_doc(made)
     if args.algebra_out:
-        Path(args.algebra_out).write_text(json.dumps(doc, indent=2) + "\n")
+        fileio._save_doc(args.algebra_out, doc)
     return {"kind": args.kind, "dim": made.dim, "algebra": doc}
 
 

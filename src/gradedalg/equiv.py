@@ -10,9 +10,12 @@ back off the diagonal idempotents with the same reflection, which makes
 Psi . Phi the identity on the nose, tables included.  Each is one pass over
 the rows of block_layout: phi gathers the action of a row's source element
 on the vectors of the row's column component, and psi scatters it back, so
-that each (basis element, component) is read from exactly one block.  Both
-take t(A) from ``t_of(a)``, which is built once per algebra, so their
-modules live over the very algebra object that theorem_pipeline uses.
+that each (basis element, component) is read from exactly one block.  When
+a module's basis mixes components, Psi first rewrites it in the basis of
+its split along the designated idempotents of t(A) (the split ``hom_dim``
+reads), in which each vector lies in one component.  Both take t(A) from
+``t_of(a)``, which is built once per algebra, so their modules live over
+the very algebra object that theorem_pipeline uses.
 
 The hypotheses of the theorem (A_0 basic, A well-graded, A graded
 self-injective) are decided in one place, _require_hypotheses.  A_0, the
@@ -78,6 +81,7 @@ from .errors import (
 from .modules import (
     GradedModule,
     GradedMorphism,
+    _split,
     hom_basis,
     hom_dim,
     inj,
@@ -126,8 +130,10 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
 
     When every basis vector of ``n`` lies in a single diagonal component
     (always the case for images of phi and for the projectives built here),
-    the basis and its order are kept and psi inverts phi exactly; otherwise
-    the module is first rewritten in a component-adapted basis.
+    the basis and its order are kept and psi inverts phi exactly.  Otherwise
+    it is first rewritten in the basis of its split along the designated
+    idempotents of t(A) (``modules._split``): each is e_rr e_i in b(A), under
+    the one diagonal unit e_rr, so each vector of that basis has one component.
     """
     c = a.top_degree()
     if c < 1:
@@ -136,10 +142,11 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
         raise AlgebraMismatch("module is not over t(A)")
     if n.dim == 0:
         return GradedModule(a, n.degrees, modp.zeros(a.dim, 0, 0))
-    projs = _component_projectors(a, n)
-    comp = _read_components(projs, n.dim)
+    comp = _read_components(_component_projectors(a, n), n.dim)
     if comp is None:
-        return psi(a, _adapt_basis(n, projs))
+        basis, inv, degs, _, _ = _split(n)
+        action = ((inv @ n.action) % n.p @ basis.T) % n.p
+        return psi(a, GradedModule(n.algebra, degs, action))
     # every (basis element j, component q) is read from exactly one block
     layout = np.concatenate(block_layout(a))
     new_degrees = n.degrees * c + (c - 1 - comp)
@@ -162,28 +169,6 @@ def _read_components(projs, dim: int) -> Optional[np.ndarray]:
     if np.any(comp < 0):
         return None
     return comp
-
-
-def _adapt_basis(n: GradedModule, projs) -> GradedModule:
-    """Rewrite ``n`` in a basis where each vector sits in one diagonal component."""
-    p = n.p
-    rows = []
-    degs = []
-    for g in sorted(set(int(x) for x in n.degrees)):
-        cols = n.slice_indices(g)
-        for pq in projs:
-            block, _ = modp.row_basis(pq[:, cols].T, p)
-            rows.extend(block)
-            degs.extend([g] * block.shape[0])
-    E = np.array(rows) % p
-    if E.shape[0] != n.dim:
-        raise CheckFailed("component splitting did not produce a basis")
-    Et = E.T
-    Et_inv = modp.invert(Et, p)
-    if Et_inv is None:
-        raise CheckFailed("component splitting did not produce a basis")
-    action = ((np.einsum("ab,ibc->iac", Et_inv, n.action) % p) @ Et) % p
-    return GradedModule(n.algebra, np.array(degs, dtype=np.int64), action)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +475,8 @@ def theorem_pipeline(
         )
 
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
-    # the relative shift.  The endomorphism keys go first: they adapt each
-    # base module once, and its shifts keep that basis.  F(M(d)) is only
+    # the relative shift.  The endomorphism keys go first: they split each
+    # base module once, and its shifts reuse that split.  F(M(d)) is only
     # isomorphic to a shift of F(M), so every image pair is solved on its own.
     by_shift = {(k, k, 0): hom_dim(base, base) for k, base in enumerate(bases)}
     src_dims = {}

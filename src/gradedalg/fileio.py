@@ -71,20 +71,17 @@ def _lin_from_doc(doc, names: dict[str, int], n: int, p: int, where: str) -> np.
 
 
 def algebra_to_doc(a: GradedAlgebra) -> dict:
-    doc = {
+    return {
         "prime": a.p,
         "basis": [{"name": nm, "degree": int(d)} for nm, d in zip(a.names, a.degrees)],
         "unit": _lin_to_doc(a.unit, a.names),
         "idempotents": [_lin_to_doc(e, a.names) for e in a.idempotents],
-        "products": {},
+        # only the non-zero products, in row-major (basis) order
+        "products": {
+            f"{a.names[i]}*{a.names[j]}": _lin_to_doc(a.table[i, j], a.names)
+            for i, j in np.argwhere(a.table.any(axis=2))
+        },
     }
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if np.any(a.table[i, j]):
-                doc["products"][f"{a.names[i]}*{a.names[j]}"] = _lin_to_doc(
-                    a.table[i, j], a.names
-                )
-    return doc
 
 
 def algebra_from_doc(doc: dict) -> GradedAlgebra:
@@ -162,4 +159,9 @@ def load(path: Union[str, Path]) -> GradedAlgebra:
 
 
 def save(path: Union[str, Path], a: GradedAlgebra) -> None:
-    Path(path).write_text(dumps(a) + "\n")
+    _save_doc(path, algebra_to_doc(a))
+
+
+def _save_doc(path: Union[str, Path], doc: dict) -> None:
+    """Write the document ``algebra_to_doc`` made: the text of ``dumps`` and a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -31,7 +31,7 @@ from .errors import AlgebraMismatch, CheckFailed
 
 
 class GradedModule:
-    __slots__ = ("algebra", "degrees", "action", "_adapted")
+    __slots__ = ("algebra", "degrees", "action", "_cache")
 
     def __init__(self, algebra: GradedAlgebra, degrees, action):
         self.algebra = algebra
@@ -40,7 +40,7 @@ class GradedModule:
         self.action = modp.normalize(action, algebra.p).reshape(algebra.dim, d, d)
         self.degrees.flags.writeable = False
         self.action.flags.writeable = False
-        self._adapted = None
+        self._cache = {}
 
     @property
     def dim(self) -> int:
@@ -153,9 +153,13 @@ def width(m: GradedModule) -> int:
 def shift(m: GradedModule, d: int) -> GradedModule:
     """Degree shift M(d): an element of old degree g gets degree g - d."""
     out = GradedModule(m.algebra, m.degrees - d, m.action)
-    if m._adapted is not None:
-        degs, verts, action = m._adapted
-        out._adapted = (degs - d, verts, action)
+    # M's split, if made (under the key of ``cached``), is M(d)'s with degrees moved
+    made = m._cache.get((_split.__wrapped__,))
+    if made is not None:
+        basis, inv, degs, verts, action = made
+        degs = degs - d
+        degs.flags.writeable = False
+        _split.record(out, (basis, inv, degs, verts, action))
     return out
 
 
@@ -315,34 +319,35 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     return out
 
 
-def _adapted(m: GradedModule):
-    """(degrees, vertices, generator action) in a basis adapted to the idempotents.
+@cached
+def _split(m: GradedModule):
+    """M split along the designated idempotents e_i, M = sum of the e_i M_g (cached).
 
-    The basis is the RREF row basis of each e_i M in turn, and the action is
-    that of ``generators(A)`` in it.  Cached on the module; ``shift`` keeps it.
-    e_i has degree 0, so e_i M is the sum of the e_i M_g, whose RREF rows sit
-    in the columns of one degree each, and together they are in RREF: each
-    row is homogeneous, of the degree of its pivot.
+    Returns (basis, inverse of basis.T, degrees, vertices, generator action):
+    the RREF row basis of each e_i M in turn, the degree and index i of each
+    row, and the action of ``generators(A)`` in that basis.  e_i has degree
+    0, so the rows of e_i M of degree g are the RREF of e_i M_g, homogeneous.
+    Raises CheckFailed unless they form a basis of M, as they do when the e_i
+    are orthogonal, of degree 0 and of sum 1.
     """
-    if m._adapted is None:
-        a, p = m.algebra, m.p
-        splits = np.tensordot(a.idempotents, m.action, axes=1) % p
-        rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
-        for i, e in enumerate(splits):
-            block, piv = modp.row_basis(e.T, p)
-            rows.append(block)
-            pivots += piv
-            verts += [i] * len(piv)
-        basis = np.vstack(rows)
-        degs = m.degrees[pivots]
-        inv = modp.invert(basis.T, p) if basis.shape[0] == m.dim else None
-        if inv is None or np.any((basis != 0) & (m.degrees[None, :] != degs[:, None])):
-            raise CheckFailed("the idempotents do not split the module into a basis")
-        action = ((inv @ m.action[generators(a)]) % p @ basis.T) % p
-        m._adapted = (degs, np.array(verts, dtype=np.int64), action)
-        for arr in m._adapted:
-            arr.flags.writeable = False
-    return m._adapted
+    a, p = m.algebra, m.p
+    parts = np.tensordot(a.idempotents, m.action, axes=1) % p
+    rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
+    for i, e in enumerate(parts):
+        block, piv = modp.row_basis(e.T[e.any(axis=0)], p)  # most e_i M of a top are 0
+        rows.append(block)
+        pivots += piv
+        verts += [i] * len(piv)
+    basis = np.vstack(rows)
+    degs = m.degrees[pivots]
+    inv = modp.invert(basis.T, p) if basis.shape[0] == m.dim else None
+    if inv is None or np.any((basis != 0) & (m.degrees[None, :] != degs[:, None])):
+        raise CheckFailed("the idempotents do not split the module into a basis")
+    action = ((inv @ m.action[generators(a)]) % p @ basis.T) % p
+    out = (basis, inv, degs, np.array(verts, dtype=np.int64), action)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def hom_dim(m: GradedModule, n: GradedModule) -> int:
@@ -351,7 +356,7 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
     The designated idempotents e_i are orthogonal, have degree 0 and sum to
     1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
     map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
-    in bases adapted to these sums (``_adapted``) every map is block
+    in the bases of ``_split``, which follow these sums, every map is block
     diagonal, with a block for each label (g, i).  So the unknowns are the
     entries f[t, u] whose labels agree, and among their combinations the
     equations N(x) f = f M(x), for x in ``generators(A)``, cut out exactly
@@ -364,8 +369,8 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraMismatch("hom endpoints live over different algebras")
-    deg_m, vert_m, act_m = _adapted(m)
-    deg_n, vert_n, act_n = _adapted(n)
+    _, _, deg_m, vert_m, act_m = _split(m)
+    _, _, deg_n, vert_n, act_n = _split(n)
     t, u = np.nonzero((deg_n[:, None] == deg_m[None, :]) & (vert_n[:, None] == vert_m[None, :]))
     if t.size == 0:
         return 0
@@ -421,24 +426,24 @@ def top_summands(m: GradedModule):
     Returns (summands, lifts): one (representative index r, degree g) pair
     per summand S_r(-g) of top(M), and a vector of e_r M_g whose image in
     the top generates that summand, so Ae_r(-g) -> M, x -> x v covers it.
-    Per class and degree, the vectors of e_r top(M)_g are taken in turn, and
-    one starts a new summand only outside the span of those found so far.
-    The summand of w is e_r A e_r w, not F_p w: End(S_r) may be a larger
-    field, and then one summand holds several F_p-independent vectors.
+    Per class and degree, the rows of e_r top(M)_g in the split of top(M)
+    (``_split``) are taken in turn, and one starts a new summand only
+    outside the span of those found so far.  The summand of w is e_r A e_r w,
+    not F_p w: End(S_r) may be a larger field, and then one summand holds
+    several F_p-independent vectors.
     """
     a, p = m.algebra, m.p
     reps, _, corners = simple_classes(a)
     t, _, sec = quotient_module(m, radical_rows(m))
+    basis, _, degs, verts, _ = _split(t)
     summands: list[tuple[int, int]] = []
     lifts: list[np.ndarray] = []
     for r, corner in zip(reps, corners):
-        er_top = t.act(a.idempotents[r])
         er_mod = m.act(a.idempotents[r])
         corner_mats = np.tensordot(corner, t.action, axes=1) % p
-        for g in np.unique(t.degrees).tolist():
-            cand, _, _ = homogeneous_row_basis(er_top[:, t.slice_indices(g)].T, t.degrees, p)
+        for g in np.unique(degs[verts == r]).tolist():
             spanned, spiv = modp.zeros(0, t.dim), []
-            for w in cand:
+            for w in basis[(verts == r) & (degs == g)]:
                 if modp.in_row_span(spanned, spiv, w, p):
                     continue
                 summands.append((r, g))

@@ -5,7 +5,7 @@ import pytest
 from gradedalg import cli, fileio, modp, selfinj
 from gradedalg.algebra import validate_algebra
 from gradedalg.cli import main
-from gradedalg.construct import t_of
+from gradedalg.construct import beilinson, t_of
 from gradedalg.corpus import gen_example
 
 
@@ -240,6 +240,25 @@ def test_cli_gen_example(capsys, tmp_path):
     assert rep["results"]["dim"] == 4
     code, rep = run(capsys, "validate", str(out))
     assert code == 0
+
+
+def test_algebra_out_is_the_saved_algebra(capsys, tmp_path, t4_file):
+    # every --algebra-out file holds the text fileio.save writes for the
+    # algebra the command made, and the report carries the same document
+    a = fileio.load(t4_file)
+    made = {
+        ("beilinson", t4_file): beilinson(a),
+        ("trivext", t4_file): t_of(a),
+        ("gen-example", "exterior", "--m", "2"): gen_example("exterior", m=2),
+    }
+    for argv, alg in made.items():
+        out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+        code, rep = run(capsys, *argv, "--algebra-out", str(out))
+        assert code == 0, argv
+        fileio.save(saved, alg)
+        want = (fileio.dumps(alg) + "\n").encode()
+        assert out.read_bytes() == saved.read_bytes() == want, argv
+        assert rep["results"]["algebra"] == fileio.algebra_to_doc(alg), argv
 
 
 def test_cli_determinism(capsys, t4_file):

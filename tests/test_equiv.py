@@ -38,6 +38,7 @@ from gradedalg.modules import (
     is_projective,
     proj,
     regular_module,
+    shift,
     simple,
     simple_classes,
     top_summands,
@@ -129,11 +130,15 @@ def test_phi_identity_on_morphisms(truncated):
         moved.validate()  # the same matrix intertwines over t(A)
 
 
-def test_psi_on_component_mixed_basis(graded_corpus):
+def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
     # conjugate Phi(regular) by a random invertible block on every degree
     # slice, which mixes the components; psi must give back the regular
-    # module up to isomorphism, and a projective is determined by its top
+    # module up to isomorphism, and a projective is determined by its top.
+    # psi rewrites such a module in its split basis and calls itself on it:
+    # every vector of that basis lies in one component, of the same degrees
     rng = np.random.default_rng(7)
+    calls = []
+    monkeypatch.setattr(equiv, "psi", lambda a, n: calls.append(n) or psi(a, n))
     unadapted = 0
     for name, a in graded_corpus:
         r = regular_module(a)
@@ -149,9 +154,15 @@ def test_psi_on_component_mixed_basis(graded_corpus):
         ginv = modp.invert(g, a.p)
         mixed = GradedModule(f.algebra, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
         mixed.validate()
-        unadapted += _read_components(_component_projectors(a, mixed), mixed.dim) is None
-        m = psi(a, mixed)
+        mixes = _read_components(_component_projectors(a, mixed), mixed.dim) is None
+        unadapted += mixes
+        calls.clear()
+        m = equiv.psi(a, mixed)
         m.validate()
+        assert calls[0] is mixed and len(calls) == 1 + mixes, name  # one rewrite, if any
+        for n in calls[1:]:
+            assert _read_components(_component_projectors(a, n), n.dim) is not None, name
+            assert sorted(n.degrees.tolist()) == sorted(mixed.degrees.tolist()), name
         assert sorted(m.degrees.tolist()) == sorted(r.degrees.tolist()), name
         assert is_projective(m), name
         assert Counter(top_summands(m)[0]) == Counter(top_summands(r)[0]), name
@@ -481,7 +492,8 @@ def test_t_of_and_phi_share_one_extension(truncated):
 
 
 def _decide_every_cached_fact():
-    """Call every cached function on a fresh k[x]/(x^3), its t(A) and sigma."""
+    """Call every cached function on a fresh k[x]/(x^3), its t(A), a module
+    over each and sigma."""
     a = corpus.truncated_poly(3)
     t = t_of(a)
     for alg in (a, t):
@@ -489,6 +501,8 @@ def _decide_every_cached_fact():
         radical(alg), generators(alg), semisimple_quotient(alg), simple_classes(alg)
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
         [_proj_arrays(alg, i) for i in range(alg.n_idempotents)]
+        m = regular_module(alg)
+        hom_dim(m, shift(m, 1))  # splits m, and shift(m, 1) takes that split
     block_layout(a)
     sigma = extract_sigma(t).sigma
     sigma.power(2), sigma.power(-3)

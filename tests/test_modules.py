@@ -19,6 +19,7 @@ from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
 from gradedalg.modules import (
     GradedModule,
     GradedMorphism,
+    _split,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -248,7 +249,7 @@ def _base_samples(a):
 def test_hom_dim_matches_hom_basis(vertex_corpus):
     # the rank-only solve on the split system against the kernel basis, on
     # every ordered pair of proj/simple/inj shifted by -c..c; the sources are
-    # adapted on their own, the targets are shifts of an adapted module
+    # split on their own, the targets are shifts of a split module
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a) + [zero_module(a)]
@@ -272,6 +273,27 @@ def test_hom_dim_depends_on_relative_shift(vertex_corpus):
                     for e in range(-c, c + 1):
                         want = hom_dim(m, shift(n, e - d))
                         assert hom_dim(shift(m, d), shift(n, e)) == want, name
+
+
+def test_shift_reuses_the_split(vertex_corpus):
+    # M(d) takes the split of M as it stands, with the degrees moved by -d:
+    # the very arrays, not a recomputation, equal to the split M(d) would
+    # make of its own, and hom_dim reads the same answers from it
+    for name, a in vertex_corpus:
+        c = a.top_degree()
+        for m in _base_samples(a):
+            assert not shift(m, 1)._cache, name  # nothing to carry yet
+            basis, inv, degs, verts, action = _split(m)
+            for d in range(-c, c + 1):
+                n = shift(m, d)
+                got = _split(n)
+                n_basis, n_inv, n_degs, n_verts, n_action = got
+                assert n_basis is basis and n_inv is inv and n_verts is verts and n_action is action, name
+                assert np.array_equal(n_degs, degs - d) and not n_degs.flags.writeable, name
+                fresh = GradedModule(a, n.degrees, n.action)
+                assert all(np.array_equal(x, y) for x, y in zip(got, _split(fresh))), name
+                assert hom_dim(n, n) == hom_dim(fresh, fresh) == hom_dim(m, m), name
+                assert hom_dim(m, n) == hom_dim(m, fresh), name
 
 
 def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals):
