@@ -210,10 +210,12 @@ def intertwine_fault(
     ``f`` is one matrix or a stack of them; src[k] and tgt[k] are the matrices
     of the basis element rows[k].  The first failing row wins, then the first
     column failing in any map, then the first map failing there.  The one
-    multiplication check of the package (``generators`` gives its forms).
+    check of every action, map and bimodule in the package (``generators``
+    gives its forms; the associativity of A itself is ``_associativity_fault``).
     Works one row at a time, so memory stays O(n^3) rather than O(n^4).  Both
-    sides come from ``modp.dot``, so their difference is exact and fmod tells
-    whether it vanishes mod p.
+    sides come from ``modp.dot``, so their difference is an integer below 2^53
+    in magnitude, exact in float64 and in int64, and its int64 remainder
+    tells whether it vanishes mod p.
     """
     f = np.asarray(f)
     n, dt, ds = f.shape if f.ndim == 3 else (1, *f.shape)
@@ -222,7 +224,8 @@ def intertwine_fault(
     for k, row in enumerate(rows.tolist()):
         diff = modp.dot(tgt[k], wide, p)  # diff[a, (m, b)] = (tgt[k] @ f[m])[a, b]
         diff -= modp.dot(tall, src[k], p).reshape(dt, n * ds)
-        np.fmod(diff, p, out=diff)
+        diff = diff.astype(np.int64)
+        diff %= p
         if diff.any():
             bad = diff.reshape(dt, n, ds).any(axis=0)  # bad[m, b]
             col = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -252,9 +255,10 @@ def algebra_map_fault(h: np.ndarray, src: GradedAlgebra, tgt: GradedAlgebra) -> 
 def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     """Verify all GradedAlgebra invariants, raising a ValidationError subclass.
 
-    Checks: prime size, associativity on all basis pairs, two-sided unit,
-    graded multiplicativity, orthogonal idempotents summing to the unit,
-    and primitivity of each designated idempotent (its corner in
+    Checks: prime size, two-sided unit, graded multiplicativity,
+    associativity on all basis triples (``_associativity_fault``, an exact
+    join of the non-zero structure constants), orthogonal idempotents summing
+    to the unit, and primitivity of each designated idempotent (its corner in
     A_0/rad A_0 is commutative with Frobenius fixed space of dimension one).
     """
     p, n = a.p, a.dim
@@ -277,9 +281,9 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
             f"product {a.names[i]} * {a.names[j]} leaves the graded component"
         )
 
-    # associativity on every row (see ``generators``): the generators come
-    # from the radical, which presumes associativity
-    fault = intertwine_fault(a.right, a.left, a.left, np.arange(n), p)
+    # associativity on every triple: the generators, which the other
+    # multiplication checks read, come from the radical, which presumes it
+    fault = _associativity_fault(a)
     if fault is not None:
         i, j, k = fault
         raise NonAssociative(
@@ -291,6 +295,80 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     for i in range(a.n_idempotents):
         _check_primitive(a, i)
     return a
+
+
+#: Most joined pairs of structure constants that one block of
+#: ``_associativity_fault`` forms (unless one i alone has more); about 50
+#: bytes each at the peak.
+_JOIN_BUDGET = 1 << 15
+
+
+def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k), in lexicographic order, where (b_i b_j) b_k differs
+    from b_i (b_j b_k), or None: an exact int64 join of the non-zeros of t = table.
+
+    Coordinate l of (b_i b_j) b_k is sum_m t[i, j, m] t[m, k, l], and that of
+    b_i (b_j b_k) is sum_m t[j, k, m] t[i, m, l].  So each non-zero (i, j, m)
+    meets the non-zeros of first index m, and each (i, m, l) meets those of
+    third index m.  Every product is reduced mod p, the right side's negated,
+    and both sides are summed by the key ((i n + j) n + k) n + l (a sort, then
+    ``np.add.reduceat``): the smallest key whose sum is not 0 mod p names the
+    triple.  The pairs are formed in blocks of consecutive i, each of at most
+    ``_JOIN_BUDGET`` pairs or of one i, and the first block with a fault ends
+    the check.  See ``modp`` for why int64 is exact here.
+    """
+    n, p, left = a.dim, a.p, a.left
+    n2, n3 = n * n, n * n * n
+    flat = np.flatnonzero(left)  # left[i, m, j] = t[i, j, m]: in order of i
+    nnz = flat.size
+    c = left.ravel()[flat]
+    i, rest = np.divmod(flat, n2)
+    m, j = np.divmod(rest, n)
+    by_m = np.argsort(m)  # any order within a group will do
+    first, third = np.bincount(i, minlength=n), np.bincount(m, minlength=n)
+    end1, end3 = np.cumsum(first), np.cumsum(third)
+    # One outer row per side and non-zero.  Its partners are the rows begin ..
+    # begin + reps of the inner stack [non-zeros in order of i; in order of m],
+    # and key = okey[outer] + ikey[inner], value = oval[outer] * ival[inner]:
+    # (i, j, m) meets (m, k, l) on the left, (i, m, l) meets (j, k, m) on the right.
+    reps = np.concatenate([first[m], third[j]])
+    begin = np.concatenate([end1[m] - first[m], end3[j] - third[j] + nnz])
+    okey = np.concatenate([i * n3 + j * n2, i * n3 + m])
+    ikey = np.concatenate([j * n + m, (i * n2 + j * n)[by_m]])
+    oval = np.tile(c, 2)
+    ival = np.concatenate([c, p - c[by_m]])
+    cost = np.concatenate([[0], np.cumsum(reps[:nnz] + reps[nnz:])])  # pairs before each non-zero
+    if cost[-1] <= _JOIN_BUDGET:
+        blocks = [np.arange(2 * nnz)]
+    else:
+        blocks, lo = [], 0
+        while lo < nnz:  # whole i within the budget from non-zero lo, at least one
+            hi = int(np.searchsorted(cost, cost[lo] + _JOIN_BUDGET, "right")) - 1
+            if hi < nnz:
+                hi = int(end1[i[hi]] - first[i[hi]])
+            hi = max(hi, int(end1[i[lo]]))
+            blocks.append(np.r_[lo:hi, nnz + lo : nnz + hi])
+            lo = hi
+    for rows in blocks:
+        r = reps[rows]
+        outer = np.repeat(rows, r)
+        inner = np.repeat(begin[rows] + r - np.cumsum(r), r)
+        inner += np.arange(inner.size)
+        key = okey[outer]
+        key += ikey[inner]
+        val = oval[outer]
+        val *= ival[inner]
+        val %= p
+        del outer, inner
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        del order
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        bad = np.flatnonzero(np.add.reduceat(val, heads) % p)
+        if bad.size:
+            k = int(key[heads[bad[0]]])
+            return k // n3, k // n2 % n, k // n % n
+    return None
 
 
 def _check_idempotents(a: GradedAlgebra) -> None:
@@ -383,13 +461,13 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     trace-form one, so ``a`` must be associative, with p > dim A or this
     raises PrimeTooSmall.
 
-    Every multiplication check in the package is a call of
-    ``intertwine_fault(f, src, tgt, rows)``, and all but the associativity
-    check of ``validate_algebra`` (f = R(b_k) for every k, src = tgt = L;
-    column j reads b_i (b_j b_k) = (b_i b_j) b_k) read only the rows G, by
-    this lemma.  Let M be a
-    linear map from A to matrices with M(g) M(b) = M(gb) for every g in G and
-    every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
+    Every multiplication check of an action, a map or a bimodule in the
+    package is a call of ``intertwine_fault(f, src, tgt, rows)`` that reads
+    only the rows G, by the lemma below.  The lemma presumes that A is
+    associative, which ``validate_algebra`` checks on every basis triple by a
+    join of the non-zero structure constants, not by ``intertwine_fault``.
+    Let M be a linear map from A to matrices with M(g) M(b) = M(gb) for
+    every g in G and every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
     a with M(a) M(b) = M(ab) for all b form a subspace S.  It contains G, and
     it is closed under left multiplication by G, since then
     M(ga) M(b) = M(g) M(a) M(b) = M(g) M(ab) = M(gab).  So S contains the

@@ -144,7 +144,7 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
         return GradedModule(a, n.degrees, modp.zeros(a.dim, 0, 0))
     comp = _read_components(_component_projectors(a, n), n.dim)
     if comp is None:
-        basis, inv, degs, _, _ = _split(n)
+        basis, inv, degs, _ = _split(n)
         action = ((inv @ n.action) % n.p @ basis.T) % n.p
         return psi(a, GradedModule(n.algebra, degs, action))
     # every (basis element j, component q) is read from exactly one block

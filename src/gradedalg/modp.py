@@ -8,16 +8,23 @@ Two kinds of kernel multiply residues:
 
 * ``dot`` multiplies in float64 through BLAS, exactly: a sum of at most
   ``block_len(p)`` = (2^53 - 1) // (p - 1)^2 products of residues stays
-  below 2^53, and longer inner dimensions are reduced blockwise with fmod
-  (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM
-  TOMS 35(3), 2008).  ``mat_mul`` uses it, and so does the one multiplication
-  check, ``algebra.intertwine_fault``: it reads only the rows of
-  ``algebra.generators``, but every row for the associativity check of
-  ``validate_algebra``;
+  below 2^53, and longer inner dimensions are reduced blockwise (the
+  delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
+  35(3), 2008).  ``mat_mul`` uses it, and so does the multiplication check
+  of actions and maps, ``algebra.intertwine_fault``, which reads only the
+  rows of ``algebra.generators``.  Results are reduced by casting to int64
+  and taking ``%``: every value is an integer below 2^53 in magnitude;
 * everything else (row reduction, and the einsum, tensordot and matmul
   contractions such as the trace form) sums in int64, which is exact while
   the inner dimension is at most ``MAX_INNER``.  Each such sum runs over
   one basis, of an algebra or of a module, so its length is a dimension.
+
+The associativity check of ``algebra.validate_algebra`` is an int64 join
+of the n-dimensional algebra's non-zero structure constants.  Each product
+of two residues is below p^2 <= 2^40 and is reduced before any sum; each
+sum has at most 2n terms, n from each side of the associative law; and
+each key is below n^4, which is below 2^63 for every n < 55,000, far past
+any whose dense structure table fits in memory.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
 project are desk-scale (dimension a few hundred at most).  Each pivot step
@@ -109,26 +116,26 @@ def dot(a, b, p: int) -> np.ndarray:
 
     Operands hold residues in [0, p); ``b`` is at least 2-d and may be a
     stack.  Each entry of the result is an integer in [0, 2^53), so a
-    difference of two results is exact too, and ``np.fmod(x, p)`` reduces
-    either.  Inner dimensions longer than ``block_len(p)`` are cut into
-    blocks, each reduced with fmod before it joins the running sum, which
-    then stays below 2p.  No inner dimension in this package is that long,
-    so the block loop never runs outside the tests.
+    difference of two results is exact too, and the cast of either to int64
+    is exact, after which ``% p`` reduces it.  Inner dimensions longer than
+    ``block_len(p)`` are cut into blocks, each reduced in int64 before it
+    joins the running sum, which then stays below 2p.  No inner dimension in
+    this package is that long, so the block loop never runs outside the tests.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     k, step = a.shape[-1], block_len(p)
     if k <= step:
         return a @ b
-    out = np.fmod(a[..., :step] @ b[..., :step, :], p)
+    out = (a[..., :step] @ b[..., :step, :]).astype(np.int64) % p
     for s in range(step, k, step):
-        out += np.fmod(a[..., s : s + step] @ b[..., s : s + step, :], p)
-        np.fmod(out, p, out=out)
-    return out
+        out += (a[..., s : s + step] @ b[..., s : s + step, :]).astype(np.int64) % p
+        out %= p
+    return out.astype(np.float64)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.fmod(dot(normalize(a, p), normalize(b, p), p), p).astype(np.int64)
+    return dot(normalize(a, p), normalize(b, p), p).astype(np.int64) % p
 
 
 def inv_scalar(x: int, p: int) -> int:

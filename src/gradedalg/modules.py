@@ -153,13 +153,17 @@ def width(m: GradedModule) -> int:
 def shift(m: GradedModule, d: int) -> GradedModule:
     """Degree shift M(d): an element of old degree g gets degree g - d."""
     out = GradedModule(m.algebra, m.degrees - d, m.action)
-    # M's split, if made (under the key of ``cached``), is M(d)'s with degrees moved
+    # M's split and its action, if made (under the keys of ``cached``), are
+    # M(d)'s with the degrees moved
     made = m._cache.get((_split.__wrapped__,))
     if made is not None:
-        basis, inv, degs, verts, action = made
+        basis, inv, degs, verts = made
         degs = degs - d
         degs.flags.writeable = False
-        _split.record(out, (basis, inv, degs, verts, action))
+        _split.record(out, (basis, inv, degs, verts))
+    action = m._cache.get((_split_action.__wrapped__,))
+    if action is not None:
+        _split_action.record(out, action)
     return out
 
 
@@ -323,12 +327,11 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
 def _split(m: GradedModule):
     """M split along the designated idempotents e_i, M = sum of the e_i M_g (cached).
 
-    Returns (basis, inverse of basis.T, degrees, vertices, generator action):
-    the RREF row basis of each e_i M in turn, the degree and index i of each
-    row, and the action of ``generators(A)`` in that basis.  e_i has degree
-    0, so the rows of e_i M of degree g are the RREF of e_i M_g, homogeneous.
-    Raises CheckFailed unless they form a basis of M, as they do when the e_i
-    are orthogonal, of degree 0 and of sum 1.
+    Returns (basis, inverse of basis.T, degrees, vertices): the RREF row
+    basis of each e_i M in turn, and the degree and index i of each row.
+    e_i has degree 0, so the rows of e_i M of degree g are the RREF of
+    e_i M_g, homogeneous.  Raises CheckFailed unless they form a basis of M,
+    as they do when the e_i are orthogonal, of degree 0 and of sum 1.
     """
     a, p = m.algebra, m.p
     parts = np.tensordot(a.idempotents, m.action, axes=1) % p
@@ -343,11 +346,20 @@ def _split(m: GradedModule):
     inv = modp.invert(basis.T, p) if basis.shape[0] == m.dim else None
     if inv is None or np.any((basis != 0) & (m.degrees[None, :] != degs[:, None])):
         raise CheckFailed("the idempotents do not split the module into a basis")
-    action = ((inv @ m.action[generators(a)]) % p @ basis.T) % p
-    out = (basis, inv, degs, np.array(verts, dtype=np.int64), action)
+    out = (basis, inv, degs, np.array(verts, dtype=np.int64))
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+@cached
+def _split_action(m: GradedModule) -> np.ndarray:
+    """The action of ``generators(A)`` in the basis of ``_split(m)`` (cached)."""
+    basis, inv, _, _ = _split(m)
+    p = m.p
+    action = ((inv @ m.action[generators(m.algebra)]) % p @ basis.T) % p
+    action.flags.writeable = False
+    return action
 
 
 def hom_dim(m: GradedModule, n: GradedModule) -> int:
@@ -369,13 +381,14 @@ def hom_dim(m: GradedModule, n: GradedModule) -> int:
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraMismatch("hom endpoints live over different algebras")
-    _, _, deg_m, vert_m, act_m = _split(m)
-    _, _, deg_n, vert_n, act_n = _split(n)
+    _, _, deg_m, vert_m = _split(m)
+    _, _, deg_n, vert_n = _split(n)
     t, u = np.nonzero((deg_n[:, None] == deg_m[None, :]) & (vert_n[:, None] == vert_m[None, :]))
     if t.size == 0:
         return 0
     a, p = m.algebra, m.p
     gen_degrees = a.degrees[generators(a)]
+    act_m, act_n = _split_action(m), _split_action(n)
     system = _intertwining_system(gen_degrees, (deg_m, act_m), (deg_n, act_n), t, u, p)
     return t.size - modp.rank(system, p)
 
@@ -435,7 +448,7 @@ def top_summands(m: GradedModule):
     a, p = m.algebra, m.p
     reps, _, corners = simple_classes(a)
     t, _, sec = quotient_module(m, radical_rows(m))
-    basis, _, degs, verts, _ = _split(t)
+    basis, _, degs, verts = _split(t)
     summands: list[tuple[int, int]] = []
     lifts: list[np.ndarray] = []
     for r, corner in zip(reps, corners):

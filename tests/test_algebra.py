@@ -6,7 +6,9 @@ import pytest
 
 from gradedalg import modp
 from gradedalg.algebra import (
+    _JOIN_BUDGET,
     Bimodule,
+    _associativity_fault,
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
@@ -637,6 +639,49 @@ def test_validate_algebra_names_the_oracles_non_associative_triple(truncated, re
             kinds[None] += 1
     assert sum(kinds.values()) == 4**3 + 9**3
     assert kinds[NonAssociative] > 20 and kinds[None] > 0
+
+
+def test_associativity_join_matches_the_dense_int64_reference(truncated, rebased_nakayama32, rebased_nakayama):
+    # _representation_fault_int64(table, left) is the dense sweep: the first
+    # (i, j, k) where L_i L_j e_k != L_{b_i b_j} e_k.  The join must find the
+    # very same triple, also on tables the unit or grading check would refuse
+    faults = Counter()
+    for a in (truncated(4), rebased_nakayama32):
+        for table in _entry_corruptions(a.table):
+            bad = GradedAlgebra(a.p, a.names, a.degrees, table, a.unit, a.idempotents)
+            got = _associativity_fault(bad)
+            assert got == _representation_fault_int64(bad.table, bad.left, bad.p)
+            faults[got is not None] += 1
+    assert faults[True] + faults[False] == 4**3 + 9**3
+    assert faults[True] > 700 and faults[False] > 0
+
+    # tables with no non-zeros, or whose non-zeros meet none, join nothing
+    table = np.zeros((3, 3, 3), dtype=np.int64)
+    for entries in ([], [(0, 1, 2)], [(0, 1, 2), (2, 0, 1)]):
+        for idx in entries:
+            table[idx] = 1
+        bad = GradedAlgebra(P, "abc", [0, 0, 0], table, [1, 0, 0], [[1, 0, 0]])
+        assert _associativity_fault(bad) == _representation_fault_int64(bad.table, bad.left, P)
+
+    # t(N(4, 3)) in a dense homogeneous basis: the join of its non-zeros takes
+    # several blocks, counted from the table as the join counts them
+    t = t_of(rebased_nakayama(4, 3, 43))
+    nz = (t.table != 0).astype(np.int64)
+    first, third = nz.sum(axis=(1, 2)), nz.sum(axis=(0, 1))
+    # each non-zero (i, j, m) meets the m-th first index and the j-th third index
+    per_i = np.einsum("ijm,m->i", nz, first) + np.einsum("ijm,j->i", nz, third)
+    assert per_i.sum() > _JOIN_BUDGET
+    first_block = max(int(np.count_nonzero(np.cumsum(per_i) <= _JOIN_BUDGET)), 1)
+    assert _associativity_fault(t) is None
+    rng = np.random.default_rng(15)
+    found = []
+    for _ in range(24):
+        bad = GradedAlgebra(t.p, t.names, t.degrees, _corrupt(t.table, rng, t.p), t.unit, t.idempotents)
+        got = _associativity_fault(bad)
+        assert got == _representation_fault_int64(bad.table, bad.left, bad.p)
+        found.append(got)
+    assert any(f is not None and f[0] < first_block for f in found)
+    assert any(f is not None and f[0] >= first_block for f in found)
 
 
 def test_homogeneous_row_basis_matches_rowwise_oracle():

@@ -20,6 +20,7 @@ from gradedalg.modules import (
     GradedModule,
     GradedMorphism,
     _split,
+    _split_action,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -276,24 +277,42 @@ def test_hom_dim_depends_on_relative_shift(vertex_corpus):
 
 
 def test_shift_reuses_the_split(vertex_corpus):
-    # M(d) takes the split of M as it stands, with the degrees moved by -d:
-    # the very arrays, not a recomputation, equal to the split M(d) would
-    # make of its own, and hom_dim reads the same answers from it
+    # M(d) takes the split of M and its generator action as they stand, with
+    # the degrees moved by -d: the very arrays, not a recomputation, equal to
+    # the ones M(d) would make of its own, and hom_dim reads the same answers
     for name, a in vertex_corpus:
         c = a.top_degree()
         for m in _base_samples(a):
             assert not shift(m, 1)._cache, name  # nothing to carry yet
-            basis, inv, degs, verts, action = _split(m)
+            basis, inv, degs, verts = _split(m)
+            assert (_split_action.__wrapped__,) not in shift(m, 1)._cache, name  # made on demand
+            action = _split_action(m)
             for d in range(-c, c + 1):
                 n = shift(m, d)
                 got = _split(n)
-                n_basis, n_inv, n_degs, n_verts, n_action = got
-                assert n_basis is basis and n_inv is inv and n_verts is verts and n_action is action, name
+                n_basis, n_inv, n_degs, n_verts = got
+                assert n_basis is basis and n_inv is inv and n_verts is verts, name
+                assert _split_action(n) is action, name
                 assert np.array_equal(n_degs, degs - d) and not n_degs.flags.writeable, name
                 fresh = GradedModule(a, n.degrees, n.action)
                 assert all(np.array_equal(x, y) for x, y in zip(got, _split(fresh))), name
+                assert np.array_equal(action, _split_action(fresh)), name
                 assert hom_dim(n, n) == hom_dim(fresh, fresh) == hom_dim(m, m), name
                 assert hom_dim(m, n) == hom_dim(m, fresh), name
+
+
+def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
+    # the top decomposition reads the split basis only, not the generator
+    # action that hom_dim reads, so it never needs generators(A)
+    for name, a in vertex_corpus:
+        fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
+        for i in range(fresh.n_idempotents):
+            want = top_summands(proj(a, i))[0]
+            assert top_summands(proj(fresh, i))[0] == want, name
+            assert top_summands(inj(fresh, i, 1))[0] == top_summands(inj(a, i, 1))[0], name
+        assert (generators.__wrapped__,) not in fresh._cache, name
+        hom_dim(proj(fresh, 0), proj(fresh, 0))
+        assert (generators.__wrapped__,) in fresh._cache, name
 
 
 def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals):
