@@ -53,6 +53,7 @@ from .modules import (
     direct_sum,
     hom_basis,
     hom_dim,
+    hom_dims,
     inj,
     is_projective,
     proj,

@@ -12,7 +12,7 @@ the rows of block_layout: phi gathers the action of a row's source element
 on the vectors of the row's column component, and psi scatters it back, so
 that each (basis element, component) is read from exactly one block.  When
 a module's basis mixes components, Psi first rewrites it in the basis of
-its split along the designated idempotents of t(A) (the split ``hom_dim``
+its split along the designated idempotents of t(A) (the split ``hom_dims``
 reads), in which each vector lies in one component.  Both take t(A) from
 ``t_of(a)``, which is built once per algebra, so their modules live over
 the very algebra object that theorem_pipeline uses.
@@ -83,7 +83,7 @@ from .modules import (
     GradedMorphism,
     _split,
     hom_basis,
-    hom_dim,
+    hom_dims,
     inj,
     is_projective,
     proj,
@@ -475,19 +475,20 @@ def theorem_pipeline(
         )
 
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
-    # the relative shift.  The endomorphism keys go first: they split each
-    # base module once, and its shifts reuse that split.  F(M(d)) is only
-    # isomorphic to a shift of F(M), so every image pair is solved on its own.
-    by_shift = {(k, k, 0): hom_dim(base, base) for k, base in enumerate(bases)}
+    # the relative shift and solved on the base modules, without building a
+    # shift.  F(M(d)) is only isomorphic to a shift of F(M), so every image
+    # pair is solved on its own.
+    keys = {}
+    for ka, da in origin:
+        for kb, db in origin:
+            keys.setdefault((ka, kb, db - da), len(keys))
+    by_key = hom_dims([(bases[ka], bases[kb], d) for ka, kb, d in keys])
+    by_image = iter(hom_dims([(fa, fb, 0) for fa in images for fb in images]))
     src_dims = {}
-    for ia, ((la, _, _), fa) in enumerate(zip(samples, images)):
-        for ib, ((lb, _, _), fb) in enumerate(zip(samples, images)):
-            (ka, da), (kb, db) = origin[ia], origin[ib]
-            key = (ka, kb, db - da)
-            if key not in by_shift:
-                by_shift[key] = hom_dim(bases[ka], shift(bases[kb], db - da))
-            src_dims[ia, ib] = d_src = by_shift[key]
-            d_img = hom_dim(fa, fb)
+    for ia, ((la, _, _), (ka, da)) in enumerate(zip(samples, origin)):
+        for ib, ((lb, _, _), (kb, db)) in enumerate(zip(samples, origin)):
+            src_dims[ia, ib] = d_src = by_key[keys[ka, kb, db - da]]
+            d_img = next(by_image)
             record(
                 "hom-dim",
                 f"{la} -> {lb}",

@@ -28,7 +28,12 @@ any whose dense structure table fits in memory.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
 project are desk-scale (dimension a few hundred at most).  Each pivot step
-touches only the rows with a non-zero entry in the pivot column.
+touches only the rows with a non-zero entry in the pivot column.  ``ranks``
+eliminates a zero-padded stack of matrices in one pass, for the batched
+hom dimensions of ``modules.hom_dims``: each step forms products of two
+residues, each below p^2 <= 2^40, subtracts one from another and reduces
+the result before the next step, so no value leaves int64.  It scales rows
+by their pivots instead of inverting them.
 """
 
 from __future__ import annotations
@@ -177,6 +182,41 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank(m: np.ndarray, p: int) -> int:
     return len(rref(m, p)[1])
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank of every matrix in a 3-d stack, by one elimination over all of them.
+
+    Column by column, each matrix takes its first row with a non-zero entry
+    there as pivot row, and every row is replaced by pv * row - a_rc * pivot
+    row, pv the pivot entry.  That scales each row by the unit pv and
+    subtracts a multiple of the pivot row, which itself becomes zero: so the
+    row space loses exactly the pivot row, which was independent of the new
+    rows (they vanish in column c, it does not), and the rank drops by one.
+    A matrix without a pivot in column c is left as it is.  No inverse is
+    taken, and zero padding of rows or columns leaves every rank unchanged.
+    """
+    if np.ndim(stack) != 3:
+        raise ValueError("ranks expects a 3-d stack")
+    # columns outermost, so that the columns right of c are one block
+    a = np.ascontiguousarray(normalize(stack, p).transpose(2, 0, 1))
+    ncols, count, nrows = a.shape
+    out = np.zeros(count, dtype=np.int64)
+    if nrows == 0:
+        return out
+    every = np.arange(count)
+    for c in range(ncols):
+        col = a[c]  # never written again: the updates start right of it
+        piv = np.argmax(col != 0, axis=1)
+        pv = col[every, piv]
+        out += pv != 0
+        pv[pv == 0] = 1
+        rest = a[c + 1 :]
+        prow = rest[:, every, piv]
+        rest *= pv[:, None]
+        rest -= prow[:, :, None] * col
+        rest %= p
+    return out
 
 
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:

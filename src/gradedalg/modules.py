@@ -29,6 +29,10 @@ from .algebra import (
 )
 from .errors import AlgebraMismatch, CheckFailed
 
+#: Most hom systems that ``hom_dims`` assembles and eliminates at once.  It
+#: bounds the memory of one batch, whose padded stack has this many matrices.
+HOM_BATCH = 128
+
 
 class GradedModule:
     __slots__ = ("algebra", "degrees", "action", "_cache")
@@ -362,35 +366,113 @@ def _split_action(m: GradedModule) -> np.ndarray:
     return action
 
 
-def hom_dim(m: GradedModule, n: GradedModule) -> int:
-    """dim of the degree-preserving module maps M -> N, from a rank only.
+def _expand(groups, bounds, order):
+    """(k, e) for each member e of group groups[k], the group of g being
+    order[bounds[g] : bounds[g + 1]]."""
+    start, sizes = bounds[groups], bounds[groups + 1] - bounds[groups]
+    k = np.repeat(np.arange(groups.size), sizes)
+    return k, order[np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(k.size)]
+
+
+def hom_dims(entries) -> list[int]:
+    """dim Hom(M, N(d)) of degree-preserving module maps, for each entry (M, N, d).
 
     The designated idempotents e_i are orthogonal, have degree 0 and sum to
     1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
     map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
     in the bases of ``_split``, which follow these sums, every map is block
     diagonal, with a block for each label (g, i).  So the unknowns are the
-    entries f[t, u] whose labels agree, and among their combinations the
-    equations N(x) f = f M(x), for x in ``generators(A)``, cut out exactly
-    the module maps (the lemma at ``generators``).  The dimension is the
-    number of unknowns minus the rank of those equations; A must be
-    associative, with p > dim A or this raises PrimeTooSmall.
+    entries f[t, u] whose labels agree, the label of N(d) being the one of N
+    with the degree moved by -d, and among their combinations the equations
+    N(x) f = f M(x), for x in ``generators(A)``, cut out exactly the module
+    maps (the lemma at ``generators``).  The dimension is the number of
+    unknowns minus the rank of those equations; A must be associative, with
+    p > dim A or this raises PrimeTooSmall.
+
+    Each distinct module is split once, and N(d) is never built: it has the
+    split and the action of N.  Equation (x, r, s) reads
+    sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s], so its non-zero
+    entries come from the non-zeros of the split actions: column t of N(x)
+    for the unknown f[t, s], row u of M(x) for f[r, u].  ``HOM_BATCH``
+    entries at a time are gathered this way, tagged by entry, and their
+    systems, zero-padded to one shape, go through one ``modp.ranks``.  All
+    modules must live over one algebra.
 
     Raises CheckFailed when the rows of the e_i M_g do not form a basis,
     which happens only if the idempotents fail one of the three facts.
     """
-    if not m.algebra.same_as(n.algebra):
-        raise AlgebraMismatch("hom endpoints live over different algebras")
-    _, _, deg_m, vert_m = _split(m)
-    _, _, deg_n, vert_n = _split(n)
-    t, u = np.nonzero((deg_n[:, None] == deg_m[None, :]) & (vert_n[:, None] == vert_m[None, :]))
-    if t.size == 0:
-        return 0
-    a, p = m.algebra, m.p
-    gen_degrees = a.degrees[generators(a)]
-    act_m, act_n = _split_action(m), _split_action(n)
-    system = _intertwining_system(gen_degrees, (deg_m, act_m), (deg_n, act_n), t, u, p)
-    return t.size - modp.rank(system, p)
+    entries = list(entries)
+    if not entries:
+        return []
+    a = entries[0][0].algebra
+    index: dict[int, int] = {}
+    mods: list[GradedModule] = []
+    for m, n, _ in entries:
+        for x in (m, n):
+            if id(x) not in index:
+                if not a.same_as(x.algebra):
+                    raise AlgebraMismatch("hom endpoints live over different algebras")
+                index[id(x)] = len(mods)
+                mods.append(x)
+    labels = [_split(x)[2:] for x in mods]
+    actions = [_split_action(x) for x in mods]
+    dims = np.array([x.dim for x in mods], dtype=np.int64)
+    off = np.cumsum(dims) - dims
+    total, most = int(dims.sum()), int(dims.max())
+    # all bases in one index; the grids pad with slot `total`, whose vertex
+    # differs between the N and the M side, so that it matches nothing
+    grid = np.where(np.arange(most) < dims[:, None], off[:, None] + np.arange(most), total)
+    deg = np.concatenate([d for d, _ in labels] + [[0]])
+    vert_n = np.concatenate([v for _, v in labels] + [[-1]])
+    vert_m = np.concatenate([v for _, v in labels] + [[-2]])
+    # the non-zeros (x, r, t) of every split action, grouped by column t for
+    # N(x)[r, t] and by row r for M(x)[u, s], u = r
+    nz = [np.nonzero(act) for act in actions]
+    gen = np.concatenate([x for x, _, _ in nz])
+    row = np.concatenate([r + o for (_, r, _), o in zip(nz, off)])
+    col = np.concatenate([t + o for (_, _, t), o in zip(nz, off)])
+    val = np.concatenate([act[z] for act, z in zip(actions, nz)])
+    by_col, by_row = np.argsort(col), np.argsort(row)
+    col_bounds = np.searchsorted(col[by_col], np.arange(total + 1))
+    row_bounds = np.searchsorted(row[by_row], np.arange(total + 1))
+    n_gens = len(generators(a))
+    src = np.array([index[id(m)] for m, _, _ in entries], dtype=np.int64)
+    tgt = np.array([index[id(n)] for _, n, _ in entries], dtype=np.int64)
+    shifts = np.array([d for _, _, d in entries], dtype=np.int64)
+    out: list[int] = []
+    for lo in range(0, len(entries), HOM_BATCH):
+        part = slice(lo, lo + HOM_BATCH)
+        gm, gn, count = grid[src[part]], grid[tgt[part]], len(src[part])
+        # the unknowns f[t, u] of entry q: t of N, u of M, under equal labels
+        match = (vert_n[gn][:, :, None] == vert_m[gm][:, None, :]) & (
+            deg[gn][:, :, None] - shifts[part, None, None] == deg[gm][:, None, :]
+        )
+        q, it, iu = np.nonzero(match)
+        unknowns = np.bincount(q, minlength=count)
+        t, u = gn[q, it], gm[q, iu]
+        column = np.arange(q.size) - (np.cumsum(unknowns) - unknowns)[q]
+        # f[t, s] enters equation (x, r, s) with N(x)[r, t], and f[r, u]
+        # enters it with -M(x)[u, s]
+        ka, ea = _expand(t, col_bounds, by_col)
+        kb, eb = _expand(u, row_bounds, by_row)
+        k = np.concatenate([ka, kb])
+        qk = q[k]
+        r = np.concatenate([row[ea], t[kb]]) - off[tgt[part]][qk]
+        s = np.concatenate([u[ka], col[eb]]) - off[src[part]][qk]
+        x = gen[np.concatenate([ea, eb])]
+        key = ((qk * n_gens + x) * most + r) * most + s
+        eqs, eq = np.unique(key, return_inverse=True)
+        per = np.bincount(eqs // (n_gens * most * most), minlength=count)
+        eq -= (np.cumsum(per) - per)[qk]
+        stack = np.zeros((count, int(per.max()), int(unknowns.max())), dtype=np.int64)
+        np.add.at(stack, (qk, eq, column[k]), np.concatenate([val[ea], -val[eb]]))
+        out += (unknowns - modp.ranks(stack, a.p)).tolist()
+    return out
+
+
+def hom_dim(m: GradedModule, n: GradedModule) -> int:
+    """dim of the degree-preserving module maps M -> N: ``hom_dims`` on one pair."""
+    return hom_dims([(m, n, 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +534,14 @@ def top_summands(m: GradedModule):
     summands: list[tuple[int, int]] = []
     lifts: list[np.ndarray] = []
     for r, corner in zip(reps, corners):
+        mine = verts == r
+        if not mine.any():  # no summand S_r, so no need of e_r or the corner
+            continue
         er_mod = m.act(a.idempotents[r])
         corner_mats = np.tensordot(corner, t.action, axes=1) % p
-        for g in np.unique(degs[verts == r]).tolist():
+        for g in np.unique(degs[mine]).tolist():
             spanned, spiv = modp.zeros(0, t.dim), []
-            for w in basis[(verts == r) & (degs == g)]:
+            for w in basis[mine & (degs == g)]:
                 if modp.in_row_span(spanned, spiv, w, p):
                     continue
                 summands.append((r, g))

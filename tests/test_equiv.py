@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gradedalg import corpus, equiv, modp
+from gradedalg import corpus, equiv, modp, modules
 from gradedalg.algebra import (
     Bimodule,
     degree_zero_subalgebra,
@@ -293,6 +293,50 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
                 want += [f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}"] * len(homs[lb, la])
         got = [c.name for c in cert.checks if c.family == "functoriality"]
         assert got == want
+
+
+def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
+    # Hom(M(d), N(d')) = Hom(M, N(d' - d)) is solved on the bases M and N,
+    # and N(d' - d) reads the split of N: the only modules split are the
+    # bases, the images of the functor and the tops that the covers need,
+    # never a module that ``shift`` built with d != 0
+    a = rebased_nakayama(3, 2, 32)  # a fresh algebra: no module is split yet
+    real_split, made = modules._split, []
+
+    def split(m):
+        if (real_split.__wrapped__,) not in m._cache:
+            made.append(m)
+        return real_split(m)
+
+    split.__wrapped__, split.record = real_split.__wrapped__, real_split.record
+    built = {"shifted": [], "base": [], "image": [], "top": []}
+
+    def spy(kind, fn, keep=lambda out, *args: out):
+        # records keep(output, *arguments) under kind, unless it is None
+        def wrapper(*args):
+            out = fn(*args)
+            if keep(out, *args) is not None:
+                built[kind].append(keep(out, *args))
+            return out
+
+        return wrapper
+
+    real_shift = modules.shift
+    for ns in (modules, equiv):
+        monkeypatch.setattr(ns, "_split", split)
+        monkeypatch.setattr(ns, "shift", spy("shifted", real_shift, lambda out, m, d: out if d else None))
+    for name in ("proj", "simple", "inj"):
+        monkeypatch.setattr(equiv, name, spy("base", getattr(equiv, name)))
+    # F's transport lands on T(b(A)); G's first step goes back to t(A)
+    image = lambda out, m, target, change: None if target is t_of(a) else out
+    monkeypatch.setattr(equiv, "_transport", spy("image", equiv._transport, image))
+    monkeypatch.setattr(modules, "quotient_module", spy("top", modules.quotient_module, lambda out, *_: out[0]))
+    assert theorem_pipeline(a).passed
+    ids = {kind: {id(m) for m in mods} for kind, mods in built.items()}
+    assert len(built["base"]) == 3 * a.n_idempotents and len(built["shifted"]) == 36
+    assert ids["base"] | ids["image"] <= {id(m) for m in made}
+    assert not ids["shifted"] & {id(m) for m in made}
+    assert all(id(m) in ids["base"] | ids["image"] | ids["top"] for m in made)
 
 
 def test_pipeline_names_the_sample_of_a_failed_image(truncated, monkeypatch):

@@ -205,3 +205,38 @@ def test_rref_matches_outer_product_oracle(p):
         assert np.array_equal(red, want) and red.dtype == want.dtype
         assert piv == want_piv
         assert np.array_equal(m, frozen) and red is not m
+
+
+LARGEST_PRIME = next(q for q in range(modp.PRIME_BOUND, 1, -1) if modp.is_prime(q))
+
+
+@pytest.mark.parametrize("p", [2, 7919, LARGEST_PRIME])
+def test_ranks_match_rank_on_padded_stacks(p):
+    # zero, rank-deficient (a product through k < min(rows, cols)), tall,
+    # wide and column-free systems, zero-padded into stacks of one shape
+    rng = np.random.default_rng(7 + p % 1000)
+    mats = [modp.zeros(0, 0), modp.zeros(4, 0), modp.zeros(0, 3), modp.zeros(5, 4)]
+    for _ in range(80):
+        rows, cols = (int(x) for x in rng.integers(1, 10, size=2))
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        m = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+        if rng.integers(0, 2):
+            m = rng.integers(0, p, size=(rows, cols))
+            m[rng.random(m.shape) < rng.random()] = 0
+        mats.append(m)
+    mats.append(np.full((9, 3), p - 1))
+    want = [modp.rank(m, p) if m.size else 0 for m in mats]
+    assert 0 in want[4:] and any(w < min(m.shape) for w, m in zip(want, mats) if m.size)
+    for lo in range(0, len(mats), 25):  # stacks of several shapes
+        part = mats[lo : lo + 25]
+        stack = modp.zeros(len(part), max(m.shape[0] for m in part), max(m.shape[1] for m in part))
+        for s, m in zip(stack, part):
+            s[: m.shape[0], : m.shape[1]] = m
+        frozen = stack.copy()
+        assert modp.ranks(stack, p).tolist() == want[lo : lo + 25]
+        assert np.array_equal(stack, frozen)
+        assert modp.ranks(stack.transpose(0, 2, 1), p).tolist() == want[lo : lo + 25]
+    assert modp.ranks(modp.zeros(3, 4, 0), p).tolist() == [0, 0, 0]
+    assert modp.ranks(modp.zeros(0, 2, 2), p).tolist() == []
+    with pytest.raises(ValueError, match="3-d"):
+        modp.ranks(modp.zeros(2, 2), p)

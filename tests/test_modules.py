@@ -23,7 +23,9 @@ from gradedalg.modules import (
     _split_action,
     direct_sum,
     hom_basis,
+    HOM_BATCH,
     hom_dim,
+    hom_dims,
     inj,
     is_projective,
     proj,
@@ -250,7 +252,9 @@ def _base_samples(a):
 def test_hom_dim_matches_hom_basis(vertex_corpus):
     # the rank-only solve on the split system against the kernel basis, on
     # every ordered pair of proj/simple/inj shifted by -c..c; the sources are
-    # split on their own, the targets are shifts of a split module
+    # split on their own, the targets are shifts of a split module.  Then all
+    # pairs again in one batched call, each target given as (base N, d)
+    calls = []
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a) + [zero_module(a)]
@@ -258,9 +262,12 @@ def test_hom_dim_matches_hom_basis(vertex_corpus):
         for m in bases:
             hom_dim(m, m)
         targets = [shift(m, d) for m in bases for d in range(-c, c + 1)]
-        for m in sources:
-            for n in targets:
-                assert hom_dim(m, n) == len(hom_basis(m, n)), name
+        want = [len(hom_basis(m, n)) for m in sources for n in targets]
+        assert [hom_dim(m, n) for m in sources for n in targets] == want, name
+        entries = [(m, n, d) for m in sources for n in bases for d in range(-c, c + 1)]
+        assert hom_dims(entries) == want, name
+        calls.append(len(entries))
+    assert max(calls) > HOM_BATCH  # some call spans several batches
 
 
 def test_hom_dim_depends_on_relative_shift(vertex_corpus):
