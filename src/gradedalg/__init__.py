@@ -50,6 +50,8 @@ from .modp import DEFAULT_PRIME
 from .modules import (
     GradedModule,
     GradedMorphism,
+    cover_map,
+    cover_maps,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -64,6 +66,7 @@ from .modules import (
     simple,
     socle,
     submodule,
+    syzygies,
     syzygy,
     top,
     width,

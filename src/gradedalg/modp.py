@@ -28,12 +28,15 @@ any whose dense structure table fits in memory.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
 project are desk-scale (dimension a few hundred at most).  Each pivot step
-touches only the rows with a non-zero entry in the pivot column.  ``ranks``
-eliminates a zero-padded stack of matrices in one pass, for the batched
-hom dimensions of ``modules.hom_dims``: each step forms products of two
+touches only the rows with a non-zero entry in the pivot column.  One
+elimination, ``_eliminate``, runs over a zero-padded stack of matrices in
+one pass; ``ranks`` reads its pivots, for the batched hom dimensions of
+``modules.hom_dims``, and ``rrefs`` its echelon rows, for the batched
+covers of ``modules.cover_maps``.  Each step forms products of two
 residues, each below p^2 <= 2^40, subtracts one from another and reduces
 the result before the next step, so no value leaves int64.  It scales rows
-by their pivots instead of inverting them.
+by their pivots instead of inverting them; ``rrefs`` inverts each pivot
+once, at the end.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def ranks(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank of every matrix in a 3-d stack, by one elimination over all of them.
+def _eliminate(stack: np.ndarray, p: int):
+    """Fraction-free elimination of a 3-d stack, one column at a time.
 
     Column by column, each matrix takes its first row with a non-zero entry
     there as pivot row, and every row is replaced by pv * row - a_rc * pivot
@@ -194,29 +197,71 @@ def ranks(stack: np.ndarray, p: int) -> np.ndarray:
     row space loses exactly the pivot row, which was independent of the new
     rows (they vanish in column c, it does not), and the rank drops by one.
     A matrix without a pivot in column c is left as it is.  No inverse is
-    taken, and zero padding of rows or columns leaves every rank unchanged.
+    taken, and zero padding of rows or columns changes no pivot.
+
+    Yields (c, lead, row) for each column c, before its step: lead[k] is the
+    pivot entry of matrix k in column c (0 when it has none) and row[:, k]
+    its pivot row right of c.  Each pivot row is zero left of its pivot, so
+    the pivot rows, in column order, are an echelon basis of the row space.
     """
-    if np.ndim(stack) != 3:
-        raise ValueError("ranks expects a 3-d stack")
     # columns outermost, so that the columns right of c are one block
-    a = np.ascontiguousarray(normalize(stack, p).transpose(2, 0, 1))
+    a = np.remainder(np.asarray(stack, dtype=np.int64).transpose(2, 0, 1), p, order="C")
     ncols, count, nrows = a.shape
-    out = np.zeros(count, dtype=np.int64)
     if nrows == 0:
-        return out
+        return
     every = np.arange(count)
     for c in range(ncols):
         col = a[c]  # never written again: the updates start right of it
-        piv = np.argmax(col != 0, axis=1)
-        pv = col[every, piv]
-        out += pv != 0
-        pv[pv == 0] = 1
+        piv = (col != 0).argmax(axis=1)
+        lead = col[every, piv]
         rest = a[c + 1 :]
-        prow = rest[:, every, piv]
-        rest *= pv[:, None]
-        rest -= prow[:, :, None] * col
+        row = rest[:, every, piv]
+        yield c, lead, row
+        rest *= np.where(lead == 0, 1, lead)[:, None]
+        rest -= row[:, :, None] * col
         rest %= p
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank of every matrix in a 3-d stack, by one elimination over all of them."""
+    if np.ndim(stack) != 3:
+        raise ValueError("ranks expects a 3-d stack")
+    out = np.zeros(len(stack), dtype=np.int64)
+    for _, lead, _ in _eliminate(stack, p):
+        out += lead != 0
     return out
+
+
+def rrefs(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix in a 3-d stack, by one elimination.
+
+    Returns (rows, pivots): rows[k] (ncols x ncols) holds the RREF rows of
+    stack[k] in pivot order, then zero rows, and pivots[k] marks its pivot
+    columns.  The echelon basis of ``_eliminate`` is kept by pivot column,
+    each row is scaled by the inverse of its pivot entry, and then, from the
+    last column to the first, every pivot column is cleared above its pivot.
+    The RREF of a row space is unique, so each matrix gets the rows ``rref``
+    gives it, and zero padding changes none of them.
+    """
+    if np.ndim(stack) != 3:
+        raise ValueError("rrefs expects a 3-d stack")
+    count, _, ncols = np.shape(stack)
+    ech = zeros(count, ncols, ncols)  # ech[k, c]: the echelon row with pivot c, if any
+    for c, lead, row in _eliminate(stack, p):
+        ech[:, c, c] = lead
+        ech[:, c, c + 1 :] = np.where(lead[:, None] != 0, row.T, 0)
+    lead = ech.diagonal(axis1=1, axis2=2)
+    pivots = lead != 0
+    inv = np.ones_like(lead)
+    inv[pivots] = [pow(x, -1, p) for x in lead[pivots].tolist()]
+    ech = ech * inv[:, :, None] % p
+    # a row c that is no matrix's pivot row is zero everywhere and changes nothing
+    for c in reversed(pivots.any(axis=0).nonzero()[0].tolist()):
+        above = ech[:, :c, c:]
+        above -= ech[:, :c, c, None] * ech[:, None, c, c:]
+        above %= p
+    order = (~pivots).argsort(axis=1, kind="stable")
+    return ech[np.arange(count)[:, None], order], pivots
 
 
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:

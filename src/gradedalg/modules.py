@@ -7,9 +7,12 @@ matrix of the i-th algebra basis element acting on coordinate columns.
 Projectives Ae_i and graded injectives D(e_i A) are built from the regular
 representation; tops, socles, projective covers and the projectivity test
 follow the usual artin-algebra recipes, everything computed by exact row
-reduction over F_p.  One decomposition of the top, ``top_summands``, picks
-the summands of every minimal cover; ``cover_map`` turns it into the cover
-map, and only callers that need the cover module P build it.
+reduction over F_p.  One cover pass, ``cover_maps``, decides the minimal
+projective covers of a whole family of modules from a few stacked
+eliminations: the summands of each top and the matrix of each cover map.
+``cover_map``, ``top_summands``, ``projective_cover`` and ``is_projective``
+read it for one module, and only callers that need the cover module P
+build it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ from .errors import AlgebraMismatch, CheckFailed
 #: Most hom systems that ``hom_dims`` assembles and eliminates at once.  It
 #: bounds the memory of one batch, whose padded stack has this many matrices.
 HOM_BATCH = 128
+
+#: Most entries of the padded action stack of one batch of ``cover_maps``:
+#: modules x dim A x d^2, d the largest dimension in the family.  It bounds the
+#: memory of a batch, whose two largest arrays have this many entries (128 KiB).
+COVER_CELLS = 2**14
 
 
 class GradedModule:
@@ -485,9 +493,10 @@ def simple_classes(a: GradedAlgebra):
 
     Returns (reps, class_of, corners): representative index per class, the
     class index of every designated idempotent, and for each representative
-    r lifts of the non-zero e_r b e_r, b in S = A/rad(A), which span e_r S e_r
-    and so act on any top as e_r A e_r does.  e_i and e_j are isomorphic iff
-    e_i S e_j != 0.
+    r lifts of a basis of e_r S e_r, S = A/rad(A) (the RREF rows of the
+    e_r b e_r, b in S), which act on any top as e_r A e_r does.  There are
+    dim End(S_r) of them, as e_r S e_r is End(S_r)^op.  e_i and e_j are
+    isomorphic iff e_i S e_j != 0.
     """
     s, _, sec = semisimple_quotient(a)
     p = s.p
@@ -506,69 +515,193 @@ def simple_classes(a: GradedAlgebra):
         else:
             class_of[i] = len(reps)
             reps.append(i)
+    rows, pivots = modp.rrefs(sandwich[reps, reps].transpose(0, 2, 1), p)
     corners = []
-    for r in reps:
-        rows = sandwich[r, r].T
-        rows = rows[rows.any(axis=1)] @ sec.T
-        rows.flags.writeable = False
-        corners.append(rows)
+    for basis, rank in zip(rows, pivots.sum(axis=1).tolist()):
+        lifted = basis[:rank] @ sec.T
+        lifted.flags.writeable = False
+        corners.append(lifted)
     return reps, class_of, corners
+
+
+def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
+    """The minimal projective cover P -> M of each module of a family, without building P.
+
+    Returns (summands, K) for each module, in order: the (idempotent index,
+    degree) pair of each indecomposable summand Ae_r(-g) of P, and the
+    (dim M, dim P) matrix K of the cover map in the basis of P that
+    ``projective_cover`` builds.  The summands are those of top(M) =
+    M / rad(A) M, as ``top_summands`` lists them, each with a lift v in
+    e_r M_g, and K sends x in Ae_r(-g) to x v.  K is onto by Nakayama's
+    lemma: its image N is a submodule that maps onto top(M), so
+    N + rad(A) M = M, and then rad(A)^j M lies in N + rad(A)^(j+1) M for
+    every j, so M = N, as rad(A) is nilpotent.
+
+    As many modules at a time as ``COVER_CELLS`` allows go through a few
+    steps, each on zero-padded stacks:
+
+    1. one ``modp.rrefs`` of the rows spanning rad(A) M gives the
+       coordinates of each top and the maps of ``quotient_module``, and the
+       check that rad(A) M is action-stable, as ``quotient_module`` makes it;
+    2. the action of A on each top;
+    3. one ``modp.rrefs`` of e_r top(M) for each module and each class r
+       with a vector there gives the candidates w;
+    4. the summands (see ``top_summands``), where only the classes whose
+       End(S_r) is larger than F_p test the span of the orbits: where it is
+       F_p, e_r A e_r acts on e_r top(M) by scalars, so every candidate
+       starts a summand;
+    5. K from the lifts;
+    6. one ``modp.ranks`` of every K.
+
+    All modules must live over one algebra.  Raises CheckFailed, naming the
+    first failing module by its position in the family, unless rad(A) M is
+    action-stable and K is onto; K can fail to be onto only when the radical
+    is wrong.
+    """
+    modules = list(modules)
+    if not modules:
+        return []
+    d = max(m.dim for m in modules)
+    size = max(COVER_CELLS // (modules[0].algebra.dim * d * d), 1) if d else len(modules)
+    out = []
+    for lo in range(0, len(modules), size):
+        out += [(summands, K) for summands, _, K in _covers(modules[lo : lo + size], lo)]
+    return out
+
+
+def _covers(mods: list[GradedModule], first: int):
+    """(summands, lifts, K) for each module of one batch of ``cover_maps``,
+    whose module k is member first + k of the family."""
+    a, p = mods[0].algebra, mods[0].p
+    for m in mods[1:]:
+        if not a.same_as(m.algebra):
+            raise AlgebraMismatch("covers of modules over different algebras")
+    reps, _, corners = simple_classes(a)
+    count, n = len(mods), a.dim
+    dims = np.array([m.dim for m in mods], dtype=np.int64)
+    d = int(dims.max())
+    act_t = modp.zeros(count, n, d, d)  # act_t[k, b]: the transpose of M_k(b)
+    degs = np.zeros((count, d), dtype=np.int64)
+    for k, m in enumerate(mods):
+        act_t[k, :, : m.dim, : m.dim] = m.action.transpose(0, 2, 1)
+        degs[k, : m.dim] = m.degrees
+    act = act_t.transpose(0, 1, 3, 2)
+    flat_t = act_t.reshape(count, n, d * d)
+
+    # 1. rad(A) M, spanned by the columns of every M(r), r in rad(A), of which
+    # only the non-zero ones enter the elimination
+    rad = radical(a)
+    rows = rad @ flat_t
+    rows %= p
+    rows = rows.reshape(count, len(rad) * d, d)
+    live = rows.any(axis=2)
+    order = (~live).argsort(axis=1, kind="stable")[:, : int(live.sum(axis=1).max(initial=0))]
+    basis, pivots = modp.rrefs(rows[np.arange(count)[:, None], order], p)
+    del rows  # as large as the action stack, and not needed again
+    free = ~pivots & (np.arange(d) < dims[:, None])
+    n_free = free.sum(axis=1)
+    f = int(n_free.max())
+    free_cols = (~free).argsort(axis=1, kind="stable")[:, :f]
+    unit = modp.identity(d)
+    sec = unit[free_cols].transpose(0, 2, 1) * (np.arange(f) < n_free[:, None])[:, None]
+    # row i of picks picks the pivot of basis row i
+    picks = unit[(~pivots).argsort(axis=1, kind="stable")] * (basis != 0).any(axis=2)[:, :, None]
+    # reduce: v on the free columns, less the basis rows weighted by v's pivots
+    red = sec.transpose(0, 2, 1) @ ((unit - basis.transpose(0, 2, 1) @ picks) % p) % p
+    lowered = red[:, None] @ act % p
+    # rad(A) M is stable iff reduce kills the image of every basis row under A
+    stray = (lowered @ basis.transpose(0, 2, 1)[:, None] % p).any(axis=(1, 2, 3))
+    if stray.any():
+        raise CheckFailed(
+            f"rows do not span an action-stable subspace (rad(A) M of member {first + int(stray.argmax())})"
+        )
+
+    # 2. the top actions, and 3. the candidates, the RREF rows of each e_r top(M)
+    top_act = lowered @ sec[:, None] % p
+    ide = a.idempotents[reps]
+    e_top = ((ide @ top_act.reshape(count, n, f * f)) % p).reshape(count, len(reps), f, f)
+    kk, cc = e_top.any(axis=(2, 3)).nonzero()  # (module, class) with a vector
+    cands, cand_pivots = modp.rrefs(e_top[kk, cc].transpose(0, 2, 1), p)
+    ce, cj = (np.arange(f) < cand_pivots.sum(axis=1)[:, None]).nonzero()  # (entry, RREF row)
+    top_degs = degs[np.arange(count)[:, None], free_cols]
+    g = top_degs[kk[ce], (~cand_pivots).argsort(axis=1, kind="stable")[ce, cj]]
+    order = np.lexsort((cj, g, ce))  # by module and class, then degree, then RREF order
+    ce, cj, g = ce[order], cj[order], g[order]
+
+    # 4. a candidate starts a summand unless e_r A e_r times those before spans it
+    keep = np.ones(ce.size, dtype=bool)
+    for e in np.flatnonzero([len(corners[c]) > 1 for c in cc.tolist()]):
+        nf = int(n_free[kk[e]])
+        corner_mats = np.tensordot(corners[cc[e]], top_act[kk[e], :, :nf, :nf], axes=1) % p
+        for deg in np.unique(g[ce == e]).tolist():
+            spanned, spiv = modp.zeros(0, nf), []
+            for i in np.flatnonzero((ce == e) & (g == deg)).tolist():
+                w = cands[e, cj[i], :nf]
+                if modp.in_row_span(spanned, spiv, w, p):
+                    keep[i] = False
+                    continue
+                orbit = (corner_mats @ w) % p  # the summand e_r A e_r w
+                spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
+    ce, cj, g = ce[keep], cj[keep], g[keep]
+    ks, cs = kk[ce], cc[ce]
+    e_mod_t = ((ide @ flat_t) % p).reshape(count, len(reps), d, d)
+    lifts = (((sec[ks] @ cands[ce, cj, :, None]) % p).transpose(0, 2, 1) @ e_mod_t[ks, cs] % p)[:, 0]
+
+    # 5. K, stacked as K^T: the rows of summand Ae_r(-g) are the b v, b in the basis of Ae_r
+    bounds = ks.searchsorted(np.arange(count + 1))
+    slot = np.arange(ks.size) - bounds[ks]  # the place of each lift among its module's
+    by_module = modp.zeros(count, d, int(slot.max(initial=-1)) + 1)
+    by_module[ks, :, slot] = lifts
+    images = (act @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
+    sizes = np.array([len(_proj_arrays(a, reps[c])[2]) for c in cs.tolist()], dtype=np.int64)
+    start = sizes.cumsum() - sizes
+    start -= start[bounds[ks]]  # from the first row of the module
+    heights = np.bincount(ks, sizes, minlength=count).astype(np.int64)
+    stack = modp.zeros(count, int(heights.max()), d)
+    for c in sorted(set(cs.tolist())):
+        at = (cs == c).nonzero()[0]
+        made = _proj_arrays(a, reps[c])[2] @ images[at] % p
+        stack[ks[at, None], start[at, None] + np.arange(made.shape[1])] = made
+
+    # 6. K must be onto
+    short = modp.ranks(stack, p) != dims
+    if short.any():
+        raise CheckFailed(f"projective cover map is not surjective (member {first + int(short.argmax())})")
+    out = []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        summands = [(reps[c], x) for c, x in zip(cs[lo:hi].tolist(), g[lo:hi].tolist())]
+        lifted = [v[: dims[k]] for v in lifts[lo:hi]]
+        out.append((summands, lifted, stack[k, : heights[k], : dims[k]].T.copy()))
+    return out
 
 
 def top_summands(m: GradedModule):
     """The simple summands of top(M) = M / rad(A) M, each with a lift to M.
 
     Returns (summands, lifts): one (representative index r, degree g) pair
-    per summand S_r(-g) of top(M), and a vector of e_r M_g whose image in
-    the top generates that summand, so Ae_r(-g) -> M, x -> x v covers it.
-    Per class and degree, the rows of e_r top(M)_g in the split of top(M)
-    (``_split``) are taken in turn, and one starts a new summand only
+    per summand S_r(-g) of top(M), by class, then by degree, and a vector
+    of e_r M_g whose image in the top generates that summand, so
+    Ae_r(-g) -> M, x -> x v covers it.  Per class and degree, the RREF rows
+    of e_r top(M)_g are taken in turn, and one starts a new summand only
     outside the span of those found so far.  The summand of w is e_r A e_r w,
     not F_p w: End(S_r) may be a larger field, and then one summand holds
-    several F_p-independent vectors.
+    several F_p-independent vectors.  The lifts generate M, by Nakayama's
+    lemma, since their images generate top(M); that is why the cover map K
+    of ``cover_maps``, whose pass on M alone this is, is onto.
     """
-    a, p = m.algebra, m.p
-    reps, _, corners = simple_classes(a)
-    t, _, sec = quotient_module(m, radical_rows(m))
-    basis, _, degs, verts = _split(t)
-    summands: list[tuple[int, int]] = []
-    lifts: list[np.ndarray] = []
-    for r, corner in zip(reps, corners):
-        mine = verts == r
-        if not mine.any():  # no summand S_r, so no need of e_r or the corner
-            continue
-        er_mod = m.act(a.idempotents[r])
-        corner_mats = np.tensordot(corner, t.action, axes=1) % p
-        for g in np.unique(degs[mine]).tolist():
-            spanned, spiv = modp.zeros(0, t.dim), []
-            for w in basis[mine & (degs == g)]:
-                if modp.in_row_span(spanned, spiv, w, p):
-                    continue
-                summands.append((r, g))
-                lifts.append((er_mod @ ((sec @ w) % p)) % p)
-                orbit = (corner_mats @ w) % p  # the summand e_r A e_r w
-                spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
+    summands, lifts, _ = _covers([m], 0)[0]
     return summands, lifts
 
 
 def cover_map(m: GradedModule):
-    """The minimal projective cover P -> M, without building P.
+    """The minimal projective cover P -> M, without building P: ``cover_maps``
+    on M alone, so (summands, K), with K onto by Nakayama's lemma."""
+    return cover_maps([m])[0]
 
-    Returns (summands, K): the (idempotent index, degree) pair of each
-    indecomposable summand Ae_i(-g) of P, as ``top_summands`` lists them, and
-    the (dim M, dim P) matrix K of the cover map in the basis of P that
-    ``projective_cover`` builds.  Raises CheckFailed unless K is onto.
-    """
-    a, p = m.algebra, m.p
-    summands, lifts = top_summands(m)
-    cols = [modp.zeros(m.dim, 0)]
-    for (r, _), v in zip(summands, lifts):
-        basis = _proj_arrays(a, r)[2]
-        cols.append((basis @ ((m.action @ v) % p)).T % p)  # column x: x v
-    K = np.hstack(cols)
-    if modp.rank(K, p) != m.dim:
-        raise CheckFailed("projective cover map is not surjective")
-    return summands, K
+
+def _cover_module(a: GradedAlgebra, summands) -> GradedModule:
+    parts = [proj(a, r, -g) for r, g in summands]
+    return direct_sum(parts) if parts else zero_module(a)
 
 
 def projective_cover(m: GradedModule):
@@ -579,9 +712,7 @@ def projective_cover(m: GradedModule):
     indecomposable summand Ae_i(-g) of P.
     """
     summands, K = cover_map(m)
-    parts = [proj(m.algebra, r, -g) for r, g in summands]
-    P = direct_sum(parts) if parts else zero_module(m.algebra)
-    return P, K, summands
+    return _cover_module(m.algebra, summands), K, summands
 
 
 def projective_cover_dim(m: GradedModule) -> int:
@@ -593,10 +724,21 @@ def is_projective(m: GradedModule) -> bool:
     return projective_cover_dim(m) == m.dim
 
 
+def syzygies(modules) -> list[GradedModule]:
+    """The kernel of the minimal projective cover of each module, as a module
+    in its own right, from one ``cover_maps`` call; a zero module is its own."""
+    modules = list(modules)
+    covers = iter(cover_maps([m for m in modules if m.dim]))
+    out = []
+    for m in modules:
+        if m.dim:
+            summands, K = next(covers)
+            _, ker = modp.rank_kernel(K, m.p)
+            m = submodule(_cover_module(m.algebra, summands), ker)
+        out.append(m)
+    return out
+
+
 def syzygy(m: GradedModule) -> GradedModule:
     """Kernel of the minimal projective cover, as a module in its own right."""
-    if m.dim == 0:
-        return m
-    P, K, _ = projective_cover(m)
-    _, ker = modp.rank_kernel(K, m.p)
-    return submodule(P, ker)
+    return syzygies([m])[0]

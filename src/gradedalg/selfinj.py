@@ -4,9 +4,9 @@ Graded self-injectivity is decided dually: every graded injective D(e_i A)
 must be projective, certified by the map of its minimal projective cover.
 The graded Frobenius test and the Nakayama data read the summands of those
 same covers (the tops of the projective-injectives) instead of computing
-their own.  Both sides of the Nakayama match come from one top
-decomposition, ``modules.top_summands``: the covers of the D(e_j A) are
-built on it, and the tops of the Ae_i are read from it.  A seeded
+their own.  Both sides of the Nakayama match come from one cover pass,
+``modules.cover_maps``: one call decides the covers of all the D(e_j A),
+and one more the tops of all the Ae_i.  A seeded
 randomized search for a Frobenius functional (a linear form whose induced
 pairing (u, v) -> lam(u v) is nondegenerate) serves as an independent
 oracle on basic algebras; a failed search is never treated as a proof of
@@ -23,16 +23,7 @@ import numpy as np
 from . import modp
 from .algebra import GradedAlgebra, cached, is_basic, is_well_graded
 from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
-from .modules import (
-    GradedModule,
-    cover_map,
-    inj,
-    proj,
-    simple_classes,
-    syzygy,
-    top,
-    top_summands,
-)
+from .modules import cover_maps, inj, proj, simple_classes, syzygies, top
 
 
 @dataclass
@@ -63,12 +54,14 @@ class SelfInjectivity:
 
 @cached
 def is_graded_selfinjective(a: GradedAlgebra) -> SelfInjectivity:
-    """Each graded injective D(e_i A) must be projective (checked by cover, once)."""
+    """Each graded injective D(e_i A) must be projective (checked by cover, once).
+
+    The covers of all the D(e_i A) come from one ``cover_maps`` call.
+    """
     covers = []
     witness = None
-    for i in range(a.n_idempotents):
-        m = inj(a, i, 0)
-        summands, K = cover_map(m)
+    mods = [inj(a, i, 0) for i in range(a.n_idempotents)]
+    for i, (m, (summands, K)) in enumerate(zip(mods, cover_maps(mods))):
         ok = K.shape[1] == m.dim
         covers.append(InjectiveCover(i, m.dim, K.shape[1], ok, summands))
         if not ok and witness is None:
@@ -153,15 +146,15 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
     injective D(e_j A) with top S_i concentrated in degree g is isomorphic
     to Ae_i(-g), giving s(i) = j and d_i = g.  That top is read off the
     single summand of the cover computed by the self-injectivity test, and
-    the top of each Ae_i from ``top_summands`` too.
+    the top of each Ae_i from the summands of its cover, all of them from
+    one ``cover_maps`` call.
     """
     cert = is_graded_selfinjective(a)
     if not cert.holds:
         raise NotSelfInjective(f"injective {cert.witness} is not projective")
     l = a.n_idempotents
     top_of_proj = []  # class rep of top(Ae_i), to resolve class -> index
-    for i in range(l):
-        summands, _ = top_summands(proj(a, i, 0))
+    for i, (summands, _) in enumerate(cover_maps([proj(a, i, 0) for i in range(l)])):
         if len(summands) != 1:
             raise AmbiguousMatch(f"top of Ae_{i} is not simple: {summands}")
         top_of_proj.append(summands[0][0])
@@ -214,17 +207,16 @@ def global_dimension(a: GradedAlgebra, cutoff: int = 32) -> GldimResult:
     """Length of minimal projective resolutions of the simples, up to a cutoff.
 
     Never claims infinite dimension: past the cutoff the result is the
-    three-valued ExceedsCutoff outcome.
+    three-valued ExceedsCutoff outcome.  Every simple class moves one
+    syzygy forward per ``syzygies`` call, so the resolutions end together
+    after as many steps as the longest needs.
     """
     reps, _, _ = simple_classes(a)
-    worst = 0
-    for r in reps:
-        m: GradedModule = top(proj(a, r, 0))
-        steps = 0
-        while m.dim:
-            if steps > cutoff:
-                return GldimResult(False, None, cutoff)
-            m = syzygy(m)
-            steps += 1
-        worst = max(worst, steps - 1)
-    return GldimResult(True, worst, cutoff)
+    mods = [top(proj(a, r, 0)) for r in reps]
+    steps = 0
+    while any(m.dim for m in mods):
+        if steps > cutoff:
+            return GldimResult(False, None, cutoff)
+        mods = syzygies(mods)
+        steps += 1
+    return GldimResult(True, max(steps - 1, 0), cutoff)

@@ -302,16 +302,17 @@ def test_cli_internal_check_failures_and_bugs(capsys, monkeypatch, t4_file):
 
 def test_info_decides_self_injectivity_once(monkeypatch):
     # info reports self-injectivity and the Frobenius property, which reads
-    # the same covers: one cover map per injective, not two
+    # the same covers: one cover pass over the injectives, one cover map per
+    # injective, not two
     calls = []
-    cover = selfinj.cover_map
+    covers = selfinj.cover_maps
 
-    def counted(m):
-        calls.append(m)
-        return cover(m)
+    def counted(mods):
+        calls.append(list(mods))
+        return covers(calls[-1])
 
-    monkeypatch.setattr(selfinj, "cover_map", counted)
+    monkeypatch.setattr(selfinj, "cover_maps", counted)
     t = t_of(gen_example("truncated_poly", n=3))
     res = cli._predicates(t)
     assert res["selfinjective"] and res["frobenius"]
-    assert len(calls) == t.n_idempotents == 2
+    assert len(calls) == 1 and len(calls[0]) == t.n_idempotents == 2

@@ -213,7 +213,9 @@ LARGEST_PRIME = next(q for q in range(modp.PRIME_BOUND, 1, -1) if modp.is_prime(
 @pytest.mark.parametrize("p", [2, 7919, LARGEST_PRIME])
 def test_ranks_match_rank_on_padded_stacks(p):
     # zero, rank-deficient (a product through k < min(rows, cols)), tall,
-    # wide and column-free systems, zero-padded into stacks of one shape
+    # wide and column-free systems, zero-padded into stacks of one shape;
+    # rrefs, which reads the same elimination, gives each the rows and
+    # pivots of rref, then zero rows
     rng = np.random.default_rng(7 + p % 1000)
     mats = [modp.zeros(0, 0), modp.zeros(4, 0), modp.zeros(0, 3), modp.zeros(5, 4)]
     for _ in range(80):
@@ -236,7 +238,16 @@ def test_ranks_match_rank_on_padded_stacks(p):
         assert modp.ranks(stack, p).tolist() == want[lo : lo + 25]
         assert np.array_equal(stack, frozen)
         assert modp.ranks(stack.transpose(0, 2, 1), p).tolist() == want[lo : lo + 25]
+        rows, pivots = modp.rrefs(stack, p)
+        assert np.array_equal(stack, frozen) and rows.shape == (len(part), stack.shape[2], stack.shape[2])
+        for m, got, piv in zip(part, rows, pivots):
+            red, want_piv = modp.rref(m, p) if m.size else (modp.zeros(0, m.shape[1]), [])
+            assert np.flatnonzero(piv).tolist() == want_piv
+            assert np.array_equal(got[: len(want_piv), : m.shape[1]], red[: len(want_piv)])
+            assert not got[len(want_piv) :].any() and not got[:, m.shape[1] :].any()
     assert modp.ranks(modp.zeros(3, 4, 0), p).tolist() == [0, 0, 0]
     assert modp.ranks(modp.zeros(0, 2, 2), p).tolist() == []
-    with pytest.raises(ValueError, match="3-d"):
-        modp.ranks(modp.zeros(2, 2), p)
+    assert modp.rrefs(modp.zeros(3, 0, 4), p)[1].shape == (3, 4)
+    for kernel in (modp.ranks, modp.rrefs):
+        with pytest.raises(ValueError, match="3-d"):
+            kernel(modp.zeros(2, 2), p)

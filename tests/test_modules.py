@@ -5,6 +5,7 @@ import pytest
 
 from gradedalg import modp
 from gradedalg import corpus
+from gradedalg import modules
 from gradedalg.algebra import (
     GradedAlgebra,
     generators,
@@ -17,10 +18,12 @@ from gradedalg.algebra import (
 from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
 from gradedalg.modules import (
+    COVER_CELLS,
     GradedModule,
     GradedMorphism,
     _split,
     _split_action,
+    cover_maps,
     direct_sum,
     hom_basis,
     HOM_BATCH,
@@ -39,6 +42,7 @@ from gradedalg.modules import (
     simple_classes,
     socle,
     submodule,
+    syzygies,
     syzygy,
     top,
     top_summands,
@@ -271,16 +275,23 @@ def test_hom_dim_matches_hom_basis(vertex_corpus):
 
 
 def test_hom_dim_depends_on_relative_shift(vertex_corpus):
-    # Hom(M(d), N(d')) = Hom(M, N(d' - d)), the key of the pipeline's source side
+    # Hom(M(d), N(d')) = Hom(M, N(d' - d)), the key of the pipeline's source
+    # side: every pair both ways, in two batched calls, and a few pairs one at
+    # a time, so that the one-pair call stays covered
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a)
-        for m in bases:
-            for n in bases:
-                for d in range(-c, c + 1):
-                    for e in range(-c, c + 1):
-                        want = hom_dim(m, shift(n, e - d))
-                        assert hom_dim(shift(m, d), shift(n, e)) == want, name
+        cases = [
+            (m, n, d, e)
+            for m in bases
+            for n in bases
+            for d in range(-c, c + 1)
+            for e in range(-c, c + 1)
+        ]
+        want = hom_dims([(m, shift(n, e - d), 0) for m, n, d, e in cases])
+        assert hom_dims([(shift(m, d), shift(n, e), 0) for m, n, d, e in cases]) == want, name
+        for (m, n, d, e), dim in list(zip(cases, want))[:: len(cases) // 5]:
+            assert hom_dim(shift(m, d), shift(n, e)) == dim == hom_dim(m, shift(n, e - d)), name
 
 
 def test_shift_reuses_the_split(vertex_corpus):
@@ -640,6 +651,47 @@ def test_cover_matches_reference_assembly(cover_corpus):
             assert is_projective(m) == (want_P.dim == m.dim), name
             assert Counter(summands) == ref_simple_multiplicities(m), name
     assert projective[True] and projective[False] and repeated and max(endo_dims) == 2
+
+
+def test_cover_maps_match_reference_on_shuffled_families(cover_corpus):
+    # one pass over every sample of an algebra, a zero module among them, in
+    # a shuffled order and longer than a batch: each member as the reference
+    # assembly gives it, bit for bit, and the syzygies as one at a time
+    rng = np.random.default_rng(17)
+    spanned = 0
+    for name, a in cover_corpus:
+        family = _cover_samples(a) + [zero_module(a)]
+        family = [family[i] for i in rng.permutation(len(family))]
+        got = cover_maps(family)
+        assert len(got) == len(family), name
+        for m, (summands, K) in zip(family, got):
+            _, want_K, want_summands = ref_projective_cover(m)
+            assert summands == want_summands, name
+            assert K.dtype == want_K.dtype and np.array_equal(K, want_K), name
+        for m, omega in zip(family, syzygies(family)):
+            assert omega.equals(syzygy(m)), name
+        spanned += len(family) * a.dim * max(m.dim for m in family) ** 2 > COVER_CELLS
+    assert spanned
+
+
+def test_cover_maps_name_the_member_whose_cover_fails(uppertri, monkeypatch):
+    # the pass reads the radical of A.  With e_0 added to it, the top of Ae_0
+    # comes out 0, and S_1 keeps its top; with e_1 in its place, e_1 Ae_1 is
+    # not A-stable, and S_0 and Ae_0 keep their tops.  Each family puts the
+    # failing module second in its second batch
+    a = uppertri(2)
+    s0, s1, p0, p1 = simple(a, 0), simple(a, 1), proj(a, 0), proj(a, 1)
+    first = COVER_CELLS // a.dim  # more than a batch of modules of dimension at least 1
+    rad = radical(a)
+    monkeypatch.setattr(modules, "radical", lambda alg: np.vstack([rad, alg.idempotents[:1]]))
+    with pytest.raises(CheckFailed, match=rf"^projective cover map is not surjective \(member {first + 1}\)$"):
+        cover_maps([s1] * first + [p1, p0, s1])
+    monkeypatch.setattr(modules, "radical", lambda alg: alg.idempotents[1:2])
+    with pytest.raises(
+        CheckFailed,
+        match=rf"^rows do not span an action-stable subspace \(rad\(A\) M of member {first + 1}\)$",
+    ):
+        cover_maps([s0] * first + [p0, p1, s0])
 
 
 def test_module_builders_match_loop_references(cover_corpus):
