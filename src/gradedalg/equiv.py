@@ -12,8 +12,8 @@ the rows of block_layout: phi gathers the action of a row's source element
 on the vectors of the row's column component, and psi scatters it back, so
 that each (basis element, component) is read from exactly one block.  When
 a module's basis mixes components, Psi first rewrites it in the basis of
-its split along the designated idempotents of t(A) (the split ``hom_dims``
-reads), in which each vector lies in one component.  Both take t(A) from
+its split along the designated idempotents of t(A) (``modules._splits``),
+in which each vector lies in one component.  Both take t(A) from
 ``t_of(a)``, which is built once per algebra, so their modules live over
 the very algebra object that theorem_pipeline uses.
 
@@ -81,7 +81,7 @@ from .errors import (
 from .modules import (
     GradedModule,
     GradedMorphism,
-    _split,
+    _splits,
     cover_maps,
     hom_basis,
     hom_dims,
@@ -132,7 +132,7 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
     (always the case for images of phi and for the projectives built here),
     the basis and its order are kept and psi inverts phi exactly.  Otherwise
     it is first rewritten in the basis of its split along the designated
-    idempotents of t(A) (``modules._split``): each is e_rr e_i in b(A), under
+    idempotents of t(A) (``modules._splits``): each is e_rr e_i in b(A), under
     the one diagonal unit e_rr, so each vector of that basis has one component.
     """
     c = a.top_degree()
@@ -144,7 +144,7 @@ def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
         return GradedModule(a, n.degrees, modp.zeros(a.dim, 0, 0))
     comp = _read_components(_component_projectors(a, n), n.dim)
     if comp is None:
-        basis, inv, degs, _ = _split(n)
+        basis, inv, degs, _ = _splits([n])[0]
         action = ((inv @ n.action) % n.p @ basis.T) % n.p
         return psi(a, GradedModule(n.algebra, degs, action))
     # every (basis element j, component q) is read from exactly one block

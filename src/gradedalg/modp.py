@@ -27,12 +27,13 @@ each key is below n^4, which is below 2^63 for every n < 55,000, far past
 any whose dense structure table fits in memory.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
-project are desk-scale (dimension a few hundred at most).  Each pivot step
-touches only the rows with a non-zero entry in the pivot column.  One
-elimination, ``_eliminate``, runs over a zero-padded stack of matrices in
-one pass; ``ranks`` reads its pivots, for the batched hom dimensions of
-``modules.hom_dims``, and ``rrefs`` its echelon rows, for the batched
-covers of ``modules.cover_maps``.  Each step forms products of two
+project are desk-scale (dimension a few hundred at most).  There are two
+eliminations.  ``rref`` reduces one matrix, each pivot step touching only
+the rows with a non-zero entry in the pivot column; it stays, as a stack of
+one costs 2-4 times as much, its every step updating every row.  ``_eliminate``
+runs over a zero-padded stack of matrices in one pass; ``ranks`` reads its
+pivots, for ``modules.hom_dims``, and ``rrefs`` its echelon rows, for the
+covers and splits of ``modules``.  Each of its steps forms products of two
 residues, each below p^2 <= 2^40, subtracts one from another and reduces
 the result before the next step, so no value leaves int64.  It scales rows
 by their pivots instead of inverting them; ``rrefs`` inverts each pivot

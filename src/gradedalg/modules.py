@@ -36,14 +36,14 @@ from .errors import AlgebraMismatch, CheckFailed
 #: bounds the memory of one batch, whose padded stack has this many matrices.
 HOM_BATCH = 128
 
-#: Most entries of the padded action stack of one batch of ``cover_maps``:
-#: modules x dim A x d^2, d the largest dimension in the family.  It bounds the
-#: memory of a batch, whose two largest arrays have this many entries (128 KiB).
+#: Most entries of the padded stacks of one batch of ``cover_maps`` (modules x
+#: dim A x d^2, d the largest dimension in the family) and of ``_splits`` (modules
+#: x (n + 4) x d^2, n idempotents).  It bounds a batch's memory (128 KiB an array).
 COVER_CELLS = 2**14
 
 
 class GradedModule:
-    __slots__ = ("algebra", "degrees", "action", "_cache")
+    __slots__ = ("algebra", "degrees", "action")
 
     def __init__(self, algebra: GradedAlgebra, degrees, action):
         self.algebra = algebra
@@ -52,7 +52,6 @@ class GradedModule:
         self.action = modp.normalize(action, algebra.p).reshape(algebra.dim, d, d)
         self.degrees.flags.writeable = False
         self.action.flags.writeable = False
-        self._cache = {}
 
     @property
     def dim(self) -> int:
@@ -164,19 +163,7 @@ def width(m: GradedModule) -> int:
 
 def shift(m: GradedModule, d: int) -> GradedModule:
     """Degree shift M(d): an element of old degree g gets degree g - d."""
-    out = GradedModule(m.algebra, m.degrees - d, m.action)
-    # M's split and its action, if made (under the keys of ``cached``), are
-    # M(d)'s with the degrees moved
-    made = m._cache.get((_split.__wrapped__,))
-    if made is not None:
-        basis, inv, degs, verts = made
-        degs = degs - d
-        degs.flags.writeable = False
-        _split.record(out, (basis, inv, degs, verts))
-    action = m._cache.get((_split_action.__wrapped__,))
-    if action is not None:
-        _split_action.record(out, action)
-    return out
+    return GradedModule(m.algebra, m.degrees - d, m.action)
 
 
 def direct_sum(parts: list[GradedModule]) -> GradedModule:
@@ -335,43 +322,54 @@ def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     return out
 
 
-@cached
-def _split(m: GradedModule):
-    """M split along the designated idempotents e_i, M = sum of the e_i M_g (cached).
+def _splits(mods: list[GradedModule]):
+    """Each module of a family split along the designated idempotents e_i, M = sum of the e_i M_g.
 
-    Returns (basis, inverse of basis.T, degrees, vertices): the RREF row
-    basis of each e_i M in turn, and the degree and index i of each row.
-    e_i has degree 0, so the rows of e_i M of degree g are the RREF of
-    e_i M_g, homogeneous.  Raises CheckFailed unless they form a basis of M,
-    as they do when the e_i are orthogonal, of degree 0 and of sum 1.
+    Returns (basis, inverse of basis.T, degrees, vertices) for each module:
+    the RREF row basis of each e_i M in turn, and the degree and index i of
+    each row.  e_i has degree 0, so the rows of e_i M of degree g are the
+    RREF of e_i M_g, homogeneous.  As many modules at a time as
+    ``COVER_CELLS`` allows go through one ``modp.rrefs`` of every e_i M,
+    zero-padded to d x d, d the largest dimension, and one of every
+    [basis.T | I], whose basis is padded with the identity to stay invertible.
+
+    Raises CheckFailed, naming the first failing module by its position in
+    the family, unless the rows form a basis, as they do when the e_i are
+    orthogonal, of degree 0 and of sum 1.
     """
-    a, p = m.algebra, m.p
-    parts = np.tensordot(a.idempotents, m.action, axes=1) % p
-    rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
-    for i, e in enumerate(parts):
-        block, piv = modp.row_basis(e.T[e.any(axis=0)], p)  # most e_i M of a top are 0
-        rows.append(block)
-        pivots += piv
-        verts += [i] * len(piv)
-    basis = np.vstack(rows)
-    degs = m.degrees[pivots]
-    inv = modp.invert(basis.T, p) if basis.shape[0] == m.dim else None
-    if inv is None or np.any((basis != 0) & (m.degrees[None, :] != degs[:, None])):
-        raise CheckFailed("the idempotents do not split the module into a basis")
-    out = (basis, inv, degs, np.array(verts, dtype=np.int64))
-    for arr in out:
-        arr.flags.writeable = False
+    if not mods:
+        return []
+    a, p = mods[0].algebra, mods[0].p
+    n, d = a.n_idempotents, max([1] + [m.dim for m in mods])  # no axis of length 0
+    size = max(COVER_CELLS // ((n + 4) * d * d), 1)
+    out = []
+    for lo in range(0, len(mods), size):
+        part = mods[lo : lo + size]
+        count = len(part)
+        dims = np.array([m.dim for m in part], dtype=np.int64)
+        rows = modp.zeros(count, n, d, d)  # rows[k, i]: the e_i b_j of module k, one per row j
+        degrees = np.zeros((count, d), dtype=np.int64)
+        for k, m in enumerate(part):
+            rows[k, :, : m.dim, : m.dim] = np.einsum("ib,bcj->ijc", a.idempotents, m.action) % p
+            degrees[k, : m.dim] = m.degrees
+        ech, pivots = modp.rrefs(rows.reshape(count * n, d, d), p)
+        # the non-zero RREF rows of e_0 M, e_1 M, ... in turn, then the identity past dim M
+        ech = ech.reshape(count, n * d, d)
+        order = (~ech.any(axis=2)).argsort(axis=1, kind="stable")[:, :d]
+        basis = ech[np.arange(count)[:, None], order]
+        basis += modp.identity(d) * (np.arange(d) >= dims[:, None])[:, :, None]
+        degs = np.take_along_axis(degrees, (basis != 0).argmax(axis=2), axis=1)
+        unit = np.broadcast_to(modp.identity(d), basis.shape)
+        inv, full = modp.rrefs(np.concatenate([basis.transpose(0, 2, 1), unit], axis=2), p)
+        mixed = ((basis != 0) & (degrees[:, None, :] != degs[:, :, None])).any(axis=(1, 2))
+        bad = (pivots.reshape(count, -1).sum(axis=1) != dims) | ~full[:, :d].all(axis=1) | mixed
+        if bad.any():
+            raise CheckFailed(
+                f"the idempotents do not split the module into a basis (member {lo + int(bad.argmax())})"
+            )
+        for k, e in enumerate(dims.tolist()):
+            out.append((basis[k, :e, :e], inv[k, :e, d : d + e], degs[k, :e], order[k, :e] // d))
     return out
-
-
-@cached
-def _split_action(m: GradedModule) -> np.ndarray:
-    """The action of ``generators(A)`` in the basis of ``_split(m)`` (cached)."""
-    basis, inv, _, _ = _split(m)
-    p = m.p
-    action = ((inv @ m.action[generators(m.algebra)]) % p @ basis.T) % p
-    action.flags.writeable = False
-    return action
 
 
 def _expand(groups, bounds, order):
@@ -388,7 +386,7 @@ def hom_dims(entries) -> list[int]:
     The designated idempotents e_i are orthogonal, have degree 0 and sum to
     1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
     map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
-    in the bases of ``_split``, which follow these sums, every map is block
+    in the bases of ``_splits``, which follow these sums, every map is block
     diagonal, with a block for each label (g, i).  So the unknowns are the
     entries f[t, u] whose labels agree, the label of N(d) being the one of N
     with the degree moved by -d, and among their combinations the equations
@@ -397,17 +395,15 @@ def hom_dims(entries) -> list[int]:
     unknowns minus the rank of those equations; A must be associative, with
     p > dim A or this raises PrimeTooSmall.
 
-    Each distinct module is split once, and N(d) is never built: it has the
-    split and the action of N.  Equation (x, r, s) reads
+    One ``_splits`` call splits the distinct modules, and N(d) is never
+    built: it has the split and the action of N.  Equation (x, r, s) reads
     sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s], so its non-zero
     entries come from the non-zeros of the split actions: column t of N(x)
     for the unknown f[t, s], row u of M(x) for f[r, u].  ``HOM_BATCH``
     entries at a time are gathered this way, tagged by entry, and their
     systems, zero-padded to one shape, go through one ``modp.ranks``.  All
-    modules must live over one algebra.
-
-    Raises CheckFailed when the rows of the e_i M_g do not form a basis,
-    which happens only if the idempotents fail one of the three facts.
+    modules must live over one algebra.  The split raises CheckFailed if the
+    idempotents fail one of the three facts.
     """
     entries = list(entries)
     if not entries:
@@ -422,17 +418,18 @@ def hom_dims(entries) -> list[int]:
                     raise AlgebraMismatch("hom endpoints live over different algebras")
                 index[id(x)] = len(mods)
                 mods.append(x)
-    labels = [_split(x)[2:] for x in mods]
-    actions = [_split_action(x) for x in mods]
+    splits = _splits(mods)
+    gens = generators(a)
+    actions = [(inv @ x.action[gens]) % a.p @ basis.T % a.p for x, (basis, inv, _, _) in zip(mods, splits)]
     dims = np.array([x.dim for x in mods], dtype=np.int64)
     off = np.cumsum(dims) - dims
     total, most = int(dims.sum()), int(dims.max())
     # all bases in one index; the grids pad with slot `total`, whose vertex
     # differs between the N and the M side, so that it matches nothing
     grid = np.where(np.arange(most) < dims[:, None], off[:, None] + np.arange(most), total)
-    deg = np.concatenate([d for d, _ in labels] + [[0]])
-    vert_n = np.concatenate([v for _, v in labels] + [[-1]])
-    vert_m = np.concatenate([v for _, v in labels] + [[-2]])
+    deg = np.concatenate([split[2] for split in splits] + [[0]])
+    vert_n = np.concatenate([split[3] for split in splits] + [[-1]])
+    vert_m = np.concatenate([split[3] for split in splits] + [[-2]])
     # the non-zeros (x, r, t) of every split action, grouped by column t for
     # N(x)[r, t] and by row r for M(x)[u, s], u = r
     nz = [np.nonzero(act) for act in actions]
@@ -443,7 +440,7 @@ def hom_dims(entries) -> list[int]:
     by_col, by_row = np.argsort(col), np.argsort(row)
     col_bounds = np.searchsorted(col[by_col], np.arange(total + 1))
     row_bounds = np.searchsorted(row[by_row], np.arange(total + 1))
-    n_gens = len(generators(a))
+    n_gens = len(gens)
     src = np.array([index[id(m)] for m, _, _ in entries], dtype=np.int64)
     tgt = np.array([index[id(n)] for _, n, _ in entries], dtype=np.int64)
     shifts = np.array([d for _, _, d in entries], dtype=np.int64)

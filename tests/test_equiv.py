@@ -169,6 +169,24 @@ def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
     assert unadapted
 
 
+def test_psi_rewrite_leaves_the_generators_uncomputed():
+    # the split that psi falls back on reads the idempotents of t(A) alone,
+    # so unpacking a module that mixes components never needs generators(t(A))
+    a = corpus.truncated_poly(3)  # a fresh algebra, and so a fresh t(A)
+    f = phi(a, regular_module(a))
+    g = modp.identity(f.dim)
+    for deg in np.unique(f.degrees):
+        cols = f.slice_indices(deg)
+        g[cols[0], cols] = 1  # add every vector of the slice to its first
+    ginv = modp.invert(g, a.p)
+    mixed = GradedModule(f.algebra, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
+    assert _read_components(_component_projectors(a, mixed), mixed.dim) is None
+    m = psi(a, mixed)
+    assert (generators.__wrapped__,) not in f.algebra._cache
+    m.validate()
+    assert is_projective(m) and sorted(m.degrees.tolist()) == sorted(a.degrees.tolist())
+
+
 def test_well_graded_biconditional_with_extension(graded_corpus):
     for name, a in graded_corpus:
         t = t_of(a)
@@ -297,18 +315,16 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
 
 def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)) is solved on the bases M and N,
-    # and N(d' - d) reads the split of N: the only modules split are the
-    # bases, the images of the functor and the tops that the covers need,
-    # never a module that ``shift`` built with d != 0
-    a = rebased_nakayama(3, 2, 32)  # a fresh algebra: no module is split yet
-    real_split, made = modules._split, []
+    # and N(d' - d) reads the split of N: the only modules passed to
+    # ``_splits`` are the bases, the images of the functor and the tops that
+    # the covers need, never a module that ``shift`` built with d != 0
+    a = rebased_nakayama(3, 2, 32)
+    real_splits, made = modules._splits, []
 
-    def split(m):
-        if (real_split.__wrapped__,) not in m._cache:
-            made.append(m)
-        return real_split(m)
+    def splits(mods):
+        made.extend(mods)
+        return real_splits(mods)
 
-    split.__wrapped__, split.record = real_split.__wrapped__, real_split.record
     built = {"shifted": [], "base": [], "image": [], "top": []}
 
     def spy(kind, fn, keep=lambda out, *args: out):
@@ -323,7 +339,7 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
 
     real_shift = modules.shift
     for ns in (modules, equiv):
-        monkeypatch.setattr(ns, "_split", split)
+        monkeypatch.setattr(ns, "_splits", splits)
         monkeypatch.setattr(ns, "shift", spy("shifted", real_shift, lambda out, m, d: out if d else None))
     for name in ("proj", "simple", "inj"):
         monkeypatch.setattr(equiv, name, spy("base", getattr(equiv, name)))
@@ -546,7 +562,7 @@ def _decide_every_cached_fact():
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
         [_proj_arrays(alg, i) for i in range(alg.n_idempotents)]
         m = regular_module(alg)
-        hom_dim(m, shift(m, 1))  # splits m, and shift(m, 1) takes that split
+        hom_dim(m, shift(m, 1))
     block_layout(a)
     sigma = extract_sigma(t).sigma
     sigma.power(2), sigma.power(-3)

@@ -21,8 +21,7 @@ from gradedalg.modules import (
     COVER_CELLS,
     GradedModule,
     GradedMorphism,
-    _split,
-    _split_action,
+    _splits,
     cover_maps,
     direct_sum,
     hom_basis,
@@ -255,21 +254,21 @@ def _base_samples(a):
 
 def test_hom_dim_matches_hom_basis(vertex_corpus):
     # the rank-only solve on the split system against the kernel basis, on
-    # every ordered pair of proj/simple/inj shifted by -c..c; the sources are
-    # split on their own, the targets are shifts of a split module.  Then all
-    # pairs again in one batched call, each target given as (base N, d)
+    # every ordered pair of proj/simple/inj shifted by -c..c, in one batched
+    # call with each target given as (base N, d), and a few pairs one at a
+    # time, so that the one-pair call stays covered
     calls = []
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a) + [zero_module(a)]
         sources = [shift(m, d) for m in bases for d in range(-c, c + 1)]
-        for m in bases:
-            hom_dim(m, m)
         targets = [shift(m, d) for m in bases for d in range(-c, c + 1)]
-        want = [len(hom_basis(m, n)) for m in sources for n in targets]
-        assert [hom_dim(m, n) for m in sources for n in targets] == want, name
+        pairs = [(m, n) for m in sources for n in targets]
+        want = [len(hom_basis(m, n)) for m, n in pairs]
         entries = [(m, n, d) for m in sources for n in bases for d in range(-c, c + 1)]
         assert hom_dims(entries) == want, name
+        for (m, n), dim in list(zip(pairs, want))[:: len(pairs) // 5]:
+            assert hom_dim(m, n) == dim, name
         calls.append(len(entries))
     assert max(calls) > HOM_BATCH  # some call spans several batches
 
@@ -294,34 +293,58 @@ def test_hom_dim_depends_on_relative_shift(vertex_corpus):
             assert hom_dim(shift(m, d), shift(n, e)) == dim == hom_dim(m, shift(n, e - d)), name
 
 
-def test_shift_reuses_the_split(vertex_corpus):
-    # M(d) takes the split of M and its generator action as they stand, with
-    # the degrees moved by -d: the very arrays, not a recomputation, equal to
-    # the ones M(d) would make of its own, and hom_dim reads the same answers
+def _loop_split(m):
+    """Reference: the RREF rows of each e_i M in turn, one module and one
+    idempotent at a time, with their inverse, degrees and vertices."""
+    rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
+    for i, e in enumerate(m.algebra.idempotents):
+        block, piv = modp.row_basis(m.act(e).T, m.p)
+        rows.append(block)
+        pivots += piv
+        verts += [i] * len(piv)
+    basis = np.vstack(rows)
+    return basis, modp.invert(basis.T, m.p), m.degrees[pivots], np.array(verts, dtype=np.int64)
+
+
+def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
+    # a family of zero modules and of modules of several dimensions, spread
+    # over several batches, splits as each member does alone and as the loop
+    # reference does; M(d) splits as M, with the degrees moved by -d, and
+    # hom_dim reads the same answers from either
+    monkeypatch.setattr(modules, "COVER_CELLS", 2**10)
+    spanned = False
     for name, a in vertex_corpus:
         c = a.top_degree()
-        for m in _base_samples(a):
-            assert not shift(m, 1)._cache, name  # nothing to carry yet
-            basis, inv, degs, verts = _split(m)
-            assert (_split_action.__wrapped__,) not in shift(m, 1)._cache, name  # made on demand
-            action = _split_action(m)
+        bases = _base_samples(a)
+        family = [zero_module(a)] + [shift(m, d) for m in bases for d in (0, c)]
+        family += [zero_module(a), regular_module(a), zero_module(a)]
+        got = _splits(family)
+        assert len(got) == len(family), name
+        for m, split in zip(family, got):
+            for x, y, z in zip(split, _splits([m])[0], _loop_split(m)):
+                assert x.dtype == y.dtype == z.dtype == np.int64, name
+                assert np.array_equal(x, y) and np.array_equal(x, z), name
+        most = max(m.dim for m in family)
+        spanned |= len(family) > 2**10 // ((a.n_idempotents + 4) * most * most)
+        pairs = []
+        for m in bases:
+            basis, inv, degs, verts = _splits([m])[0]
             for d in range(-c, c + 1):
                 n = shift(m, d)
-                got = _split(n)
-                n_basis, n_inv, n_degs, n_verts = got
-                assert n_basis is basis and n_inv is inv and n_verts is verts, name
-                assert _split_action(n) is action, name
-                assert np.array_equal(n_degs, degs - d) and not n_degs.flags.writeable, name
+                n_basis, n_inv, n_degs, n_verts = _splits([n])[0]
+                assert np.array_equal(n_basis, basis) and np.array_equal(n_inv, inv), name
+                assert np.array_equal(n_degs, degs - d) and np.array_equal(n_verts, verts), name
                 fresh = GradedModule(a, n.degrees, n.action)
-                assert all(np.array_equal(x, y) for x, y in zip(got, _split(fresh))), name
-                assert np.array_equal(action, _split_action(fresh)), name
-                assert hom_dim(n, n) == hom_dim(fresh, fresh) == hom_dim(m, m), name
-                assert hom_dim(m, n) == hom_dim(m, fresh), name
+                pairs += [(n, n), (fresh, fresh), (m, m), (m, n), (m, fresh)]
+        dims = np.array(hom_dims([(m, n, 0) for m, n in pairs])).reshape(-1, 5)
+        assert (dims[:, :2] == dims[:, 2:3]).all() and (dims[:, 3] == dims[:, 4]).all(), name
+    assert spanned
+    assert _splits([]) == []
 
 
 def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
-    # the top decomposition reads the split basis only, not the generator
-    # action that hom_dim reads, so it never needs generators(A)
+    # the cover pass reads the radical and the idempotents, not the
+    # generators that hom_dim reads, so the top decomposition never needs them
     for name, a in vertex_corpus:
         fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
         for i in range(fresh.n_idempotents):
@@ -333,13 +356,33 @@ def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
         assert (generators.__wrapped__,) in fresh._cache, name
 
 
-def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals):
-    # drop f: e alone does not sum to 1, so the rows of e M_g miss a basis
+def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals, monkeypatch):
+    # drop f: e alone does not sum to 1, so the rows of e M_g miss a basis of
+    # M, though not of the zero module.  e again after f gives too many rows,
+    # and e twice as many rows as dim M, but dependent ones.  Over the upper
+    # triangular 2 x 2 matrices, graded by the arrow, u00 + u01 and u11 - u01
+    # give a basis of M, but u11 - u01 is not homogeneous.  The refusal names
+    # the first failing member, in one batch and with a batch per member
     a = product_of_duals
-    bad = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents[:1])
-    m = regular_module(bad)
-    with pytest.raises(CheckFailed, match="do not split"):
-        hom_dim(m, m)
+    u = corpus.upper_triangular(2)
+    bad_algebras = [
+        GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents[:1]),
+        GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents[[0, 1, 0]]),
+        GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents[[0, 0]]),
+        GradedAlgebra(u.p, u.names, [0, 1, 0], u.table, u.unit, np.array([[1, 1, 0], [0, -1, 1]]) % u.p),
+    ]
+    for cells in (COVER_CELLS, 1):
+        monkeypatch.setattr(modules, "COVER_CELLS", cells)
+        for bad in bad_algebras:
+            zero, m = zero_module(bad), regular_module(bad).validate()
+            with pytest.raises(CheckFailed, match="do not split"):
+                hom_dim(m, m)
+            with pytest.raises(
+                CheckFailed, match=r"^the idempotents do not split the module into a basis \(member 1\)$"
+            ):
+                _splits([zero_module(bad), regular_module(bad)])
+            with pytest.raises(CheckFailed, match=r"\(member 1\)$"):
+                hom_dims([(zero, m, 0), (m, zero, 0)])
 
 
 def _span_rank(vectors, p):
