@@ -40,7 +40,9 @@ from .equiv import (
     SigmaExtraction,
     extract_sigma,
     phi,
+    phis,
     psi,
+    psis,
     theorem_pipeline,
     twist_transport,
     twist_transport_back,
@@ -50,6 +52,7 @@ from .modp import DEFAULT_PRIME
 from .modules import (
     GradedModule,
     GradedMorphism,
+    ModuleFamily,
     cover_map,
     cover_maps,
     direct_sum,
@@ -58,6 +61,8 @@ from .modules import (
     hom_dims,
     inj,
     is_projective,
+    module_faults,
+    morphism_faults,
     proj,
     projective_cover,
     projective_cover_dim,

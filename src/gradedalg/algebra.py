@@ -208,26 +208,33 @@ def intertwine_fault(
     """First (rows[k], col, m) where tgt[k] @ f[m] != f[m] @ src[k], or None.
 
     ``f`` is one matrix or a stack of them; src[k] and tgt[k] are the matrices
-    of the basis element rows[k].  The first failing row wins, then the first
-    column failing in any map, then the first map failing there.  The one
-    check of every action, map and bimodule in the package (``generators``
-    gives its forms; the associativity of A itself is ``_associativity_fault``).
-    Works one row at a time, so memory stays O(n^3) rather than O(n^4).  Both
-    sides come from ``modp.dot``, so their difference is an integer below 2^53
-    in magnitude, exact in float64 and in int64, and its int64 remainder
-    tells whether it vanishes mod p.
+    of the basis element rows[k].  tgt[k] may also be a stack of one matrix
+    per member of a family, whose maps then fill f in turn, as many to a
+    member: map m is checked against tgt[k][m // (len(f) // members)].  The
+    first failing row wins, then the first column failing in any map, then
+    the first map failing there.  The one check of every action, map and
+    bimodule in the package (``generators`` gives its forms; the
+    associativity of A itself is ``_associativity_fault``).  Works one row at
+    a time, so its arrays stay the size of the stack f.  Both sides come from
+    ``modp.dot``, so their difference is an integer below 2^53 in magnitude,
+    exact in float64 and in int64, and its int64 remainder tells whether it
+    vanishes mod p; most entries are exactly 0, and only the others take one.
     """
     f = np.asarray(f)
     n, dt, ds = f.shape if f.ndim == 3 else (1, *f.shape)
-    g = f.reshape(n, dt, ds).transpose(1, 0, 2).astype(np.float64, order="C")  # g[a, m, b] = f[m][a, b]
-    wide, tall = g.reshape(dt, n * ds), g.reshape(dt * n, ds)
+    members = tgt.shape[1] if np.ndim(tgt) == 4 else 1
+    per = n // members
+    # g[q, a, m, b] = f[q per + m][a, b]
+    g = f.reshape(members, per, dt, ds).transpose(0, 2, 1, 3).astype(np.float64, order="C")
+    wide, tall = g.reshape(members, dt, per * ds), g.reshape(n * dt, ds)
+    src, tgt = (np.asarray(x, dtype=np.float64, order="C") for x in (src, tgt))
     for k, row in enumerate(rows.tolist()):
-        diff = modp.dot(tgt[k], wide, p)  # diff[a, (m, b)] = (tgt[k] @ f[m])[a, b]
-        diff -= modp.dot(tall, src[k], p).reshape(dt, n * ds)
-        diff = diff.astype(np.int64)
-        diff %= p
-        if diff.any():
-            bad = diff.reshape(dt, n, ds).any(axis=0)  # bad[m, b]
+        diff = modp.dot(tgt[k], wide, p)  # diff[q, a, (m, b)] = (tgt[k] @ f[q per + m])[a, b]
+        diff -= modp.dot(tall, src[k], p).reshape(members, dt, per * ds)
+        wrong = diff != 0
+        wrong[wrong] = diff[wrong].astype(np.int64) % p != 0
+        if wrong.any():
+            bad = wrong.reshape(members, dt, per, ds).any(axis=1).reshape(n, ds)  # bad[m, b]
             col = int(np.flatnonzero(bad.any(axis=0))[0])
             return row, col, int(np.flatnonzero(bad[:, col])[0])
     return None

@@ -13,6 +13,7 @@ property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -191,7 +192,14 @@ def _cmd_gen_example(args) -> dict:
     return {"kind": args.kind, "dim": made.dim, "algebra": doc}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    Parsing returns a new namespace and leaves the parser as it was, so
+    successive ``main`` calls share it; each command's handler is bound
+    when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="gradedalg",
         description="Graded algebra constructions and decision procedures over F_p.",

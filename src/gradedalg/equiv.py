@@ -7,15 +7,18 @@ With the upper-triangular block orientation used in construct, degree
 bookkeeping forces the old slice nc+r into column component c-1-r (the
 component index decreases as the inner degree rises); Psi reads components
 back off the diagonal idempotents with the same reflection, which makes
-Psi . Phi the identity on the nose, tables included.  Each is one pass over
-the rows of block_layout: phi gathers the action of a row's source element
-on the vectors of the row's column component, and psi scatters it back, so
-that each (basis element, component) is read from exactly one block.  When
-a module's basis mixes components, Psi first rewrites it in the basis of
-its split along the designated idempotents of t(A) (``modules._splits``),
-in which each vector lies in one component.  Both take t(A) from
-``t_of(a)``, which is built once per algebra, so their modules live over
-the very algebra object that theorem_pipeline uses.
+Psi . Phi the identity on the nose, tables included.  Both act on a whole
+family of modules at once (``modules.ModuleFamily``, every member's action
+side by side in one array): ``phis`` gathers the rows of block_layout, the
+action of a row's source element on the vectors of the row's column
+component, for every member in one fancy index, and ``psis`` scatters them
+back in one ``np.add.at``, so that each (basis element, component) is read
+from exactly one block.  The members whose basis mixes components are first
+rewritten in the basis of their split along the designated idempotents of
+t(A), one ``modules._splits`` call for all of them, in which each vector
+lies in one component.  ``phi`` and ``psi`` are the calls on one module.
+Both take t(A) from ``t_of(a)``, which is built once per algebra, so their
+modules live over the very algebra object that theorem_pipeline uses.
 
 The hypotheses of the theorem (A_0 basic, A well-graded, A graded
 self-injective) are decided in one place, _require_hypotheses.  A_0, the
@@ -28,16 +31,22 @@ for a generator m of D(X) whose two multiplication maps B -> D(X) are
 bijective, reads off sigma = L_m^{-1} R_m, and dualizes to an explicit
 bimodule isomorphism X -> D(B^sigma).
 
-_transport moves a graded module to another algebra by a change of algebra
-basis per degree slice. It moves modules both ways along the isomorphism of
-categories T(B)-gr = T(B^sigma)-gr, where on degree n the degree-0 part acts
-through sigma^n and the dual part through precomposition with sigma^{-n}; with
-h : t(A) -> T(B^sigma) folded in, it carries the functor F and its inverse.
+_transports moves a family of graded modules to another algebra by a change
+of algebra basis per degree slice, one product per degree over the whole
+family (``_transport`` is its call on one module). It moves modules both ways
+along the isomorphism of categories T(B)-gr = T(B^sigma)-gr, where on degree
+n the degree-0 part acts through sigma^n and the dual part through
+precomposition with sigma^{-n}; with h : t(A) -> T(B^sigma) folded in, it
+carries the functor F and its inverse.
 
 theorem_pipeline composes everything into an equivalence
 F : A-gr -> T(b(A))-gr and certifies it on a finite sample set: exact
 round trips, hom-dimension equality on all pairs, preservation of
-projectives and injectives, and functoriality on hom bases.
+projectives and injectives, and functoriality on hom bases.  F, the checks
+of the images (``modules.module_faults``) and G each make one pass over the
+sample family, and the checks of each hom basis and of its composites are
+one stacked ``modules.morphism_faults`` call each; the records still read
+sample by sample, and a failure is the one the first failing sample gives.
 """
 
 from __future__ import annotations
@@ -80,12 +89,14 @@ from .errors import (
 )
 from .modules import (
     GradedModule,
-    GradedMorphism,
+    ModuleFamily,
     _splits,
     cover_maps,
     hom_basis,
     hom_dims,
     inj,
+    module_faults,
+    morphism_faults,
     proj,
     shift,
     simple,
@@ -98,77 +109,93 @@ from .selfinj import is_graded_selfinjective
 
 
 def phi(a: GradedAlgebra, m: GradedModule) -> GradedModule:
-    """Repackage a graded A-module as a graded module over t_of(a).
+    """Repackage a graded A-module as a graded module over t_of(a): ``phis`` on M alone."""
+    return phis(a, ModuleFamily.of(m.algebra, [m])).modules()[0]
 
-    The underlying basis and its order are kept; only degrees are retagged
+
+def phis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
+    """Repackage a family of graded A-modules as graded modules over t_of(a).
+
+    The underlying bases and their order are kept; only degrees are retagged
     and the action is re-read through the block layout, so the functor is
-    the identity on morphism matrices.
+    the identity on morphism matrices.  The whole family is one gather of
+    the rows of block_layout, masked by the component of each column's input
+    vector.
     """
     c = a.top_degree()
     if c < 1:
         raise TrivialGrading("phi needs a nontrivially graded source")
-    if not m.algebra.same_as(a):
+    if not fam.algebra.same_as(a):
         raise AlgebraMismatch("module is not over the given algebra")
-    t = t_of(a)
     layout = np.concatenate(block_layout(a))
-    comp = (c - 1 - (m.degrees % c)) % c
-    new_degrees = m.degrees // c
-    action = m.action[layout[:, 2]]  # a fresh gather, masked in place
-    action *= layout[:, 1, None, None] == comp
-    return GradedModule(t, new_degrees, action)
-
-
-def _component_projectors(a: GradedAlgebra, n: GradedModule):
-    """The action on ``n`` of each diagonal unit e_qq = sum_i e_qq e_i of t(A)."""
-    t = n.algebra
-    units = t.idempotents.reshape(a.top_degree(), a.n_idempotents, t.dim).sum(axis=1)
-    return [n.act(e) for e in units]
+    comp = (c - 1 - (fam.degrees % c)) % c
+    action = fam.action[layout[:, 2]]  # a fresh gather, masked in place
+    action *= layout[:, 1, None] == comp[fam.inp]
+    return fam.like(t_of(a), fam.degrees // c, action)
 
 
 def psi(a: GradedAlgebra, n: GradedModule) -> GradedModule:
-    """Unpack a graded module over t_of(a) into a graded A-module.
+    """Unpack a graded module over t_of(a) into a graded A-module: ``psis`` on N alone."""
+    return psis(a, ModuleFamily.of(n.algebra, [n])).modules()[0]
 
-    When every basis vector of ``n`` lies in a single diagonal component
-    (always the case for images of phi and for the projectives built here),
-    the basis and its order are kept and psi inverts phi exactly.  Otherwise
-    it is first rewritten in the basis of its split along the designated
-    idempotents of t(A) (``modules._splits``): each is e_rr e_i in b(A), under
-    the one diagonal unit e_rr, so each vector of that basis has one component.
+
+def psis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
+    """Unpack a family of graded modules over t_of(a) into graded A-modules.
+
+    A member each of whose basis vectors lies in a single diagonal component
+    (always the case for images of phi and for the projectives built here)
+    keeps its basis and its order, and psi inverts phi exactly.  One product
+    reads the action of the c diagonal units e_qq of t(A) on every member,
+    and one ``np.add.at`` scatters the blocks back, each (basis element of A,
+    component) from exactly one block.  The other members are first
+    rewritten in the basis of their split along the designated idempotents
+    of t(A), from one ``modules._splits`` call: each is e_rr e_i in b(A),
+    under the one diagonal unit e_rr, so each vector of that basis has one
+    component; psis then unpacks them by calling itself.
     """
     c = a.top_degree()
     if c < 1:
         raise TrivialGrading("psi needs a nontrivially graded target")
-    if not n.algebra.same_as(t_of(a)):
+    t, p = fam.algebra, fam.algebra.p
+    if not t.same_as(t_of(a)):
         raise AlgebraMismatch("module is not over t(A)")
-    if n.dim == 0:
-        return GradedModule(a, n.degrees, modp.zeros(a.dim, 0, 0))
-    comp = _read_components(_component_projectors(a, n), n.dim)
-    if comp is None:
-        basis, inv, degs, _ = _splits([n])[0]
-        action = ((inv @ n.action) % n.p @ basis.T) % n.p
-        return psi(a, GradedModule(n.algebra, degs, action))
-    # every (basis element j, component q) is read from exactly one block
+    comp, adapted = _components(a, fam)
     layout = np.concatenate(block_layout(a))
-    new_degrees = n.degrees * c + (c - 1 - comp)
-    action = modp.zeros(a.dim, n.dim, n.dim)
-    np.add.at(action, layout[:, 2], np.where(layout[:, 1, None, None] == comp, n.action, 0))
-    return GradedModule(a, new_degrees, action)
+    row, col = np.nonzero(layout[:, 1, None] == comp[fam.inp])  # the block of each column's component
+    action = modp.zeros(a.dim, fam.action.shape[1])
+    np.add.at(action, (layout[row, 2], col), fam.action[row, col])
+    out = fam.like(a, fam.degrees * c + (c - 1 - comp), action)
+    if adapted.all():
+        return out
+    mixed = fam.select(~adapted).modules()
+    rewritten = [
+        GradedModule(t, degs, ((inv @ n.action) % p @ basis.T) % p)
+        for n, (basis, inv, degs, _) in zip(mixed, _splits(mixed))
+    ]
+    unpacked = psis(a, ModuleFamily.of(t, rewritten))
+    out.degrees[~adapted[fam.owner]] = unpacked.degrees
+    out.action[:, ~adapted[fam.member]] = unpacked.action
+    return out
 
 
-def _read_components(projs, dim: int) -> Optional[np.ndarray]:
-    """Component index per basis vector, or None if the basis is not adapted."""
-    comp = np.full(dim, -1, dtype=np.int64)
-    for q, pq in enumerate(projs):
-        diag = np.einsum("tt->t", pq)
-        ones = np.nonzero(diag == 1)[0]
-        expected = modp.zeros(*pq.shape)
-        expected[ones, ones] = 1
-        if not np.array_equal(pq, expected):
-            return None
-        comp[ones] = q
-    if np.any(comp < 0):
-        return None
-    return comp
+def _components(a: GradedAlgebra, fam: ModuleFamily):
+    """(component, adapted): the component index of each basis vector of the
+    family, and whether each member's basis is adapted to the components.
+
+    A member is adapted when each diagonal unit e_qq = sum_i e_qq e_i of t(A)
+    acts on it as the 0/1 diagonal matrix of the vectors in component q, and
+    each vector lies in some component; a vector marked by several units
+    takes the last.  The action of every unit on every member is one product.
+    """
+    t, p, c = fam.algebra, fam.algebra.p, a.top_degree()
+    units = t.idempotents.reshape(c, a.n_idempotents, t.dim).sum(axis=1) % p
+    projs = units @ fam.action % p  # projs[q]: e_qq on every member
+    ones = (projs == 1) & (fam.out == fam.inp)
+    stray = np.bincount(fam.member[(projs != ones).any(axis=0)], minlength=fam.dims.size)
+    marks = ones[:, fam.out == fam.inp]  # marks[q, v]: e_qq fixes vector v
+    comp = np.where(marks.any(axis=0), c - 1 - marks[::-1].argmax(axis=0), -1)
+    unmarked = np.bincount(fam.owner[comp < 0], minlength=fam.dims.size)
+    return comp, (stray == 0) & (unmarked == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +313,24 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
 def _transport(
     m: GradedModule, target: GradedAlgebra, change: Callable[[int], np.ndarray]
 ) -> GradedModule:
-    """Move ``m`` to ``target``: on the degree-g slice, target basis element i
-    acts as sum_k change(g)[k, i] * m.action[k]."""
-    new = modp.zeros(target.dim, m.dim, m.dim)
-    for g in sorted(set(int(x) for x in m.degrees)):
-        cols = m.slice_indices(g)
-        new[:, :, cols] = np.einsum("ki,kab->iab", change(g), m.action[:, :, cols]) % m.p
-    return GradedModule(target, m.degrees, new)
+    """Move ``m`` to ``target``: ``_transports`` on M alone."""
+    return _transports(ModuleFamily.of(m.algebra, [m]), target, change).modules()[0]
+
+
+def _transports(
+    fam: ModuleFamily, target: GradedAlgebra, change: Callable[[int], np.ndarray]
+) -> ModuleFamily:
+    """Move a family to ``target``: on the degree-g slice of each member,
+    target basis element i acts as sum_k change(g)[k, i] * action[k].  The
+    columns whose input vector has degree g, over the whole family, are one
+    product with change(g)."""
+    p = fam.algebra.p
+    new = modp.zeros(target.dim, fam.action.shape[1])
+    degrees = fam.degrees[fam.inp]
+    for g in np.unique(degrees).tolist():
+        cols = degrees == g
+        new[:, cols] = modp.dot(change(g).T, fam.action[:, cols], p).astype(np.int64) % p
+    return fam.like(target, fam.degrees, new)
 
 
 def _twist(sigma: AlgebraAutomorphism, g: int) -> np.ndarray:
@@ -407,11 +445,11 @@ def theorem_pipeline(
     to_tb = functools.cache(lambda g: (h_inv @ _twist(sigma, -g)) % p)
     to_t = functools.cache(lambda g: (_twist(sigma, g) @ h) % p)
 
-    def functor(m: GradedModule) -> GradedModule:
-        return _transport(phi(a, m), tb, to_tb)
+    def functor(fam: ModuleFamily) -> ModuleFamily:
+        return _transports(phis(a, fam), tb, to_tb)
 
-    def inverse_functor(m: GradedModule) -> GradedModule:
-        return psi(a, _transport(m, t, to_t))
+    def inverse_functor(fam: ModuleFamily) -> ModuleFamily:
+        return psis(a, _transports(fam, t, to_t))
 
     w = c if window is None else int(window)
     samples: list[tuple[str, GradedModule, str]] = []
@@ -441,12 +479,12 @@ def theorem_pipeline(
         samples=[{"label": lab, "dim": m.dim, "kind": kind} for lab, m, kind in samples],
     )
 
-    def record(family: str, name: str, passed: bool, detail: str = "", transcript=None):
+    def record(family: str, name: str, passed: bool, detail: str = "", transcript=lambda: None):
         cert.checks.append(SampleCheck(family, name, passed, detail))
         if not passed:
             raise CheckFailed(
                 f"{family}: {name} failed ({detail})",
-                {"certificate": cert.to_dict(), "counterexample": transcript},
+                {"certificate": cert.to_dict(), "counterexample": transcript()},
             )
 
     tb_selfinj = is_graded_selfinjective(tb)
@@ -457,22 +495,37 @@ def theorem_pipeline(
         "injectivity over the target is tested via projectivity",
     )
 
-    images = []
-    for label, m, kind in samples:
-        fm = functor(m)
-        try:
-            fm.validate()
-        except CheckFailed as exc:
-            record("image", label, False, str(exc), transcript={"sample": label, "module": m.to_dict()})
-        images.append(fm)
-        back = inverse_functor(fm)
+    # one pass of F, of the image checks and of G over the whole sample family;
+    # G runs on the images before the first invalid one, as the records of a
+    # sample go in order: its image, then its round trip
+    generators(tb)  # cached: its dense temporaries come and go before the family's arrays exist
+    sources = ModuleFamily.of(a, [m for _, m, _ in samples])
+    fam = functor(sources)
+    faults = module_faults(fam)
+    before = np.cumsum([fault is not None for fault in faults]) == 0
+    try:
+        back = inverse_functor(fam.select(before))
+        same = back.same_members(sources.select(before))
+    except CheckFailed:  # a split failed: G one sample at a time raises it at its sample
+        back = None
+
+    def returned(k: int) -> GradedModule:  # G(F(M)) of sample k
+        if back is None:
+            return inverse_functor(fam.select(np.arange(len(samples)) == k)).modules()[0]
+        return back.modules()[k]
+
+    for k, ((label, m, _), fault) in enumerate(zip(samples, faults)):
+        if fault is not None:
+            record("image", label, False, fault, lambda: {"sample": label, "module": m.to_dict()})
         record(
             "round-trip",
             label,
-            back.equals(m),
+            bool(same[k]) if back is not None else returned(k).equals(m),
             "G(F(M)) != M",
-            transcript={"sample": label, "module": m.to_dict(), "returned": back.to_dict()},
+            lambda: {"sample": label, "module": m.to_dict(), "returned": returned(k).to_dict()},
         )
+    images = fam.modules()
+    del fam, back  # each as large as the images, which are all that is read from here on
 
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
     # the relative shift and solved on the base modules, without building a
@@ -513,15 +566,8 @@ def theorem_pipeline(
     # F(id) = id and F(g.f) = F(g)F(f) hold as matrix identities; the content
     # checked here is that identities, transported hom bases, and composites
     # are still morphisms between the image modules.
-    def is_morphism(src: GradedModule, tgt: GradedModule, matrix) -> bool:
-        try:
-            GradedMorphism(src, tgt, matrix).validate()
-            return True
-        except CheckFailed:
-            return False
-
-    for (label, m, kind), fm in list(zip(samples, images))[:9]:
-        record("functoriality", f"F(id_{label}) = id", is_morphism(fm, fm, modp.identity(fm.dim)))
+    for (label, _, _), fm in list(zip(samples, images))[:9]:
+        record("functoriality", f"F(id_{label}) = id", morphism_faults(fm, fm, [modp.identity(fm.dim)])[0] is None)
     pairs_checked = 0
     for ia, (la, ma, _) in enumerate(samples):
         if pairs_checked >= 6:
@@ -529,21 +575,19 @@ def theorem_pipeline(
         for ib, (lb, mb, _) in enumerate(samples):
             if ia == ib or not src_dims[ia, ib] or not src_dims[ib, ia]:
                 continue
-            homs = hom_basis(ma, mb)
-            back = hom_basis(mb, ma)
+            homs = [f.matrix for f in hom_basis(ma, mb)]
+            backs = [g.matrix for g in hom_basis(mb, ma)]
             pairs_checked += 1
-            for f in homs:
-                record(
-                    "functoriality",
-                    f"F on hom {la} -> {lb}",
-                    is_morphism(images[ia], images[ib], f.matrix),
-                )
-                for g in back:
-                    composed = (g.matrix @ f.matrix) % p
+            # each stack of maps is one check: the hom basis, then its composites
+            moved = morphism_faults(images[ia], images[ib], homs)
+            composed = iter(morphism_faults(images[ia], images[ia], [(g @ f) % p for f in homs for g in backs]))
+            for fault in moved:
+                record("functoriality", f"F on hom {la} -> {lb}", fault is None)
+                for _ in backs:
                     record(
                         "functoriality",
                         f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}",
-                        is_morphism(images[ia], images[ia], composed),
+                        next(composed) is None,
                         "the composite matrix must intertwine over the target",
                     )
             break

@@ -12,10 +12,15 @@ projective covers of a whole family of modules from a few stacked
 eliminations: the summands of each top and the matrix of each cover map.
 ``cover_map``, ``top_summands``, ``projective_cover`` and ``is_projective``
 read it for one module, and only callers that need the cover module P
-build it.
+build it.  Likewise ``module_faults`` checks a ``ModuleFamily``, every
+member's action side by side in one array, and ``GradedModule.validate`` is
+its call on one module; ``morphism_faults`` checks a stack of maps between
+two modules, and ``GradedMorphism.validate`` is its call on one map.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -36,9 +41,10 @@ from .errors import AlgebraMismatch, CheckFailed
 #: bounds the memory of one batch, whose padded stack has this many matrices.
 HOM_BATCH = 128
 
-#: Most entries of the padded stacks of one batch of ``cover_maps`` (modules x
-#: dim A x d^2, d the largest dimension in the family) and of ``_splits`` (modules
-#: x (n + 4) x d^2, n idempotents).  It bounds a batch's memory (128 KiB an array).
+#: Most entries of the padded stacks of one batch of ``cover_maps`` and of
+#: ``module_faults`` (modules x dim A x d^2, d the largest dimension in the
+#: family) and of ``_splits`` (modules x (n + 4) x d^2, n idempotents).  It
+#: bounds a batch's memory (128 KiB an array).
 COVER_CELLS = 2**14
 
 
@@ -73,27 +79,11 @@ class GradedModule:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def validate(self) -> "GradedModule":
-        """Check that the action is unital, a representation and degree-compatible.
-
-        The products are checked on ``generators(A)`` only, which suffices (see
-        there): A must be associative, with p > dim A or this raises
-        PrimeTooSmall.
-        """
-        a, p = self.algebra, self.p
-        if self.dim == 0:
-            return self
-        if not np.array_equal(self.act(a.unit), modp.identity(self.dim)):
-            raise CheckFailed("module action is not unital")
-        gens = generators(a)  # the stack .T holds the orbit maps b -> M(b) e_c
-        fault = intertwine_fault(self.action.T, a.left[gens], self.action[gens], gens, p)
+        """Check that the action is unital, a representation and degree-compatible:
+        ``module_faults`` on M alone, whose fault it raises as CheckFailed."""
+        fault = module_faults(ModuleFamily.of(self.algebra, [self]))[0]
         if fault is not None:
-            raise CheckFailed(f"module action not associative at {a.names[fault[0]]}")
-        dm = self.degrees
-        shiftgrid = dm[:, None] - dm[None, :]  # output deg - input deg
-        bad = (self.action != 0) & (shiftgrid[None, :, :] != a.degrees[:, None, None])
-        if np.any(bad):
-            i = int(np.argwhere(bad)[0][0])
-            raise CheckFailed(f"action of {a.names[i]} is not degree-compatible")
+            raise CheckFailed(fault)
         return self
 
     def equals(self, other: "GradedModule") -> bool:
@@ -128,19 +118,159 @@ class GradedMorphism:
         self.matrix = modp.normalize(matrix, source.p).reshape(target.dim, source.dim)
 
     def validate(self) -> "GradedMorphism":
-        """Check that the matrix preserves degrees and intertwines ``generators(A)``,
-        which suffices when both endpoints are modules (see ``generators``)."""
-        m, n, f = self.source, self.target, self.matrix
-        if not m.algebra.same_as(n.algebra):
-            raise AlgebraMismatch("morphism endpoints live over different algebras")
-        bad = (f != 0) & (n.degrees[:, None] != m.degrees[None, :])
-        if np.any(bad):
-            raise CheckFailed("morphism does not preserve degrees")
-        gens = generators(m.algebra)
-        fault = intertwine_fault(f, m.action[gens], n.action[gens], gens, m.p)
+        """Check that the matrix preserves degrees and intertwines the action:
+        ``morphism_faults`` on this matrix alone, whose fault it raises as CheckFailed."""
+        fault = morphism_faults(self.source, self.target, [self.matrix])[0]
         if fault is not None:
-            raise CheckFailed(f"morphism does not intertwine {m.algebra.names[fault[0]]}")
+            raise CheckFailed(fault)
         return self
+
+
+class ModuleFamily:
+    """Modules over one algebra side by side, for the passes that treat a family at once.
+
+    ``action`` is (dim A) x (the sum of the d_k^2), of residues mod p: member
+    k, of dimension d_k, fills the next d_k^2 columns, entry [r, s] of its
+    matrix of basis element i at row i, column r d_k + s of its block.
+    ``degrees`` holds the members' degrees in turn; per column, ``member`` is
+    its member, and ``out`` and ``inp`` index ``degrees`` by its output row r
+    and its input column s.
+    """
+
+    __slots__ = ("algebra", "dims", "degrees", "action", "member", "out", "inp")
+
+    def __init__(self, algebra: GradedAlgebra, dims, degrees, action, columns=None):
+        self.algebra, self.dims, self.degrees, self.action = algebra, dims, degrees, action
+        if columns is None:
+            squares = dims * dims
+            member = np.repeat(np.arange(dims.size), squares)
+            local = np.arange(member.size) - (np.cumsum(squares) - squares)[member]
+            first, d = (np.cumsum(dims) - dims)[member], dims[member]
+            columns = member, first + local // d, first + local % d
+        self.member, self.out, self.inp = columns
+
+    @classmethod
+    def of(cls, algebra: GradedAlgebra, mods) -> "ModuleFamily":
+        """The family of the modules ``mods``, all over ``algebra``, in order."""
+        for m in mods:
+            if not algebra.same_as(m.algebra):
+                raise AlgebraMismatch("family members live over different algebras")
+        dims = np.array([m.dim for m in mods], dtype=np.int64)
+        degrees = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.degrees for m in mods])
+        blocks = [modp.zeros(algebra.dim, 0)] + [m.action.reshape(algebra.dim, m.dim * m.dim) for m in mods]
+        return cls(algebra, dims, degrees, np.concatenate(blocks, axis=1))
+
+    def like(self, algebra: GradedAlgebra, degrees, action) -> "ModuleFamily":
+        """The members of the same dimensions with these degrees and action over ``algebra``."""
+        return ModuleFamily(algebra, self.dims, degrees, action, (self.member, self.out, self.inp))
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The member of each basis vector, as ``degrees`` lists them."""
+        return np.repeat(np.arange(self.dims.size), self.dims)
+
+    def select(self, keep: np.ndarray) -> "ModuleFamily":
+        """The members k with keep[k], in order."""
+        if keep.all():
+            return self
+        return ModuleFamily(self.algebra, self.dims[keep], self.degrees[keep[self.owner]], self.action[:, keep[self.member]])
+
+    def same_members(self, other: "ModuleFamily") -> np.ndarray:
+        """Whether each member equals the other family's, degrees and tables,
+        for two families of the same dimensions over one algebra."""
+        differ = self.member[(self.action != other.action).any(axis=0)]
+        differ = np.concatenate([differ, self.owner[self.degrees != other.degrees]])
+        return np.bincount(differ, minlength=self.dims.size) == 0
+
+    def modules(self) -> list[GradedModule]:
+        """Each member as a module of its own."""
+        ends, col_ends = np.cumsum(self.dims).tolist(), np.cumsum(self.dims * self.dims).tolist()
+        return [
+            GradedModule(self.algebra, self.degrees[hi - d : hi], self.action[:, cols - d * d : cols])
+            for d, hi, cols in zip(self.dims.tolist(), ends, col_ends)
+        ]
+
+
+def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
+    """Why each member of a family is not a graded module, or None where it is one.
+
+    The checks of a module M, of which the first that fails names its fault:
+    the action is unital, M(1) = I; it is a representation, checked on the
+    products M(g) M(b) = M(gb) for g in ``generators(A)`` only, which
+    suffices (see there): A must be associative, with p > dim A or this
+    raises PrimeTooSmall; and it is degree-compatible, M(b) moving degrees
+    by deg b.  The unit and the degrees are one comparison each over the
+    whole family.  The products are one ``intertwine_fault`` per batch, on
+    the orbit maps b -> M(b) e_c of its members, zero-padded to d x dim A, d
+    the largest dimension, against M(g) for each member: a batch holds as
+    many members as keep members x dim A x d^2 within ``COVER_CELLS``.  A
+    batch with a fault is checked again one member at a time, which finds
+    the first generator at which each of its members fails.
+    """
+    a, p = fam.algebra, fam.algebra.p
+    count = fam.dims.size
+    faults: list[Optional[str]] = [None] * count  # filled from the last check to the first
+    moved = (fam.action != 0) & (fam.degrees[fam.out] - fam.degrees[fam.inp] != a.degrees[:, None])
+    if moved.any():
+        element, column = np.nonzero(moved)  # by element, so the first of each member comes first
+        members, first = np.unique(fam.member[column], return_index=True)
+        for k, i in zip(members.tolist(), element[first].tolist()):
+            faults[k] = f"action of {a.names[i]} is not degree-compatible"
+    nonunital = np.zeros(count, dtype=bool)
+    nonunital[fam.member[a.unit @ fam.action % p != (fam.out == fam.inp)]] = True
+    live = np.flatnonzero(~nonunital & (fam.dims > 0))
+    if live.size:
+        gens = generators(a)
+        left = a.left[gens]
+        d = int(fam.dims[live].max())
+        size = max(COVER_CELLS // (a.dim * d * d), 1)
+        slot = np.full(count, -1)
+        slot[live] = np.arange(live.size)  # member live[j] is member j % size of batch j // size
+        slot = slot[fam.member]
+        start = (np.cumsum(fam.dims) - fam.dims)[fam.member]
+        for lo in range(0, live.size, size):
+            part = live[lo : lo + size]
+            cols = np.flatnonzero((slot >= lo) & (slot < lo + size))
+            orbits = modp.zeros(part.size, d, d, a.dim)  # orbits[q, c]: b -> M(b) e_c of member part[q]
+            orbits[slot[cols] - lo, fam.inp[cols] - start[cols], fam.out[cols] - start[cols]] = fam.action[:, cols].T
+            actions = orbits[..., gens].transpose(3, 0, 2, 1)  # actions[j, q]: M(gens[j]) of member part[q]
+            fault = intertwine_fault(orbits.reshape(-1, d, a.dim), left, actions, gens, p)
+            if fault is not None:
+                for q, k in enumerate(part.tolist()):
+                    fault = intertwine_fault(orbits[q], left, actions[:, q], gens, p)
+                    if fault is not None:
+                        faults[k] = f"module action not associative at {a.names[fault[0]]}"
+    for k in np.flatnonzero(nonunital).tolist():
+        faults[k] = "module action is not unital"
+    return faults
+
+
+def morphism_faults(m: GradedModule, n: GradedModule, matrices) -> list[Optional[str]]:
+    """Why each matrix of a stack is not a module map M -> N, or None where it is one.
+
+    A map must preserve degrees, and it must intertwine the action of
+    ``generators(A)``, which suffices when both endpoints are modules (see
+    ``generators``): one comparison over the stack, then one stacked
+    ``intertwine_fault`` over the matrices that preserve degrees.  When it
+    finds a fault, they are checked again one at a time, which finds the
+    first generator at which each of them fails.
+    """
+    if not m.algebra.same_as(n.algebra):
+        raise AlgebraMismatch("morphism endpoints live over different algebras")
+    a, p = m.algebra, m.p
+    f = modp.normalize(np.reshape(matrices, (len(matrices), n.dim, m.dim)), p)
+    moved = ((f != 0) & (n.degrees[:, None] != m.degrees[None, :])).any(axis=(1, 2))
+    faults = ["morphism does not preserve degrees" if x else None for x in moved.tolist()]
+    rest = np.flatnonzero(~moved)
+    if rest.size:
+        gens = generators(a)
+        src, tgt = m.action[gens], n.action[gens]
+        if intertwine_fault(f[rest], src, tgt, gens, p) is not None:
+            for i in rest.tolist():
+                fault = intertwine_fault(f[i], src, tgt, gens, p)
+                if fault is not None:
+                    faults[i] = f"morphism does not intertwine {a.names[fault[0]]}"
+    return faults
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +345,74 @@ def quotient_module(m: GradedModule, rows: np.ndarray):
     return q, red, sec
 
 
+def _graded_bases(a: GradedAlgebra, spans: np.ndarray):
+    """(basis, degrees, pivots) of the row space of each spans[k], a graded
+    subspace of A, as ``homogeneous_row_basis`` gives them: the RREF rows of
+    each degree component in turn.  One ``modp.rrefs`` reduces the non-zero
+    rows of every (span, degree) component, on the columns of that degree,
+    zero-padded; the RREF is unique, so the rows are those of the
+    component's own reduction."""
+    p, n, count = a.p, a.dim, len(spans)
+    values = np.unique(a.degrees)
+    width = int(np.bincount(a.degrees).max())
+    # cols[g]: the basis elements of the g-th degree, padded with n, a zero column
+    cols = np.full((values.size, width), n)
+    for g, value in enumerate(values.tolist()):
+        at = a.degree_indices(value)
+        cols[g, : at.size] = at
+    padded = np.concatenate([spans % p, modp.zeros(count, n, 1)], axis=2)
+    parts = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(count * values.size, n, width)
+    live = parts.any(axis=2)
+    order = (~live).argsort(axis=1, kind="stable")[:, : max(int(live.sum(axis=1).max()), 1)]
+    rows, pivots = modp.rrefs(parts[np.arange(len(parts))[:, None], order], p)
+    e, j = (np.arange(width) < pivots.sum(axis=1)[:, None]).nonzero()  # (component, RREF row)
+    g = e % values.size
+    basis = modp.zeros(e.size, n + 1)
+    basis[np.arange(e.size)[:, None], cols[g]] = rows[e, j]
+    pivot = cols[g, (~pivots).argsort(axis=1, kind="stable")[e, j]]
+    bounds = np.searchsorted(e // values.size, np.arange(count + 1))
+    return [
+        (basis[lo:hi, :n], values[g[lo:hi]], pivot[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 @cached
-def _proj_arrays(a: GradedAlgebra, i: int):
-    """(degrees, action, basis) of Ae_i, whose basis rows b_j e_i sit in A (cached)."""
-    span = a.right_mult(a.idempotents[i]).T  # rows: b_j * e_i
-    basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
-    action = (a.left[:, pivots, :] @ basis.T) % a.p
-    for arr in (degs, action, basis):
-        arr.flags.writeable = False
-    return degs, action, basis
+def _projectives(a: GradedAlgebra):
+    """(degrees, action, basis) of every Ae_i, whose basis rows b_j e_i sit in A (cached)."""
+    spans = (a.left @ a.idempotents.T % a.p).transpose(2, 0, 1)  # spans[i]: rows b_j e_i
+    out = []
+    for basis, degs, pivots in _graded_bases(a, spans):
+        action = (a.left[:, pivots, :] @ basis.T) % a.p
+        for arr in (degs, action, basis):
+            arr.flags.writeable = False
+        out.append((degs, action, basis))
+    return out
 
 
 def proj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The indecomposable projective Ae_i(d)."""
-    degs, action, _ = _proj_arrays(a, i)
+    degs, action, _ = _projectives(a)[i]
     return GradedModule(a, degs - d, action)
+
+
+@cached
+def _injectives(a: GradedAlgebra):
+    """(degrees, action) of every D(e_i A), from the rows e_i b_j in A (cached)."""
+    spans = np.tensordot(a.idempotents, a.left, axes=1) % a.p
+    out = []
+    for basis, degs, pivots in _graded_bases(a, spans.transpose(0, 2, 1)):  # rows e_i b_j
+        rho = (a.right[:, pivots, :] @ basis.T) % a.p  # right action on e_i A
+        degs, action = -degs, rho.transpose(0, 2, 1)
+        for arr in (degs, action):
+            arr.flags.writeable = False
+        out.append((degs, action))
+    return out
 
 
 def inj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The graded injective D(e_i A)(d), with D(eA)_n = D(e A_{-n})."""
-    span = a.left_mult(a.idempotents[i]).T  # rows: e_i * b_j
-    basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
-    rho = (a.right[:, pivots, :] @ basis.T) % a.p  # right action on e_i A
-    return GradedModule(a, -degs - d, rho.transpose(0, 2, 1))
+    degs, action = _injectives(a)[i]
+    return GradedModule(a, degs - d, action)
 
 
 def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
@@ -650,14 +825,14 @@ def _covers(mods: list[GradedModule], first: int):
     by_module = modp.zeros(count, d, int(slot.max(initial=-1)) + 1)
     by_module[ks, :, slot] = lifts
     images = (act @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
-    sizes = np.array([len(_proj_arrays(a, reps[c])[2]) for c in cs.tolist()], dtype=np.int64)
+    sizes = np.array([len(_projectives(a)[reps[c]][2]) for c in cs.tolist()], dtype=np.int64)
     start = sizes.cumsum() - sizes
     start -= start[bounds[ks]]  # from the first row of the module
     heights = np.bincount(ks, sizes, minlength=count).astype(np.int64)
     stack = modp.zeros(count, int(heights.max()), d)
     for c in sorted(set(cs.tolist())):
         at = (cs == c).nonzero()[0]
-        made = _proj_arrays(a, reps[c])[2] @ images[at] % p
+        made = _projectives(a)[reps[c]][2] @ images[at] % p
         stack[ks[at, None], start[at, None] + np.arange(made.shape[1])] = made
 
     # 6. K must be onto

@@ -613,6 +613,39 @@ def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakaya
     assert faults > 300  # the corruptions are mostly caught, so faults are compared
 
 
+def _grouped_fault_int64(f, src, tgt, p):
+    """First (k, col, m) where tgt[k][q] @ f[m] != f[m] @ src[k], q the member
+    of map m, the maps filling the members in turn."""
+    per = len(f) // tgt.shape[1]
+    for k in range(len(src)):
+        bad = np.array([((tgt[k][m // per] @ f[m]) % p != (f[m] @ src[k]) % p).any(axis=0) for m in range(len(f))])
+        if bad.any():
+            col = int(np.flatnonzero(bad.any(axis=0))[0])
+            return k, col, int(np.flatnonzero(bad[:, col])[0])
+    return None
+
+
+def test_intertwine_fault_with_one_target_per_member(graded_corpus, rebased_nakayama32):
+    # three members of two maps each, the right multiplications by basis
+    # elements, checked against the left regular action as each member's own
+    # target; a corrupted target of one member, map or source gives the fault
+    # of the int64 loop
+    rng = np.random.default_rng(7)
+    faults = 0
+    for a in [a for _, a in graded_corpus] + [rebased_nakayama32]:
+        p, left, right, rows = a.p, a.left, a.right, np.arange(a.dim)
+        f = right[rng.integers(0, a.dim, size=6)]
+        tgt = np.repeat(left[:, None], 3, axis=1)  # tgt[k, q]: L(b_k) for member q
+        assert intertwine_fault(f, left, tgt, rows, p) is None
+        for _ in range(6):
+            cases = [(f, left, _corrupt(tgt, rng, p)), (_corrupt(f, rng, p), left, tgt), (f, _corrupt(left, rng, p), tgt)]
+            for f2, src2, tgt2 in cases:
+                got = intertwine_fault(f2, src2, tgt2, rows, p)
+                assert got == _grouped_fault_int64(f2, src2, tgt2, p)
+                faults += got is not None
+    assert faults > 60
+
+
 def test_validate_algebra_names_the_oracles_non_associative_triple(truncated, rebased_nakayama32):
     kinds = Counter()
     for a in (truncated(4), rebased_nakayama32):

@@ -269,6 +269,33 @@ def test_cli_determinism(capsys, t4_file):
     assert rep1["input_digest"] == rep2["input_digest"]
 
 
+def test_cli_calls_in_one_process_share_no_options(capsys, monkeypatch, t4_file):
+    # main parses with one parser per process; commands that set options and
+    # commands that leave them at their defaults, in turn, report what each
+    # reports with a parser of its own
+    calls = [
+        ["equiv", t4_file, "--seed", "3", "--samples-window", "1"],
+        ["equiv", t4_file],
+        ["gldim", t4_file, "--cutoff", "2"],
+        ["selfinj", t4_file, "--seed", "5"],
+        ["gldim", t4_file],
+        ["selfinj", t4_file],
+        ["gen-example", "truncated_poly", "--n", "3", "--prime", "101"],
+        ["gen-example", "truncated_poly"],
+        ["equiv", t4_file, "--samples-window", "0"],
+        ["info", t4_file],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    separate = [run(capsys, *argv) for argv in calls]
+    for (code, rep), (want_code, want) in zip(shared, separate):
+        assert code == want_code == 0 and rep["results"] == want["results"] and rep["prime"] == want["prime"]
+    windows = [len(rep["results"]["samples"]) for code, rep in shared if rep["command"] == "equiv"]
+    assert windows == [9, 21, 3]  # k[x]/(x^4): 3 samples at each of 2w + 1 shifts, for w = 1, c = 3, 0
+    assert shared[2][1]["results"] != shared[4][1]["results"]  # --cutoff 2, then 32
+
+
 def test_cli_report_to_file(capsys, tmp_path, t4_file):
     out = tmp_path / "report.json"
     code = main(["info", t4_file, "--out", str(out)])

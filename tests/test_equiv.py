@@ -18,8 +18,6 @@ from gradedalg.algebra import (
 )
 from gradedalg.construct import AlgebraAutomorphism, T_of, block_layout, t_of
 from gradedalg.equiv import (
-    _component_projectors,
-    _read_components,
     extract_sigma,
     phi,
     psi,
@@ -31,7 +29,9 @@ from gradedalg.equiv import (
 from gradedalg.errors import CheckFailed, PreconditionFailed, TrivialGrading
 from gradedalg.modules import (
     GradedModule,
-    _proj_arrays,
+    ModuleFamily,
+    _injectives,
+    _projectives,
     hom_basis,
     hom_dim,
     inj,
@@ -130,6 +130,11 @@ def test_phi_identity_on_morphisms(truncated):
         moved.validate()  # the same matrix intertwines over t(A)
 
 
+def adapted(a, n):
+    """Whether every basis vector of a module over t(A) lies in one component."""
+    return bool(equiv._components(a, ModuleFamily.of(n.algebra, [n]))[1][0])
+
+
 def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
     # conjugate Phi(regular) by a random invertible block on every degree
     # slice, which mixes the components; psi must give back the regular
@@ -138,7 +143,8 @@ def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
     # every vector of that basis lies in one component, of the same degrees
     rng = np.random.default_rng(7)
     calls = []
-    monkeypatch.setattr(equiv, "psi", lambda a, n: calls.append(n) or psi(a, n))
+    real_psis = equiv.psis
+    monkeypatch.setattr(equiv, "psis", lambda a, fam: calls.append(fam.modules()[0]) or real_psis(a, fam))
     unadapted = 0
     for name, a in graded_corpus:
         r = regular_module(a)
@@ -154,14 +160,14 @@ def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
         ginv = modp.invert(g, a.p)
         mixed = GradedModule(f.algebra, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
         mixed.validate()
-        mixes = _read_components(_component_projectors(a, mixed), mixed.dim) is None
+        mixes = not adapted(a, mixed)
         unadapted += mixes
         calls.clear()
         m = equiv.psi(a, mixed)
         m.validate()
-        assert calls[0] is mixed and len(calls) == 1 + mixes, name  # one rewrite, if any
+        assert calls[0].equals(mixed) and len(calls) == 1 + mixes, name  # one rewrite, if any
         for n in calls[1:]:
-            assert _read_components(_component_projectors(a, n), n.dim) is not None, name
+            assert adapted(a, n), name
             assert sorted(n.degrees.tolist()) == sorted(mixed.degrees.tolist()), name
         assert sorted(m.degrees.tolist()) == sorted(r.degrees.tolist()), name
         assert is_projective(m), name
@@ -180,7 +186,7 @@ def test_psi_rewrite_leaves_the_generators_uncomputed():
         g[cols[0], cols] = 1  # add every vector of the slice to its first
     ginv = modp.invert(g, a.p)
     mixed = GradedModule(f.algebra, f.degrees, np.einsum("ab,ibc,cd->iad", ginv, f.action, g) % a.p)
-    assert _read_components(_component_projectors(a, mixed), mixed.dim) is None
+    assert not adapted(a, mixed)
     m = psi(a, mixed)
     assert (generators.__wrapped__,) not in f.algebra._cache
     m.validate()
@@ -343,11 +349,13 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
         monkeypatch.setattr(ns, "shift", spy("shifted", real_shift, lambda out, m, d: out if d else None))
     for name in ("proj", "simple", "inj"):
         monkeypatch.setattr(equiv, name, spy("base", getattr(equiv, name)))
-    # F's transport lands on T(b(A)); G's first step goes back to t(A)
-    image = lambda out, m, target, change: None if target is t_of(a) else out
-    monkeypatch.setattr(equiv, "_transport", spy("image", equiv._transport, image))
+    # the images are the one family over T(b(A)) that the pipeline unpacks
+    # into modules; the others live over A (G) or t(A)
+    image = lambda out, fam: None if fam.algebra is a or fam.algebra is t_of(a) else out
+    monkeypatch.setattr(ModuleFamily, "modules", spy("image", ModuleFamily.modules, image))
     monkeypatch.setattr(modules, "quotient_module", spy("top", modules.quotient_module, lambda out, *_: out[0]))
     assert theorem_pipeline(a).passed
+    built["image"] = [m for family in built["image"] for m in family]
     ids = {kind: {id(m) for m in mods} for kind, mods in built.items()}
     assert len(built["base"]) == 3 * a.n_idempotents and len(built["shifted"]) == 36
     assert ids["base"] | ids["image"] <= {id(m) for m in made}
@@ -355,22 +363,124 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     assert all(id(m) in ids["base"] | ids["image"] | ids["top"] for m in made)
 
 
+def corrupt_image(monkeypatch, k, corrupt):
+    """Make F's pass corrupt the action of member k of its family with
+    ``corrupt``, applied to its (dim t(A), d^2) block of columns."""
+    real_phis = equiv.phis
+
+    def corrupted(a, fam):
+        out = real_phis(a, fam)
+        action, cols = out.action.copy(), out.member == k
+        action[:, cols] = corrupt(action[:, cols]) % a.p
+        return out.like(out.algebra, out.degrees, action)
+
+    monkeypatch.setattr(equiv, "phis", corrupted)
+
+
 def test_pipeline_names_the_sample_of_a_failed_image(truncated, monkeypatch):
     # the first image the pipeline builds is F(Ae_0(-1)); double its action
-    real_phi, calls = equiv.phi, []
-
-    def corrupted_phi(a, m):
-        out = real_phi(a, m)
-        calls.append(m)
-        if len(calls) > 1:
-            return out
-        return GradedModule(out.algebra, out.degrees, 2 * out.action)
-
-    monkeypatch.setattr(equiv, "phi", corrupted_phi)
+    corrupt_image(monkeypatch, 0, lambda block: 2 * block)
     want = r"^image: Ae_0\(-1\) failed \(module action is not unital\)$"
     with pytest.raises(CheckFailed, match=want) as err:
         theorem_pipeline(truncated(2))
     assert err.value.transcript["counterexample"]["sample"] == "Ae_0(-1)"
+
+
+def test_pipeline_records_the_round_trips_before_a_failed_third_image(truncated, monkeypatch):
+    # the images are checked family-wide, but the certificate still reads as
+    # the samples in turn: the round trips of the first two, then the failed
+    # image of the third, D(e_0 A)(-1), and nothing after it; G never sees
+    # the third image or a later one
+    corrupt_image(monkeypatch, 2, lambda block: 2 * block)
+    unpacked, real_psis = [], equiv.psis
+    monkeypatch.setattr(equiv, "psis", lambda a, fam: unpacked.append(fam.dims.size) or real_psis(a, fam))
+    want = r"^image: D\(e_0A\)\(-1\) failed \(module action is not unital\)$"
+    with pytest.raises(CheckFailed, match=want) as err:
+        theorem_pipeline(truncated(2))
+    assert unpacked == [2]
+    checks = err.value.transcript["certificate"]["checks"]
+    assert [(c["family"], c["name"], c["passed"]) for c in checks] == [
+        ("target", "T(b(A)) graded self-injective", True),
+        ("round-trip", "Ae_0(-1)", True),
+        ("round-trip", "S_0(-1)", True),
+        ("image", "D(e_0A)(-1)", False),
+    ]
+    assert err.value.transcript["counterexample"]["sample"] == "D(e_0A)(-1)"
+
+
+def test_pipeline_names_a_failed_round_trip(truncated, monkeypatch):
+    # a G that moves one degree of the fourth sample fails that sample's round
+    # trip, after the first three, and the transcript holds what G returned
+    real_psis = equiv.psis
+
+    def moved(a, fam):
+        out = real_psis(a, fam)
+        degrees = out.degrees.copy()
+        degrees[np.flatnonzero(out.owner == 3)[:1]] += 1
+        return out.like(out.algebra, degrees, out.action)
+
+    monkeypatch.setattr(equiv, "psis", moved)
+    with pytest.raises(CheckFailed, match=r"^round-trip: Ae_0\(0\) failed \(G\(F\(M\)\) != M\)$") as err:
+        theorem_pipeline(truncated(2))
+    checks = err.value.transcript["certificate"]["checks"]
+    assert [c["name"] for c in checks if c["family"] == "round-trip"] == ["Ae_0(-1)", "S_0(-1)", "D(e_0A)(-1)", "Ae_0(0)"]
+    counterexample = err.value.transcript["counterexample"]
+    want = proj(truncated(2), 0, 0)
+    assert counterexample["sample"] == "Ae_0(0)" and counterexample["module"] == want.to_dict()
+    assert counterexample["returned"]["degrees"] != want.degrees.tolist()
+
+
+def test_pipeline_unpacks_an_image_that_mixes_components(truncated, monkeypatch):
+    # F(Ae_0(-1)) over k[x]/(x^3), c = 2, in a basis that adds each vector of
+    # a degree slice to its first is still a module, but its slice of degree
+    # 1 mixes the two components: G splits it and returns Ae_0(-1) in another
+    # basis, so its round trip fails, after those of the first three samples
+    p = truncated(3).p
+
+    def mix(block):
+        d = int(np.sqrt(block.shape[1]))
+        g = modp.identity(d)
+        g[1, 2] = 1  # its degrees are 0, 1, 1
+        actions = block.reshape(-1, d, d)
+        return (modp.invert(g, p) @ actions % p @ g).reshape(block.shape)
+
+    corrupt_image(monkeypatch, 3, mix)
+    with pytest.raises(CheckFailed, match=r"^round-trip: Ae_0\(-1\) failed ") as err:
+        theorem_pipeline(truncated(3))
+    checks = err.value.transcript["certificate"]["checks"]
+    assert [c["family"] for c in checks] == ["target", "round-trip", "round-trip", "round-trip", "round-trip"]
+    returned = err.value.transcript["counterexample"]["returned"]
+    assert returned["slice_dims"] == proj(truncated(3), 0, -1).to_dict()["slice_dims"]
+    # a split that fails is raised as the one-sample G raises it, at its sample
+    refused = []
+
+    def refuse(mods):
+        refused.append(len(mods))
+        raise CheckFailed("the idempotents do not split the module into a basis (member 0)")
+
+    monkeypatch.setattr(equiv, "_splits", refuse)
+    with pytest.raises(CheckFailed, match=r"^the idempotents do not split the module into a basis \(member 0\)$"):
+        theorem_pipeline(truncated(3))
+    assert refused == [1, 1]  # the family's one mixed member, then G on sample 3 alone
+
+
+def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
+    # F, the image checks and G each treat the sample family at once
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("phi", "psi", "_transport"):
+        monkeypatch.setattr(equiv, name, counted(name, getattr(equiv, name)))
+    monkeypatch.setattr(GradedModule, "validate", counted("validate", GradedModule.validate))
+    cert = theorem_pipeline(rebased_nakayama(3, 2, 32))
+    assert cert.passed and not calls
+    assert Counter(c.family for c in cert.checks)["round-trip"] == len(cert.samples)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -532,13 +642,8 @@ def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
 
 
 def test_pipeline_records_a_failed_morphism_check(truncated, monkeypatch):
-    # a morphism check that raises CheckFailed is a failed functoriality check
-    from gradedalg.modules import GradedMorphism
-
-    def refuse(self):
-        raise CheckFailed("refused")
-
-    monkeypatch.setattr(GradedMorphism, "validate", refuse)
+    # a refused morphism check is a failed functoriality check
+    monkeypatch.setattr(equiv, "morphism_faults", lambda m, n, matrices: ["refused"] * len(matrices))
     with pytest.raises(CheckFailed, match=r"^functoriality: F\(id_") as err:
         theorem_pipeline(truncated(2))
     checks = err.value.transcript["certificate"]["checks"]
@@ -560,7 +665,7 @@ def _decide_every_cached_fact():
         alg.left, alg.right
         radical(alg), generators(alg), semisimple_quotient(alg), simple_classes(alg)
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
-        [_proj_arrays(alg, i) for i in range(alg.n_idempotents)]
+        _projectives(alg), _injectives(alg)
         m = regular_module(alg)
         hom_dim(m, shift(m, 1))
     block_layout(a)
