@@ -50,20 +50,29 @@ def _integer(value):
         return None
 
 
-def _lin_from_doc(doc, names: dict[str, int], n: int, p: int, where: str) -> np.ndarray:
+def _add_terms(doc, names: dict[str, int], where: str, acc: dict[int, int], offset: int = 0) -> None:
+    """Check the terms of ``doc`` and add each coefficient to ``acc`` at
+    ``offset`` + its basis index; Python ints, so repeated terms sum exactly."""
     if not isinstance(doc, list):
         raise ParseError(f"{where}: expected a list of {{basis, coeff}} terms")
-    coeffs: dict[int, int] = {}  # Python ints: repeated terms sum exactly
     for term in doc:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ParseError(f"{where}: malformed term {term!r}")
         name = term["basis"]
         if name not in names:
             raise ParseError(f"{where}: unknown basis element {name!r}")
-        coeff = _integer(term["coeff"])
-        if coeff is None:
-            raise ParseError(f"{where}: coefficient {term['coeff']!r} is not an integer")
-        coeffs[names[name]] = coeffs.get(names[name], 0) + coeff
+        coeff = term["coeff"]
+        if type(coeff) is not int:
+            coeff = _integer(coeff)
+            if coeff is None:
+                raise ParseError(f"{where}: coefficient {term['coeff']!r} is not an integer")
+        at = offset + names[name]
+        acc[at] = acc.get(at, 0) + coeff
+
+
+def _lin_from_doc(doc, names: dict[str, int], n: int, p: int, where: str) -> np.ndarray:
+    coeffs: dict[int, int] = {}
+    _add_terms(doc, names, where, coeffs)
     vec = modp.zeros(n)
     for k, coeff in coeffs.items():
         vec[k] = coeff % p
@@ -71,17 +80,42 @@ def _lin_from_doc(doc, names: dict[str, int], n: int, p: int, where: str) -> np.
 
 
 def algebra_to_doc(a: GradedAlgebra) -> dict:
+    names, n = a.names, a.dim
+    # only the non-zero products, in row-major (basis) order: one sweep over
+    # the non-zero structure constants, a new term list at each new (i, j)
+    i, j, k = np.nonzero(a.table)
+    products: dict[str, list[dict]] = {}
+    last = -1
+    for ij, out, coeff in zip((i * n + j).tolist(), k.tolist(), a.table[i, j, k].tolist()):
+        if ij != last:
+            terms = products[f"{names[ij // n]}*{names[ij % n]}"] = []
+            last = ij
+        terms.append({"basis": names[out], "coeff": coeff})
     return {
         "prime": a.p,
-        "basis": [{"name": nm, "degree": int(d)} for nm, d in zip(a.names, a.degrees)],
-        "unit": _lin_to_doc(a.unit, a.names),
-        "idempotents": [_lin_to_doc(e, a.names) for e in a.idempotents],
-        # only the non-zero products, in row-major (basis) order
-        "products": {
-            f"{a.names[i]}*{a.names[j]}": _lin_to_doc(a.table[i, j], a.names)
-            for i, j in np.argwhere(a.table.any(axis=2))
-        },
+        "basis": [{"name": nm, "degree": int(d)} for nm, d in zip(names, a.degrees)],
+        "unit": _lin_to_doc(a.unit, names),
+        "idempotents": [_lin_to_doc(e, names) for e in a.idempotents],
+        "products": products,
     }
+
+
+def _table_from_doc(products, index: dict[str, int], n: int, p: int) -> np.ndarray:
+    """The structure constants: the exact sums of the terms of every product,
+    keyed by the flat index (i n + j) n + k, then one assignment of their
+    residues.  The sums are dropped on return, before the algebra is built."""
+    if not isinstance(products, dict):
+        raise ParseError("products: expected an object keyed by 'name*name'")
+    coeffs: dict[int, int] = {}
+    for key, lin in products.items():
+        parts = key.split("*")
+        if len(parts) != 2 or parts[0] not in index or parts[1] not in index:
+            raise ParseError(f"products: malformed key {key!r}")
+        row = (index[parts[0]] * n + index[parts[1]]) * n
+        _add_terms(lin, index, f"products[{key!r}]", coeffs, row)
+    table = modp.zeros(n, n, n)
+    np.put(table, list(coeffs), [coeff % p for coeff in coeffs.values()])
+    return table
 
 
 def algebra_from_doc(doc: dict) -> GradedAlgebra:
@@ -125,16 +159,7 @@ def algebra_from_doc(doc: dict) -> GradedAlgebra:
     idem_vecs = [
         _lin_from_doc(e, index, n, p, f"idempotents[{k}]") for k, e in enumerate(idems)
     ]
-    table = modp.zeros(n, n, n)
-    products = doc.get("products", {})
-    if not isinstance(products, dict):
-        raise ParseError("products: expected an object keyed by 'name*name'")
-    for key, lin in products.items():
-        parts = key.split("*")
-        if len(parts) != 2 or parts[0] not in index or parts[1] not in index:
-            raise ParseError(f"products: malformed key {key!r}")
-        i, j = index[parts[0]], index[parts[1]]
-        table[i, j] = _lin_from_doc(lin, index, n, p, f"products[{key!r}]")
+    table = _table_from_doc(doc.get("products", {}), index, n, p)
     return GradedAlgebra(p, names, degrees, table, unit, idem_vecs)
 
 

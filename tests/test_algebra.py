@@ -183,6 +183,23 @@ def test_idempotent_faults_in_pairwise_order(build, idems, message):
     assert str(err.value) == message
 
 
+def test_idempotent_faults_of_a_graded_rebased_algebra(rebased_nakayama32):
+    # e_i e_j is read from A_0's block of the structure constants alone; on
+    # N(3, 2) in a dense basis, with arrows in degrees 1 and 2, the faults
+    # and messages are those of the products over the whole algebra
+    a = rebased_nakayama32
+    e = a.idempotents
+    for idems, message in (
+        ([e[0] + e[1], e[1], e[2] - e[1]], "e_0 * e_1 is not 0"),
+        ([e[0], 2 * e[1], e[2] - e[1]], "e_1 * e_1 is not e_1"),
+    ):
+        bad = GradedAlgebra(a.p, a.names, a.degrees, np.array(a.table), a.unit, np.array(idems) % a.p)
+        assert ref_idempotent_fault(bad) == message
+        with pytest.raises(IdempotentFault) as err:
+            validate_algebra(bad)
+        assert str(err.value) == message
+
+
 def test_non_primitive_unit_rejected():
     # k x k with the single idempotent 1 is not primitive
     table = modp.zeros(2, 2, 2)

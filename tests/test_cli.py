@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,6 +261,37 @@ def test_algebra_out_is_the_saved_algebra(capsys, tmp_path, t4_file):
         want = (fileio.dumps(alg) + "\n").encode()
         assert out.read_bytes() == saved.read_bytes() == want, argv
         assert rep["results"]["algebra"] == fileio.algebra_to_doc(alg), argv
+
+
+def _indented_emit(report, out):
+    """The earlier report writer: indented text, by the pure-Python encoder."""
+    text = json.dumps(report, indent=2)
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+def test_reports_are_one_line_of_compact_json(capsys, monkeypatch, tmp_path, t4_file, a4_file):
+    # the --out file and stdout hold the same line, the compact dump of the
+    # report, which parses to the report the indented writer wrote
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 1.0))  # timing_s = 0.0
+    calls = [(["equiv", t4_file], 0), (["trivext", t4_file], 0), (["equiv", a4_file], 2)]
+    for argv, want_code in calls:
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == want_code, argv
+        assert main(argv) == want_code, argv
+        printed = capsys.readouterr().out
+        written = out.read_text()
+        report = json.loads(written)
+        assert written == printed == json.dumps(report, separators=(",", ":")) + "\n", argv
+        assert written.count("\n") == 1, argv
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit", _indented_emit)
+            assert main(argv) == want_code, argv
+        indented = capsys.readouterr().out
+        assert indented.count("\n") > 1 and json.loads(indented) == report, argv
+    assert report["error"]["hypothesis"] == "well-graded"
 
 
 def test_cli_determinism(capsys, t4_file):
