@@ -44,8 +44,6 @@ from .equiv import (
     psi,
     psis,
     theorem_pipeline,
-    twist_transport,
-    twist_transport_back,
 )
 from .fileio import dumps, load, loads, save
 from .modp import DEFAULT_PRIME
@@ -53,27 +51,23 @@ from .modules import (
     GradedModule,
     GradedMorphism,
     ModuleFamily,
-    cover_map,
     cover_maps,
     direct_sum,
+    hom_bases,
     hom_basis,
-    hom_dim,
     hom_dims,
     inj,
-    is_projective,
     module_faults,
     morphism_faults,
     proj,
     projective_cover,
-    projective_cover_dim,
     regular_module,
     shift,
     simple,
-    socle,
     submodule,
     syzygies,
     syzygy,
-    top,
+    tops,
     width,
     zero_module,
 )

@@ -16,7 +16,8 @@ back in one ``np.add.at``, so that each (basis element, component) is read
 from exactly one block.  The members whose basis mixes components are first
 rewritten in the basis of their split along the designated idempotents of
 t(A), one ``modules._splits`` call for all of them, in which each vector
-lies in one component.  ``phi`` and ``psi`` are the calls on one module.
+lies in one component.  ``phi`` and ``psi``, the paper's F and G on one
+module, are their calls on one module.
 Both take t(A) from ``t_of(a)``, which is built once per algebra, so their
 modules live over the very algebra object that theorem_pipeline uses.
 
@@ -33,20 +34,22 @@ bimodule isomorphism X -> D(B^sigma).
 
 _transports moves a family of graded modules to another algebra by a change
 of algebra basis per degree slice, one product per degree over the whole
-family (``_transport`` is its call on one module). It moves modules both ways
-along the isomorphism of categories T(B)-gr = T(B^sigma)-gr, where on degree
-n the degree-0 part acts through sigma^n and the dual part through
-precomposition with sigma^{-n}; with h : t(A) -> T(B^sigma) folded in, it
-carries the functor F and its inverse.
+family.  With ``_twist`` it moves modules both ways along the isomorphism of
+categories T(B)-gr = T(B^sigma)-gr, where on degree n the degree-0 part acts
+through sigma^n and the dual part through precomposition with sigma^{-n};
+with h : t(A) -> T(B^sigma) folded in, it carries the functor F and its
+inverse.
 
 theorem_pipeline composes everything into an equivalence
 F : A-gr -> T(b(A))-gr and certifies it on a finite sample set: exact
 round trips, hom-dimension equality on all pairs, preservation of
 projectives and injectives, and functoriality on hom bases.  F, the checks
 of the images (``modules.module_faults``) and G each make one pass over the
-sample family, and the checks of each hom basis and of its composites are
-one stacked ``modules.morphism_faults`` call each; the records still read
-sample by sample, and a failure is the one the first failing sample gives.
+sample family, the hom bases of functoriality come from one
+``modules.hom_bases`` call, and the checks of each hom basis and of its
+composites are one stacked ``modules.morphism_faults`` call each; the
+records still read sample by sample, and a failure is the one the first
+failing sample gives.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ from .modules import (
     ModuleFamily,
     _splits,
     cover_maps,
-    hom_basis,
+    hom_bases,
     hom_dims,
     inj,
     module_faults,
@@ -151,7 +154,9 @@ def psis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
     rewritten in the basis of their split along the designated idempotents
     of t(A), from one ``modules._splits`` call: each is e_rr e_i in b(A),
     under the one diagonal unit e_rr, so each vector of that basis has one
-    component; psis then unpacks them by calling itself.
+    component.  Raises CheckFailed, naming the first such member by its
+    position in the family, if a member is still not adapted in that basis,
+    as when a designated idempotent does not act on it as a projection.
     """
     c = a.top_degree()
     if c < 1:
@@ -160,22 +165,27 @@ def psis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
     if not t.same_as(t_of(a)):
         raise AlgebraMismatch("module is not over t(A)")
     comp, adapted = _components(a, fam)
+    if not adapted.all():
+        mixed = fam.select(~adapted).modules()
+        rewritten = [
+            GradedModule(t, degs, ((inv @ n.action) % p @ basis.T) % p)
+            for n, (basis, inv, degs, _) in zip(mixed, _splits(mixed))
+        ]
+        split = ModuleFamily.of(t, rewritten)
+        degrees, action = fam.degrees.copy(), fam.action.copy()
+        degrees[~adapted[fam.owner]] = split.degrees
+        action[:, ~adapted[fam.member]] = split.action
+        fam = fam.like(t, degrees, action)
+        comp, adapted = _components(a, fam)
+        if not adapted.all():
+            raise CheckFailed(
+                f"the split basis is not adapted to the components of t(A) (member {int(adapted.argmin())})"
+            )
     layout = np.concatenate(block_layout(a))
     row, col = np.nonzero(layout[:, 1, None] == comp[fam.inp])  # the block of each column's component
     action = modp.zeros(a.dim, fam.action.shape[1])
     np.add.at(action, (layout[row, 2], col), fam.action[row, col])
-    out = fam.like(a, fam.degrees * c + (c - 1 - comp), action)
-    if adapted.all():
-        return out
-    mixed = fam.select(~adapted).modules()
-    rewritten = [
-        GradedModule(t, degs, ((inv @ n.action) % p @ basis.T) % p)
-        for n, (basis, inv, degs, _) in zip(mixed, _splits(mixed))
-    ]
-    unpacked = psis(a, ModuleFamily.of(t, rewritten))
-    out.degrees[~adapted[fam.owner]] = unpacked.degrees
-    out.action[:, ~adapted[fam.member]] = unpacked.action
-    return out
+    return fam.like(a, fam.degrees * c + (c - 1 - comp), action)
 
 
 def _components(a: GradedAlgebra, fam: ModuleFamily):
@@ -310,13 +320,6 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
 # Lemma-2.1 style transport between T(B)-gr and T(B^sigma)-gr
 
 
-def _transport(
-    m: GradedModule, target: GradedAlgebra, change: Callable[[int], np.ndarray]
-) -> GradedModule:
-    """Move ``m`` to ``target``: ``_transports`` on M alone."""
-    return _transports(ModuleFamily.of(m.algebra, [m]), target, change).modules()[0]
-
-
 def _transports(
     fam: ModuleFamily, target: GradedAlgebra, change: Callable[[int], np.ndarray]
 ) -> ModuleFamily:
@@ -339,28 +342,6 @@ def _twist(sigma: AlgebraAutomorphism, g: int) -> np.ndarray:
     out = modp.zeros(2 * nb, 2 * nb)
     out[:nb, :nb] = sigma.power(g)
     out[nb:, nb:] = sigma.power(-g).T
-    return out
-
-
-def twist_transport(
-    b: GradedAlgebra, sigma: AlgebraAutomorphism, m: GradedModule
-) -> GradedModule:
-    """Move a graded T(B)-module to the twisted trivial extension T(B^sigma)."""
-    sigma.validate()
-    tb = T_of(b)
-    if not m.algebra.same_as(tb):
-        raise AlgebraMismatch("module is not over T(B)")
-    out = _transport(m, T_twisted(b, sigma), lambda g: _twist(sigma, g))
-    out.validate()
-    return out
-
-
-def twist_transport_back(
-    b: GradedAlgebra, sigma: AlgebraAutomorphism, m: GradedModule
-) -> GradedModule:
-    """Inverse direction T(B^sigma)-gr -> T(B)-gr (transport with sigma^{-1})."""
-    out = _transport(m, T_of(b), lambda g: _twist(sigma, -g))
-    out.validate()
     return out
 
 
@@ -568,28 +549,31 @@ def theorem_pipeline(
     # are still morphisms between the image modules.
     for (label, _, _), fm in list(zip(samples, images))[:9]:
         record("functoriality", f"F(id_{label}) = id", morphism_faults(fm, fm, [modp.identity(fm.dim)])[0] is None)
-    pairs_checked = 0
-    for ia, (la, ma, _) in enumerate(samples):
-        if pairs_checked >= 6:
+    # up to six pairs, each a sample with the first other sample that has
+    # maps both ways, whose hom bases both ways come from one call
+    pairs = []
+    for ia in range(len(samples)):
+        ib = next((ib for ib in range(len(samples)) if ib != ia and src_dims[ia, ib] and src_dims[ib, ia]), None)
+        if ib is not None:
+            pairs.append((ia, ib))
+        if len(pairs) == 6:
             break
-        for ib, (lb, mb, _) in enumerate(samples):
-            if ia == ib or not src_dims[ia, ib] or not src_dims[ib, ia]:
-                continue
-            homs = [f.matrix for f in hom_basis(ma, mb)]
-            backs = [g.matrix for g in hom_basis(mb, ma)]
-            pairs_checked += 1
-            # each stack of maps is one check: the hom basis, then its composites
-            moved = morphism_faults(images[ia], images[ib], homs)
-            composed = iter(morphism_faults(images[ia], images[ia], [(g @ f) % p for f in homs for g in backs]))
-            for fault in moved:
-                record("functoriality", f"F on hom {la} -> {lb}", fault is None)
-                for _ in backs:
-                    record(
-                        "functoriality",
-                        f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}",
-                        next(composed) is None,
-                        "the composite matrix must intertwine over the target",
-                    )
-            break
+    found = iter(hom_bases([(samples[i][1], samples[j][1]) for ia, ib in pairs for i, j in ((ia, ib), (ib, ia))]))
+    for ia, ib in pairs:
+        la, lb = samples[ia][0], samples[ib][0]
+        homs = [f.matrix for f in next(found)]
+        backs = [g.matrix for g in next(found)]
+        # each stack of maps is one check: the hom basis, then its composites
+        moved = morphism_faults(images[ia], images[ib], homs)
+        composed = iter(morphism_faults(images[ia], images[ia], [(g @ f) % p for f in homs for g in backs]))
+        for fault in moved:
+            record("functoriality", f"F on hom {la} -> {lb}", fault is None)
+            for _ in backs:
+                record(
+                    "functoriality",
+                    f"F(g.f) = F(g).F(f) on {la} -> {lb} -> {la}",
+                    next(composed) is None,
+                    "the composite matrix must intertwine over the target",
+                )
     cert.passed = all(ch.passed for ch in cert.checks)
     return cert

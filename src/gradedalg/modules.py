@@ -5,17 +5,20 @@ A module is a tuple (algebra, degrees, action): ``degrees[t]`` is the
 matrix of the i-th algebra basis element acting on coordinate columns.
 
 Projectives Ae_i and graded injectives D(e_i A) are built from the regular
-representation; tops, socles, projective covers and the projectivity test
-follow the usual artin-algebra recipes, everything computed by exact row
-reduction over F_p.  One cover pass, ``cover_maps``, decides the minimal
-projective covers of a whole family of modules from a few stacked
-eliminations: the summands of each top and the matrix of each cover map.
-``cover_map``, ``top_summands``, ``projective_cover`` and ``is_projective``
-read it for one module, and only callers that need the cover module P
-build it.  Likewise ``module_faults`` checks a ``ModuleFamily``, every
-member's action side by side in one array, and ``GradedModule.validate`` is
-its call on one module; ``morphism_faults`` checks a stack of maps between
-two modules, and ``GradedMorphism.validate`` is its call on one map.
+representation, everything else by exact row reduction over F_p.  Each
+question has one entry point, which treats a whole family at once:
+
+- ``hom_dims`` and ``hom_bases``: degree-0 Hom spaces, from one sparse
+  assembly of the systems N(x) f = f M(x), ranked or solved in stacks;
+- ``tops``: top(M) = M / rad(A) M, from one stacked elimination of the
+  rows spanning rad(A) M, the first steps of the cover pass;
+- ``cover_maps``: the minimal projective covers, and ``syzygies`` their
+  kernels;
+- ``module_faults`` and ``morphism_faults``: the checks of modules and of
+  module maps.
+
+``hom_basis``, ``projective_cover``, ``syzygy`` and the ``validate``
+methods are their calls on one object.
 """
 
 from __future__ import annotations
@@ -31,18 +34,18 @@ from .algebra import (
     generators,
     homogeneous_row_basis,
     intertwine_fault,
-    quotient_maps,
     radical,
     semisimple_quotient,
 )
 from .errors import AlgebraMismatch, CheckFailed
 
-#: Most hom systems that ``hom_dims`` assembles and eliminates at once.  It
-#: bounds the memory of one batch, whose padded stack has this many matrices.
+#: Most hom systems that ``_hom_systems`` assembles, and ``hom_dims`` and
+#: ``hom_bases`` eliminate, at once.  It bounds the memory of one batch,
+#: whose padded stack has this many matrices.
 HOM_BATCH = 128
 
-#: Most entries of the padded stacks of one batch of ``cover_maps`` and of
-#: ``module_faults`` (modules x dim A x d^2, d the largest dimension in the
+#: Most entries of the padded stacks of one batch of ``cover_maps``, of
+#: ``tops`` and of ``module_faults`` (modules x dim A x d^2, d the largest dimension in the
 #: family) and of ``_splits`` (modules x (n + 4) x d^2, n idempotents).  It
 #: bounds a batch's memory (128 KiB an array).
 COVER_CELLS = 2**14
@@ -313,36 +316,18 @@ def direct_sum(parts: list[GradedModule]) -> GradedModule:
     return GradedModule(a, degrees, action)
 
 
-def _stable_action(m: GradedModule, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """Action of A on the row span of ``basis``, read off its pivot columns.
+def submodule(m: GradedModule, rows: np.ndarray) -> GradedModule:
+    """Submodule spanned by ``rows``, as its own module: the action of A on
+    the homogeneous RREF basis of the span, read off its pivot columns.
 
     Raises CheckFailed unless the span is action-stable.
     """
+    basis, degs, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
     img = (m.action @ basis.T) % m.p  # img[i]: columns b_i * (basis rows)
     action = img[:, pivots, :]
     if np.any((basis.T @ action - img) % m.p):
         raise CheckFailed("rows do not span an action-stable subspace")
-    return action
-
-
-def submodule(m: GradedModule, rows: np.ndarray) -> GradedModule:
-    """Submodule spanned by ``rows`` (must be action-stable), as its own module."""
-    basis, degs, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
-    return GradedModule(m.algebra, degs, _stable_action(m, basis, pivots))
-
-
-def quotient_module(m: GradedModule, rows: np.ndarray):
-    """Quotient by an action-stable graded subspace.
-
-    Returns (quotient, reduce, section) with reduce/section the coordinate
-    maps; callers that only need the module drop the maps.
-    """
-    basis, _, pivots = homogeneous_row_basis(rows, m.degrees, m.p)
-    red, sec, free = quotient_maps(basis, pivots, m.dim, m.p)
-    _stable_action(m, basis, pivots)
-    action = ((red @ m.action) % m.p @ sec) % m.p
-    q = GradedModule(m.algebra, m.degrees[free], action)
-    return q, red, sec
+    return GradedModule(m.algebra, degs, action)
 
 
 def _graded_bases(a: GradedAlgebra, spans: np.ndarray):
@@ -417,84 +402,11 @@ def inj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
 
 def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The simple top of Ae_i, shifted by d."""
-    return shift(top(proj(a, i, 0)), d)
-
-
-# ---------------------------------------------------------------------------
-# radical series
-
-
-def radical_rows(m: GradedModule) -> np.ndarray:
-    """Rows spanning rad(A) * M."""
-    acts = np.tensordot(radical(m.algebra), m.action, axes=1) % m.p  # acts[u]: rad[u] on M
-    return acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim)
-
-
-def top(m: GradedModule) -> GradedModule:
-    return quotient_module(m, radical_rows(m))[0]
-
-
-def socle(m: GradedModule) -> GradedModule:
-    rad = radical(m.algebra)
-    if rad.shape[0] == 0 or m.dim == 0:
-        return submodule(m, modp.identity(m.dim))
-    stack = np.vstack([m.act(r) for r in rad])
-    _, ker = modp.rank_kernel(stack, m.p)
-    return submodule(m, ker)
+    return shift(tops([proj(a, i, 0)])[0], d)
 
 
 # ---------------------------------------------------------------------------
 # hom spaces (degree 0 only; the constructions here never need other degrees)
-
-
-def _intertwining_system(gen_degrees, src, tgt, t, u, p: int) -> np.ndarray:
-    """Non-zero rows of N(x) f = f M(x) in the unknowns f[t, u].
-
-    ``src`` and ``tgt`` are (degrees, generator action) of M and N.  Equation
-    (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s].  Both
-    sides vanish unless deg N_r - deg M_s = deg x, so only those rows are
-    gathered, each against the unknowns.
-    """
-    (deg_m, act_m), (deg_n, act_n) = src, tgt
-    x, r, s = np.nonzero(gen_degrees[:, None, None] == deg_n[None, :, None] - deg_m[None, None, :])
-    x, r, s = x[:, None], r[:, None], s[:, None]
-    system = np.where(s == u, act_n[x, r, t], 0) - np.where(r == t, act_m[x, u, s], 0)
-    return system[np.any(system, axis=1)] % p
-
-
-def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
-    """Basis of degree-preserving module maps M -> N.
-
-    Solves N(x) f = f M(x) over the entries f[t, u] allowed by the gradings
-    (deg N_t = deg M_u), for x running over ``generators(A)`` only: a map
-    that intertwines the generators intertwines all of A (the lemma at
-    ``generators``).  So the system has the solutions of the one over every
-    basis element, hence the same row space and the same RREF, and the
-    kernel basis comes back bit-identical, in the same order.
-
-    A must be associative, with p > dim A or this raises PrimeTooSmall, as
-    ``validate_algebra`` already does for such an algebra.
-    """
-    if not m.algebra.same_as(n.algebra):
-        raise AlgebraMismatch("hom endpoints live over different algebras")
-    a, p = m.algebra, m.p
-    gens = generators(a)
-    t, u = np.nonzero(n.degrees[:, None] == m.degrees[None, :])
-    if t.size == 0:
-        return []
-    system = _intertwining_system(
-        a.degrees[gens], (m.degrees, m.action[gens]), (n.degrees, n.action[gens]), t, u, p
-    )
-    if system.shape[0] == 0:
-        ker = modp.identity(t.size)
-    else:
-        _, ker = modp.rank_kernel(system, p)
-    out = []
-    for vec in ker:
-        f = modp.zeros(n.dim, m.dim)
-        f[t, u] = vec
-        out.append(GradedMorphism(m, n, f))
-    return out
 
 
 def _splits(mods: list[GradedModule]):
@@ -555,34 +467,32 @@ def _expand(groups, bounds, order):
     return k, order[np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(k.size)]
 
 
-def hom_dims(entries) -> list[int]:
-    """dim Hom(M, N(d)) of degree-preserving module maps, for each entry (M, N, d).
+def _hom_systems(entries, split: bool):
+    """The systems N(d)(x) f = f M(x) of the entries (M, N, d), ``HOM_BATCH`` at a time.
 
-    The designated idempotents e_i are orthogonal, have degree 0 and sum to
-    1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
-    map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
-    in the bases of ``_splits``, which follow these sums, every map is block
-    diagonal, with a block for each label (g, i).  So the unknowns are the
-    entries f[t, u] whose labels agree, the label of N(d) being the one of N
-    with the degree moved by -d, and among their combinations the equations
-    N(x) f = f M(x), for x in ``generators(A)``, cut out exactly the module
-    maps (the lemma at ``generators``).  The dimension is the number of
-    unknowns minus the rank of those equations; A must be associative, with
-    p > dim A or this raises PrimeTooSmall.
+    Yields (stack, unknowns, t, u) for each batch: stack[q] holds the
+    equations of its entry q, zero-padded to one shape, whose first
+    unknowns[q] columns are the unknowns f[t, u] of that entry, which t and
+    u list in turn, entry by entry, t indexing N and u indexing M.
 
-    One ``_splits`` call splits the distinct modules, and N(d) is never
-    built: it has the split and the action of N.  Equation (x, r, s) reads
-    sum_t N(x)[r, t] f[t, s] = sum_u f[r, u] M(x)[u, s], so its non-zero
-    entries come from the non-zeros of the split actions: column t of N(x)
-    for the unknown f[t, s], row u of M(x) for f[r, u].  ``HOM_BATCH``
-    entries at a time are gathered this way, tagged by entry, and their
-    systems, zero-padded to one shape, go through one ``modp.ranks``.  All
-    modules must live over one algebra.  The split raises CheckFailed if the
-    idempotents fail one of the three facts.
+    Each module is written in a frame: a basis with a degree and a vertex
+    label for each vector.  The unknowns of an entry are the f[t, u] whose
+    labels agree, the label of N(d) being the one of N with the degree moved
+    by -d, and the equations are those for x in ``generators(A)``, which cut
+    out the module maps (the lemma at ``generators``); A must be
+    associative, with p > dim A or this raises PrimeTooSmall.  With ``split``
+    the frame is the split of ``_splits``, which raises CheckFailed if the
+    idempotents fail to split a module; without it, it is the module's own
+    basis under one vertex label.  One ``_splits`` call splits the distinct
+    modules, and N(d) is never built: it has the frame and the action of N.
+
+    Equation (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u]
+    M(x)[u, s], so its non-zero entries come from the non-zeros of the
+    actions in their frames: column t of N(x) for the unknown f[t, s], row u
+    of M(x) for f[r, u].  All modules must live over one algebra.
     """
-    entries = list(entries)
     if not entries:
-        return []
+        return
     a = entries[0][0].algebra
     index: dict[int, int] = {}
     mods: list[GradedModule] = []
@@ -593,25 +503,30 @@ def hom_dims(entries) -> list[int]:
                     raise AlgebraMismatch("hom endpoints live over different algebras")
                 index[id(x)] = len(mods)
                 mods.append(x)
-    splits = _splits(mods)
     gens = generators(a)
-    actions = [(inv @ x.action[gens]) % a.p @ basis.T % a.p for x, (basis, inv, _, _) in zip(mods, splits)]
+    if split:
+        frames = [
+            ((inv @ x.action[gens]) % a.p @ basis.T % a.p, degs, verts)
+            for x, (basis, inv, degs, verts) in zip(mods, _splits(mods))
+        ]
+    else:
+        frames = [(x.action[gens], x.degrees, np.zeros(x.dim, dtype=np.int64)) for x in mods]
     dims = np.array([x.dim for x in mods], dtype=np.int64)
     off = np.cumsum(dims) - dims
     total, most = int(dims.sum()), int(dims.max())
     # all bases in one index; the grids pad with slot `total`, whose vertex
     # differs between the N and the M side, so that it matches nothing
     grid = np.where(np.arange(most) < dims[:, None], off[:, None] + np.arange(most), total)
-    deg = np.concatenate([split[2] for split in splits] + [[0]])
-    vert_n = np.concatenate([split[3] for split in splits] + [[-1]])
-    vert_m = np.concatenate([split[3] for split in splits] + [[-2]])
-    # the non-zeros (x, r, t) of every split action, grouped by column t for
+    deg = np.concatenate([frame[1] for frame in frames] + [[0]])
+    vert_n = np.concatenate([frame[2] for frame in frames] + [[-1]])
+    vert_m = np.concatenate([frame[2] for frame in frames] + [[-2]])
+    # the non-zeros (x, r, t) of every framed action, grouped by column t for
     # N(x)[r, t] and by row r for M(x)[u, s], u = r
-    nz = [np.nonzero(act) for act in actions]
+    nz = [np.nonzero(act) for act, _, _ in frames]
     gen = np.concatenate([x for x, _, _ in nz])
     row = np.concatenate([r + o for (_, r, _), o in zip(nz, off)])
     col = np.concatenate([t + o for (_, _, t), o in zip(nz, off)])
-    val = np.concatenate([act[z] for act, z in zip(actions, nz)])
+    val = np.concatenate([frame[0][z] for frame, z in zip(frames, nz)])
     by_col, by_row = np.argsort(col), np.argsort(row)
     col_bounds = np.searchsorted(col[by_col], np.arange(total + 1))
     row_bounds = np.searchsorted(row[by_row], np.arange(total + 1))
@@ -619,7 +534,6 @@ def hom_dims(entries) -> list[int]:
     src = np.array([index[id(m)] for m, _, _ in entries], dtype=np.int64)
     tgt = np.array([index[id(n)] for _, n, _ in entries], dtype=np.int64)
     shifts = np.array([d for _, _, d in entries], dtype=np.int64)
-    out: list[int] = []
     for lo in range(0, len(entries), HOM_BATCH):
         part = slice(lo, lo + HOM_BATCH)
         gm, gn, count = grid[src[part]], grid[tgt[part]], len(src[part])
@@ -646,13 +560,64 @@ def hom_dims(entries) -> list[int]:
         eq -= (np.cumsum(per) - per)[qk]
         stack = np.zeros((count, int(per.max()), int(unknowns.max())), dtype=np.int64)
         np.add.at(stack, (qk, eq, column[k]), np.concatenate([val[ea], -val[eb]]))
-        out += (unknowns - modp.ranks(stack, a.p)).tolist()
+        yield stack, unknowns, t - off[tgt[part]][q], u - off[src[part]][q]
+
+
+def hom_dims(entries) -> list[int]:
+    """dim Hom(M, N(d)) of degree-preserving module maps, for each entry (M, N, d).
+
+    The designated idempotents e_i are orthogonal, have degree 0 and sum to
+    1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
+    map f of degree 0 commutes with every e_i, so f(e_i M_g) lies in e_i N_g:
+    in the bases of ``_splits``, which follow these sums, every map is block
+    diagonal, with a block for each label (g, i).  So the systems of
+    ``_hom_systems`` in the split frames have the module maps as solutions,
+    with far fewer unknowns than in the modules' own bases, and the
+    dimension is the number of unknowns less the rank, from one
+    ``modp.ranks`` per batch.  The split raises CheckFailed if the
+    idempotents fail one of the three facts.
+    """
+    entries = list(entries)
+    out: list[int] = []
+    for stack, unknowns, _, _ in _hom_systems(entries, split=True):
+        out += (unknowns - modp.ranks(stack, entries[0][0].p)).tolist()
     return out
 
 
-def hom_dim(m: GradedModule, n: GradedModule) -> int:
-    """dim of the degree-preserving module maps M -> N: ``hom_dims`` on one pair."""
-    return hom_dims([(m, n, 0)])[0]
+def hom_bases(pairs) -> list[list[GradedMorphism]]:
+    """A basis of the degree-preserving module maps M -> N, for each pair (M, N).
+
+    The systems of ``_hom_systems`` in the modules' own bases, whose
+    unknowns are the entries f[t, u] with deg N_t = deg M_u in row-major
+    order, go through one ``modp.rrefs`` per batch, and each kernel basis is
+    formed from the RREF as ``modp.rank_kernel`` forms it: a vector for
+    each free column, 1 there, the pivot entries read off the RREF.  The
+    generators cut out the same maps as every basis element, so the system
+    has the row space, and the RREF, of the one over all of A, and the
+    bases are those of that system.
+    """
+    pairs = list(pairs)
+    out: list[list[GradedMorphism]] = []
+    systems = _hom_systems([(m, n, 0) for m, n in pairs], split=False)
+    for lo, (stack, unknowns, t, u) in zip(range(0, len(pairs), HOM_BATCH), systems):
+        p = pairs[0][0].p
+        rows, pivots = modp.rrefs(stack, p)
+        ends = np.cumsum(unknowns).tolist()
+        for q, ((m, n), k, end) in enumerate(zip(pairs[lo : lo + HOM_BATCH], unknowns.tolist(), ends)):
+            pivot = pivots[q, :k]
+            free = np.flatnonzero(~pivot)
+            ker = modp.zeros(free.size, k)
+            ker[np.arange(free.size), free] = 1
+            ker[:, pivot] = -rows[q, : k - free.size][:, free].T % p
+            maps = modp.zeros(free.size, n.dim, m.dim)
+            maps[:, t[end - k : end], u[end - k : end]] = ker
+            out.append([GradedMorphism(m, n, f) for f in maps])
+    return out
+
+
+def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
+    """Basis of the degree-preserving module maps M -> N: ``hom_bases`` on one pair."""
+    return hom_bases([(m, n)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -696,59 +661,41 @@ def simple_classes(a: GradedAlgebra):
     return reps, class_of, corners
 
 
-def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
-    """The minimal projective cover P -> M of each module of a family, without building P.
-
-    Returns (summands, K) for each module, in order: the (idempotent index,
-    degree) pair of each indecomposable summand Ae_r(-g) of P, and the
-    (dim M, dim P) matrix K of the cover map in the basis of P that
-    ``projective_cover`` builds.  The summands are those of top(M) =
-    M / rad(A) M, as ``top_summands`` lists them, each with a lift v in
-    e_r M_g, and K sends x in Ae_r(-g) to x v.  K is onto by Nakayama's
-    lemma: its image N is a submodule that maps onto top(M), so
-    N + rad(A) M = M, and then rad(A)^j M lies in N + rad(A)^(j+1) M for
-    every j, so M = N, as rad(A) is nilpotent.
-
-    As many modules at a time as ``COVER_CELLS`` allows go through a few
-    steps, each on zero-padded stacks:
-
-    1. one ``modp.rrefs`` of the rows spanning rad(A) M gives the
-       coordinates of each top and the maps of ``quotient_module``, and the
-       check that rad(A) M is action-stable, as ``quotient_module`` makes it;
-    2. the action of A on each top;
-    3. one ``modp.rrefs`` of e_r top(M) for each module and each class r
-       with a vector there gives the candidates w;
-    4. the summands (see ``top_summands``), where only the classes whose
-       End(S_r) is larger than F_p test the span of the orbits: where it is
-       F_p, e_r A e_r acts on e_r top(M) by scalars, so every candidate
-       starts a summand;
-    5. K from the lifts;
-    6. one ``modp.ranks`` of every K.
-
-    All modules must live over one algebra.  Raises CheckFailed, naming the
-    first failing module by its position in the family, unless rad(A) M is
-    action-stable and K is onto; K can fail to be onto only when the radical
-    is wrong.
-    """
-    modules = list(modules)
+def _cover_batches(modules: list[GradedModule]):
+    """(first, batch) for each batch of a family in the cover pass: as many
+    modules as ``COVER_CELLS`` allows at dim A x d^2 entries each, d the
+    largest dimension in the family, and the position in the family of the
+    batch's first module.  Raises AlgebraMismatch unless the whole family
+    lives over one algebra."""
     if not modules:
-        return []
-    d = max(m.dim for m in modules)
-    size = max(COVER_CELLS // (modules[0].algebra.dim * d * d), 1) if d else len(modules)
-    out = []
-    for lo in range(0, len(modules), size):
-        out += [(summands, K) for summands, _, K in _covers(modules[lo : lo + size], lo)]
-    return out
-
-
-def _covers(mods: list[GradedModule], first: int):
-    """(summands, lifts, K) for each module of one batch of ``cover_maps``,
-    whose module k is member first + k of the family."""
-    a, p = mods[0].algebra, mods[0].p
-    for m in mods[1:]:
+        return
+    a = modules[0].algebra
+    for m in modules[1:]:
         if not a.same_as(m.algebra):
-            raise AlgebraMismatch("covers of modules over different algebras")
-    reps, _, corners = simple_classes(a)
+            raise AlgebraMismatch("family members live over different algebras")
+    d = max(m.dim for m in modules)
+    size = max(COVER_CELLS // (a.dim * d * d), 1) if d else len(modules)
+    for lo in range(0, len(modules), size):
+        yield lo, modules[lo : lo + size]
+
+
+def _top_pass(mods: list[GradedModule], first: int):
+    """The tops of one batch of the cover pass, whose module k is member first + k of the family.
+
+    Returns (act_t, sec, top_act, top_degs, n_free), zero-padded stacks:
+    act_t[k, b] is the transpose of M_k(b); top(M_k) = M_k / rad(A) M_k has
+    dimension n_free[k], its basis is the unit vectors of the free columns of
+    the RREF of rad(A) M_k, of which sec[k] is the section into M_k and
+    top_degs[k] the degrees, and top_act[k, b] is the action of b on it.
+
+    1. One ``modp.rrefs`` of the non-zero rows spanning rad(A) M gives the
+       free columns and the map reducing M onto them.
+    2. rad(A) M is action-stable iff the reduction kills the image of every
+       RREF row under A, and then b acts on the top as the reduction of M(b)
+       on the section.  Raises CheckFailed, naming the first failing module
+       by its position in the family, unless it is stable.
+    """
+    a, p = mods[0].algebra, mods[0].p
     count, n = len(mods), a.dim
     dims = np.array([m.dim for m in mods], dtype=np.int64)
     d = int(dims.max())
@@ -757,13 +704,11 @@ def _covers(mods: list[GradedModule], first: int):
     for k, m in enumerate(mods):
         act_t[k, :, : m.dim, : m.dim] = m.action.transpose(0, 2, 1)
         degs[k, : m.dim] = m.degrees
-    act = act_t.transpose(0, 1, 3, 2)
-    flat_t = act_t.reshape(count, n, d * d)
 
     # 1. rad(A) M, spanned by the columns of every M(r), r in rad(A), of which
     # only the non-zero ones enter the elimination
     rad = radical(a)
-    rows = rad @ flat_t
+    rows = rad @ act_t.reshape(count, n, d * d)
     rows %= p
     rows = rows.reshape(count, len(rad) * d, d)
     live = rows.any(axis=2)
@@ -780,27 +725,99 @@ def _covers(mods: list[GradedModule], first: int):
     picks = unit[(~pivots).argsort(axis=1, kind="stable")] * (basis != 0).any(axis=2)[:, :, None]
     # reduce: v on the free columns, less the basis rows weighted by v's pivots
     red = sec.transpose(0, 2, 1) @ ((unit - basis.transpose(0, 2, 1) @ picks) % p) % p
-    lowered = red[:, None] @ act % p
-    # rad(A) M is stable iff reduce kills the image of every basis row under A
+
+    # 2. stability, then the top actions
+    lowered = red[:, None] @ act_t.transpose(0, 1, 3, 2) % p
     stray = (lowered @ basis.transpose(0, 2, 1)[:, None] % p).any(axis=(1, 2, 3))
     if stray.any():
         raise CheckFailed(
             f"rows do not span an action-stable subspace (rad(A) M of member {first + int(stray.argmax())})"
         )
+    top_degs = degs[np.arange(count)[:, None], free_cols]
+    return act_t, sec, lowered @ sec[:, None] % p, top_degs, n_free
 
-    # 2. the top actions, and 3. the candidates, the RREF rows of each e_r top(M)
-    top_act = lowered @ sec[:, None] % p
+
+def tops(modules) -> list[GradedModule]:
+    """top(M) = M / rad(A) M of each module of a family, as a module in its own right.
+
+    Its basis is the unit vectors of the free columns of the RREF of
+    rad(A) M, with their degrees in M, and b acts on it as the reduction of
+    M(b) onto those columns: the first steps of the cover pass, in its
+    batches (see ``_top_pass``).  Raises AlgebraMismatch unless all modules
+    live over one algebra, and CheckFailed, naming the first failing module
+    by its position in the family, unless rad(A) M is action-stable.
+    """
+    modules = list(modules)
+    out = []
+    for lo, part in _cover_batches(modules):
+        _, _, top_act, top_degs, n_free = _top_pass(part, lo)
+        a = part[0].algebra
+        out += [GradedModule(a, top_degs[k, :f], top_act[k, :, :f, :f]) for k, f in enumerate(n_free.tolist())]
+    return out
+
+
+def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
+    """The minimal projective cover P -> M of each module of a family, without building P.
+
+    Returns (summands, K) for each module, in order: the (idempotent index,
+    degree) pair of each indecomposable summand Ae_r(-g) of P, by class,
+    then by degree, and the (dim M, dim P) matrix K of the cover map in the
+    basis of P that ``projective_cover`` builds.  The summands are those of
+    top(M): per class and degree, the RREF rows w of e_r top(M)_g are taken
+    in turn, and one starts a new summand S_r(-g) only outside the span of
+    those found so far.  The summand of w is e_r A e_r w, not F_p w:
+    End(S_r) may be a larger field, and then one summand holds several
+    F_p-independent vectors.  Each summand has a lift v in e_r M_g of its
+    w, and K sends x in Ae_r(-g) to x v.  K is onto by Nakayama's lemma: its
+    image N is a submodule that maps onto top(M), so N + rad(A) M = M, and
+    then rad(A)^j M lies in N + rad(A)^(j+1) M for every j, so M = N, as
+    rad(A) is nilpotent.
+
+    As many modules at a time as ``COVER_CELLS`` allows go through a few
+    steps, each on zero-padded stacks:
+
+    1. the tops of ``_top_pass``, with its check that rad(A) M is
+       action-stable;
+    2. one ``modp.rrefs`` of e_r top(M) for each module and each class r
+       with a vector there gives the candidates w;
+    3. the summands, where only the classes whose End(S_r) is larger than
+       F_p test the span of the orbits: where it is F_p, e_r A e_r acts on
+       e_r top(M) by scalars, so every candidate starts a summand;
+    4. K from the lifts;
+    5. one ``modp.ranks`` of every K.
+
+    Raises AlgebraMismatch unless all modules live over one algebra, and
+    CheckFailed, naming the first failing module by its position in the
+    family, unless rad(A) M is action-stable and K is onto; K can fail to be
+    onto only when the radical is wrong.
+    """
+    modules = list(modules)
+    out = []
+    for lo, part in _cover_batches(modules):
+        out += _covers(part, lo)
+    return out
+
+
+def _covers(mods: list[GradedModule], first: int):
+    """(summands, K) for each module of one batch of ``cover_maps``,
+    whose module k is member first + k of the family."""
+    a, p = mods[0].algebra, mods[0].p
+    act_t, sec, top_act, top_degs, n_free = _top_pass(mods, first)
+    reps, _, corners = simple_classes(a)
+    count, n, d, f = len(mods), a.dim, act_t.shape[2], top_act.shape[2]
+    dims = np.array([m.dim for m in mods], dtype=np.int64)
+
+    # 2. the candidates, the RREF rows of each e_r top(M)
     ide = a.idempotents[reps]
     e_top = ((ide @ top_act.reshape(count, n, f * f)) % p).reshape(count, len(reps), f, f)
     kk, cc = e_top.any(axis=(2, 3)).nonzero()  # (module, class) with a vector
     cands, cand_pivots = modp.rrefs(e_top[kk, cc].transpose(0, 2, 1), p)
     ce, cj = (np.arange(f) < cand_pivots.sum(axis=1)[:, None]).nonzero()  # (entry, RREF row)
-    top_degs = degs[np.arange(count)[:, None], free_cols]
     g = top_degs[kk[ce], (~cand_pivots).argsort(axis=1, kind="stable")[ce, cj]]
     order = np.lexsort((cj, g, ce))  # by module and class, then degree, then RREF order
     ce, cj, g = ce[order], cj[order], g[order]
 
-    # 4. a candidate starts a summand unless e_r A e_r times those before spans it
+    # 3. a candidate starts a summand unless e_r A e_r times those before spans it
     keep = np.ones(ce.size, dtype=bool)
     for e in np.flatnonzero([len(corners[c]) > 1 for c in cc.tolist()]):
         nf = int(n_free[kk[e]])
@@ -816,15 +833,15 @@ def _covers(mods: list[GradedModule], first: int):
                 spanned, spiv = modp.row_basis(np.vstack([spanned, orbit]), p)
     ce, cj, g = ce[keep], cj[keep], g[keep]
     ks, cs = kk[ce], cc[ce]
-    e_mod_t = ((ide @ flat_t) % p).reshape(count, len(reps), d, d)
+    e_mod_t = ((ide @ act_t.reshape(count, n, d * d)) % p).reshape(count, len(reps), d, d)
     lifts = (((sec[ks] @ cands[ce, cj, :, None]) % p).transpose(0, 2, 1) @ e_mod_t[ks, cs] % p)[:, 0]
 
-    # 5. K, stacked as K^T: the rows of summand Ae_r(-g) are the b v, b in the basis of Ae_r
+    # 4. K, stacked as K^T: the rows of summand Ae_r(-g) are the b v, b in the basis of Ae_r
     bounds = ks.searchsorted(np.arange(count + 1))
     slot = np.arange(ks.size) - bounds[ks]  # the place of each lift among its module's
     by_module = modp.zeros(count, d, int(slot.max(initial=-1)) + 1)
     by_module[ks, :, slot] = lifts
-    images = (act @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
+    images = (act_t.transpose(0, 1, 3, 2) @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
     sizes = np.array([len(_projectives(a)[reps[c]][2]) for c in cs.tolist()], dtype=np.int64)
     start = sizes.cumsum() - sizes
     start -= start[bounds[ks]]  # from the first row of the module
@@ -835,40 +852,15 @@ def _covers(mods: list[GradedModule], first: int):
         made = _projectives(a)[reps[c]][2] @ images[at] % p
         stack[ks[at, None], start[at, None] + np.arange(made.shape[1])] = made
 
-    # 6. K must be onto
+    # 5. K must be onto
     short = modp.ranks(stack, p) != dims
     if short.any():
         raise CheckFailed(f"projective cover map is not surjective (member {first + int(short.argmax())})")
     out = []
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         summands = [(reps[c], x) for c, x in zip(cs[lo:hi].tolist(), g[lo:hi].tolist())]
-        lifted = [v[: dims[k]] for v in lifts[lo:hi]]
-        out.append((summands, lifted, stack[k, : heights[k], : dims[k]].T.copy()))
+        out.append((summands, stack[k, : heights[k], : dims[k]].T.copy()))
     return out
-
-
-def top_summands(m: GradedModule):
-    """The simple summands of top(M) = M / rad(A) M, each with a lift to M.
-
-    Returns (summands, lifts): one (representative index r, degree g) pair
-    per summand S_r(-g) of top(M), by class, then by degree, and a vector
-    of e_r M_g whose image in the top generates that summand, so
-    Ae_r(-g) -> M, x -> x v covers it.  Per class and degree, the RREF rows
-    of e_r top(M)_g are taken in turn, and one starts a new summand only
-    outside the span of those found so far.  The summand of w is e_r A e_r w,
-    not F_p w: End(S_r) may be a larger field, and then one summand holds
-    several F_p-independent vectors.  The lifts generate M, by Nakayama's
-    lemma, since their images generate top(M); that is why the cover map K
-    of ``cover_maps``, whose pass on M alone this is, is onto.
-    """
-    summands, lifts, _ = _covers([m], 0)[0]
-    return summands, lifts
-
-
-def cover_map(m: GradedModule):
-    """The minimal projective cover P -> M, without building P: ``cover_maps``
-    on M alone, so (summands, K), with K onto by Nakayama's lemma."""
-    return cover_maps([m])[0]
 
 
 def _cover_module(a: GradedAlgebra, summands) -> GradedModule:
@@ -877,23 +869,14 @@ def _cover_module(a: GradedAlgebra, summands) -> GradedModule:
 
 
 def projective_cover(m: GradedModule):
-    """Minimal projective cover P -> M.
+    """Minimal projective cover P -> M: ``cover_maps`` on M alone, with P built.
 
     Returns (P, K, summands) where K is the (dim M, dim P) matrix of the
     cover map and summands lists one (idempotent index, degree) pair per
     indecomposable summand Ae_i(-g) of P.
     """
-    summands, K = cover_map(m)
+    summands, K = cover_maps([m])[0]
     return _cover_module(m.algebra, summands), K, summands
-
-
-def projective_cover_dim(m: GradedModule) -> int:
-    return cover_map(m)[1].shape[1]
-
-
-def is_projective(m: GradedModule) -> bool:
-    """dim of the minimal cover equals dim M exactly for projectives."""
-    return projective_cover_dim(m) == m.dim
 
 
 def syzygies(modules) -> list[GradedModule]:

@@ -23,7 +23,7 @@ import numpy as np
 from . import modp
 from .algebra import GradedAlgebra, cached, is_basic, is_well_graded
 from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
-from .modules import cover_maps, inj, proj, simple_classes, syzygies, top
+from .modules import cover_maps, inj, proj, simple_classes, syzygies, tops
 
 
 @dataclass
@@ -207,12 +207,13 @@ def global_dimension(a: GradedAlgebra, cutoff: int = 32) -> GldimResult:
     """Length of minimal projective resolutions of the simples, up to a cutoff.
 
     Never claims infinite dimension: past the cutoff the result is the
-    three-valued ExceedsCutoff outcome.  Every simple class moves one
-    syzygy forward per ``syzygies`` call, so the resolutions end together
-    after as many steps as the longest needs.
+    three-valued ExceedsCutoff outcome.  The simples are the tops of the
+    Ae_r, one per class, from one ``tops`` call, and every simple class
+    moves one syzygy forward per ``syzygies`` call, so the resolutions end
+    together after as many steps as the longest needs.
     """
     reps, _, _ = simple_classes(a)
-    mods = [top(proj(a, r, 0)) for r in reps]
+    mods = tops([proj(a, r, 0) for r in reps])
     steps = 0
     while any(m.dim for m in mods):
         if steps > cutoff:

@@ -45,7 +45,7 @@ from gradedalg.errors import (
     TrivialGrading,
     UnitMismatch,
 )
-from gradedalg.modules import GradedModule, GradedMorphism, hom_basis, inj, proj, regular_module
+from gradedalg.modules import GradedModule, GradedMorphism, ModuleFamily, hom_bases, inj, module_faults, proj, regular_module
 
 P = 7919
 
@@ -463,16 +463,26 @@ def _entry_corruptions(arr):
         yield out
 
 
+def _raise(fault):
+    """Raise a fault of ``module_faults`` as ``GradedModule.validate`` does."""
+    if fault is not None:
+        raise CheckFailed(fault)
+
+
 def test_generator_checks_agree_with_full_checks_on_every_single_entry(truncated):
-    # T(b(k[x]/(x^5))): 20 basis elements, of which the generators are fewer
+    # T(b(k[x]/(x^5))): 20 basis elements, of which the generators are fewer;
+    # each family of corruptions of one module is one module_faults call
     tb = validate_algebra(T_of(beilinson(truncated(5))))
     assert len(generators(tb)) < tb.dim
     kinds = Counter()
     for i in range(tb.n_idempotents):
         for m in (proj(tb, i), inj(tb, i)):
             assert _same_outcomes(m, _module_validate_full) is None
-            for action in _entry_corruptions(m.action):
-                kinds[_same_outcomes(GradedModule(tb, m.degrees, action), _module_validate_full)] += 1
+            corrupted = [GradedModule(tb, m.degrees, action) for action in _entry_corruptions(m.action)]
+            for bad, fault in zip(corrupted, module_faults(ModuleFamily.of(tb, corrupted))):
+                got = _outcome(lambda: _raise(fault))
+                assert got == _outcome(lambda: _module_validate_full(bad))
+                kinds[got] += 1
     assert sum(kinds.values()) == 4000
     assert kinds[CheckFailed, "module action not associative at"] > 3000
 
@@ -525,13 +535,13 @@ def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncate
     tb = validate_algebra(T_of(beilinson(truncated(5))))
     mods = [proj(tb, i) for i in range(tb.n_idempotents)] + [inj(tb, i) for i in range(tb.n_idempotents)]
     kinds = Counter()
-    for src in mods:
-        for tgt in mods:
-            for f in hom_basis(src, tgt):
-                assert _same_outcomes(f, _morphism_validate_full) is None
-                for _ in range(8):
-                    bad = GradedMorphism(src, tgt, _corrupt(f.matrix, rng, p))
-                    kinds[_same_outcomes(bad, _morphism_validate_full)] += 1
+    pairs = [(src, tgt) for src in mods for tgt in mods]
+    for (src, tgt), maps in zip(pairs, hom_bases(pairs)):
+        for f in maps:
+            assert _same_outcomes(f, _morphism_validate_full) is None
+            for _ in range(8):
+                bad = GradedMorphism(src, tgt, _corrupt(f.matrix, rng, p))
+                kinds[_same_outcomes(bad, _morphism_validate_full)] += 1
     assert kinds[CheckFailed, "morphism does not intertwine"] > 100
 
 

@@ -297,7 +297,7 @@ def test_corner_morita_hom_spot_checks(matrix2x2):
     # eTe for the non-basic T(M_2(k)): the corner collapses to dual numbers,
     # and degree-0 hom dimensions between projectives match the corner slices
     from gradedalg.algebra import corner
-    from gradedalg.modules import hom_dim, proj
+    from gradedalg.modules import hom_dims, proj
 
     t = T_of(matrix2x2)
     validate_algebra(t)
@@ -306,16 +306,18 @@ def test_corner_morita_hom_spot_checks(matrix2x2):
     assert c.dim == 2
     assert c.component_dims() == [1, 1]
     # hom(Te_i, Te_j) has the dimension of the degree-0 slice of e_j T e_i
+    expected = []
     for i in range(t.n_idempotents):
         for j in range(t.n_idempotents):
             z = t.degree_indices(0)
             block = (t.left_mult(t.idempotents[j]) @ t.right_mult(t.idempotents[i]))[
                 np.ix_(z, z)
             ]
-            expected = modp.rank(block.T % t.p, t.p)
-            assert hom_dim(proj(t, i, 0), proj(t, j, 0)) == expected
+            expected.append(modp.rank(block.T % t.p, t.p))
+    projs = [proj(t, i, 0) for i in range(t.n_idempotents)]
+    assert hom_dims([(m, n, 0) for m in projs for n in projs]) == expected
     # and the same numbers over the corner algebra
-    assert hom_dim(proj(c, 0, 0), proj(c, 0, 0)) == 1
+    assert hom_dims([(proj(c, 0, 0), proj(c, 0, 0), 0)]) == [1]
 
 
 def test_width_two_iff_well_graded_extension(truncated, a4):

@@ -16,15 +16,15 @@ from gradedalg.algebra import (
     radical,
     semisimple_quotient,
 )
-from gradedalg.construct import AlgebraAutomorphism, T_of, block_layout, t_of
+from gradedalg.construct import AlgebraAutomorphism, T_of, T_twisted, block_layout, t_of
 from gradedalg.equiv import (
+    _transports,
+    _twist,
     extract_sigma,
     phi,
     psi,
     split_trivial_extension,
     theorem_pipeline,
-    twist_transport,
-    twist_transport_back,
 )
 from gradedalg.errors import CheckFailed, PreconditionFailed, TrivialGrading
 from gradedalg.modules import (
@@ -32,16 +32,18 @@ from gradedalg.modules import (
     ModuleFamily,
     _injectives,
     _projectives,
+    cover_maps,
+    hom_bases,
     hom_basis,
-    hom_dim,
+    hom_dims,
     inj,
-    is_projective,
+    module_faults,
     proj,
     regular_module,
     shift,
     simple,
     simple_classes,
-    top_summands,
+    tops,
     width,
     zero_module,
 )
@@ -113,9 +115,9 @@ def test_psi_zero(truncated):
 def test_phi_preserves_hom_dimensions(equivalence_corpus):
     for name, a in equivalence_corpus[:3]:
         mods = sample_set(a, window=1)
-        for m in mods:
-            for n in mods:
-                assert hom_dim(m, n) == hom_dim(phi(a, m), phi(a, n)), name
+        images = [phi(a, m) for m in mods]
+        want = hom_dims([(m, n, 0) for m in mods for n in mods])
+        assert hom_dims([(m, n, 0) for m in images for n in images]) == want, name
 
 
 def test_phi_identity_on_morphisms(truncated):
@@ -135,16 +137,23 @@ def adapted(a, n):
     return bool(equiv._components(a, ModuleFamily.of(n.algebra, [n]))[1][0])
 
 
+def is_projective(m):
+    return cover_maps([m])[0][1].shape[1] == m.dim
+
+
 def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
     # conjugate Phi(regular) by a random invertible block on every degree
     # slice, which mixes the components; psi must give back the regular
     # module up to isomorphism, and a projective is determined by its top.
-    # psi rewrites such a module in its split basis and calls itself on it:
-    # every vector of that basis lies in one component, of the same degrees
+    # psi rewrites such a module in its split basis once and reads the
+    # components again: every vector of that basis lies in one component, of
+    # the same degrees
     rng = np.random.default_rng(7)
     calls = []
-    real_psis = equiv.psis
-    monkeypatch.setattr(equiv, "psis", lambda a, fam: calls.append(fam.modules()[0]) or real_psis(a, fam))
+    real_components = equiv._components
+    monkeypatch.setattr(
+        equiv, "_components", lambda a, fam: calls.append(fam.modules()[0]) or real_components(a, fam)
+    )
     unadapted = 0
     for name, a in graded_corpus:
         r = regular_module(a)
@@ -170,9 +179,26 @@ def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
             assert adapted(a, n), name
             assert sorted(n.degrees.tolist()) == sorted(mixed.degrees.tolist()), name
         assert sorted(m.degrees.tolist()) == sorted(r.degrees.tolist()), name
-        assert is_projective(m), name
-        assert Counter(top_summands(m)[0]) == Counter(top_summands(r)[0]), name
+        (got, K), (want, _) = cover_maps([m, r])
+        assert K.shape[1] == m.dim and Counter(got) == Counter(want), name
     assert unadapted
+
+
+def test_psi_refuses_a_module_the_split_leaves_unadapted(truncated):
+    # doubling the action of Ae_0 over t(k[x]/(x^3)) makes every diagonal
+    # unit act as twice a projection: the split basis is no better, so psi
+    # names the member instead of rewriting it again and again, alone and in
+    # a family after an adapted member
+    a = truncated(3)
+    t = t_of(a)
+    m = proj(t, 0)
+    doubled = GradedModule(t, m.degrees, 2 * m.action % a.p)
+    assert not adapted(a, doubled)
+    want = r"^the split basis is not adapted to the components of t\(A\) \(member {}\)$"
+    with pytest.raises(CheckFailed, match=want.format(0)):
+        psi(a, doubled)
+    with pytest.raises(CheckFailed, match=want.format(1)):
+        equiv.psis(a, ModuleFamily.of(t, [m, doubled, doubled]))
 
 
 def test_psi_rewrite_leaves_the_generators_uncomputed():
@@ -244,13 +270,21 @@ def test_extract_sigma_rejects_bad_input(a4, truncated):
         extract_sigma(truncated(3))  # c = 2, not a trivial extension shape
 
 
+def twisted(b, sigma, fam, sign=1):
+    """The family moved along T(B)-gr = T(B^sigma)-gr, or back with sign -1:
+    ``_transports`` by ``_twist``, each of whose images must be a module."""
+    target = T_twisted(b, sigma) if sign == 1 else T_of(b)
+    out = _transports(fam, target, lambda g: _twist(sigma, sign * g))
+    assert module_faults(out) == [None] * fam.dims.size
+    return out
+
+
 def test_twist_transport_identity(truncated):
     b = degree_zero_subalgebra(t_of(truncated(3)))
     tb = T_of(b)
-    ident = AlgebraAutomorphism.identity(b)
-    for i in range(tb.n_idempotents):
-        m = proj(tb, i, 0)
-        assert np.array_equal(twist_transport(b, ident, m).action, m.action)
+    ident = AlgebraAutomorphism.identity(b).validate()
+    fam = ModuleFamily.of(tb, [proj(tb, i, 0) for i in range(tb.n_idempotents)])
+    assert np.array_equal(twisted(b, ident, fam).action, fam.action)
 
 
 def test_twist_transport_degree_zero_concentration(truncated):
@@ -259,24 +293,25 @@ def test_twist_transport_degree_zero_concentration(truncated):
     tb = T_of(b)
     t = t_of(truncated(3))
     ext = extract_sigma(t)
-    m = simple(tb, 0, 0)
-    assert set(m.degrees.tolist()) == {0}
-    out = twist_transport(b, ext.sigma, m)
-    assert np.array_equal(out.action, m.action)
+    mods = [simple(tb, i, 0) for i in range(tb.n_idempotents)]
+    assert all(set(m.degrees.tolist()) == {0} for m in mods)
+    fam = ModuleFamily.of(tb, mods)
+    assert np.array_equal(twisted(b, ext.sigma, fam).action, fam.action)
 
 
 def test_twist_transport_round_trip(truncated, exterior2):
+    # the twist by the extracted sigma and back, over a family of shifted
+    # projectives, gives every member back, degrees and tables
     for a in (truncated(3), exterior2):
         t = t_of(a)
         ext = extract_sigma(t)
         b = ext.base
         tb = T_of(b)
-        for i in range(tb.n_idempotents):
-            for d in (-1, 0, 2):
-                m = proj(tb, i, d)
-                fw = twist_transport(b, ext.sigma, m)
-                fw.validate()
-                assert twist_transport_back(b, ext.sigma, fw).equals(m)
+        fam = ModuleFamily.of(tb, [proj(tb, i, d) for i in range(tb.n_idempotents) for d in (-1, 0, 2)])
+        fw = twisted(b, ext.sigma, fam)
+        assert fw.algebra.same_as(T_twisted(b, ext.sigma))
+        back = twisted(b, ext.sigma, fw, sign=-1)
+        assert back.same_members(fam).all()
 
 
 def test_pipeline_counts_and_certificate(truncated):
@@ -299,7 +334,8 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
     for a in (truncated(3), product_of_duals, rebased_nakayama32):
         cert = theorem_pipeline(a)
         samples = labelled_samples(a)
-        homs = {(la, lb): hom_basis(m, n) for la, m in samples for lb, n in samples}
+        pairs = [(la, lb) for la, _ in samples for lb, _ in samples]
+        homs = dict(zip(pairs, hom_bases([(m, n) for _, m in samples for _, n in samples])))
         got = [c.detail.split(" vs ")[0] for c in cert.checks if c.family == "hom-dim"]
         assert got == [str(len(homs[la, lb])) for la, _ in samples for lb, _ in samples]
         want = [f"F(id_{la}) = id" for la, _ in samples[:9]]
@@ -323,7 +359,7 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)) is solved on the bases M and N,
     # and N(d' - d) reads the split of N: the only modules passed to
     # ``_splits`` are the bases, the images of the functor and the tops that
-    # the covers need, never a module that ``shift`` built with d != 0
+    # ``tops`` builds, never a module that ``shift`` built with d != 0
     a = rebased_nakayama(3, 2, 32)
     real_splits, made = modules._splits, []
 
@@ -353,9 +389,11 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     # into modules; the others live over A (G) or t(A)
     image = lambda out, fam: None if fam.algebra is a or fam.algebra is t_of(a) else out
     monkeypatch.setattr(ModuleFamily, "modules", spy("image", ModuleFamily.modules, image))
-    monkeypatch.setattr(modules, "quotient_module", spy("top", modules.quotient_module, lambda out, *_: out[0]))
+    monkeypatch.setattr(modules, "tops", spy("top", modules.tops))
     assert theorem_pipeline(a).passed
     built["image"] = [m for family in built["image"] for m in family]
+    built["top"] = [m for family in built["top"] for m in family]
+    assert len(built["top"]) == a.n_idempotents  # one top per simple sample
     ids = {kind: {id(m) for m in mods} for kind, mods in built.items()}
     assert len(built["base"]) == 3 * a.n_idempotents and len(built["shifted"]) == 36
     assert ids["base"] | ids["image"] <= {id(m) for m in made}
@@ -465,7 +503,8 @@ def test_pipeline_unpacks_an_image_that_mixes_components(truncated, monkeypatch)
 
 
 def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
-    # F, the image checks and G each treat the sample family at once
+    # F, the image checks and G each treat the sample family at once, and
+    # the hom bases of functoriality come from one call
     calls = Counter()
 
     def counted(name, fn):
@@ -475,11 +514,12 @@ def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
 
         return wrapper
 
-    for name in ("phi", "psi", "_transport"):
+    for name in ("phi", "psi", "hom_bases"):
         monkeypatch.setattr(equiv, name, counted(name, getattr(equiv, name)))
+    monkeypatch.setattr(modules, "hom_basis", counted("hom_basis", modules.hom_basis))
     monkeypatch.setattr(GradedModule, "validate", counted("validate", GradedModule.validate))
     cert = theorem_pipeline(rebased_nakayama(3, 2, 32))
-    assert cert.passed and not calls
+    assert cert.passed and calls == {"hom_bases": 1}
     assert Counter(c.family for c in cert.checks)["round-trip"] == len(cert.samples)
 
 
@@ -627,14 +667,13 @@ def test_pipeline_two_idempotents_top_degree_two(product_c2):
 
 
 def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
-    from gradedalg.modules import top, top_summands
     from gradedalg.selfinj import graded_nakayama
 
     a = nonsplit_dual_numbers
     # End(S) = F_{p^2}: the top of Ae is 2-dimensional and one summand
     m = proj(a, 0)
-    summands, lifts = top_summands(m)
-    assert top(m).dim == 2 and summands == [(0, 0)] and len(lifts) == 1
+    summands, K = cover_maps([m])[0]
+    assert tops([m])[0].dim == 2 and summands == [(0, 0)] and K.shape == (m.dim, m.dim)
     nd = graded_nakayama(a)
     assert nd.permutation == [0] and nd.shifts == [-1]
     cert = theorem_pipeline(a)
@@ -667,7 +706,7 @@ def _decide_every_cached_fact():
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
         _projectives(alg), _injectives(alg)
         m = regular_module(alg)
-        hom_dim(m, shift(m, 1))
+        hom_dims([(m, m, 1)])
     block_layout(a)
     sigma = extract_sigma(t).sigma
     sigma.power(2), sigma.power(-3)

@@ -24,27 +24,21 @@ from gradedalg.modules import (
     _splits,
     cover_maps,
     direct_sum,
+    hom_bases,
     hom_basis,
     HOM_BATCH,
-    hom_dim,
     hom_dims,
     inj,
-    is_projective,
     proj,
     projective_cover,
-    projective_cover_dim,
-    quotient_module,
-    radical_rows,
     regular_module,
     shift,
     simple,
     simple_classes,
-    socle,
     submodule,
     syzygies,
     syzygy,
-    top,
-    top_summands,
+    tops,
     width,
     zero_module,
 )
@@ -104,15 +98,14 @@ def test_trivial_extension_projective_widths(truncated):
 
 def test_top_socle(truncated):
     a = truncated(3)
-    m = regular_module(a)
-    assert top(m).slice_dims() == {0: 1}
-    assert socle(m).slice_dims() == {2: 1}
-    i0 = inj(a, 0, 0)
-    assert socle(i0).slice_dims() == {0: 1}
-    assert top(i0).slice_dims() == {-2: 1}
-    s = simple(a, 0, 0)
-    assert top(s).equals(s)
-    assert socle(s).slice_dims() == s.slice_dims()
+    m, i0, s = regular_module(a), inj(a, 0, 0), simple(a, 0, 0)
+    top_m, top_i0, top_s = tops([m, i0, s])
+    assert top_m.slice_dims() == {0: 1}
+    assert ref_socle(m).slice_dims() == {2: 1}
+    assert ref_socle(i0).slice_dims() == {0: 1}
+    assert top_i0.slice_dims() == {-2: 1}
+    assert top_s.equals(s)
+    assert ref_socle(s).slice_dims() == s.slice_dims()
 
 
 def test_module_validation(graded_corpus):
@@ -156,13 +149,13 @@ def test_width_biconditional_with_well_gradedness(graded_corpus):
 def test_hom_identity_lower_bound(graded_corpus):
     for name, a in graded_corpus:
         m = regular_module(a)
-        assert hom_dim(m, m) >= 1, name
+        assert hom_dims([(m, m, 0)])[0] >= 1, name
 
 
 def test_hom_regular_truncated(truncated):
     a = truncated(2)
     m = regular_module(a)
-    assert hom_dim(m, m) == 1
+    assert hom_dims([(m, m, 0)]) == [1]
 
 
 def test_hom_projective_oracle(graded_corpus):
@@ -171,10 +164,9 @@ def test_hom_projective_oracle(graded_corpus):
         mods = [regular_module(a)]
         for i in range(a.n_idempotents):
             mods.extend([proj(a, i, 0), inj(a, i, 0), simple(a, i, 0), shift(proj(a, i, 0), 1)])
-        for i in range(a.n_idempotents):
-            p_i = proj(a, i, 0)
-            for m in mods:
-                assert hom_dim(p_i, m) == slice0_dim_of_corner(a, i, m), name
+        got = hom_dims([(proj(a, i, 0), m, 0) for i in range(a.n_idempotents) for m in mods])
+        want = [slice0_dim_of_corner(a, i, m) for i in range(a.n_idempotents) for m in mods]
+        assert got == want, name
 
 
 def kron_hom_basis(m, n):
@@ -211,13 +203,16 @@ def test_hom_basis_matches_kronecker_oracle(
     graded_corpus, product_of_duals, product_c2, left_only_well_graded, rebased_nakayama32
 ):
     # bit-identical bases, same matrices in the same order, on every ordered
-    # pair of proj/simple/inj shifted by -c..c
+    # pair of proj/simple/inj shifted by -c..c and the zero module, in one
+    # call per algebra, some of which span several batches; and a few pairs
+    # one at a time, so that the one-pair call stays covered
     algebras = graded_corpus + [
         ("k[x]/(x^2) x k[y]/(y^2)", product_of_duals),
         ("k[x]/(x^3) x k[y]/(y^3)", product_c2),
         ("left-only well-graded", left_only_well_graded),
         ("rebased N(3,2)", rebased_nakayama32),
     ]
+    calls = []
     for name, a in algebras:
         c = a.top_degree()
         samples = [
@@ -225,14 +220,21 @@ def test_hom_basis_matches_kronecker_oracle(
             for build in (proj, simple, inj)
             for i in range(a.n_idempotents)
             for d in range(-c, c + 1)
-        ]
-        for m in samples:
-            for n in samples:
-                got = [f.matrix for f in hom_basis(m, n)]
-                want = kron_hom_basis(m, n)
-                assert len(got) == len(want), name
-                for f, g in zip(got, want):
-                    assert f.dtype == g.dtype and np.array_equal(f, g), name
+        ] + [zero_module(a)]
+        pairs = [(m, n) for m in samples for n in samples]
+        for (m, n), maps in zip(pairs, hom_bases(pairs)):
+            want = kron_hom_basis(m, n)
+            assert len(maps) == len(want), name
+            for f, g in zip(maps, want):
+                assert f.source is m and f.target is n, name
+                assert f.matrix.dtype == g.dtype and np.array_equal(f.matrix, g), name
+        for m, n in pairs[:: len(pairs) // 3]:
+            got = [f.matrix for f in hom_basis(m, n)]
+            assert len(got) == len(kron_hom_basis(m, n)), name
+            assert all(np.array_equal(f, g) for f, g in zip(got, kron_hom_basis(m, n))), name
+        calls.append(len(pairs))
+    assert max(calls) > HOM_BATCH  # some call spans several batches
+    assert hom_bases([]) == []
 
 
 @pytest.fixture(scope="module")
@@ -253,10 +255,9 @@ def _base_samples(a):
 
 
 def test_hom_dim_matches_hom_basis(vertex_corpus):
-    # the rank-only solve on the split system against the kernel basis, on
+    # the rank-only solve on the split system against the kernel bases, on
     # every ordered pair of proj/simple/inj shifted by -c..c, in one batched
-    # call with each target given as (base N, d), and a few pairs one at a
-    # time, so that the one-pair call stays covered
+    # call each, with each target of hom_dims given as (base N, d)
     calls = []
     for name, a in vertex_corpus:
         c = a.top_degree()
@@ -264,19 +265,17 @@ def test_hom_dim_matches_hom_basis(vertex_corpus):
         sources = [shift(m, d) for m in bases for d in range(-c, c + 1)]
         targets = [shift(m, d) for m in bases for d in range(-c, c + 1)]
         pairs = [(m, n) for m in sources for n in targets]
-        want = [len(hom_basis(m, n)) for m, n in pairs]
+        want = [len(maps) for maps in hom_bases(pairs)]
         entries = [(m, n, d) for m in sources for n in bases for d in range(-c, c + 1)]
         assert hom_dims(entries) == want, name
-        for (m, n), dim in list(zip(pairs, want))[:: len(pairs) // 5]:
-            assert hom_dim(m, n) == dim, name
         calls.append(len(entries))
     assert max(calls) > HOM_BATCH  # some call spans several batches
 
 
 def test_hom_dim_depends_on_relative_shift(vertex_corpus):
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), the key of the pipeline's source
-    # side: every pair both ways, in two batched calls, and a few pairs one at
-    # a time, so that the one-pair call stays covered
+    # side: every pair in three forms, (M(d), N(d'), 0), (M, N(d' - d), 0)
+    # and (M, N, d' - d), in one batched call
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a)
@@ -287,10 +286,11 @@ def test_hom_dim_depends_on_relative_shift(vertex_corpus):
             for d in range(-c, c + 1)
             for e in range(-c, c + 1)
         ]
-        want = hom_dims([(m, shift(n, e - d), 0) for m, n, d, e in cases])
-        assert hom_dims([(shift(m, d), shift(n, e), 0) for m, n, d, e in cases]) == want, name
-        for (m, n, d, e), dim in list(zip(cases, want))[:: len(cases) // 5]:
-            assert hom_dim(shift(m, d), shift(n, e)) == dim == hom_dim(m, shift(n, e - d)), name
+        entries = [(shift(m, d), shift(n, e), 0) for m, n, d, e in cases]
+        entries += [(m, shift(n, e - d), 0) for m, n, d, e in cases]
+        entries += [(m, n, e - d) for m, n, d, e in cases]
+        got = np.array(hom_dims(entries)).reshape(3, -1)
+        assert (got == got[0]).all(), name
 
 
 def _loop_split(m):
@@ -310,7 +310,7 @@ def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
     # a family of zero modules and of modules of several dimensions, spread
     # over several batches, splits as each member does alone and as the loop
     # reference does; M(d) splits as M, with the degrees moved by -d, and
-    # hom_dim reads the same answers from either
+    # hom_dims reads the same answers from either
     monkeypatch.setattr(modules, "COVER_CELLS", 2**10)
     spanned = False
     for name, a in vertex_corpus:
@@ -343,16 +343,19 @@ def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
 
 
 def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
-    # the cover pass reads the radical and the idempotents, not the
-    # generators that hom_dim reads, so the top decomposition never needs them
+    # the cover pass and the tops read the radical and the idempotents, not
+    # the generators that hom_dims reads, so the top decomposition never
+    # needs them
+    def family(alg):
+        return [build(alg, i, d) for i in range(alg.n_idempotents) for build, d in ((proj, 0), (inj, 1))]
+
     for name, a in vertex_corpus:
         fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
-        for i in range(fresh.n_idempotents):
-            want = top_summands(proj(a, i))[0]
-            assert top_summands(proj(fresh, i))[0] == want, name
-            assert top_summands(inj(fresh, i, 1))[0] == top_summands(inj(a, i, 1))[0], name
+        assert [s for s, _ in cover_maps(family(fresh))] == [s for s, _ in cover_maps(family(a))], name
+        for x, y in zip(tops(family(fresh)), tops(family(a))):
+            assert np.array_equal(x.degrees, y.degrees) and np.array_equal(x.action, y.action), name
         assert (generators.__wrapped__,) not in fresh._cache, name
-        hom_dim(proj(fresh, 0), proj(fresh, 0))
+        hom_dims([(proj(fresh, 0), proj(fresh, 0), 0)])
         assert (generators.__wrapped__,) in fresh._cache, name
 
 
@@ -376,7 +379,7 @@ def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals, monkeyp
         for bad in bad_algebras:
             zero, m = zero_module(bad), regular_module(bad).validate()
             with pytest.raises(CheckFailed, match="do not split"):
-                hom_dim(m, m)
+                hom_dims([(m, m, 0)])
             with pytest.raises(
                 CheckFailed, match=r"^the idempotents do not split the module into a basis \(member 1\)$"
             ):
@@ -437,14 +440,18 @@ def test_hom_morphisms_are_valid(truncated):
         f.validate()
 
 
+def cover_dims(mods):
+    """The dimension of the minimal projective cover of each module; a
+    module is projective exactly when it equals its own."""
+    return [K.shape[1] for _, K in cover_maps(mods)]
+
+
 def test_projectivity(truncated, graded_corpus):
     a = truncated(2)
-    s = simple(a, 0, 0)
-    assert not is_projective(s)
-    assert projective_cover_dim(s) == 2
+    assert cover_dims([simple(a, 0, 0)]) == [2]
     for name, alg in graded_corpus:
-        for i in range(alg.n_idempotents):
-            assert is_projective(proj(alg, i, -1)), name
+        mods = [proj(alg, i, -1) for i in range(alg.n_idempotents)]
+        assert cover_dims(mods) == [m.dim for m in mods], name
 
 
 def test_quotient_of_projective_not_projective(truncated):
@@ -453,15 +460,14 @@ def test_quotient_of_projective_not_projective(truncated):
     # quotient by the socle: a proper quotient of an indecomposable projective
     rows = modp.zeros(1, m.dim)
     rows[0, np.nonzero(m.degrees == 2)[0][0]] = 1
-    q, _, _ = quotient_module(m, rows)
+    q, _, _ = ref_quotient_module(m, rows)
     assert q.dim == 2
-    assert not is_projective(q)
-    assert projective_cover_dim(q) == 3
+    assert cover_dims([q]) == [3]
 
 
 def test_injectives_projective_over_selfinjective(truncated):
     a = truncated(3)
-    assert is_projective(inj(a, 0, 0))
+    assert cover_dims([inj(a, 0, 0)]) == [3]
 
 
 def test_syzygy_in_radical(truncated, uppertri):
@@ -487,7 +493,7 @@ def test_direct_sum_and_submodule(truncated):
     m = direct_sum([proj(a, 0, 0), simple(a, 0, -1)])
     m.validate()
     assert m.dim == 4
-    sub = submodule(m, radical_rows(m))
+    sub = submodule(m, ref_radical_rows(m))
     sub.validate()
     assert sub.dim == 2  # rad acts only on the projective summand
 
@@ -519,14 +525,14 @@ def test_module_zoo_invariants(graded_corpus):
                 other = pool[rng.integers(0, len(pool))]
                 made = direct_sum([m, other])
             elif kind == 2:
-                made = submodule(m, radical_rows(m))
+                made = submodule(m, ref_radical_rows(m))
             else:
-                made = quotient_module(m, radical_rows(m))[0]
+                made = ref_quotient_module(m, ref_radical_rows(m))[0]
             made.validate()
             assert width(made) <= width(m) + (width(m) if kind == 1 else 0)
             assert psi(a, phi(a, made)).equals(made), name
-            assert top(made).dim <= made.dim
-            assert socle(made).dim <= made.dim
+            assert tops([made])[0].dim <= made.dim
+            assert ref_socle(made).dim <= made.dim
             if made.dim and made.dim < 12:
                 pool.append(made)
 
@@ -534,6 +540,21 @@ def test_module_zoo_invariants(graded_corpus):
 # ---------------------------------------------------------------------------
 # reference implementations: one basis element at a time, and the cover
 # assembled as a module, with multiplicities from ranks
+
+
+def ref_radical_rows(m):
+    """Rows spanning rad(A) M."""
+    acts = np.tensordot(radical(m.algebra), m.action, axes=1) % m.p  # acts[u]: rad[u] on M
+    return acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim)
+
+
+def ref_socle(m):
+    """soc(M), the vectors that rad(A) kills, as a submodule."""
+    rad = radical(m.algebra)
+    if rad.shape[0] == 0 or m.dim == 0:
+        return submodule(m, modp.identity(m.dim))
+    _, ker = modp.rank_kernel(np.vstack([m.act(r) for r in rad]), m.p)
+    return submodule(m, ker)
 
 
 def ref_submodule(m, rows):
@@ -596,7 +617,7 @@ def ref_endo_dims(a):
 
 def ref_simple_multiplicities(m):
     """Multiplicity of S_r(-g) in top(M): dim e_r top(M)_g over dim End(S_r)."""
-    a, t = m.algebra, top(m)
+    a, t = m.algebra, ref_quotient_module(m, ref_radical_rows(m))[0]
     reps, _, _ = simple_classes(a)
     out = {}
     for r, endo in zip(reps, ref_endo_dims(a)):
@@ -613,7 +634,7 @@ def ref_simple_multiplicities(m):
 def ref_projective_cover(m):
     a, p = m.algebra, m.p
     reps, _, _ = simple_classes(a)
-    t, _, sec = ref_quotient_module(m, radical_rows(m))
+    t, _, sec = ref_quotient_module(m, ref_radical_rows(m))
     summands, lifts = [], []
     for r in reps:
         er_top = t.act(a.idempotents[r])
@@ -666,32 +687,29 @@ def _cover_samples(a):
     ]
     p0 = proj(a, 0)
     socle_rows = modp.identity(p0.dim)[p0.degrees == p0.degrees.max()]
-    out.append(quotient_module(p0, socle_rows)[0])
+    out.append(ref_quotient_module(p0, socle_rows)[0])
     out.append(direct_sum([p0, shift(p0, 0), simple(a, a.n_idempotents - 1, 1)]))
     out.append(direct_sum([simple(a, 0), inj(a, 0), simple(a, 0)]))
     return out
 
 
 def test_cover_matches_reference_assembly(cover_corpus):
-    # the cover from top_summands and cover_map against the old assembly
-    # and the rank/endo-field multiplicities, on every sample; the samples
-    # include projective and non-projective modules, tops that hold a simple
-    # twice, and a simple whose endomorphism field is larger than F_p
+    # the cover from projective_cover against the old assembly and the
+    # rank/endo-field multiplicities, on every sample; the samples include
+    # projective and non-projective modules, tops that hold a simple twice,
+    # and a simple whose endomorphism field is larger than F_p
     projective, repeated, endo_dims = Counter(), 0, set()
     for name, a in cover_corpus:
         endo_dims.update(ref_endo_dims(a))
         for m in _cover_samples(a):
             P, K, summands = projective_cover(m)
-            projective[is_projective(m)] += 1
+            projective[P.dim == m.dim] += 1
             repeated += max(Counter(summands).values(), default=0) > 1
             want_P, want_K, want_summands = ref_projective_cover(m)
             assert np.array_equal(P.degrees, want_P.degrees), name
             assert np.array_equal(P.action, want_P.action), name
             assert K.dtype == want_K.dtype and np.array_equal(K, want_K), name
             assert summands == want_summands, name
-            assert projective_cover_dim(m) == want_P.dim, name
-            assert top_summands(m)[0] == summands, name
-            assert is_projective(m) == (want_P.dim == m.dim), name
             assert Counter(summands) == ref_simple_multiplicities(m), name
     assert projective[True] and projective[False] and repeated and max(endo_dims) == 2
 
@@ -730,27 +748,47 @@ def test_cover_maps_name_the_member_whose_cover_fails(uppertri, monkeypatch):
     with pytest.raises(CheckFailed, match=rf"^projective cover map is not surjective \(member {first + 1}\)$"):
         cover_maps([s1] * first + [p1, p0, s1])
     monkeypatch.setattr(modules, "radical", lambda alg: alg.idempotents[1:2])
-    with pytest.raises(
-        CheckFailed,
-        match=rf"^rows do not span an action-stable subspace \(rad\(A\) M of member {first + 1}\)$",
-    ):
-        cover_maps([s0] * first + [p0, p1, s0])
+    for one_pass in (cover_maps, tops):
+        with pytest.raises(
+            CheckFailed,
+            match=rf"^rows do not span an action-stable subspace \(rad\(A\) M of member {first + 1}\)$",
+        ):
+            one_pass([s0] * first + [p0, p1, s0])
+
+
+def test_cover_maps_and_tops_refuse_a_family_over_two_algebras(truncated, monkeypatch):
+    # the whole family is checked before it is cut into batches: with a batch
+    # per module, two modules over different algebras are refused as they are
+    # in one batch, wherever the stranger stands
+    family = [proj(truncated(3), 0), simple(truncated(3), 0), proj(truncated(4), 0)]
+    for cells in (COVER_CELLS, 1):
+        monkeypatch.setattr(modules, "COVER_CELLS", cells)
+        for one_pass in (cover_maps, tops):
+            for mods in (family, family[::-1], family[1:]):
+                with pytest.raises(AlgebraMismatch, match="^family members live over different algebras$"):
+                    one_pass(mods)
+    assert len(tops(family[:2])) == len(cover_maps(family[:2])) == 2
 
 
 def test_module_builders_match_loop_references(cover_corpus):
+    # the submodules one at a time, and the tops of all the samples of an
+    # algebra, a zero module among them, from one call, as the quotient by
+    # the radical rows, degrees and tables
+    spanned = 0
     for name, a in cover_corpus:
         c = a.top_degree()
         for i in range(a.n_idempotents):
             for d in range(-c, c + 1):
                 assert proj(a, i, d).equals(shift(ref_proj_with_embedding(a, i)[0], d)), name
                 assert inj(a, i, d).equals(ref_inj(a, i, d)), name
-        for m in _cover_samples(a):
-            rows = radical_rows(m)
+        family = _cover_samples(a) + [zero_module(a)]
+        for m, got in zip(family, tops(family)):
+            rows = ref_radical_rows(m)
             assert submodule(m, rows).equals(ref_submodule(m, rows)), name
-            q, red, sec = quotient_module(m, rows)
-            want_q, want_red, want_sec = ref_quotient_module(m, rows)
-            assert q.equals(want_q), name
-            assert np.array_equal(red, want_red) and np.array_equal(sec, want_sec), name
+            want = ref_quotient_module(m, rows)[0]
+            assert got.equals(want) and got.action.dtype == want.action.dtype, name
+        spanned += len(family) * a.dim * max(m.dim for m in family) ** 2 > COVER_CELLS
+    assert spanned
 
 
 def test_submodule_and_quotient_refuse_unstable_rows(truncated):
@@ -758,6 +796,6 @@ def test_submodule_and_quotient_refuse_unstable_rows(truncated):
     a = truncated(3)
     m = proj(a, 0)
     rows = modp.identity(m.dim)[m.degrees == 0]
-    for build in (submodule, ref_submodule, lambda m, r: quotient_module(m, r)[0]):
+    for build in (submodule, ref_submodule, lambda m, r: ref_quotient_module(m, r)[0]):
         with pytest.raises(CheckFailed, match="rows do not span an action-stable subspace"):
             build(m, rows)
