@@ -43,10 +43,6 @@ from .errors import (
 from .modp import DEFAULT_PRIME
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _emit(report: dict, out: str | None) -> None:
     """Write the report as one line of compact JSON, by the C encoder.
 
@@ -60,10 +56,9 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def _load(path: str):
-    a = fileio.load(path)
-    validate_algebra(a)
-    return a
+def _load(args):
+    """The validated algebra of the command's input document."""
+    return validate_algebra(fileio.algebra_from_doc(args.doc))
 
 
 def _predicates(a) -> dict:
@@ -88,13 +83,13 @@ def _predicates(a) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
     return {"valid": True, "dim": a.dim, "top_degree": a.top_degree(),
             "component_dims": a.component_dims()}
 
 
 def _cmd_info(args) -> dict:
-    return _predicates(_load(args.file))
+    return _predicates(_load(args))
 
 
 def _construction_report(args, made) -> dict:
@@ -111,15 +106,16 @@ def _construction_report(args, made) -> dict:
 
 
 def _cmd_beilinson(args) -> dict:
-    return _construction_report(args, validate_algebra(beilinson(_load(args.file))))
+    return _construction_report(args, validate_algebra(beilinson(_load(args))))
 
 
 def _cmd_trivext(args) -> dict:
-    return _construction_report(args, validate_algebra(t_of(_load(args.file))))
+    return _construction_report(args, validate_algebra(t_of(_load(args))))
 
 
 def _cmd_selfinj(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
+    selfinj.require_seed(args.seed)  # on every input, though only a basic one is searched
     cert = selfinj.is_graded_selfinjective(a)
     res = cert.to_dict()
     if is_basic(a):
@@ -130,11 +126,11 @@ def _cmd_selfinj(args) -> dict:
 
 
 def _cmd_nakayama(args) -> dict:
-    return selfinj.graded_nakayama(_load(args.file)).to_dict()
+    return selfinj.graded_nakayama(_load(args)).to_dict()
 
 
 def _cmd_gldim(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
     res: dict = {"cutoff": args.cutoff}
     if a.top_degree() == 0:
         res["gldim"] = selfinj.global_dimension(a, args.cutoff).to_dict()
@@ -149,13 +145,13 @@ def _cmd_gldim(args) -> dict:
 
 
 def _cmd_derive_sigma(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
     ext = equiv.extract_sigma(a, seed=args.seed)
     return ext.to_dict()
 
 
 def _cmd_equiv(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
     cert = equiv.theorem_pipeline(a, window=args.samples_window, seed=args.seed)
     out = cert.to_dict()
     out["n_checks"] = len(cert.checks)
@@ -163,7 +159,7 @@ def _cmd_equiv(args) -> dict:
 
 
 def _cmd_corner(args) -> dict:
-    a = _load(args.file)
+    a = _load(args)
     try:
         indices = [int(s) for s in args.idempotent.split(",")]
     except ValueError:
@@ -248,22 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args, report: dict) -> int:
-    """Fill in the report of one command and return its exit code."""
+    """Fill in the report of one command and return its exit code.
+
+    The input file is read once: its bytes are digested, then decoded and
+    parsed into ``args.doc``, whose prime the report carries, and from which
+    the command builds its algebra.
+    """
+    data = None
     if getattr(args, "file", None):
         try:
-            report["input_digest"] = _digest(args.file)
+            data = Path(args.file).read_bytes()
         except OSError as exc:
             report["error"] = {"kind": "io", "message": str(exc)}
             return 1
-        try:
-            doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-        except (ValueError, OSError):  # undecodable bytes or malformed JSON
-            doc = None
-        if isinstance(doc, dict):
-            report["prime"] = doc.get("prime")
+        report["input_digest"] = hashlib.sha256(data).hexdigest()
     else:
         report["prime"] = getattr(args, "prime", DEFAULT_PRIME)
     try:
+        if data is not None:
+            args.doc = fileio.parse(fileio.decode(data))
+            if isinstance(args.doc, dict):
+                report["prime"] = args.doc.get("prime")
         report["results"] = args.fn(args)
     except ParseError as exc:
         report["error"] = {"kind": "parse", "message": str(exc)}

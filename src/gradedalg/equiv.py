@@ -45,11 +45,14 @@ F : A-gr -> T(b(A))-gr and certifies it on a finite sample set: exact
 round trips, hom-dimension equality on all pairs, preservation of
 projectives and injectives, and functoriality on hom bases.  F, the checks
 of the images (``modules.module_faults``) and G each make one pass over the
-sample family, the hom bases of functoriality come from one
-``modules.hom_bases`` call, and the checks of each hom basis and of its
-composites are one stacked ``modules.morphism_faults`` call each; the
-records still read sample by sample, and a failure is the one the first
-failing sample gives.
+sample family.  The images are held as that one family, and every later
+pass names members by position: ``modules.hom_dims`` on the family of the
+base modules, keyed by relative shift, and on the images, every pair;
+``modules.cover_maps`` on the images less the simples; and one
+``modules.hom_bases`` call on the samples for functoriality.  The checks
+of each hom basis and of its composites are one stacked
+``modules.morphism_faults`` call each; the records still read sample by
+sample, and a failure is the one the first failing sample gives.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ from .modules import (
     shift,
     simple,
 )
-from .selfinj import is_graded_selfinjective
+from .selfinj import is_graded_selfinjective, require_seed
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +169,10 @@ def psis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
         raise AlgebraMismatch("module is not over t(A)")
     comp, adapted = _components(a, fam)
     if not adapted.all():
-        mixed = fam.select(~adapted).modules()
+        mixed = fam.select(~adapted)
         rewritten = [
             GradedModule(t, degs, ((inv @ n.action) % p @ basis.T) % p)
-            for n, (basis, inv, degs, _) in zip(mixed, _splits(mixed))
+            for n, (basis, inv, degs, _) in zip(mixed.modules(), _splits(mixed))
         ]
         split = ModuleFamily.of(t, rewritten)
         degrees, action = fam.degrees.copy(), fam.action.copy()
@@ -269,8 +272,10 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     B -> D(X) are bijective (seeded random trials, then a deterministic
     sweep over small sums of dual basis vectors), sets
     sigma(b) = L_m^{-1}(m b), and returns the dualized bimodule isomorphism
-    X -> D(B^sigma).  All claims are re-verified before returning.
+    X -> D(B^sigma).  All claims are re-verified before returning.  The
+    seed must be at least 0 (PreconditionFailed "seed").
     """
+    require_seed(seed)
     b, x, _, _ = split_trivial_extension(t)
     _require_hypotheses(t, "B-basic", "degree-0 part is not basic")
     p = b.p
@@ -390,13 +395,15 @@ def theorem_pipeline(
     """Build and certify the equivalence F : A-gr -> T(b(A))-gr.
 
     Preconditions (each raises PreconditionFailed with a witness): c >= 1,
-    A_0 basic, A well-graded, A graded self-injective, and a sample window
-    of at least 0 (a negative one leaves no samples to check).  Any failed
-    certificate check afterwards raises CheckFailed: with the preconditions
-    satisfied a failure indicates a bug, not a property of the input.
+    A_0 basic, A well-graded, A graded self-injective, a sample window of
+    at least 0 (a negative one leaves no samples to check) and a seed of at
+    least 0.  Any failed certificate check afterwards raises CheckFailed:
+    with the preconditions satisfied a failure indicates a bug, not a
+    property of the input.
     """
     if window is not None and window < 0:
         raise PreconditionFailed("samples-window", f"window {window} leaves no samples")
+    require_seed(seed)
     c = a.top_degree()
     if c < 1:
         raise PreconditionFailed("nontrivial-grading", "top degree is 0")
@@ -480,6 +487,7 @@ def theorem_pipeline(
     # G runs on the images before the first invalid one, as the records of a
     # sample go in order: its image, then its round trip
     generators(tb)  # cached: its dense temporaries come and go before the family's arrays exist
+    count = len(samples)
     sources = ModuleFamily.of(a, [m for _, m, _ in samples])
     fam = functor(sources)
     faults = module_faults(fam)
@@ -492,7 +500,7 @@ def theorem_pipeline(
 
     def returned(k: int) -> GradedModule:  # G(F(M)) of sample k
         if back is None:
-            return inverse_functor(fam.select(np.arange(len(samples)) == k)).modules()[0]
+            return inverse_functor(fam.select(np.arange(count) == k)).modules()[0]
         return back.modules()[k]
 
     for k, ((label, m, _), fault) in enumerate(zip(samples, faults)):
@@ -505,8 +513,10 @@ def theorem_pipeline(
             "G(F(M)) != M",
             lambda: {"sample": label, "module": m.to_dict(), "returned": returned(k).to_dict()},
         )
-    images = fam.modules()
-    del fam, back  # each as large as the images, which are all that is read from here on
+    del back  # as large as the images, the family that is read from here on
+
+    def image(k: int) -> GradedModule:  # F(M) of sample k
+        return fam.select(np.arange(count) == k).modules()[0]
 
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
     # the relative shift and solved on the base modules, without building a
@@ -516,8 +526,8 @@ def theorem_pipeline(
     for ka, da in origin:
         for kb, db in origin:
             keys.setdefault((ka, kb, db - da), len(keys))
-    by_key = hom_dims([(bases[ka], bases[kb], d) for ka, kb, d in keys])
-    by_image = iter(hom_dims([(fa, fb, 0) for fa in images for fb in images]))
+    by_key = hom_dims(ModuleFamily.of(a, bases), list(keys))
+    by_image = iter(hom_dims(fam, [(ia, ib, 0) for ia in range(count) for ib in range(count)]))
     src_dims = {}
     for ia, ((la, _, _), (ka, da)) in enumerate(zip(samples, origin)):
         for ib, ((lb, _, _), (kb, db)) in enumerate(zip(samples, origin)):
@@ -531,41 +541,35 @@ def theorem_pipeline(
             )
 
     # one cover pass over the images of the projectives and the injectives
-    kept = [(label, kind, fm) for (label, _, kind), fm in zip(samples, images) if kind != "simple"]
-    for (label, kind, fm), (_, K) in zip(kept, cover_maps([fm for _, _, fm in kept])):
-        if kind == "projective":
-            record("preservation", f"F({label}) projective", K.shape[1] == fm.dim)
-        else:
-            record(
-                "preservation",
-                f"F({label}) injective",
-                K.shape[1] == fm.dim,
-                "projectivity = injectivity over the self-injective target",
-            )
+    kept = np.array([kind != "simple" for _, _, kind in samples])
+    for k, (_, K) in zip(np.flatnonzero(kept).tolist(), cover_maps(fam.select(kept))):
+        label, _, kind = samples[k]
+        detail = "" if kind == "projective" else "projectivity = injectivity over the self-injective target"
+        record("preservation", f"F({label}) {kind}", K.shape[1] == int(fam.dims[k]), detail)
 
     # functoriality: the functor is the identity on morphism matrices, so
     # F(id) = id and F(g.f) = F(g)F(f) hold as matrix identities; the content
     # checked here is that identities, transported hom bases, and composites
     # are still morphisms between the image modules.
-    for (label, _, _), fm in list(zip(samples, images))[:9]:
+    for k, (label, _, _) in enumerate(samples[:9]):
+        fm = image(k)
         record("functoriality", f"F(id_{label}) = id", morphism_faults(fm, fm, [modp.identity(fm.dim)])[0] is None)
     # up to six pairs, each a sample with the first other sample that has
     # maps both ways, whose hom bases both ways come from one call
     pairs = []
-    for ia in range(len(samples)):
-        ib = next((ib for ib in range(len(samples)) if ib != ia and src_dims[ia, ib] and src_dims[ib, ia]), None)
+    for ia in range(count):
+        ib = next((ib for ib in range(count) if ib != ia and src_dims[ia, ib] and src_dims[ib, ia]), None)
         if ib is not None:
             pairs.append((ia, ib))
         if len(pairs) == 6:
             break
-    found = iter(hom_bases([(samples[i][1], samples[j][1]) for ia, ib in pairs for i, j in ((ia, ib), (ib, ia))]))
+    found = iter(hom_bases(sources, [pair for ia, ib in pairs for pair in ((ia, ib), (ib, ia))]))
     for ia, ib in pairs:
         la, lb = samples[ia][0], samples[ib][0]
-        homs = [f.matrix for f in next(found)]
-        backs = [g.matrix for g in next(found)]
+        homs, backs = next(found), next(found)
         # each stack of maps is one check: the hom basis, then its composites
-        moved = morphism_faults(images[ia], images[ib], homs)
-        composed = iter(morphism_faults(images[ia], images[ia], [(g @ f) % p for f in homs for g in backs]))
+        moved = morphism_faults(image(ia), image(ib), homs)
+        composed = iter(morphism_faults(image(ia), image(ia), [(g @ f) % p for f in homs for g in backs]))
         for fault in moved:
             record("functoriality", f"F on hom {la} -> {lb}", fault is None)
             for _ in backs:

@@ -163,12 +163,27 @@ def algebra_from_doc(doc: dict) -> GradedAlgebra:
     return GradedAlgebra(p, names, degrees, table, unit, idem_vecs)
 
 
-def loads(text: str) -> GradedAlgebra:
+def decode(data: bytes) -> str:
+    """The text of an algebra file's bytes, as ``Path.read_text`` reads it:
+    UTF-8, with universal newlines.  Raises ParseError on other bytes."""
     try:
-        doc = json.loads(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse(text: str):
+    """The JSON document of an algebra file's text.  Raises ParseError,
+    with the line and column, unless the text is JSON."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return algebra_from_doc(doc)
+
+
+def loads(text: str) -> GradedAlgebra:
+    return algebra_from_doc(parse(text))
 
 
 def dumps(a: GradedAlgebra) -> str:
@@ -176,11 +191,7 @@ def dumps(a: GradedAlgebra) -> str:
 
 
 def load(path: Union[str, Path]) -> GradedAlgebra:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}")
-    return loads(text)
+    return loads(decode(Path(path).read_bytes()))
 
 
 def save(path: Union[str, Path], a: GradedAlgebra) -> None:

@@ -6,10 +6,12 @@ matrix of the i-th algebra basis element acting on coordinate columns.
 
 Projectives Ae_i and graded injectives D(e_i A) are built from the regular
 representation, everything else by exact row reduction over F_p.  Each
-question has one entry point, which treats a whole family at once:
+question has one entry point, which treats a whole family at once, a
+``ModuleFamily``, and names its members by their position in it:
 
-- ``hom_dims`` and ``hom_bases``: degree-0 Hom spaces, from one sparse
-  assembly of the systems N(x) f = f M(x), ranked or solved in stacks;
+- ``hom_dims`` and ``hom_bases``: degree-0 Hom spaces of the entries
+  (k, l, d) and pairs (k, l), from one sparse assembly of the systems
+  N(x) f = f M(x), ranked or solved in stacks;
 - ``tops``: top(M) = M / rad(A) M, from one stacked elimination of the
   rows spanning rad(A) M, the first steps of the cover pass;
 - ``cover_maps``: the minimal projective covers, and ``syzygies`` their
@@ -17,8 +19,10 @@ question has one entry point, which treats a whole family at once:
 - ``module_faults`` and ``morphism_faults``: the checks of modules and of
   module maps.
 
-``hom_basis``, ``projective_cover``, ``syzygy`` and the ``validate``
-methods are their calls on one object.
+The passes that stack the members' matrices (the cover pass, the module
+checks and the split along the idempotents, ``_splits``) cut the family
+one way, ``ModuleFamily.batches``.  ``hom_basis``, ``projective_cover``,
+``syzygy`` and the ``validate`` methods are their calls on one object.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ from .errors import AlgebraMismatch, CheckFailed
 #: whose padded stack has this many matrices.
 HOM_BATCH = 128
 
-#: Most entries of the padded stacks of one batch of ``cover_maps``, of
-#: ``tops`` and of ``module_faults`` (modules x dim A x d^2, d the largest dimension in the
-#: family) and of ``_splits`` (modules x (n + 4) x d^2, n idempotents).  It
-#: bounds a batch's memory (128 KiB an array).
+#: Most entries of the padded stacks of one batch of ``ModuleFamily.batches``,
+#: members x per x d^2, d the family's largest dimension and per the matrices
+#: a pass stacks for each member: dim A for the cover pass and
+#: ``module_faults``, n + 4 for ``_splits`` (n idempotents).  It bounds a
+#: batch's memory (128 KiB an array).
 COVER_CELLS = 2**14
 
 
@@ -154,7 +159,9 @@ class ModuleFamily:
 
     @classmethod
     def of(cls, algebra: GradedAlgebra, mods) -> "ModuleFamily":
-        """The family of the modules ``mods``, all over ``algebra``, in order."""
+        """The family of the modules ``mods``, in order.  Raises AlgebraMismatch
+        unless all of them live over ``algebra``: the one check that a family
+        lives over one algebra."""
         for m in mods:
             if not algebra.same_as(m.algebra):
                 raise AlgebraMismatch("family members live over different algebras")
@@ -193,6 +200,36 @@ class ModuleFamily:
             for d, hi, cols in zip(self.dims.tolist(), ends, col_ends)
         ]
 
+    def batches(self, per: int):
+        """(first, part, stack, degrees) for each batch of consecutive members, in order.
+
+        ``first`` is the position of the batch's first member and ``part``
+        the batch as a family; stack[k, i] is the matrix of basis element i
+        on member k of the batch and degrees[k] its degrees, both zero-padded
+        to the batch's largest dimension (at least 1).  A batch holds as many
+        members as keep members x per x d^2 within ``COVER_CELLS``, d the
+        family's largest dimension, and at least one.
+        """
+        count, d = self.dims.size, int(self.dims.max(initial=0))
+        size = max(COVER_CELLS // max(per * d * d, 1), 1)
+        ends = np.concatenate([[0], np.cumsum(self.dims)])
+        col_ends = np.concatenate([[0], np.cumsum(self.dims * self.dims)])
+        for first in range(0, count, size):
+            last = min(first + size, count)
+            dims = self.dims[first:last]
+            degrees = self.degrees[ends[first] : ends[last]]
+            part = self if size >= count else ModuleFamily(
+                self.algebra, dims, degrees, self.action[:, col_ends[first] : col_ends[last]]
+            )
+            # inside[k, r]: whether member k has a basis vector r; the masks
+            # below list the members' entries in the order of their columns
+            inside = np.arange(max(int(dims.max()), 1)) < dims[:, None]
+            stack = modp.zeros(last - first, self.algebra.dim, inside.shape[1], inside.shape[1])
+            stack.transpose(1, 0, 2, 3)[:, inside[:, :, None] & inside[:, None, :]] = part.action
+            padded = np.zeros(inside.shape, dtype=np.int64)
+            padded[inside] = degrees
+            yield first, part, stack, padded
+
 
 def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
     """Why each member of a family is not a graded module, or None where it is one.
@@ -203,12 +240,12 @@ def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
     suffices (see there): A must be associative, with p > dim A or this
     raises PrimeTooSmall; and it is degree-compatible, M(b) moving degrees
     by deg b.  The unit and the degrees are one comparison each over the
-    whole family.  The products are one ``intertwine_fault`` per batch, on
-    the orbit maps b -> M(b) e_c of its members, zero-padded to d x dim A, d
-    the largest dimension, against M(g) for each member: a batch holds as
-    many members as keep members x dim A x d^2 within ``COVER_CELLS``.  A
-    batch with a fault is checked again one member at a time, which finds
-    the first generator at which each of its members fails.
+    whole family.  The products are one ``intertwine_fault`` per batch of
+    the members that pass the unit check, from ``ModuleFamily.batches`` at
+    dim A matrices a member: on the orbit maps b -> M(b) e_c of its members
+    against M(g) for each member.  A batch with a fault is checked again one
+    member at a time, which finds the first generator at which each of its
+    members fails.
     """
     a, p = fam.algebra, fam.algebra.p
     count = fam.dims.size
@@ -221,28 +258,18 @@ def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
             faults[k] = f"action of {a.names[i]} is not degree-compatible"
     nonunital = np.zeros(count, dtype=bool)
     nonunital[fam.member[a.unit @ fam.action % p != (fam.out == fam.inp)]] = True
-    live = np.flatnonzero(~nonunital & (fam.dims > 0))
-    if live.size:
+    alive = ~nonunital & (fam.dims > 0)
+    live = np.flatnonzero(alive)
+    for first, _, stack, _ in fam.select(alive).batches(a.dim):
         gens = generators(a)
-        left = a.left[gens]
-        d = int(fam.dims[live].max())
-        size = max(COVER_CELLS // (a.dim * d * d), 1)
-        slot = np.full(count, -1)
-        slot[live] = np.arange(live.size)  # member live[j] is member j % size of batch j // size
-        slot = slot[fam.member]
-        start = (np.cumsum(fam.dims) - fam.dims)[fam.member]
-        for lo in range(0, live.size, size):
-            part = live[lo : lo + size]
-            cols = np.flatnonzero((slot >= lo) & (slot < lo + size))
-            orbits = modp.zeros(part.size, d, d, a.dim)  # orbits[q, c]: b -> M(b) e_c of member part[q]
-            orbits[slot[cols] - lo, fam.inp[cols] - start[cols], fam.out[cols] - start[cols]] = fam.action[:, cols].T
-            actions = orbits[..., gens].transpose(3, 0, 2, 1)  # actions[j, q]: M(gens[j]) of member part[q]
-            fault = intertwine_fault(orbits.reshape(-1, d, a.dim), left, actions, gens, p)
-            if fault is not None:
-                for q, k in enumerate(part.tolist()):
-                    fault = intertwine_fault(orbits[q], left, actions[:, q], gens, p)
-                    if fault is not None:
-                        faults[k] = f"module action not associative at {a.names[fault[0]]}"
+        left, d = a.left[gens], stack.shape[2]
+        orbits = np.ascontiguousarray(stack.transpose(0, 3, 2, 1))  # orbits[q, c]: b -> M(b) e_c of member q
+        actions = stack[:, gens].transpose(1, 0, 2, 3)  # actions[j, q]: M(gens[j]) of member q
+        if intertwine_fault(orbits.reshape(-1, d, a.dim), left, actions, gens, p) is not None:
+            for q, k in enumerate(live[first : first + len(stack)].tolist()):
+                fault = intertwine_fault(orbits[q], left, actions[:, q], gens, p)
+                if fault is not None:
+                    faults[k] = f"module action not associative at {a.names[fault[0]]}"
     for k in np.flatnonzero(nonunital).tolist():
         faults[k] = "module action is not unital"
     return faults
@@ -402,59 +429,51 @@ def inj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
 
 def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
     """The simple top of Ae_i, shifted by d."""
-    return shift(tops([proj(a, i, 0)])[0], d)
+    return shift(tops(ModuleFamily.of(a, [proj(a, i, 0)]))[0], d)
 
 
 # ---------------------------------------------------------------------------
 # hom spaces (degree 0 only; the constructions here never need other degrees)
 
 
-def _splits(mods: list[GradedModule]):
-    """Each module of a family split along the designated idempotents e_i, M = sum of the e_i M_g.
+def _splits(fam: ModuleFamily):
+    """Each member of a family split along the designated idempotents e_i, M = sum of the e_i M_g.
 
-    Returns (basis, inverse of basis.T, degrees, vertices) for each module:
+    Returns (basis, inverse of basis.T, degrees, vertices) for each member:
     the RREF row basis of each e_i M in turn, and the degree and index i of
     each row.  e_i has degree 0, so the rows of e_i M of degree g are the
-    RREF of e_i M_g, homogeneous.  As many modules at a time as
-    ``COVER_CELLS`` allows go through one ``modp.rrefs`` of every e_i M,
-    zero-padded to d x d, d the largest dimension, and one of every
-    [basis.T | I], whose basis is padded with the identity to stay invertible.
+    RREF of e_i M_g, homogeneous.  Each batch of ``ModuleFamily.batches``,
+    at n + 4 matrices a member (n idempotents), goes through one
+    ``modp.rrefs`` of every e_i M and one of every [basis.T | I], whose
+    basis is padded with the identity to stay invertible.
 
-    Raises CheckFailed, naming the first failing module by its position in
+    Raises CheckFailed, naming the first failing member by its position in
     the family, unless the rows form a basis, as they do when the e_i are
     orthogonal, of degree 0 and of sum 1.
     """
-    if not mods:
-        return []
-    a, p = mods[0].algebra, mods[0].p
-    n, d = a.n_idempotents, max([1] + [m.dim for m in mods])  # no axis of length 0
-    size = max(COVER_CELLS // ((n + 4) * d * d), 1)
+    a, p = fam.algebra, fam.algebra.p
+    n = a.n_idempotents
     out = []
-    for lo in range(0, len(mods), size):
-        part = mods[lo : lo + size]
-        count = len(part)
-        dims = np.array([m.dim for m in part], dtype=np.int64)
-        rows = modp.zeros(count, n, d, d)  # rows[k, i]: the e_i b_j of module k, one per row j
-        degrees = np.zeros((count, d), dtype=np.int64)
-        for k, m in enumerate(part):
-            rows[k, :, : m.dim, : m.dim] = np.einsum("ib,bcj->ijc", a.idempotents, m.action) % p
-            degrees[k, : m.dim] = m.degrees
-        ech, pivots = modp.rrefs(rows.reshape(count * n, d, d), p)
+    for first, part, stack, degrees in fam.batches(n + 4):
+        count, d = stack.shape[0], stack.shape[2]
+        # rows[k, i]: the e_i b_j of member k, one per row j
+        rows = (a.idempotents @ stack.reshape(count, a.dim, d * d) % p).reshape(count * n, d, d)
+        ech, pivots = modp.rrefs(rows.transpose(0, 2, 1), p)
         # the non-zero RREF rows of e_0 M, e_1 M, ... in turn, then the identity past dim M
         ech = ech.reshape(count, n * d, d)
         order = (~ech.any(axis=2)).argsort(axis=1, kind="stable")[:, :d]
         basis = ech[np.arange(count)[:, None], order]
-        basis += modp.identity(d) * (np.arange(d) >= dims[:, None])[:, :, None]
+        basis += modp.identity(d) * (np.arange(d) >= part.dims[:, None])[:, :, None]
         degs = np.take_along_axis(degrees, (basis != 0).argmax(axis=2), axis=1)
         unit = np.broadcast_to(modp.identity(d), basis.shape)
         inv, full = modp.rrefs(np.concatenate([basis.transpose(0, 2, 1), unit], axis=2), p)
         mixed = ((basis != 0) & (degrees[:, None, :] != degs[:, :, None])).any(axis=(1, 2))
-        bad = (pivots.reshape(count, -1).sum(axis=1) != dims) | ~full[:, :d].all(axis=1) | mixed
+        bad = (pivots.reshape(count, -1).sum(axis=1) != part.dims) | ~full[:, :d].all(axis=1) | mixed
         if bad.any():
             raise CheckFailed(
-                f"the idempotents do not split the module into a basis (member {lo + int(bad.argmax())})"
+                f"the idempotents do not split the module into a basis (member {first + int(bad.argmax())})"
             )
-        for k, e in enumerate(dims.tolist()):
+        for k, e in enumerate(part.dims.tolist()):
             out.append((basis[k, :e, :e], inv[k, :e, d : d + e], degs[k, :e], order[k, :e] // d))
     return out
 
@@ -467,73 +486,65 @@ def _expand(groups, bounds, order):
     return k, order[np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(k.size)]
 
 
-def _hom_systems(entries, split: bool):
-    """The systems N(d)(x) f = f M(x) of the entries (M, N, d), ``HOM_BATCH`` at a time.
+def _hom_systems(fam: ModuleFamily, entries, split: bool):
+    """The systems N(d)(x) f = f M(x) of the entries (k, l, d), M member k
+    and N member l of the family, ``HOM_BATCH`` at a time.
 
     Yields (stack, unknowns, t, u) for each batch: stack[q] holds the
     equations of its entry q, zero-padded to one shape, whose first
     unknowns[q] columns are the unknowns f[t, u] of that entry, which t and
     u list in turn, entry by entry, t indexing N and u indexing M.
 
-    Each module is written in a frame: a basis with a degree and a vertex
+    Each member is written in a frame: a basis with a degree and a vertex
     label for each vector.  The unknowns of an entry are the f[t, u] whose
     labels agree, the label of N(d) being the one of N with the degree moved
     by -d, and the equations are those for x in ``generators(A)``, which cut
     out the module maps (the lemma at ``generators``); A must be
     associative, with p > dim A or this raises PrimeTooSmall.  With ``split``
-    the frame is the split of ``_splits``, which raises CheckFailed if the
-    idempotents fail to split a module; without it, it is the module's own
-    basis under one vertex label.  One ``_splits`` call splits the distinct
-    modules, and N(d) is never built: it has the frame and the action of N.
+    the frame is the split of ``_splits``, one call on the family, which
+    raises CheckFailed if the idempotents fail to split a member; without
+    it, it is the member's own basis under one vertex label.  N(d) is never
+    built: it has the frame and the action of N.
 
     Equation (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u]
     M(x)[u, s], so its non-zero entries come from the non-zeros of the
-    actions in their frames: column t of N(x) for the unknown f[t, s], row u
-    of M(x) for f[r, u].  All modules must live over one algebra.
+    framed actions, which lie in the family's columns: column t of N(x) for
+    the unknown f[t, s], row u of M(x) for f[r, u].
     """
-    if not entries:
+    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
+    if not len(entries):
         return
-    a = entries[0][0].algebra
-    index: dict[int, int] = {}
-    mods: list[GradedModule] = []
-    for m, n, _ in entries:
-        for x in (m, n):
-            if id(x) not in index:
-                if not a.same_as(x.algebra):
-                    raise AlgebraMismatch("hom endpoints live over different algebras")
-                index[id(x)] = len(mods)
-                mods.append(x)
+    a, p = fam.algebra, fam.algebra.p
     gens = generators(a)
+    act, deg, vert = fam.action[gens], fam.degrees, np.zeros(fam.degrees.size, dtype=np.int64)
     if split:
-        frames = [
-            ((inv @ x.action[gens]) % a.p @ basis.T % a.p, degs, verts)
-            for x, (basis, inv, degs, verts) in zip(mods, _splits(mods))
-        ]
-    else:
-        frames = [(x.action[gens], x.degrees, np.zeros(x.dim, dtype=np.int64)) for x in mods]
-    dims = np.array([x.dim for x in mods], dtype=np.int64)
+        splits = _splits(fam)
+        blocks = np.split(act, np.cumsum(fam.dims * fam.dims)[:-1], axis=1)
+        act = np.concatenate(
+            [
+                ((inv @ x.reshape(len(gens), e, e)) % p @ basis.T % p).reshape(len(gens), e * e)
+                for x, (basis, inv, _, _), e in zip(blocks, splits, fam.dims.tolist())
+            ],
+            axis=1,
+        )
+        deg, vert = (np.concatenate([x[j] for x in splits]) for j in (2, 3))
+    dims = fam.dims
     off = np.cumsum(dims) - dims
     total, most = int(dims.sum()), int(dims.max())
     # all bases in one index; the grids pad with slot `total`, whose vertex
     # differs between the N and the M side, so that it matches nothing
     grid = np.where(np.arange(most) < dims[:, None], off[:, None] + np.arange(most), total)
-    deg = np.concatenate([frame[1] for frame in frames] + [[0]])
-    vert_n = np.concatenate([frame[2] for frame in frames] + [[-1]])
-    vert_m = np.concatenate([frame[2] for frame in frames] + [[-2]])
+    deg = np.concatenate([deg, [0]])
+    vert_n, vert_m = np.concatenate([vert, [-1]]), np.concatenate([vert, [-2]])
     # the non-zeros (x, r, t) of every framed action, grouped by column t for
     # N(x)[r, t] and by row r for M(x)[u, s], u = r
-    nz = [np.nonzero(act) for act, _, _ in frames]
-    gen = np.concatenate([x for x, _, _ in nz])
-    row = np.concatenate([r + o for (_, r, _), o in zip(nz, off)])
-    col = np.concatenate([t + o for (_, _, t), o in zip(nz, off)])
-    val = np.concatenate([frame[0][z] for frame, z in zip(frames, nz)])
+    gen, cols = np.nonzero(act)
+    row, col, val = fam.out[cols], fam.inp[cols], act[gen, cols]
     by_col, by_row = np.argsort(col), np.argsort(row)
     col_bounds = np.searchsorted(col[by_col], np.arange(total + 1))
     row_bounds = np.searchsorted(row[by_row], np.arange(total + 1))
     n_gens = len(gens)
-    src = np.array([index[id(m)] for m, _, _ in entries], dtype=np.int64)
-    tgt = np.array([index[id(n)] for _, n, _ in entries], dtype=np.int64)
-    shifts = np.array([d for _, _, d in entries], dtype=np.int64)
+    src, tgt, shifts = entries.T
     for lo in range(0, len(entries), HOM_BATCH):
         part = slice(lo, lo + HOM_BATCH)
         gm, gn, count = grid[src[part]], grid[tgt[part]], len(src[part])
@@ -563,8 +574,9 @@ def _hom_systems(entries, split: bool):
         yield stack, unknowns, t - off[tgt[part]][q], u - off[src[part]][q]
 
 
-def hom_dims(entries) -> list[int]:
-    """dim Hom(M, N(d)) of degree-preserving module maps, for each entry (M, N, d).
+def hom_dims(fam: ModuleFamily, entries) -> list[int]:
+    """dim Hom(M, N(d)) of degree-preserving module maps, for each entry
+    (k, l, d), M member k and N member l of the family.
 
     The designated idempotents e_i are orthogonal, have degree 0 and sum to
     1, so M is the direct sum of the spaces e_i M_g, and so is N.  A module
@@ -574,20 +586,22 @@ def hom_dims(entries) -> list[int]:
     ``_hom_systems`` in the split frames have the module maps as solutions,
     with far fewer unknowns than in the modules' own bases, and the
     dimension is the number of unknowns less the rank, from one
-    ``modp.ranks`` per batch.  The split raises CheckFailed if the
+    ``modp.ranks`` per batch.  Each member is split once, however many
+    entries name it or shift it.  The split raises CheckFailed if the
     idempotents fail one of the three facts.
     """
-    entries = list(entries)
     out: list[int] = []
-    for stack, unknowns, _, _ in _hom_systems(entries, split=True):
-        out += (unknowns - modp.ranks(stack, entries[0][0].p)).tolist()
+    for stack, unknowns, _, _ in _hom_systems(fam, entries, split=True):
+        out += (unknowns - modp.ranks(stack, fam.algebra.p)).tolist()
     return out
 
 
-def hom_bases(pairs) -> list[list[GradedMorphism]]:
-    """A basis of the degree-preserving module maps M -> N, for each pair (M, N).
+def hom_bases(fam: ModuleFamily, pairs) -> list[np.ndarray]:
+    """A basis of the degree-preserving module maps M -> N, for each pair
+    (k, l), M member k and N member l of the family: a stack of
+    (dim N, dim M) matrices.
 
-    The systems of ``_hom_systems`` in the modules' own bases, whose
+    The systems of ``_hom_systems`` in the members' own bases, whose
     unknowns are the entries f[t, u] with deg N_t = deg M_u in row-major
     order, go through one ``modp.rrefs`` per batch, and each kernel basis is
     formed from the RREF as ``modp.rank_kernel`` forms it: a vector for
@@ -596,28 +610,27 @@ def hom_bases(pairs) -> list[list[GradedMorphism]]:
     has the row space, and the RREF, of the one over all of A, and the
     bases are those of that system.
     """
-    pairs = list(pairs)
-    out: list[list[GradedMorphism]] = []
-    systems = _hom_systems([(m, n, 0) for m, n in pairs], split=False)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    p, out = fam.algebra.p, []
+    systems = _hom_systems(fam, np.column_stack([pairs, np.zeros(len(pairs), dtype=np.int64)]), split=False)
     for lo, (stack, unknowns, t, u) in zip(range(0, len(pairs), HOM_BATCH), systems):
-        p = pairs[0][0].p
         rows, pivots = modp.rrefs(stack, p)
         ends = np.cumsum(unknowns).tolist()
-        for q, ((m, n), k, end) in enumerate(zip(pairs[lo : lo + HOM_BATCH], unknowns.tolist(), ends)):
-            pivot = pivots[q, :k]
+        for q, ((k, l), size, end) in enumerate(zip(pairs[lo : lo + HOM_BATCH].tolist(), unknowns.tolist(), ends)):
+            pivot = pivots[q, :size]
             free = np.flatnonzero(~pivot)
-            ker = modp.zeros(free.size, k)
+            ker = modp.zeros(free.size, size)
             ker[np.arange(free.size), free] = 1
-            ker[:, pivot] = -rows[q, : k - free.size][:, free].T % p
-            maps = modp.zeros(free.size, n.dim, m.dim)
-            maps[:, t[end - k : end], u[end - k : end]] = ker
-            out.append([GradedMorphism(m, n, f) for f in maps])
+            ker[:, pivot] = -rows[q, : size - free.size][:, free].T % p
+            maps = modp.zeros(free.size, fam.dims[l], fam.dims[k])
+            maps[:, t[end - size : end], u[end - size : end]] = ker
+            out.append(maps)
     return out
 
 
 def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     """Basis of the degree-preserving module maps M -> N: ``hom_bases`` on one pair."""
-    return hom_bases([(m, n)])[0]
+    return [GradedMorphism(m, n, f) for f in hom_bases(ModuleFamily.of(m.algebra, [m, n]), [(0, 1)])[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +674,9 @@ def simple_classes(a: GradedAlgebra):
     return reps, class_of, corners
 
 
-def _cover_batches(modules: list[GradedModule]):
-    """(first, batch) for each batch of a family in the cover pass: as many
-    modules as ``COVER_CELLS`` allows at dim A x d^2 entries each, d the
-    largest dimension in the family, and the position in the family of the
-    batch's first module.  Raises AlgebraMismatch unless the whole family
-    lives over one algebra."""
-    if not modules:
-        return
-    a = modules[0].algebra
-    for m in modules[1:]:
-        if not a.same_as(m.algebra):
-            raise AlgebraMismatch("family members live over different algebras")
-    d = max(m.dim for m in modules)
-    size = max(COVER_CELLS // (a.dim * d * d), 1) if d else len(modules)
-    for lo in range(0, len(modules), size):
-        yield lo, modules[lo : lo + size]
-
-
-def _top_pass(mods: list[GradedModule], first: int):
-    """The tops of one batch of the cover pass, whose module k is member first + k of the family.
+def _top_pass(first: int, fam: ModuleFamily, stack: np.ndarray, degs: np.ndarray):
+    """The tops of one batch of the cover pass, from ``ModuleFamily.batches``:
+    its member k is member first + k of the family.
 
     Returns (act_t, sec, top_act, top_degs, n_free), zero-padded stacks:
     act_t[k, b] is the transpose of M_k(b); top(M_k) = M_k / rad(A) M_k has
@@ -695,15 +691,9 @@ def _top_pass(mods: list[GradedModule], first: int):
        on the section.  Raises CheckFailed, naming the first failing module
        by its position in the family, unless it is stable.
     """
-    a, p = mods[0].algebra, mods[0].p
-    count, n = len(mods), a.dim
-    dims = np.array([m.dim for m in mods], dtype=np.int64)
-    d = int(dims.max())
-    act_t = modp.zeros(count, n, d, d)  # act_t[k, b]: the transpose of M_k(b)
-    degs = np.zeros((count, d), dtype=np.int64)
-    for k, m in enumerate(mods):
-        act_t[k, :, : m.dim, : m.dim] = m.action.transpose(0, 2, 1)
-        degs[k, : m.dim] = m.degrees
+    a, p = fam.algebra, fam.algebra.p
+    count, n, d = len(stack), a.dim, stack.shape[2]
+    act_t = np.ascontiguousarray(stack.transpose(0, 1, 3, 2))  # act_t[k, b]: the transpose of M_k(b)
 
     # 1. rad(A) M, spanned by the columns of every M(r), r in rad(A), of which
     # only the non-zero ones enter the elimination
@@ -715,7 +705,7 @@ def _top_pass(mods: list[GradedModule], first: int):
     order = (~live).argsort(axis=1, kind="stable")[:, : int(live.sum(axis=1).max(initial=0))]
     basis, pivots = modp.rrefs(rows[np.arange(count)[:, None], order], p)
     del rows  # as large as the action stack, and not needed again
-    free = ~pivots & (np.arange(d) < dims[:, None])
+    free = ~pivots & (np.arange(d) < fam.dims[:, None])
     n_free = free.sum(axis=1)
     f = int(n_free.max())
     free_cols = (~free).argsort(axis=1, kind="stable")[:, :f]
@@ -727,7 +717,7 @@ def _top_pass(mods: list[GradedModule], first: int):
     red = sec.transpose(0, 2, 1) @ ((unit - basis.transpose(0, 2, 1) @ picks) % p) % p
 
     # 2. stability, then the top actions
-    lowered = red[:, None] @ act_t.transpose(0, 1, 3, 2) % p
+    lowered = red[:, None] @ stack % p
     stray = (lowered @ basis.transpose(0, 2, 1)[:, None] % p).any(axis=(1, 2, 3))
     if stray.any():
         raise CheckFailed(
@@ -737,29 +727,27 @@ def _top_pass(mods: list[GradedModule], first: int):
     return act_t, sec, lowered @ sec[:, None] % p, top_degs, n_free
 
 
-def tops(modules) -> list[GradedModule]:
-    """top(M) = M / rad(A) M of each module of a family, as a module in its own right.
+def tops(fam: ModuleFamily) -> list[GradedModule]:
+    """top(M) = M / rad(A) M of each member of a family, as a module in its own right.
 
     Its basis is the unit vectors of the free columns of the RREF of
     rad(A) M, with their degrees in M, and b acts on it as the reduction of
     M(b) onto those columns: the first steps of the cover pass, in its
-    batches (see ``_top_pass``).  Raises AlgebraMismatch unless all modules
-    live over one algebra, and CheckFailed, naming the first failing module
-    by its position in the family, unless rad(A) M is action-stable.
+    batches (see ``_top_pass``).  Raises CheckFailed, naming the first
+    failing member by its position in the family, unless rad(A) M is
+    action-stable.
     """
-    modules = list(modules)
     out = []
-    for lo, part in _cover_batches(modules):
-        _, _, top_act, top_degs, n_free = _top_pass(part, lo)
-        a = part[0].algebra
-        out += [GradedModule(a, top_degs[k, :f], top_act[k, :, :f, :f]) for k, f in enumerate(n_free.tolist())]
+    for batch in fam.batches(fam.algebra.dim):
+        _, _, top_act, top_degs, n_free = _top_pass(*batch)
+        out += [GradedModule(fam.algebra, top_degs[k, :f], top_act[k, :, :f, :f]) for k, f in enumerate(n_free)]
     return out
 
 
-def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
-    """The minimal projective cover P -> M of each module of a family, without building P.
+def cover_maps(fam: ModuleFamily) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
+    """The minimal projective cover P -> M of each member of a family, without building P.
 
-    Returns (summands, K) for each module, in order: the (idempotent index,
+    Returns (summands, K) for each member, in order: the (idempotent index,
     degree) pair of each indecomposable summand Ae_r(-g) of P, by class,
     then by degree, and the (dim M, dim P) matrix K of the cover map in the
     basis of P that ``projective_cover`` builds.  The summands are those of
@@ -773,8 +761,8 @@ def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
     then rad(A)^j M lies in N + rad(A)^(j+1) M for every j, so M = N, as
     rad(A) is nilpotent.
 
-    As many modules at a time as ``COVER_CELLS`` allows go through a few
-    steps, each on zero-padded stacks:
+    Each batch of ``ModuleFamily.batches``, at dim A matrices a member,
+    goes through a few steps, each on zero-padded stacks:
 
     1. the tops of ``_top_pass``, with its check that rad(A) M is
        action-stable;
@@ -786,26 +774,24 @@ def cover_maps(modules) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
     4. K from the lifts;
     5. one ``modp.ranks`` of every K.
 
-    Raises AlgebraMismatch unless all modules live over one algebra, and
-    CheckFailed, naming the first failing module by its position in the
-    family, unless rad(A) M is action-stable and K is onto; K can fail to be
-    onto only when the radical is wrong.
+    Raises CheckFailed, naming the first failing member by its position in
+    the family, unless rad(A) M is action-stable and K is onto; K can fail
+    to be onto only when the radical is wrong.
     """
-    modules = list(modules)
     out = []
-    for lo, part in _cover_batches(modules):
-        out += _covers(part, lo)
+    for batch in fam.batches(fam.algebra.dim):
+        out += _covers(*batch)
     return out
 
 
-def _covers(mods: list[GradedModule], first: int):
-    """(summands, K) for each module of one batch of ``cover_maps``,
-    whose module k is member first + k of the family."""
-    a, p = mods[0].algebra, mods[0].p
-    act_t, sec, top_act, top_degs, n_free = _top_pass(mods, first)
+def _covers(first: int, fam: ModuleFamily, stack: np.ndarray, degs: np.ndarray):
+    """(summands, K) for each member of one batch of ``cover_maps``,
+    whose member k is member first + k of the family."""
+    a, p = fam.algebra, fam.algebra.p
+    act_t, sec, top_act, top_degs, n_free = _top_pass(first, fam, stack, degs)
     reps, _, corners = simple_classes(a)
-    count, n, d, f = len(mods), a.dim, act_t.shape[2], top_act.shape[2]
-    dims = np.array([m.dim for m in mods], dtype=np.int64)
+    count, n, d, f = len(stack), a.dim, stack.shape[2], top_act.shape[2]
+    dims = fam.dims
 
     # 2. the candidates, the RREF rows of each e_r top(M)
     ide = a.idempotents[reps]
@@ -841,25 +827,25 @@ def _covers(mods: list[GradedModule], first: int):
     slot = np.arange(ks.size) - bounds[ks]  # the place of each lift among its module's
     by_module = modp.zeros(count, d, int(slot.max(initial=-1)) + 1)
     by_module[ks, :, slot] = lifts
-    images = (act_t.transpose(0, 1, 3, 2) @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
+    images = (stack @ by_module[:, None] % p)[ks, :, :, slot]  # images[s, b]: b v_s
     sizes = np.array([len(_projectives(a)[reps[c]][2]) for c in cs.tolist()], dtype=np.int64)
     start = sizes.cumsum() - sizes
     start -= start[bounds[ks]]  # from the first row of the module
     heights = np.bincount(ks, sizes, minlength=count).astype(np.int64)
-    stack = modp.zeros(count, int(heights.max()), d)
+    k_t = modp.zeros(count, int(heights.max()), d)
     for c in sorted(set(cs.tolist())):
         at = (cs == c).nonzero()[0]
         made = _projectives(a)[reps[c]][2] @ images[at] % p
-        stack[ks[at, None], start[at, None] + np.arange(made.shape[1])] = made
+        k_t[ks[at, None], start[at, None] + np.arange(made.shape[1])] = made
 
     # 5. K must be onto
-    short = modp.ranks(stack, p) != dims
+    short = modp.ranks(k_t, p) != dims
     if short.any():
         raise CheckFailed(f"projective cover map is not surjective (member {first + int(short.argmax())})")
     out = []
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         summands = [(reps[c], x) for c, x in zip(cs[lo:hi].tolist(), g[lo:hi].tolist())]
-        out.append((summands, stack[k, : heights[k], : dims[k]].T.copy()))
+        out.append((summands, k_t[k, : heights[k], : dims[k]].T.copy()))
     return out
 
 
@@ -875,25 +861,26 @@ def projective_cover(m: GradedModule):
     cover map and summands lists one (idempotent index, degree) pair per
     indecomposable summand Ae_i(-g) of P.
     """
-    summands, K = cover_maps([m])[0]
+    summands, K = cover_maps(ModuleFamily.of(m.algebra, [m]))[0]
     return _cover_module(m.algebra, summands), K, summands
 
 
-def syzygies(modules) -> list[GradedModule]:
-    """The kernel of the minimal projective cover of each module, as a module
+def syzygies(fam: ModuleFamily) -> list[GradedModule]:
+    """The kernel of the minimal projective cover of each member, as a module
     in its own right, from one ``cover_maps`` call; a zero module is its own."""
-    modules = list(modules)
-    covers = iter(cover_maps([m for m in modules if m.dim]))
+    a, live = fam.algebra, fam.dims > 0
+    covers = iter(cover_maps(fam.select(live)))
     out = []
-    for m in modules:
-        if m.dim:
+    for alive in live.tolist():
+        if alive:
             summands, K = next(covers)
-            _, ker = modp.rank_kernel(K, m.p)
-            m = submodule(_cover_module(m.algebra, summands), ker)
-        out.append(m)
+            _, ker = modp.rank_kernel(K, a.p)
+            out.append(submodule(_cover_module(a, summands), ker))
+        else:
+            out.append(zero_module(a))
     return out
 
 
 def syzygy(m: GradedModule) -> GradedModule:
     """Kernel of the minimal projective cover, as a module in its own right."""
-    return syzygies([m])[0]
+    return syzygies(ModuleFamily.of(m.algebra, [m]))[0]

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import modp
 from .algebra import GradedAlgebra, cached, is_basic, is_well_graded
-from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
-from .modules import cover_maps, inj, proj, simple_classes, syzygies, tops
+from .errors import AmbiguousMatch, NotBasic, NotSelfInjective, PreconditionFailed, TrivialGrading
+from .modules import ModuleFamily, cover_maps, inj, proj, simple_classes, syzygies, tops
 
 
 @dataclass
@@ -61,12 +61,19 @@ def is_graded_selfinjective(a: GradedAlgebra) -> SelfInjectivity:
     covers = []
     witness = None
     mods = [inj(a, i, 0) for i in range(a.n_idempotents)]
-    for i, (m, (summands, K)) in enumerate(zip(mods, cover_maps(mods))):
+    for i, (m, (summands, K)) in enumerate(zip(mods, cover_maps(ModuleFamily.of(a, mods)))):
         ok = K.shape[1] == m.dim
         covers.append(InjectiveCover(i, m.dim, K.shape[1], ok, summands))
         if not ok and witness is None:
             witness = i
     return SelfInjectivity(witness is None, covers, witness)
+
+
+def require_seed(seed: int) -> None:
+    """Raise PreconditionFailed("seed") unless the seed of a random search is
+    at least 0, as numpy's generators need."""
+    if seed < 0:
+        raise PreconditionFailed("seed", f"seed {seed} is negative")
 
 
 def frobenius_functional_search(
@@ -75,8 +82,10 @@ def frobenius_functional_search(
     """Search for a linear form with nondegenerate pairing (u, v) -> lam(uv).
 
     Success proves the (basic) algebra is Frobenius, hence self-injective.
-    Deterministic given the seed; returns None after the trial budget.
+    Deterministic given the seed, which must be at least 0; returns None
+    after the trial budget.
     """
+    require_seed(seed)
     if not is_basic(a):
         raise NotBasic("functional search is only run on basic algebras")
     rng = np.random.default_rng(seed)
@@ -154,7 +163,7 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
         raise NotSelfInjective(f"injective {cert.witness} is not projective")
     l = a.n_idempotents
     top_of_proj = []  # class rep of top(Ae_i), to resolve class -> index
-    for i, (summands, _) in enumerate(cover_maps([proj(a, i, 0) for i in range(l)])):
+    for i, (summands, _) in enumerate(cover_maps(ModuleFamily.of(a, [proj(a, i, 0) for i in range(l)]))):
         if len(summands) != 1:
             raise AmbiguousMatch(f"top of Ae_{i} is not simple: {summands}")
         top_of_proj.append(summands[0][0])
@@ -207,17 +216,20 @@ def global_dimension(a: GradedAlgebra, cutoff: int = 32) -> GldimResult:
     """Length of minimal projective resolutions of the simples, up to a cutoff.
 
     Never claims infinite dimension: past the cutoff the result is the
-    three-valued ExceedsCutoff outcome.  The simples are the tops of the
-    Ae_r, one per class, from one ``tops`` call, and every simple class
-    moves one syzygy forward per ``syzygies`` call, so the resolutions end
-    together after as many steps as the longest needs.
+    three-valued ExceedsCutoff outcome.  A negative cutoff bounds no
+    resolution, so it raises PreconditionFailed("cutoff").  The simples are
+    the tops of the Ae_r, one per class, from one ``tops`` call, and every
+    simple class moves one syzygy forward per ``syzygies`` call, so the
+    resolutions end together after as many steps as the longest needs.
     """
+    if cutoff < 0:
+        raise PreconditionFailed("cutoff", f"cutoff {cutoff} is negative")
     reps, _, _ = simple_classes(a)
-    mods = tops([proj(a, r, 0) for r in reps])
+    mods = tops(ModuleFamily.of(a, [proj(a, r, 0) for r in reps]))
     steps = 0
     while any(m.dim for m in mods):
         if steps > cutoff:
             return GldimResult(False, None, cutoff)
-        mods = syzygies(mods)
+        mods = syzygies(ModuleFamily.of(a, mods))
         steps += 1
     return GldimResult(True, max(steps - 1, 0), cutoff)

@@ -142,6 +142,30 @@ def test_cli_exit_codes(capsys, tmp_path, a4_file):
     assert code == 2
 
 
+def test_cli_reads_and_parses_its_input_once(capsys, monkeypatch, tmp_path, t4_file):
+    # one read of the file's bytes, digested, decoded and parsed once; the
+    # text decodes as Path.read_text decodes it, with universal newlines, so
+    # a parse error names the same line and column whatever the line endings
+    reads, parses = [], []
+    real_bytes, real_text, real_loads = Path.read_bytes, Path.read_text, json.loads
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(str(self)) or real_bytes(self))
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: reads.append(str(self)) or real_text(self, *a, **kw))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parses.append(len(text)) or real_loads(text, **kw))
+    code = main(["info", t4_file])
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and reads == [t4_file] and len(parses) == 1
+    assert report["prime"] == modp.DEFAULT_PRIME and report["results"]["dim"] == 4
+    messages = []
+    for newline in (b"\n", b"\r\n", b"\r"):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(newline.join([b"{", b'  "prime": 7919,', b"}"]))
+        code, rep = run(capsys, "validate", str(bad))
+        assert code == 1 and rep["error"]["kind"] == "parse"
+        messages.append(rep["error"]["message"])
+    assert messages == [messages[0]] * 3 and messages[0].startswith("line 3, column 1: ")
+
+
 def test_cli_refuses_prime_past_bound(capsys, tmp_path):
     # a prime past modp.PRIME_BOUND would overflow int64: exit 1, before trial division
     doc = json.loads(fileio.dumps(gen_example("exterior", m=2)))
@@ -223,6 +247,34 @@ def test_cli_refuses_negative_samples_window(capsys, t4_file):
     assert code == 2
     assert rep["error"]["hypothesis"] == "samples-window"
     assert rep["results"] is None
+
+
+def test_cli_refuses_a_negative_seed_or_cutoff(capsys, tmp_path, t4_file, matrix2x2):
+    # numpy's generators take no negative seed, and a negative cutoff bounds
+    # no resolution: each command refuses them as preconditions, with a
+    # report; selfinj refuses the seed on a non-basic input too, on which it
+    # runs no search.  upper_triangular(3) has global dimension 1
+    t_file, m_file, u_file = (str(tmp_path / name) for name in ("t4t.json", "m2.json", "u3.json"))
+    assert run(capsys, "trivext", t4_file, "--algebra-out", t_file)[0] == 0
+    fileio.save(m_file, matrix2x2)
+    fileio.save(u_file, gen_example("upper_triangular", c=3))
+    cases = [
+        (["equiv", t4_file, "--seed", "-1"], "seed"),
+        (["selfinj", t4_file, "--seed", "-1"], "seed"),
+        (["selfinj", m_file, "--seed", "-1"], "seed"),
+        (["derive-sigma", t_file, "--seed", "-1"], "seed"),
+        (["gldim", u_file, "--cutoff", "-1"], "cutoff"),
+        (["gldim", t4_file, "--cutoff", "-1"], "cutoff"),
+    ]
+    for argv, hypothesis in cases:
+        code, rep = run(capsys, *argv)
+        assert code == 2 and rep["error"]["kind"] == "precondition", argv
+        assert rep["error"]["hypothesis"] == hypothesis and rep["results"] is None, argv
+        assert rep["prime"] == modp.DEFAULT_PRIME, argv
+    code, rep = run(capsys, "gldim", u_file, "--cutoff", "1")
+    assert code == 0 and rep["results"]["gldim"] == {"finite": True, "value": 1, "cutoff": 1}
+    code, rep = run(capsys, "selfinj", m_file, "--seed", "0")
+    assert code == 0 and "functional_search_seed" not in rep["results"]
 
 
 def test_cli_corner(capsys, tmp_path, t4_file):
@@ -367,9 +419,9 @@ def test_info_decides_self_injectivity_once(monkeypatch):
     calls = []
     covers = selfinj.cover_maps
 
-    def counted(mods):
-        calls.append(list(mods))
-        return covers(calls[-1])
+    def counted(fam):
+        calls.append(fam.modules())
+        return covers(fam)
 
     monkeypatch.setattr(selfinj, "cover_maps", counted)
     t = t_of(gen_example("truncated_poly", n=3))

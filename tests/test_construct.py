@@ -297,7 +297,7 @@ def test_corner_morita_hom_spot_checks(matrix2x2):
     # eTe for the non-basic T(M_2(k)): the corner collapses to dual numbers,
     # and degree-0 hom dimensions between projectives match the corner slices
     from gradedalg.algebra import corner
-    from gradedalg.modules import hom_dims, proj
+    from gradedalg.modules import ModuleFamily, hom_dims, proj
 
     t = T_of(matrix2x2)
     validate_algebra(t)
@@ -315,9 +315,10 @@ def test_corner_morita_hom_spot_checks(matrix2x2):
             ]
             expected.append(modp.rank(block.T % t.p, t.p))
     projs = [proj(t, i, 0) for i in range(t.n_idempotents)]
-    assert hom_dims([(m, n, 0) for m in projs for n in projs]) == expected
+    entries = [(k, l, 0) for k in range(len(projs)) for l in range(len(projs))]
+    assert hom_dims(ModuleFamily.of(t, projs), entries) == expected
     # and the same numbers over the corner algebra
-    assert hom_dims([(proj(c, 0, 0), proj(c, 0, 0), 0)]) == [1]
+    assert hom_dims(ModuleFamily.of(c, [proj(c, 0, 0)]), [(0, 0, 0)]) == [1]
 
 
 def test_width_two_iff_well_graded_extension(truncated, a4):

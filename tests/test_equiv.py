@@ -47,7 +47,7 @@ from gradedalg.modules import (
     width,
     zero_module,
 )
-from gradedalg.selfinj import is_graded_selfinjective
+from gradedalg.selfinj import frobenius_functional_search, global_dimension, is_graded_selfinjective
 
 
 def labelled_samples(a, window=None):
@@ -116,8 +116,9 @@ def test_phi_preserves_hom_dimensions(equivalence_corpus):
     for name, a in equivalence_corpus[:3]:
         mods = sample_set(a, window=1)
         images = [phi(a, m) for m in mods]
-        want = hom_dims([(m, n, 0) for m in mods for n in mods])
-        assert hom_dims([(m, n, 0) for m in images for n in images]) == want, name
+        entries = [(k, l, 0) for k in range(len(mods)) for l in range(len(mods))]
+        want = hom_dims(ModuleFamily.of(a, mods), entries)
+        assert hom_dims(ModuleFamily.of(t_of(a), images), entries) == want, name
 
 
 def test_phi_identity_on_morphisms(truncated):
@@ -138,7 +139,7 @@ def adapted(a, n):
 
 
 def is_projective(m):
-    return cover_maps([m])[0][1].shape[1] == m.dim
+    return cover_maps(ModuleFamily.of(m.algebra, [m]))[0][1].shape[1] == m.dim
 
 
 def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
@@ -179,7 +180,7 @@ def test_psi_on_component_mixed_basis(graded_corpus, monkeypatch):
             assert adapted(a, n), name
             assert sorted(n.degrees.tolist()) == sorted(mixed.degrees.tolist()), name
         assert sorted(m.degrees.tolist()) == sorted(r.degrees.tolist()), name
-        (got, K), (want, _) = cover_maps([m, r])
+        (got, K), (want, _) = cover_maps(ModuleFamily.of(a, [m, r]))
         assert K.shape[1] == m.dim and Counter(got) == Counter(want), name
     assert unadapted
 
@@ -262,6 +263,23 @@ def test_extract_sigma_deterministic(truncated):
     assert np.array_equal(e1.generator, e2.generator)
 
 
+def test_library_refuses_a_negative_seed_or_cutoff(truncated):
+    # numpy's generators take no negative seed, and a negative cutoff bounds
+    # no resolution, so its answer would be vacuous
+    a = truncated(3)
+    calls = [
+        (lambda: extract_sigma(t_of(a), seed=-1), "seed"),
+        (lambda: theorem_pipeline(a, seed=-1), "seed"),
+        (lambda: frobenius_functional_search(a, seed=-1), "seed"),
+        (lambda: global_dimension(a, cutoff=-1), "cutoff"),
+    ]
+    for call, hypothesis in calls:
+        with pytest.raises(PreconditionFailed) as err:
+            call()
+        assert err.value.hypothesis == hypothesis
+    assert global_dimension(a, cutoff=0).to_dict() == {"finite": False, "value": None, "cutoff": 0}
+
+
 def test_extract_sigma_rejects_bad_input(a4, truncated):
     with pytest.raises(PreconditionFailed) as err:
         extract_sigma(t_of(a4))
@@ -335,7 +353,9 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
         cert = theorem_pipeline(a)
         samples = labelled_samples(a)
         pairs = [(la, lb) for la, _ in samples for lb, _ in samples]
-        homs = dict(zip(pairs, hom_bases([(m, n) for _, m in samples for _, n in samples])))
+        family = ModuleFamily.of(a, [m for _, m in samples])
+        indices = [(k, l) for k in range(len(samples)) for l in range(len(samples))]
+        homs = dict(zip(pairs, hom_bases(family, indices)))
         got = [c.detail.split(" vs ")[0] for c in cert.checks if c.family == "hom-dim"]
         assert got == [str(len(homs[la, lb])) for la, _ in samples for lb, _ in samples]
         want = [f"F(id_{la}) = id" for la, _ in samples[:9]]
@@ -343,7 +363,7 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
         for la, _ in samples:
             if pairs == 6:
                 break
-            both_ways = [lb for lb, _ in samples if lb != la and homs[la, lb] and homs[lb, la]]
+            both_ways = [lb for lb, _ in samples if lb != la and len(homs[la, lb]) and len(homs[lb, la])]
             if not both_ways:
                 continue
             pairs += 1
@@ -357,15 +377,16 @@ def test_pipeline_hom_dims_and_functoriality_match_hom_basis(
 
 def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)) is solved on the bases M and N,
-    # and N(d' - d) reads the split of N: the only modules passed to
-    # ``_splits`` are the bases, the images of the functor and the tops that
-    # ``tops`` builds, never a module that ``shift`` built with d != 0
+    # and N(d' - d) reads the split of N: the only members of the families
+    # passed to ``_splits`` are the bases, the images of the functor and the
+    # tops that ``tops`` builds, never a module that ``shift`` built with
+    # d != 0.  Family members are compared by algebra, degrees and action
     a = rebased_nakayama(3, 2, 32)
     real_splits, made = modules._splits, []
 
-    def splits(mods):
-        made.extend(mods)
-        return real_splits(mods)
+    def splits(fam):
+        made.extend(fam.modules())
+        return real_splits(fam)
 
     built = {"shifted": [], "base": [], "image": [], "top": []}
 
@@ -385,20 +406,21 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
         monkeypatch.setattr(ns, "shift", spy("shifted", real_shift, lambda out, m, d: out if d else None))
     for name in ("proj", "simple", "inj"):
         monkeypatch.setattr(equiv, name, spy("base", getattr(equiv, name)))
-    # the images are the one family over T(b(A)) that the pipeline unpacks
-    # into modules; the others live over A (G) or t(A)
-    image = lambda out, fam: None if fam.algebra is a or fam.algebra is t_of(a) else out
-    monkeypatch.setattr(ModuleFamily, "modules", spy("image", ModuleFamily.modules, image))
+    # the images are the one family that the pipeline moves to T(b(A)); G
+    # moves families back to t(A)
+    image = lambda out, fam, target, change: None if target is t_of(a) else out.modules()
+    monkeypatch.setattr(equiv, "_transports", spy("image", equiv._transports, image))
     monkeypatch.setattr(modules, "tops", spy("top", modules.tops))
     assert theorem_pipeline(a).passed
     built["image"] = [m for family in built["image"] for m in family]
     built["top"] = [m for family in built["top"] for m in family]
     assert len(built["top"]) == a.n_idempotents  # one top per simple sample
-    ids = {kind: {id(m) for m in mods} for kind, mods in built.items()}
+    key = lambda m: (id(m.algebra), m.degrees.tobytes(), m.action.tobytes())
+    ids = {kind: {key(m) for m in mods} for kind, mods in built.items()}
     assert len(built["base"]) == 3 * a.n_idempotents and len(built["shifted"]) == 36
-    assert ids["base"] | ids["image"] <= {id(m) for m in made}
-    assert not ids["shifted"] & {id(m) for m in made}
-    assert all(id(m) in ids["base"] | ids["image"] | ids["top"] for m in made)
+    assert ids["base"] | ids["image"] <= {key(m) for m in made}
+    assert not ids["shifted"] & {key(m) for m in made}
+    assert all(key(m) in ids["base"] | ids["image"] | ids["top"] for m in made)
 
 
 def corrupt_image(monkeypatch, k, corrupt):
@@ -492,8 +514,8 @@ def test_pipeline_unpacks_an_image_that_mixes_components(truncated, monkeypatch)
     # a split that fails is raised as the one-sample G raises it, at its sample
     refused = []
 
-    def refuse(mods):
-        refused.append(len(mods))
+    def refuse(fam):
+        refused.append(fam.dims.size)
         raise CheckFailed("the idempotents do not split the module into a basis (member 0)")
 
     monkeypatch.setattr(equiv, "_splits", refuse)
@@ -672,8 +694,8 @@ def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
     a = nonsplit_dual_numbers
     # End(S) = F_{p^2}: the top of Ae is 2-dimensional and one summand
     m = proj(a, 0)
-    summands, K = cover_maps([m])[0]
-    assert tops([m])[0].dim == 2 and summands == [(0, 0)] and K.shape == (m.dim, m.dim)
+    summands, K = cover_maps(ModuleFamily.of(a, [m]))[0]
+    assert tops(ModuleFamily.of(a, [m]))[0].dim == 2 and summands == [(0, 0)] and K.shape == (m.dim, m.dim)
     nd = graded_nakayama(a)
     assert nd.permutation == [0] and nd.shifts == [-1]
     cert = theorem_pipeline(a)
@@ -706,7 +728,7 @@ def _decide_every_cached_fact():
         degree_zero_subalgebra(alg), is_graded_selfinjective(alg)
         _projectives(alg), _injectives(alg)
         m = regular_module(alg)
-        hom_dims([(m, m, 1)])
+        hom_dims(ModuleFamily.of(alg, [m]), [(0, 0, 1)])
     block_layout(a)
     sigma = extract_sigma(t).sigma
     sigma.power(2), sigma.power(-3)

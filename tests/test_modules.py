@@ -27,6 +27,7 @@ from gradedalg.modules import (
     hom_bases,
     hom_basis,
     HOM_BATCH,
+    ModuleFamily,
     hom_dims,
     inj,
     proj,
@@ -99,7 +100,7 @@ def test_trivial_extension_projective_widths(truncated):
 def test_top_socle(truncated):
     a = truncated(3)
     m, i0, s = regular_module(a), inj(a, 0, 0), simple(a, 0, 0)
-    top_m, top_i0, top_s = tops([m, i0, s])
+    top_m, top_i0, top_s = tops(ModuleFamily.of(a, [m, i0, s]))
     assert top_m.slice_dims() == {0: 1}
     assert ref_socle(m).slice_dims() == {2: 1}
     assert ref_socle(i0).slice_dims() == {0: 1}
@@ -149,13 +150,13 @@ def test_width_biconditional_with_well_gradedness(graded_corpus):
 def test_hom_identity_lower_bound(graded_corpus):
     for name, a in graded_corpus:
         m = regular_module(a)
-        assert hom_dims([(m, m, 0)])[0] >= 1, name
+        assert hom_dims(ModuleFamily.of(a, [m]), [(0, 0, 0)])[0] >= 1, name
 
 
 def test_hom_regular_truncated(truncated):
     a = truncated(2)
     m = regular_module(a)
-    assert hom_dims([(m, m, 0)]) == [1]
+    assert hom_dims(ModuleFamily.of(a, [m]), [(0, 0, 0)]) == [1]
 
 
 def test_hom_projective_oracle(graded_corpus):
@@ -164,7 +165,9 @@ def test_hom_projective_oracle(graded_corpus):
         mods = [regular_module(a)]
         for i in range(a.n_idempotents):
             mods.extend([proj(a, i, 0), inj(a, i, 0), simple(a, i, 0), shift(proj(a, i, 0), 1)])
-        got = hom_dims([(proj(a, i, 0), m, 0) for i in range(a.n_idempotents) for m in mods])
+        projs = [proj(a, i, 0) for i in range(a.n_idempotents)]
+        entries = [(i, len(projs) + k, 0) for i in range(len(projs)) for k in range(len(mods))]
+        got = hom_dims(ModuleFamily.of(a, projs + mods), entries)
         want = [slice0_dim_of_corner(a, i, m) for i in range(a.n_idempotents) for m in mods]
         assert got == want, name
 
@@ -221,20 +224,21 @@ def test_hom_basis_matches_kronecker_oracle(
             for i in range(a.n_idempotents)
             for d in range(-c, c + 1)
         ] + [zero_module(a)]
-        pairs = [(m, n) for m in samples for n in samples]
-        for (m, n), maps in zip(pairs, hom_bases(pairs)):
-            want = kron_hom_basis(m, n)
+        pairs = [(k, l) for k in range(len(samples)) for l in range(len(samples))]
+        for (k, l), maps in zip(pairs, hom_bases(ModuleFamily.of(a, samples), pairs)):
+            want = kron_hom_basis(samples[k], samples[l])
             assert len(maps) == len(want), name
             for f, g in zip(maps, want):
-                assert f.source is m and f.target is n, name
-                assert f.matrix.dtype == g.dtype and np.array_equal(f.matrix, g), name
-        for m, n in pairs[:: len(pairs) // 3]:
-            got = [f.matrix for f in hom_basis(m, n)]
+                assert f.dtype == g.dtype and np.array_equal(f, g), name
+        for k, l in pairs[:: len(pairs) // 3]:
+            m, n = samples[k], samples[l]
+            got = hom_basis(m, n)
+            assert all(f.source is m and f.target is n for f in got), name
             assert len(got) == len(kron_hom_basis(m, n)), name
-            assert all(np.array_equal(f, g) for f, g in zip(got, kron_hom_basis(m, n))), name
+            assert all(np.array_equal(f.matrix, g) for f, g in zip(got, kron_hom_basis(m, n))), name
         calls.append(len(pairs))
     assert max(calls) > HOM_BATCH  # some call spans several batches
-    assert hom_bases([]) == []
+    assert hom_bases(ModuleFamily.of(a, samples), []) == []
 
 
 @pytest.fixture(scope="module")
@@ -262,12 +266,15 @@ def test_hom_dim_matches_hom_basis(vertex_corpus):
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a) + [zero_module(a)]
+        # the family: the shifts, the targets of hom_bases too, then the bases
         sources = [shift(m, d) for m in bases for d in range(-c, c + 1)]
-        targets = [shift(m, d) for m in bases for d in range(-c, c + 1)]
-        pairs = [(m, n) for m in sources for n in targets]
-        want = [len(maps) for maps in hom_bases(pairs)]
-        entries = [(m, n, d) for m in sources for n in bases for d in range(-c, c + 1)]
-        assert hom_dims(entries) == want, name
+        family = ModuleFamily.of(a, sources + bases)
+        pairs = [(k, l) for k in range(len(sources)) for l in range(len(sources))]
+        want = [len(maps) for maps in hom_bases(family, pairs)]
+        entries = [
+            (k, len(sources) + l, d) for k in range(len(sources)) for l in range(len(bases)) for d in range(-c, c + 1)
+        ]
+        assert hom_dims(family, entries) == want, name
         calls.append(len(entries))
     assert max(calls) > HOM_BATCH  # some call spans several batches
 
@@ -279,18 +286,75 @@ def test_hom_dim_depends_on_relative_shift(vertex_corpus):
     for name, a in vertex_corpus:
         c = a.top_degree()
         bases = _base_samples(a)
+        members = list(bases)
+
+        def member(m):  # the index of a new member m
+            members.append(m)
+            return len(members) - 1
+
         cases = [
-            (m, n, d, e)
-            for m in bases
-            for n in bases
+            (k, l, d, e)
+            for k in range(len(bases))
+            for l in range(len(bases))
             for d in range(-c, c + 1)
             for e in range(-c, c + 1)
         ]
-        entries = [(shift(m, d), shift(n, e), 0) for m, n, d, e in cases]
-        entries += [(m, shift(n, e - d), 0) for m, n, d, e in cases]
-        entries += [(m, n, e - d) for m, n, d, e in cases]
-        got = np.array(hom_dims(entries)).reshape(3, -1)
+        entries = [(member(shift(bases[k], d)), member(shift(bases[l], e)), 0) for k, l, d, e in cases]
+        entries += [(k, member(shift(bases[l], e - d)), 0) for k, l, d, e in cases]
+        entries += [(k, l, e - d) for k, l, d, e in cases]
+        got = np.array(hom_dims(ModuleFamily.of(a, members), entries)).reshape(3, -1)
         assert (got == got[0]).all(), name
+
+
+@pytest.mark.parametrize("cells", [COVER_CELLS, 2**10, 1])
+def test_batches_cut_a_family_in_order(rebased_nakayama32, monkeypatch, cells):
+    # zero modules among members of several dimensions, the largest last:
+    # the batches partition the members in order, each as many as keep
+    # members x per x d^2 within COVER_CELLS (d the family's largest
+    # dimension) or one, and each stack holds its members zero-padded
+    monkeypatch.setattr(modules, "COVER_CELLS", cells)
+    a = rebased_nakayama32
+    mods = [zero_module(a), simple(a, 0), proj(a, 1, 2), zero_module(a), inj(a, 0, -1)]
+    mods += [simple(a, 2, 1), zero_module(a), direct_sum([proj(a, 0), inj(a, 2, 1)])]
+    d = mods[-1].dim
+    assert d > max(m.dim for m in mods[:-1])
+    fam = ModuleFamily.of(a, mods)
+    for per in (a.dim, a.n_idempotents + 4):
+        size = max(cells // (per * d * d), 1)
+        seen = []
+        for first, part, stack, degrees in fam.batches(per):
+            count = part.dims.size
+            assert first == len(seen) and part.algebra is a
+            assert count == min(size, len(mods) - first) and (count == 1 or count * per * d * d <= cells)
+            e = stack.shape[2]
+            assert stack.shape == (count, a.dim, e, e) and degrees.shape == (count, e)
+            assert stack.dtype == degrees.dtype == np.int64
+            for k, m in enumerate(part.modules()):
+                want = mods[first + k]
+                assert m.equals(want)
+                action, degs = modp.zeros(a.dim, e, e), np.zeros(e, dtype=np.int64)
+                action[:, : want.dim, : want.dim], degs[: want.dim] = want.action, want.degrees
+                assert np.array_equal(stack[k], action) and np.array_equal(degrees[k], degs)
+            seen += range(first, first + count)
+        assert seen == list(range(len(mods)))
+    assert list(ModuleFamily.of(a, []).batches(a.dim)) == []
+
+
+def test_hom_dims_split_each_member_once(rebased_nakayama32, monkeypatch):
+    # entries that shift one pair by several d name two members: one _splits
+    # call, on the family itself, not one per shifted copy; the dimensions
+    # are those of the shifted copies as members of their own
+    a = T_of(beilinson(rebased_nakayama32))
+    m, n = proj(a, 0), inj(a, 1)
+    fam = ModuleFamily.of(a, [m, n])
+    calls, real_splits = [], modules._splits
+    monkeypatch.setattr(modules, "_splits", lambda f: calls.append(f) or real_splits(f))
+    shifts = range(-3, 4)
+    got = hom_dims(fam, [(k, l, d) for k in (0, 1) for l in (0, 1) for d in shifts])
+    assert len(calls) == 1 and calls[0] is fam
+    copies = [shift(x, d) for x in (m, n) for d in shifts]
+    entries = [(k, 2 + l * len(shifts) + i, 0) for k in (0, 1) for l in (0, 1) for i in range(len(shifts))]
+    assert got == hom_dims(ModuleFamily.of(a, [m, n] + copies), entries) and any(got)
 
 
 def _loop_split(m):
@@ -318,28 +382,30 @@ def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
         bases = _base_samples(a)
         family = [zero_module(a)] + [shift(m, d) for m in bases for d in (0, c)]
         family += [zero_module(a), regular_module(a), zero_module(a)]
-        got = _splits(family)
+        got = _splits(ModuleFamily.of(a, family))
         assert len(got) == len(family), name
         for m, split in zip(family, got):
-            for x, y, z in zip(split, _splits([m])[0], _loop_split(m)):
+            for x, y, z in zip(split, _splits(ModuleFamily.of(a, [m]))[0], _loop_split(m)):
                 assert x.dtype == y.dtype == z.dtype == np.int64, name
                 assert np.array_equal(x, y) and np.array_equal(x, z), name
         most = max(m.dim for m in family)
         spanned |= len(family) > 2**10 // ((a.n_idempotents + 4) * most * most)
-        pairs = []
+        pairs, members = [], []
         for m in bases:
-            basis, inv, degs, verts = _splits([m])[0]
+            basis, inv, degs, verts = _splits(ModuleFamily.of(a, [m]))[0]
             for d in range(-c, c + 1):
                 n = shift(m, d)
-                n_basis, n_inv, n_degs, n_verts = _splits([n])[0]
+                n_basis, n_inv, n_degs, n_verts = _splits(ModuleFamily.of(a, [n]))[0]
                 assert np.array_equal(n_basis, basis) and np.array_equal(n_inv, inv), name
                 assert np.array_equal(n_degs, degs - d) and np.array_equal(n_verts, verts), name
                 fresh = GradedModule(a, n.degrees, n.action)
-                pairs += [(n, n), (fresh, fresh), (m, m), (m, n), (m, fresh)]
-        dims = np.array(hom_dims([(m, n, 0) for m, n in pairs])).reshape(-1, 5)
+                im, i_n, i_fresh = range(len(members), len(members) + 3)
+                members += [m, n, fresh]
+                pairs += [(i_n, i_n), (i_fresh, i_fresh), (im, im), (im, i_n), (im, i_fresh)]
+        dims = np.array(hom_dims(ModuleFamily.of(a, members), [(k, l, 0) for k, l in pairs])).reshape(-1, 5)
         assert (dims[:, :2] == dims[:, 2:3]).all() and (dims[:, 3] == dims[:, 4]).all(), name
     assert spanned
-    assert _splits([]) == []
+    assert _splits(ModuleFamily.of(a, [])) == []
 
 
 def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
@@ -347,7 +413,8 @@ def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
     # the generators that hom_dims reads, so the top decomposition never
     # needs them
     def family(alg):
-        return [build(alg, i, d) for i in range(alg.n_idempotents) for build, d in ((proj, 0), (inj, 1))]
+        mods = [build(alg, i, d) for i in range(alg.n_idempotents) for build, d in ((proj, 0), (inj, 1))]
+        return ModuleFamily.of(alg, mods)
 
     for name, a in vertex_corpus:
         fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
@@ -355,7 +422,7 @@ def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
         for x, y in zip(tops(family(fresh)), tops(family(a))):
             assert np.array_equal(x.degrees, y.degrees) and np.array_equal(x.action, y.action), name
         assert (generators.__wrapped__,) not in fresh._cache, name
-        hom_dims([(proj(fresh, 0), proj(fresh, 0), 0)])
+        hom_dims(ModuleFamily.of(fresh, [proj(fresh, 0)]), [(0, 0, 0)])
         assert (generators.__wrapped__,) in fresh._cache, name
 
 
@@ -379,13 +446,13 @@ def test_hom_dim_refuses_idempotents_that_do_not_split(product_of_duals, monkeyp
         for bad in bad_algebras:
             zero, m = zero_module(bad), regular_module(bad).validate()
             with pytest.raises(CheckFailed, match="do not split"):
-                hom_dims([(m, m, 0)])
+                hom_dims(ModuleFamily.of(bad, [m]), [(0, 0, 0)])
             with pytest.raises(
                 CheckFailed, match=r"^the idempotents do not split the module into a basis \(member 1\)$"
             ):
-                _splits([zero_module(bad), regular_module(bad)])
+                _splits(ModuleFamily.of(bad, [zero_module(bad), regular_module(bad)]))
             with pytest.raises(CheckFailed, match=r"\(member 1\)$"):
-                hom_dims([(zero, m, 0), (m, zero, 0)])
+                hom_dims(ModuleFamily.of(bad, [zero, m]), [(0, 1, 0), (1, 0, 0)])
 
 
 def _span_rank(vectors, p):
@@ -443,7 +510,7 @@ def test_hom_morphisms_are_valid(truncated):
 def cover_dims(mods):
     """The dimension of the minimal projective cover of each module; a
     module is projective exactly when it equals its own."""
-    return [K.shape[1] for _, K in cover_maps(mods)]
+    return [K.shape[1] for _, K in cover_maps(ModuleFamily.of(mods[0].algebra, mods))]
 
 
 def test_projectivity(truncated, graded_corpus):
@@ -531,7 +598,7 @@ def test_module_zoo_invariants(graded_corpus):
             made.validate()
             assert width(made) <= width(m) + (width(m) if kind == 1 else 0)
             assert psi(a, phi(a, made)).equals(made), name
-            assert tops([made])[0].dim <= made.dim
+            assert tops(ModuleFamily.of(a, [made]))[0].dim <= made.dim
             assert ref_socle(made).dim <= made.dim
             if made.dim and made.dim < 12:
                 pool.append(made)
@@ -723,13 +790,13 @@ def test_cover_maps_match_reference_on_shuffled_families(cover_corpus):
     for name, a in cover_corpus:
         family = _cover_samples(a) + [zero_module(a)]
         family = [family[i] for i in rng.permutation(len(family))]
-        got = cover_maps(family)
+        got = cover_maps(ModuleFamily.of(a, family))
         assert len(got) == len(family), name
         for m, (summands, K) in zip(family, got):
             _, want_K, want_summands = ref_projective_cover(m)
             assert summands == want_summands, name
             assert K.dtype == want_K.dtype and np.array_equal(K, want_K), name
-        for m, omega in zip(family, syzygies(family)):
+        for m, omega in zip(family, syzygies(ModuleFamily.of(a, family))):
             assert omega.equals(syzygy(m)), name
         spanned += len(family) * a.dim * max(m.dim for m in family) ** 2 > COVER_CELLS
     assert spanned
@@ -746,14 +813,14 @@ def test_cover_maps_name_the_member_whose_cover_fails(uppertri, monkeypatch):
     rad = radical(a)
     monkeypatch.setattr(modules, "radical", lambda alg: np.vstack([rad, alg.idempotents[:1]]))
     with pytest.raises(CheckFailed, match=rf"^projective cover map is not surjective \(member {first + 1}\)$"):
-        cover_maps([s1] * first + [p1, p0, s1])
+        cover_maps(ModuleFamily.of(a, [s1] * first + [p1, p0, s1]))
     monkeypatch.setattr(modules, "radical", lambda alg: alg.idempotents[1:2])
     for one_pass in (cover_maps, tops):
         with pytest.raises(
             CheckFailed,
             match=rf"^rows do not span an action-stable subspace \(rad\(A\) M of member {first + 1}\)$",
         ):
-            one_pass([s0] * first + [p0, p1, s0])
+            one_pass(ModuleFamily.of(a, [s0] * first + [p0, p1, s0]))
 
 
 def test_cover_maps_and_tops_refuse_a_family_over_two_algebras(truncated, monkeypatch):
@@ -766,8 +833,9 @@ def test_cover_maps_and_tops_refuse_a_family_over_two_algebras(truncated, monkey
         for one_pass in (cover_maps, tops):
             for mods in (family, family[::-1], family[1:]):
                 with pytest.raises(AlgebraMismatch, match="^family members live over different algebras$"):
-                    one_pass(mods)
-    assert len(tops(family[:2])) == len(cover_maps(family[:2])) == 2
+                    one_pass(ModuleFamily.of(mods[0].algebra, mods))
+    pair = ModuleFamily.of(family[0].algebra, family[:2])
+    assert len(tops(pair)) == len(cover_maps(pair)) == 2
 
 
 def test_module_builders_match_loop_references(cover_corpus):
@@ -782,7 +850,7 @@ def test_module_builders_match_loop_references(cover_corpus):
                 assert proj(a, i, d).equals(shift(ref_proj_with_embedding(a, i)[0], d)), name
                 assert inj(a, i, d).equals(ref_inj(a, i, d)), name
         family = _cover_samples(a) + [zero_module(a)]
-        for m, got in zip(family, tops(family)):
+        for m, got in zip(family, tops(ModuleFamily.of(a, family))):
             rows = ref_radical_rows(m)
             assert submodule(m, rows).equals(ref_submodule(m, rows)), name
             want = ref_quotient_module(m, rows)[0]

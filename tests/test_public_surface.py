@@ -20,6 +20,7 @@ KEPT = (
     ("syzygy", "syzygies on one module; the benchmark tracer rebinds it"),
     ("regular_module", "the constructor of AA, beside proj, inj and simple"),
     ("save", "writes an algebra file; the benchmark prepares its inputs with it"),
+    ("load", "reads an algebra file, the library's counterpart of save; the benchmark tracer rebinds it"),
     ("width", "the well-gradedness oracle: Ae_i of full width c + 1"),
 )
 
