@@ -212,13 +212,15 @@ def intertwine_fault(
     per member of a family, whose maps then fill f in turn, as many to a
     member: map m is checked against tgt[k][m // (len(f) // members)].  The
     first failing row wins, then the first column failing in any map, then
-    the first map failing there.  The one check of every action, map and
-    bimodule in the package (``generators`` gives its forms; the
-    associativity of A itself is ``_associativity_fault``).  Works one row at
-    a time, so its arrays stay the size of the stack f.  Both sides come from
-    ``modp.dot``, so their difference is an integer below 2^53 in magnitude,
-    exact in float64 and in int64, and its int64 remainder tells whether it
-    vanishes mod p; most entries are exactly 0, and only the others take one.
+    the first map failing there.  The one check of every action and map in
+    the package, and of ``Bimodule.validate`` (``generators`` gives its
+    forms; the associativity of A itself, and the bimodule of a trivial
+    extension that ``construct`` builds, are ``_associativity_fault``).
+    Works one row at a time, so its arrays stay the size of the stack f.
+    Both sides come from ``modp.dot``, so their difference is an integer
+    below 2^53 in magnitude, exact in float64 and in int64, and its int64
+    remainder tells whether it vanishes mod p; most entries are exactly 0,
+    and only the others take one.
     """
     f = np.asarray(f)
     n, dt, ds = f.shape if f.ndim == 3 else (1, *f.shape)
@@ -292,16 +294,20 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     # multiplication checks read, come from the radical, which presumes it
     fault = _associativity_fault(a)
     if fault is not None:
-        i, j, k = fault
-        raise NonAssociative(
-            f"({a.names[i]} * {a.names[j]}) * {a.names[k]} != "
-            f"{a.names[i]} * ({a.names[j]} * {a.names[k]})"
-        )
+        raise _non_associative(a, *fault)
 
     _check_idempotents(a)
     for i in range(a.n_idempotents):
         _check_primitive(a, i)
     return a
+
+
+def _non_associative(a: GradedAlgebra, i: int, j: int, k: int) -> NonAssociative:
+    """The refusal of ``a`` for the triple (i, j, k) of ``_associativity_fault``."""
+    return NonAssociative(
+        f"({a.names[i]} * {a.names[j]}) * {a.names[k]} != "
+        f"{a.names[i]} * ({a.names[j]} * {a.names[k]})"
+    )
 
 
 #: Most joined pairs of structure constants that one block of
@@ -310,9 +316,12 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
 _JOIN_BUDGET = 1 << 15
 
 
+@cached
 def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
     """First (i, j, k), in lexicographic order, where (b_i b_j) b_k differs
-    from b_i (b_j b_k), or None: an exact int64 join of the non-zeros of t = table.
+    from b_i (b_j b_k), or None: an exact int64 join of the non-zeros of t =
+    table, decided once per algebra (cached), so that validating a trivial
+    extension that ``construct`` has checked does not join it again.
 
     Coordinate l of (b_i b_j) b_k is sum_m t[i, j, m] t[m, k, l], and that of
     b_i (b_j b_k) is sum_m t[j, k, m] t[i, m, l].  So each non-zero (i, j, m)
@@ -471,11 +480,13 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     trace-form one, so ``a`` must be associative, with p > dim A or this
     raises PrimeTooSmall.
 
-    Every multiplication check of an action, a map or a bimodule in the
-    package is a call of ``intertwine_fault(f, src, tgt, rows)`` that reads
-    only the rows G, by the lemma below.  The lemma presumes that A is
+    Every multiplication check of an action, a map or a ``Bimodule.validate``
+    in the package is a call of ``intertwine_fault(f, src, tgt, rows)`` that
+    reads only the rows G, by the lemma below.  The lemma presumes that A is
     associative, which ``validate_algebra`` checks on every basis triple by a
-    join of the non-zero structure constants, not by ``intertwine_fault``.
+    join of the non-zero structure constants, not by ``intertwine_fault``;
+    the bimodules of the trivial extensions that ``construct`` builds are
+    checked by the same join on the extension, without G.
     Let M be a linear map from A to matrices with M(g) M(b) = M(gb) for
     every g in G and every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
     a with M(a) M(b) = M(ab) for all b form a subspace S.  It contains G, and
@@ -666,6 +677,16 @@ class Bimodule:
     def act_right(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("i,iab->ab", v % self.algebra.p, self.right_action) % self.algebra.p
 
+    def unit_fault(self) -> Optional[str]:
+        """Why the unit of A does not act as the identity, the left action
+        first, or None."""
+        ident = modp.identity(self.dim)
+        if not np.array_equal(self.act_left(self.algebra.unit), ident):
+            return "left action is not unital"
+        if not np.array_equal(self.act_right(self.algebra.unit), ident):
+            return "right action is not unital"
+        return None
+
     def validate(self) -> "Bimodule":
         """Check that both actions are unital, the left one a representation,
         the right one an anti-representation, and that they commute.
@@ -674,12 +695,10 @@ class Bimodule:
         there): A must be associative, with p > dim A or this raises
         PrimeTooSmall.
         """
-        a, p, d = self.algebra, self.algebra.p, self.dim
-        ident = modp.identity(d)
-        if not np.array_equal(self.act_left(a.unit), ident):
-            raise ActionFault("left action is not unital")
-        if not np.array_equal(self.act_right(a.unit), ident):
-            raise ActionFault("right action is not unital")
+        a, p = self.algebra, self.algebra.p
+        fault = self.unit_fault()
+        if fault is not None:
+            raise ActionFault(fault)
         la, ra, gens = self.left_action, self.right_action, generators(a)
         # the orbit maps .T: la(g) la(b) = la(gb) and ra(g) ra(b) = ra(bg)
         fault = intertwine_fault(la.T, a.left[gens], la[gens], gens, p)

@@ -19,12 +19,20 @@ of b(A) and both actions on x(A) are A's table at the source indices,
 masked to the block products (row, k)(k, col) -> (row, col).
 
 Trivial extensions B |x X put B in degree 0 and X in degree 1 with product
-(b, m)(b', m') = (b b', b m' + m b').  The dual bimodule D(B) acts by
+(b, m)(b', m') = (b b', b m' + m b').  Each is checked on the structure
+constants it builds: X's unit checks, then the associativity join of
+``algebra._associativity_fault``, which decides at once that B is
+associative and that X is a B-bimodule (see ``trivial_extension``).  So
+t(A), T(B) and T(B^sigma) are built without the radical or the generators
+of B; only sigma's own check, ``AlgebraAutomorphism.fault``, made once per
+automorphism, reads them.  The dual bimodule D(B) acts by
 (b f)(x) = f(x b), (f b)(x) = f(b x); the sigma-twisted variant precomposes
 the right action with the automorphism before dualizing.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +40,8 @@ from . import modp
 from .algebra import (
     Bimodule,
     GradedAlgebra,
+    _associativity_fault,
+    _non_associative,
     algebra_map_fault,
     cached,
     degree_zero_subalgebra,
@@ -79,11 +89,17 @@ class AlgebraAutomorphism:
         out.flags.writeable = False
         return out
 
-    def validate(self) -> "AlgebraAutomorphism":
+    @cached
+    def fault(self) -> Optional[str]:
+        """Why this is not a degree-preserving algebra automorphism, or None;
+        decided once per object."""
         a, s = self.algebra, self.matrix
         if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
-            raise NotAutomorphism("does not preserve degrees")
-        fault = algebra_map_fault(s, a, a)
+            return "does not preserve degrees"
+        return algebra_map_fault(s, a, a)
+
+    def validate(self) -> "AlgebraAutomorphism":
+        fault = self.fault()
         if fault is not None:
             raise NotAutomorphism(fault)
         return self
@@ -169,7 +185,24 @@ def x_bimodule(a: GradedAlgebra) -> Bimodule:
 
 
 def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
-    """B |x X, B in degree 0 (and cached as the degree-0 part) and X in degree 1."""
+    """B |x X, B in degree 0 (and cached as the degree-0 part) and X in degree 1.
+
+    X is checked on the extension it builds.  After X's unit checks, one
+    ``_associativity_fault`` decides both that B is associative and that X
+    is a B-bimodule, since a triple of basis elements states one of their
+    laws by which of its elements lie in X: (b b') x = b (b' x) for the
+    left action, (x b) b' = x (b b') for the right one, (b x) b' = b (x b')
+    for the two commuting, and the associativity of B when none does.
+
+    Lemma: no triple with two or three elements in X can fail.  As X^2 = 0
+    and B X, X B lie in X, a product of three factors two of which lie in X
+    is 0 whichever pair is multiplied first.
+
+    So the first failing triple names the law, at its first element in B:
+    ActionFault for a law of X, NonAssociative as ``validate_algebra``
+    words it for a triple inside B.  A prime p <= dim B |x X is refused
+    (PrimeTooSmall) before any check.
+    """
     if b.top_degree() != 0:
         raise GradingViolation("trivial extensions here require B trivially graded")
     if not x.algebra.same_as(b):
@@ -180,7 +213,9 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
     n = nb + nx
     if b.p <= n:
         raise PrimeTooSmall(f"prime {b.p} must exceed dim {n}")
-    x.validate()
+    fault = x.unit_fault()
+    if fault is not None:
+        raise ActionFault(fault)
     table = modp.zeros(n, n, n)
     table[:nb, :nb, :nb] = b.table
     table[:nb, nb:, nb:] = x.left_action.transpose(0, 2, 1)
@@ -192,6 +227,15 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
     unit = np.concatenate([b.unit, modp.zeros(nx)])
     idems = np.hstack([b.idempotents, modp.zeros(b.n_idempotents, nx)])
     t = GradedAlgebra(b.p, names, degrees, table, unit, idems)
+    del table  # t keeps its own reduced copy: free this one before the join
+    fault = _associativity_fault(t)
+    if fault is not None:
+        in_x = [q >= nb for q in fault]  # by the lemma, one True at most
+        if not any(in_x):
+            raise _non_associative(t, *fault)
+        law = ("right action not associative", "left/right actions do not commute", "left action not associative")
+        first_b = fault[1] if in_x[0] else fault[0]
+        raise ActionFault(f"{law[in_x.index(True)]} at {names[first_b]}")
     degree_zero_subalgebra.record(t, b)  # equal to the one it would build
     return t
 

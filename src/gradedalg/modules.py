@@ -41,7 +41,7 @@ from .algebra import (
     radical,
     semisimple_quotient,
 )
-from .errors import AlgebraMismatch, CheckFailed
+from .errors import AlgebraMismatch, CheckFailed, PreconditionFailed
 
 #: Most hom systems that ``_hom_systems`` assembles, and ``hom_dims`` and
 #: ``hom_bases`` eliminate, at once.  It bounds the memory of one batch,
@@ -504,7 +504,9 @@ def _hom_systems(fam: ModuleFamily, entries, split: bool):
     the frame is the split of ``_splits``, one call on the family, which
     raises CheckFailed if the idempotents fail to split a member; without
     it, it is the member's own basis under one vertex label.  N(d) is never
-    built: it has the frame and the action of N.
+    built: it has the frame and the action of N.  An entry that names a
+    member outside 0 .. count - 1 raises PreconditionFailed "family-index"
+    before anything is assembled.
 
     Equation (x, r, s) reads sum_t N(x)[r, t] f[t, s] = sum_u f[r, u]
     M(x)[u, s], so its non-zero entries come from the non-zeros of the
@@ -514,6 +516,13 @@ def _hom_systems(fam: ModuleFamily, entries, split: bool):
     entries = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
     if not len(entries):
         return
+    count = fam.dims.size
+    outside = (entries[:, :2] < 0) | (entries[:, :2] >= count)
+    if outside.any():
+        q, side = np.argwhere(outside)[0].tolist()
+        raise PreconditionFailed(
+            "family-index", f"entry {q} names member {entries[q, side]} of a family of {count}"
+        )
     a, p = fam.algebra, fam.algebra.p
     gens = generators(a)
     act, deg, vert = fam.action[gens], fam.degrees, np.zeros(fam.degrees.size, dtype=np.int64)

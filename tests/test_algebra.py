@@ -29,7 +29,9 @@ from gradedalg.construct import (
     beilinson,
     dual_bimodule,
     t_of,
+    trivial_extension,
     twisted_dual_bimodule,
+    x_bimodule,
 )
 from gradedalg.equiv import extract_sigma, split_trivial_extension
 from gradedalg.errors import (
@@ -500,6 +502,66 @@ def test_generator_checks_agree_with_full_checks_on_every_single_entry(truncated
     assert kinds[ActionFault, "left action not associative at"] > 100
     assert kinds[ActionFault, "right action not associative at"] > 100
     assert kinds[ActionFault, "left/right actions do not commute at"] > 0
+
+
+def _laws_broken_int64(x):
+    """The bimodule laws that the full int64 references find broken, each
+    as the start of the message that names it."""
+    b, p, la, ra = x.algebra, x.algebra.p, x.left_action, x.right_action
+    broken = set()
+    if _representation_fault_int64(b.table, la, p) is not None:
+        broken.add("left action not associative at")
+    if _representation_fault_int64(b.table.transpose(1, 0, 2), ra, p) is not None:
+        broken.add("right action not associative at")
+    if any(_intertwine_fault_int64(la[i], ra, ra, p) is not None for i in range(b.dim)):
+        broken.add("left/right actions do not commute at")
+    return broken
+
+
+def _message(check):
+    try:
+        check()
+    except ActionFault as exc:
+        return str(exc)
+    return None
+
+
+def test_trivial_extension_join_agrees_with_bimodule_validate_on_every_single_entry(truncated, rebased_nakayama32):
+    # x(k[x]/(x^4)) over b(k[x]/(x^4)), 6 x 6 x 6 entries per action, and
+    # D(b(N(3, 2))) in a dense basis, 9 x 9 x 9: the associativity join on
+    # B |x X refuses each copy with one entry moved exactly when the
+    # generator-based Bimodule.validate does
+    kinds, single = Counter(), 0
+    for x in (x_bimodule(truncated(4)), dual_bimodule(beilinson(rebased_nakayama32))):
+        b = x.algebra
+        assert trivial_extension(b, x).dim == 2 * b.dim
+        corrupted = [Bimodule(b, x.names, left, x.right_action) for left in _entry_corruptions(x.left_action)]
+        corrupted += [Bimodule(b, x.names, x.left_action, right) for right in _entry_corruptions(x.right_action)]
+        for bad in corrupted:
+            got, want = _message(lambda: trivial_extension(b, bad)), _message(bad.validate)
+            assert (got is None) == (want is None)
+            if got is None:
+                kinds[None] += 1
+            elif "unital" in got or "unital" in want:
+                assert got == want
+                kinds[got] += 1
+            else:
+                # the join names the law of the first failing triple, which
+                # need not be the first law validate checks
+                law, broken = got.rpartition(" ")[0], _laws_broken_int64(bad)
+                assert law in broken
+                if len(broken) == 1:
+                    assert law == want.rpartition(" ")[0]
+                    single += 1
+                kinds[law] += 1
+    assert sum(kinds.values()) == 2 * 6**3 + 2 * 9**3
+    assert kinds["left action is not unital"] > 0 and kinds["right action is not unital"] > 0
+    assert kinds["left action not associative at"] > 100
+    assert kinds["left/right actions do not commute at"] > 100
+    # a broken right action mostly breaks the commuting law too, at a
+    # triple (b, x, b') that comes before every (x, b, b')
+    assert kinds["right action not associative at"] > 0
+    assert single > 20
 
 
 def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncated, rebased_nakayama):

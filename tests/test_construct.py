@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from gradedalg import modp
+from gradedalg import algebra, corpus, modp
 from gradedalg.algebra import (
     Bimodule,
     GradedAlgebra,
@@ -25,7 +27,14 @@ from gradedalg.construct import (
     x_bimodule,
 )
 from gradedalg.corpus import upper_triangular
-from gradedalg.errors import ActionFault, NotAutomorphism, PrimeTooSmall, TrivialGrading, ZeroBimodule
+from gradedalg.errors import (
+    ActionFault,
+    NonAssociative,
+    NotAutomorphism,
+    PrimeTooSmall,
+    TrivialGrading,
+    ZeroBimodule,
+)
 from gradedalg.modules import proj, width
 from gradedalg.selfinj import is_graded_frobenius, is_graded_selfinjective
 
@@ -186,6 +195,36 @@ def test_trivial_extension_validates_its_bimodule():
     x = Bimodule(kk, ["v", "w"], [proj_p, ident - proj_p], [proj_q, ident - proj_q])
     with pytest.raises(ActionFault, match="do not commute"):
         trivial_extension(kk, x)
+
+
+def test_construction_path_reads_no_generators_of_b(truncated, monkeypatch):
+    # the extensions are checked by the associativity join alone: no
+    # Bimodule.validate, no intertwine_fault, no radical or generators of B
+    calls = []
+    monkeypatch.setattr(Bimodule, "validate", lambda self: calls.append("Bimodule.validate"))
+    monkeypatch.setattr(algebra, "intertwine_fault", lambda *args: calls.append("intertwine_fault"))
+    a = upper_triangular(2)  # fresh objects, so that nothing is cached on them yet
+    t = t_of(corpus.truncated_poly(5))
+    b = beilinson(truncated(3))
+    tb = T_of(b)
+    assert calls == [] and t.dim == 20 and tb.dim == 6 and T_of(a).dim == 2 * a.dim
+    unread = {generators.__wrapped__, _radical_and_quotient.__wrapped__}
+    for base in (degree_zero_subalgebra(t), b, a):
+        assert not {key[0] for key in base._cache} & unread
+
+
+def test_trivial_extension_refuses_a_non_associative_base():
+    # basis 1, u, v, with u v = v the only product of u and v: (u u) v = 0,
+    # u (u v) = v, and every other triple associates
+    table = modp.zeros(3, 3, 3)
+    table[0, :, :] = table[:, 0, :] = modp.identity(3)
+    table[1, 2, 2] = 1
+    b = GradedAlgebra(P, ["1", "u", "v"], [0, 0, 0], table, [1, 0, 0], [[1, 0, 0]])
+    with pytest.raises(NonAssociative) as refused:
+        validate_algebra(b)
+    assert str(refused.value) == "(u * u) * v != u * (u * v)"
+    with pytest.raises(NonAssociative, match=re.escape(str(refused.value))):
+        T_of(b)
 
 
 def test_dual_bimodule_formulas(truncated, uppertri):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gradedalg import corpus, equiv, modp, modules
+from gradedalg import construct, corpus, equiv, modp, modules
 from gradedalg.algebra import (
     Bimodule,
     degree_zero_subalgebra,
@@ -543,6 +543,16 @@ def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
     cert = theorem_pipeline(rebased_nakayama(3, 2, 32))
     assert cert.passed and calls == {"hom_bases": 1}
     assert Counter(c.family for c in cert.checks)["round-trip"] == len(cert.samples)
+
+
+def test_pipeline_decides_sigma_once(monkeypatch):
+    # extract_sigma's post-check, twisted_dual_bimodule and T_twisted all ask
+    # about the one sigma; its verdict is kept on the automorphism
+    checked = []
+    real = construct.algebra_map_fault
+    monkeypatch.setattr(construct, "algebra_map_fault", lambda h, src, tgt: checked.append(src) or real(h, src, tgt))
+    cert = theorem_pipeline(corpus.truncated_poly(4))
+    assert cert.passed and len(checked) == 1
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

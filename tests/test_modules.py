@@ -16,7 +16,7 @@ from gradedalg.algebra import (
     semisimple_quotient,
 )
 from gradedalg.construct import T_of, beilinson, t_of
-from gradedalg.errors import AlgebraMismatch, CheckFailed, PrimeTooSmall
+from gradedalg.errors import AlgebraMismatch, CheckFailed, PreconditionFailed, PrimeTooSmall
 from gradedalg.modules import (
     COVER_CELLS,
     GradedModule,
@@ -497,6 +497,22 @@ def test_hom_basis_refuses_small_prime():
 def test_hom_algebra_mismatch(truncated):
     with pytest.raises(AlgebraMismatch):
         hom_basis(regular_module(truncated(2)), regular_module(truncated(3)))
+
+
+def test_hom_entries_outside_the_family_are_refused(truncated):
+    # a negative index would answer for another member, and one past the end
+    # would fail in numpy; both name the entry and the size of the family
+    a = truncated(3)
+    fam = ModuleFamily.of(a, [proj(a, 0), inj(a, 0)])
+    cases = [
+        (hom_dims, [(-1, 0, 0)], "entry 0 names member -1 of a family of 2"),
+        (hom_bases, [(0, 1), (-2, -1)], "entry 1 names member -2 of a family of 2"),
+        (hom_dims, [(2, 0, 0)], "entry 0 names member 2 of a family of 2"),
+    ]
+    for call, entries, detail in cases:
+        with pytest.raises(PreconditionFailed) as refused:
+            call(fam, entries)
+        assert (refused.value.hypothesis, refused.value.detail) == ("family-index", detail)
 
 
 def test_hom_morphisms_are_valid(truncated):
