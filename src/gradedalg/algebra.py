@@ -316,12 +316,9 @@ def _non_associative(a: GradedAlgebra, i: int, j: int, k: int) -> NonAssociative
 _JOIN_BUDGET = 1 << 15
 
 
-@cached
 def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
     """First (i, j, k), in lexicographic order, where (b_i b_j) b_k differs
-    from b_i (b_j b_k), or None: an exact int64 join of the non-zeros of t =
-    table, decided once per algebra (cached), so that validating a trivial
-    extension that ``construct`` has checked does not join it again.
+    from b_i (b_j b_k), or None: an exact int64 join of the non-zeros of t = table.
 
     Coordinate l of (b_i b_j) b_k is sum_m t[i, j, m] t[m, k, l], and that of
     b_i (b_j b_k) is sum_m t[j, k, m] t[i, m, l].  So each non-zero (i, j, m)
