@@ -78,9 +78,6 @@ class AlgebraAutomorphism:
     def identity(cls, algebra: GradedAlgebra) -> "AlgebraAutomorphism":
         return cls(algebra, modp.identity(algebra.dim))
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return (self.matrix @ (v % self.algebra.p)) % self.algebra.p
-
     @cached
     def power(self, k: int) -> np.ndarray:
         """sigma^k as a read-only matrix, computed once per exponent."""

@@ -9,6 +9,7 @@ import pytest
 from gradedalg import construct, corpus, equiv, modp, modules
 from gradedalg.algebra import (
     Bimodule,
+    algebra_map_fault,
     degree_zero_subalgebra,
     dual_bimodule_of,
     generators,
@@ -546,8 +547,10 @@ def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
 
 
 def test_pipeline_decides_sigma_once(monkeypatch):
-    # extract_sigma's post-check, twisted_dual_bimodule and T_twisted all ask
-    # about the one sigma; its verdict is kept on the automorphism
+    # extract_sigma's post-check and the twisted_dual_bimodule of the
+    # T_twisted that extract_sigma builds both ask about the one sigma; its
+    # verdict is kept on the automorphism, and h = diag(I, theta) is not
+    # checked as an algebra map, so sigma's is the pipeline's one call
     checked = []
     real = construct.algebra_map_fault
     monkeypatch.setattr(construct, "algebra_map_fault", lambda h, src, tgt: checked.append(src) or real(h, src, tgt))
@@ -555,28 +558,74 @@ def test_pipeline_decides_sigma_once(monkeypatch):
     assert cert.passed and len(checked) == 1
 
 
+def test_certificate_transport_is_an_algebra_map(equivalence_corpus, rebased_nakayama32):
+    # oracle for the trivial-extension lemma that lets the pipeline skip the
+    # check of h: h = diag(I, theta) from the certificate is an algebra map
+    # t(A) -> T(B^sigma), checked on every generator of t(A); a theta that
+    # is not a bimodule map makes it fail
+    for name, a in [*equivalence_corpus, ("rebased N(3,2)", rebased_nakayama32)]:
+        cert = theorem_pipeline(a)
+        t = t_of(a)
+        b = degree_zero_subalgebra(t)
+        sigma = AlgebraAutomorphism(b, cert.sigma)
+        h = modp.identity(t.dim)
+        h[b.dim :, b.dim :] = cert.iso
+        assert cert.passed and algebra_map_fault(h, t, T_twisted(b, sigma)) is None, name
+    h[b.dim :, b.dim] = 2 * h[b.dim :, b.dim] % b.p
+    assert algebra_map_fault(h, t, T_twisted(b, sigma)).startswith("is not multiplicative at ")
+
+
+def test_pipeline_builds_the_twisted_extension_once(rebased_nakayama, monkeypatch):
+    # t(A), T(B^sigma) inside extract_sigma, and T(b(A)): three trivial
+    # extensions, one twisted dual, and no generators of t(A), since h is
+    # not checked as an algebra map
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(construct, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(construct, name, wrapper)
+
+    counted("trivial_extension")
+    counted("twisted_dual_bimodule")
+    a = rebased_nakayama(3, 2, 32)  # a fresh algebra, and so a fresh t(A)
+    assert theorem_pipeline(a).passed
+    assert calls == {"trivial_extension": 3, "twisted_dual_bimodule": 1}
+    assert (generators.__wrapped__,) not in t_of(a)._cache
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_extract_sigma_checks_the_iso_on_both_actions(rebased_nakayama, monkeypatch, side):
-    # double one action of D(B^sigma) at the last generator of B, so that the
-    # iso X -> D(B^sigma) intertwines every other generator; b(N(4,3)) has
+    # double one action of D(B^sigma), as extract_sigma reads it off T(B^sigma)
+    # after the join, at the last generator of B, so that the iso
+    # X -> D(B^sigma) intertwines every other generator; b(N(4,3)) has
     # rad^2 != 0, so not every basis element is a generator
     t = t_of(rebased_nakayama(4, 3, 43))
     b = degree_zero_subalgebra(t)
     gens = generators(b)
     assert len(gens) < b.dim
     g = int(gens[-1])
-    real = equiv.twisted_dual_bimodule
+    real = equiv.split_trivial_extension
+    corrupted = []
 
-    def corrupted(b, sigma):
-        out = real(b, sigma)
+    def split(ext):
+        base, out, zero_idx, one_idx = real(ext)
+        if ext is t:
+            return base, out, zero_idx, one_idx
+        corrupted.append(ext)
         actions = {"left": np.array(out.left_action), "right": np.array(out.right_action)}
         actions[side][g] = 2 * actions[side][g] % b.p
-        return Bimodule(b, out.names, actions["left"], actions["right"])
+        return base, Bimodule(base, out.names, actions["left"], actions["right"]), zero_idx, one_idx
 
-    monkeypatch.setattr(equiv, "twisted_dual_bimodule", corrupted)
+    monkeypatch.setattr(equiv, "split_trivial_extension", split)
     want = rf"^iso does not intertwine the {side} action at {re.escape(b.names[g])}$"
     with pytest.raises(CheckFailed, match=want):
         extract_sigma(t)
+    assert len(corrupted) == 1  # the one T(B^sigma), split after its join
 
 
 def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatch):
