@@ -24,15 +24,17 @@ constants it builds: X's unit checks, then the associativity join of
 ``algebra._associativity_fault``, which decides at once that B is
 associative and that X is a B-bimodule (see ``trivial_extension``).  So
 t(A), T(B) and T(B^sigma) are built without the radical or the generators
-of B; only sigma's own check, ``AlgebraAutomorphism.fault``, made once per
-automorphism, reads them.  The dual bimodule D(B) acts by
-(b f)(x) = f(x b), (f b)(x) = f(b x); the sigma-twisted variant precomposes
-the right action with the automorphism before dualizing.
+of B.  The dual bimodule D(B) acts by (b f)(x) = f(x b), (f b)(x) = f(b x);
+the sigma-twisted variant precomposes the right action with the
+automorphism before dualizing, so D(B^sigma) acts by (b f)(x) = f(x sigma(b)),
+and the join of T(B^sigma) decides that an invertible sigma on a trivially
+graded B is an automorphism: the unit check holds iff sigma(1) = 1, the left
+action is associative iff sigma is multiplicative, and the other laws do not
+involve sigma.  ``AlgebraAutomorphism.validate`` decides it on its own, for
+an automorphism of a graded algebra.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -86,17 +88,12 @@ class AlgebraAutomorphism:
         out.flags.writeable = False
         return out
 
-    @cached
-    def fault(self) -> Optional[str]:
-        """Why this is not a degree-preserving algebra automorphism, or None;
-        decided once per object."""
+    def validate(self) -> "AlgebraAutomorphism":
+        """Raise NotAutomorphism unless this is a degree-preserving algebra automorphism."""
         a, s = self.algebra, self.matrix
         if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
-            return "does not preserve degrees"
-        return algebra_map_fault(s, a, a)
-
-    def validate(self) -> "AlgebraAutomorphism":
-        fault = self.fault()
+            raise NotAutomorphism("does not preserve degrees")
+        fault = algebra_map_fault(s, a, a)
         if fault is not None:
             raise NotAutomorphism(fault)
         return self
@@ -246,11 +243,13 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
     """D(B^sigma): the twisted regular bimodule x * b = x sigma(b), dualized.
 
     The twist only moves the dual's left action: (b f)(x) = f(x sigma(b)).
-    With sigma = id this reproduces dual_bimodule exactly.
+    With sigma = id this reproduces dual_bimodule exactly.  sigma is not
+    checked here: the join of ``T_twisted`` refuses, with an ActionFault, a
+    sigma that does not fix 1 (the left action is not unital) or is not
+    multiplicative (it is not associative).
     """
     if not sigma.algebra.same_as(b):
         raise NotAutomorphism("automorphism is not over the given algebra")
-    sigma.validate()
     left = (b.left @ sigma.matrix).transpose(2, 0, 1)  # left[i] = R(sigma(b_i))^T
     return Bimodule(b, [f"{s}^" for s in b.names], left, b.table)
 

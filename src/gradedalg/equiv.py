@@ -22,18 +22,25 @@ Both take t(A) from ``t_of(a)``, which is built once per algebra, so their
 modules live over the very algebra object that theorem_pipeline uses.
 
 The hypotheses of the theorem (A_0 basic, A well-graded, A graded
-self-injective) are decided in one place, _require_hypotheses.  A_0, the
-self-injectivity certificate and the other facts of an algebra alone are
-cached on it, so later calls on the same algebra object reuse them.
+self-injective) are decided in one place, _require_hypotheses, once per
+outside input: on A by theorem_pipeline, on the given trivial extension by
+extract_sigma.  They are not decided again on t(A), which has them when A
+has them, so the pipeline decides nothing about t(A) but the join that
+builds it.  A_0, the self-injectivity certificate and the other facts of an
+algebra alone are cached on it, so later calls on the same algebra object
+reuse them.
 
-extract_sigma realizes the dual of the degree-1 part of a well-graded
+_sigma_of realizes the dual of the degree-1 part of a well-graded
 self-injective trivial extension as a twisted regular bimodule: it hunts
 for a generator m of D(X) whose two multiplication maps B -> D(X) are
 bijective, reads off sigma = L_m^{-1} R_m, and dualizes to an explicit
-bimodule isomorphism theta : X -> D(B^sigma), checked against D(B^sigma)
-as it sits in T(B^sigma).  That one check also makes
-h = diag(I, theta) : t(A) -> T(B^sigma) an algebra map, so
-theorem_pipeline checks only that h is invertible.
+bimodule isomorphism theta : X -> D(B^sigma).  Every claim it returns is
+checked on its own, so the hypotheses only choose which refusal an unfit
+input gets, and _sigma_of does not decide them: sigma is decided by the
+join that builds T(B^sigma), and theta against D(B^sigma) as it sits in
+T(B^sigma).  That one check also makes h = diag(I, theta) : t(A) -> T(B^sigma)
+an algebra map, so theorem_pipeline checks only that h is invertible.
+extract_sigma is _sigma_of behind the refusals of an outside input.
 
 _transports moves a family of graded modules to another algebra by a change
 of algebra basis per degree slice, one product per degree over the whole
@@ -87,10 +94,10 @@ from .construct import (
     t_of,
 )
 from .errors import (
+    ActionFault,
     AlgebraMismatch,
     CheckFailed,
     GeneratorNotFound,
-    NotAutomorphism,
     PreconditionFailed,
     TrivialGrading,
 )
@@ -253,7 +260,7 @@ class SigmaExtraction:
         }
 
 
-def split_trivial_extension(t: GradedAlgebra) -> tuple[GradedAlgebra, Bimodule, np.ndarray, np.ndarray]:
+def split_trivial_extension(t: GradedAlgebra) -> tuple[GradedAlgebra, Bimodule]:
     """Degree-0 subalgebra B and degree-1 bimodule X of an algebra with c = 1."""
     if t.top_degree() != 1:
         raise PreconditionFailed("trivial-extension-shape", f"top degree is {t.top_degree()}, not 1")
@@ -263,34 +270,44 @@ def split_trivial_extension(t: GradedAlgebra) -> tuple[GradedAlgebra, Bimodule, 
     grid = np.ix_(zero_idx, one_idx, one_idx)
     left, right = t.left[grid], t.right[grid]
     x = Bimodule(b, [t.names[i] for i in one_idx], left, right)
-    return b, x, zero_idx, one_idx
+    return b, x
 
 
 def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaExtraction:
     """Realize a well-graded self-injective B |x X as a twisted trivial extension.
 
+    Refuses, in this order, a seed below 0 (PreconditionFailed "seed"), a
+    top degree other than 1 ("trivial-extension-shape") and an algebra that
+    is not a trivial extension of the theorem's kind ("B-basic",
+    "well-graded", "self-injective", decided on t by _require_hypotheses),
+    then returns the construction of ``_sigma_of``.
+    """
+    require_seed(seed)
+    b, x = split_trivial_extension(t)
+    _require_hypotheses(t, "B-basic", "degree-0 part is not basic")
+    return _sigma_of(b, x, seed, trials)
+
+
+def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int, trials: int = 128) -> SigmaExtraction:
+    """sigma and theta : X -> D(B^sigma) for the split (B, X) of a trivial extension.
+
     Finds a generator m of D(X) whose left and right multiplication maps
     B -> D(X) are bijective (seeded random trials, then a deterministic
     sweep over small sums of dual basis vectors), sets
     sigma(b) = L_m^{-1}(m b), and returns the dualized bimodule isomorphism
-    theta : X -> D(B^sigma).  All claims are re-verified before returning;
-    theta is checked against both actions of the X-block of T(B^sigma) as
-    ``T_twisted`` builds it, on the generators of B.  The seed must be at
-    least 0 (PreconditionFailed "seed").
+    theta : X -> D(B^sigma).  The hypotheses are not decided here: every
+    claim returned is checked on its own.  The join that builds T(B^sigma)
+    decides that sigma is an automorphism: B is trivially graded and sigma
+    invertible, and D(B^sigma) is unital iff sigma(1) = 1 and its left
+    action associative iff sigma is multiplicative, since (b (b' f))(x) =
+    f(x sigma(b) sigma(b')) and ((b b') f)(x) = f(x sigma(b b')).  Then
+    m b = sigma(b) m is checked on the basis, and theta against both
+    actions of the X-block of T(B^sigma) on the generators of B.
     """
-    require_seed(seed)
-    b, x, _, _ = split_trivial_extension(t)
-    _require_hypotheses(t, "B-basic", "degree-0 part is not basic")
     p = b.p
     if x.dim != b.dim:
         raise GeneratorNotFound(f"dim X = {x.dim} differs from dim B = {b.dim}")
     dual = dual_bimodule_of(x)
-
-    def maps_of(m_vec):
-        lm = ((dual.left_action @ m_vec) % p).T
-        rm = ((dual.right_action @ m_vec) % p).T
-        return lm, rm
-
     rng = np.random.default_rng(seed)
     draws = (rng.integers(0, p, size=x.dim, dtype=np.int64) for _ in range(trials))
     sweep = (
@@ -299,7 +316,8 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
         for combo in itertools.combinations(range(x.dim), size)
     )
     for trials_used, m_vec in enumerate(itertools.chain(draws, sweep), start=1):
-        lm, rm = maps_of(m_vec)
+        lm = ((dual.left_action @ m_vec) % p).T
+        rm = ((dual.right_action @ m_vec) % p).T
         lm_inv = modp.invert(lm, p)
         if lm_inv is not None and modp.invert(rm, p) is not None:
             break
@@ -307,8 +325,8 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
         raise GeneratorNotFound("no generator with bijective multiplication maps")
     sigma = AlgebraAutomorphism(b, (lm_inv @ rm) % p)
     try:
-        sigma.validate()
-    except NotAutomorphism as exc:  # post-condition of the construction; never expected
+        twisted_ext = T_twisted(b, sigma)
+    except ActionFault as exc:  # post-condition of the construction; never expected
         raise CheckFailed(f"extracted map is not an automorphism: {exc}") from exc
     if not np.array_equal((lm @ sigma.matrix) % p, rm):
         raise CheckFailed("m b != sigma(b) m on the basis")
@@ -316,7 +334,7 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     # D(B^sigma) as T(B^sigma) holds it, a bimodule by the join of
     # ``trivial_extension`` as X is one by the associativity of t, so the
     # generators of B suffice (see ``generators``)
-    _, twisted, _, _ = split_trivial_extension(T_twisted(b, sigma))
+    _, twisted = split_trivial_extension(twisted_ext)
     gens = generators(b)
     sides = {"left": (x.left_action, twisted.left_action), "right": (x.right_action, twisted.right_action)}
     for side, (src, tgt) in sides.items():
@@ -402,7 +420,9 @@ def theorem_pipeline(
     Preconditions (each raises PreconditionFailed with a witness): c >= 1,
     A_0 basic, A well-graded, A graded self-injective, a sample window of
     at least 0 (a negative one leaves no samples to check) and a seed of at
-    least 0.  Any failed certificate check afterwards raises CheckFailed:
+    least 0.  The hypotheses are decided on A only; t(A) inherits them, and
+    sigma comes from ``_sigma_of`` on the split of t(A).  Any failed
+    certificate check afterwards raises CheckFailed:
     with the preconditions satisfied a failure indicates a bug, not a
     property of the input.
     """
@@ -415,7 +435,7 @@ def theorem_pipeline(
     _require_hypotheses(a, "A0-basic", "degree-0 component is not basic")
 
     t = t_of(a)
-    ext = extract_sigma(t, seed=seed)
+    ext = _sigma_of(*split_trivial_extension(t), seed)
     b = ext.base
     sigma = ext.sigma
     tb = T_of(b)
@@ -423,7 +443,7 @@ def theorem_pipeline(
 
     # h = diag(I, theta) : t(A) = B |x X -> T(B^sigma) = B |x Y.  With
     # X^2 = 0 = Y^2, such a map is an algebra map iff theta is a B-bimodule
-    # map, which extract_sigma checked against the X-blocks of t(A) and of
+    # map, which _sigma_of checked against the X-blocks of t(A) and of
     # T(B^sigma), both decided by the join; so only its inverse is left
     nb = b.dim
     h = modp.zeros(t.dim, t.dim)

@@ -173,7 +173,7 @@ def test_criterion_08_sigma_extraction(truncated, exterior2):
             rhs = (b.left_mult(s[:, i]) @ s) % p
             assert np.array_equal(lhs, rhs), name
         # m b = sigma(b) m on all basis b
-        _, x, _, _ = split_trivial_extension(t)
+        _, x = split_trivial_extension(t)
         dual = dual_bimodule_of(x)
         for i in range(b.dim):
             lhs = dual.act_right(modp.identity(b.dim)[i]) @ ext.generator % p

@@ -26,6 +26,7 @@ from gradedalg.algebra import (
 from gradedalg.construct import (
     AlgebraAutomorphism,
     T_of,
+    T_twisted,
     beilinson,
     dual_bimodule,
     t_of,
@@ -572,15 +573,23 @@ def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncate
     b, p, gens = ext.base, ext.base.p, generators(ext.base)
     assert len(gens) < b.dim
     twisted = twisted_dual_bimodule(b, ext.sigma)
-    kinds = Counter()
+    kinds, joins = Counter(), Counter()
     assert _same_outcomes(ext.sigma, _automorphism_validate_full) is None
+    assert _outcome(lambda: T_twisted(b, ext.sigma)) is None
     for _ in range(300):
         try:
             sigma = AlgebraAutomorphism(b, _corrupt(ext.sigma.matrix, rng, p))
         except NotAutomorphism:
             continue  # singular
-        kinds[_same_outcomes(sigma, _automorphism_validate_full)] += 1
+        want = _same_outcomes(sigma, _automorphism_validate_full)
+        kinds[want] += 1
+        # the join of T(B^sigma) refuses exactly the maps that are not automorphisms
+        got = _outcome(lambda: T_twisted(b, sigma))
+        assert (got is None) == (want is None) and (got is None or got[0] is ActionFault)
+        joins[got] += 1
     assert kinds[NotAutomorphism, "is not multiplicative at"] > 100
+    assert joins[ActionFault, "left action is not unital"] > 100
+    assert joins[ActionFault, "left action not associative at"] > 100
 
     # the bimodule isomorphism theta, checked as extract_sigma does
     sides = ((x.left_action, twisted.left_action), (x.right_action, twisted.right_action))

@@ -117,9 +117,13 @@ def test_cli_equiv_and_derive_sigma(capsys, tmp_path, t4_file):
     code, rep = run(capsys, "derive-sigma", str(out_t))
     assert code == 0
     assert len(rep["results"]["sigma"]) == 6
+    derived = rep["results"]
     code, rep = run(capsys, "equiv", t4_file)
     assert code == 0
     assert rep["results"]["passed"]
+    # derive-sigma decides the hypotheses on t(A), equiv on A only; both find the same sigma
+    for key in ("sigma", "generator", "bimodule_iso"):
+        assert rep["results"][key] == derived[key], key
 
 
 def test_cli_exit_codes(capsys, tmp_path, a4_file):

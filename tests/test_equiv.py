@@ -228,12 +228,16 @@ def test_well_graded_biconditional_with_extension(graded_corpus):
 
 
 def test_split_trivial_extension_roundtrip(truncated):
-    a = truncated(3)
-    t = t_of(a)
-    b, x, zero_idx, one_idx = split_trivial_extension(t)
+    t = t_of(truncated(3))
+    b, x = split_trivial_extension(t)
     assert b.dim + x.dim == t.dim
     x.validate()
     assert b.top_degree() == 0
+    # B |x X is t again, its basis in the order of degree_indices
+    order = np.concatenate([t.degree_indices(0), t.degree_indices(1)])
+    back = construct.trivial_extension(b, x)
+    assert back.names == [t.names[i] for i in order]
+    assert np.array_equal(back.table, t.table[np.ix_(order, order, order)])
 
 
 def test_extract_sigma_soundness(equivalence_corpus):
@@ -248,7 +252,7 @@ def test_extract_sigma_soundness(equivalence_corpus):
         # m b = sigma(b) m for every basis b
         from gradedalg.algebra import dual_bimodule_of
 
-        _, x, _, _ = split_trivial_extension(t)
+        _, x = split_trivial_extension(t)
         dual = dual_bimodule_of(x)
         for i in range(b.dim):
             lhs = dual.act_right(modp.identity(b.dim)[i]) @ ext.generator % p
@@ -546,16 +550,15 @@ def test_pipeline_calls_no_one_module_functor(rebased_nakayama, monkeypatch):
     assert Counter(c.family for c in cert.checks)["round-trip"] == len(cert.samples)
 
 
-def test_pipeline_decides_sigma_once(monkeypatch):
-    # extract_sigma's post-check and the twisted_dual_bimodule of the
-    # T_twisted that extract_sigma builds both ask about the one sigma; its
-    # verdict is kept on the automorphism, and h = diag(I, theta) is not
-    # checked as an algebra map, so sigma's is the pipeline's one call
+def test_pipeline_checks_no_algebra_map(monkeypatch):
+    # sigma is decided by the join that builds T(B^sigma), and
+    # h = diag(I, theta) by the check of theta, so the pipeline asks
+    # algebra_map_fault nothing
     checked = []
     real = construct.algebra_map_fault
     monkeypatch.setattr(construct, "algebra_map_fault", lambda h, src, tgt: checked.append(src) or real(h, src, tgt))
     cert = theorem_pipeline(corpus.truncated_poly(4))
-    assert cert.passed and len(checked) == 1
+    assert cert.passed and checked == []
 
 
 def test_certificate_transport_is_an_algebra_map(equivalence_corpus, rebased_nakayama32):
@@ -576,9 +579,10 @@ def test_certificate_transport_is_an_algebra_map(equivalence_corpus, rebased_nak
 
 
 def test_pipeline_builds_the_twisted_extension_once(rebased_nakayama, monkeypatch):
-    # t(A), T(B^sigma) inside extract_sigma, and T(b(A)): three trivial
-    # extensions, one twisted dual, and no generators of t(A), since h is
-    # not checked as an algebra map
+    # t(A), T(B^sigma) inside _sigma_of, and T(b(A)): three trivial
+    # extensions and one twisted dual; nothing about t(A) is decided but the
+    # join that built it, so the only entry cached on it is its degree-0
+    # part, recorded by that join
     calls = Counter()
 
     def counted(name):
@@ -595,7 +599,7 @@ def test_pipeline_builds_the_twisted_extension_once(rebased_nakayama, monkeypatc
     a = rebased_nakayama(3, 2, 32)  # a fresh algebra, and so a fresh t(A)
     assert theorem_pipeline(a).passed
     assert calls == {"trivial_extension": 3, "twisted_dual_bimodule": 1}
-    assert (generators.__wrapped__,) not in t_of(a)._cache
+    assert list(t_of(a)._cache) == [(degree_zero_subalgebra.__wrapped__,)]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -613,13 +617,13 @@ def test_extract_sigma_checks_the_iso_on_both_actions(rebased_nakayama, monkeypa
     corrupted = []
 
     def split(ext):
-        base, out, zero_idx, one_idx = real(ext)
+        base, out = real(ext)
         if ext is t:
-            return base, out, zero_idx, one_idx
+            return base, out
         corrupted.append(ext)
         actions = {"left": np.array(out.left_action), "right": np.array(out.right_action)}
         actions[side][g] = 2 * actions[side][g] % b.p
-        return base, Bimodule(base, out.names, actions["left"], actions["right"]), zero_idx, one_idx
+        return base, Bimodule(base, out.names, actions["left"], actions["right"])
 
     monkeypatch.setattr(equiv, "split_trivial_extension", split)
     want = rf"^iso does not intertwine the {side} action at {re.escape(b.names[g])}$"
@@ -641,6 +645,19 @@ def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatc
     real = equiv.AlgebraAutomorphism
     monkeypatch.setattr(equiv, "AlgebraAutomorphism", lambda alg, mat: real(alg, mat @ inner % p))
     with pytest.raises(CheckFailed, match=r"^m b != sigma\(b\) m on the basis$"):
+        extract_sigma(t)
+
+
+def test_extract_sigma_has_the_join_decide_the_automorphism(truncated, monkeypatch):
+    # hand back sigma with its first idempotent doubled: invertible, but it
+    # moves 1, so the join of T(B^sigma) finds D(B^sigma) not unital
+    t = t_of(truncated(3))
+    b = degree_zero_subalgebra(t)
+    scale = np.ones(b.dim, dtype=np.int64)
+    scale[np.flatnonzero(b.idempotents[0])[0]] = 2
+    real = equiv.AlgebraAutomorphism
+    monkeypatch.setattr(equiv, "AlgebraAutomorphism", lambda alg, mat: real(alg, mat * scale % b.p))
+    with pytest.raises(CheckFailed, match=r"^extracted map is not an automorphism: left action is not unital$"):
         extract_sigma(t)
 
 
@@ -705,7 +722,7 @@ def test_extract_sigma_deterministic_fallback(truncated):
 def ref_generator_search(t, seed, trials):
     """(generator, trials used): seeded random trials, then a separate sweep
     over the sums of one, two and three dual basis vectors."""
-    b, x, _, _ = split_trivial_extension(t)
+    b, x = split_trivial_extension(t)
     dual, p = dual_bimodule_of(x), b.p
 
     def bijective(m_vec):
