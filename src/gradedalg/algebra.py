@@ -268,7 +268,8 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     associativity on all basis triples (``_associativity_fault``, an exact
     join of the non-zero structure constants), orthogonal idempotents summing
     to the unit, and primitivity of each designated idempotent (its corner in
-    A_0/rad A_0 is commutative with Frobenius fixed space of dimension one).
+    A_0/rad A_0 is commutative with Frobenius fixed space of dimension one),
+    all of them from one pass over the corners (``_check_primitive``).
     """
     p, n = a.p, a.dim
     if p <= n:
@@ -297,8 +298,7 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
         raise _non_associative(a, *fault)
 
     _check_idempotents(a)
-    for i in range(a.n_idempotents):
-        _check_primitive(a, i)
+    _check_primitive(a)
     return a
 
 
@@ -406,37 +406,40 @@ def _check_idempotents(a: GradedAlgebra) -> None:
         raise IdempotentFault("designated idempotents do not sum to the unit")
 
 
-def _check_primitive(a: GradedAlgebra, i: int) -> None:
-    """e_i is primitive iff its corner in S = A_0/rad A_0 is a division ring.
+def _check_primitive(a: GradedAlgebra) -> None:
+    """Refuse the first designated e_i whose corner in S = A_0/rad A_0 is not
+    a division ring: e_i is primitive iff it is one.
 
     That corner is e_i A_0 e_i modulo its radical (Assem-Simson-Skowronski,
     Elements I, ch. I), so it is semisimple, and over F_p a division ring iff
     commutative (Wedderburn) with a one-dimensional fixed space of x -> x^p
     (a product of finite fields; Frobenius fixes an F_p in each factor).
+    All corners are decided together, from ``_corner_pass`` of S, on stacks
+    zero-padded to the largest corner: the multiplication map L_u of each
+    basis element u of e_i S e_i, read in that basis at its pivots; one
+    comparison for commutativity; u^p = L_u^p e_i from one ``modp.mat_pow``
+    of the whole stack; and the fixed spaces from one ``modp.ranks``.  The
+    first failing idempotent is refused, its commutativity first.
     """
     s, _, _ = semisimple_quotient(degree_zero_subalgebra(a))
-    q = corner(s, s.idempotents[i])
-    if not np.array_equal(q.table, q.table.transpose(1, 0, 2)):
-        raise NotPrimitive(f"idempotent {i}: corner semisimple quotient is noncommutative")
-    frob = modp.zeros(q.dim, q.dim)
-    for j in range(q.dim):
-        frob[:, j] = _element_power(q, modp.identity(q.dim)[j], q.p)
-    _, ker = modp.rank_kernel((frob - modp.identity(q.dim)) % q.p, q.p)
-    if ker.shape[0] != 1:
-        raise NotPrimitive(
-            f"idempotent {i}: Frobenius fixed space has dimension {ker.shape[0]}"
-        )
-
-
-def _element_power(a: GradedAlgebra, v: np.ndarray, k: int) -> np.ndarray:
-    out = a.unit.copy()
-    base = v % a.p
-    while k:
-        if k & 1:
-            out = a.mul(out, base)
-        base = a.mul(base, base)
-        k >>= 1
-    return out
+    p, l = s.p, s.n_idempotents
+    _, rows, pivots = _corner_pass(s)
+    dims = pivots.sum(axis=1)
+    w = int(dims.max())
+    maps = modp.zeros(l, w, w, w)  # maps[i, u, k, t]: coordinate k of u t in e_i S e_i
+    units = modp.zeros(l, w)  # e_i in the basis of its corner
+    for i, d in enumerate(dims.tolist()):
+        maps[i, :d, :d, :d] = _products(s, rows[i, :d], rows[i, :d])[:, pivots[i]]
+        units[i, :d] = s.idempotents[i, pivots[i]]
+    noncommutative = (maps != maps.transpose(0, 3, 2, 1)).any(axis=(1, 2, 3))
+    frob = (modp.mat_pow(maps, p, p) @ units[:, None, :, None] % p)[..., 0]  # frob[i, u] = u^p
+    eye = modp.identity(w) * (np.arange(w) < dims[:, None, None])  # zero on the padding
+    fixed = dims - modp.ranks((frob - eye) % p, p)
+    for i in range(l):
+        if noncommutative[i]:
+            raise NotPrimitive(f"idempotent {i}: corner semisimple quotient is noncommutative")
+        if fixed[i] != 1:
+            raise NotPrimitive(f"idempotent {i}: Frobenius fixed space has dimension {fixed[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +541,26 @@ def _trace_form(a: GradedAlgebra) -> np.ndarray:
 def semisimple_quotient(a: GradedAlgebra):
     """(A/rad A, reduce, section): the quotient that verified ``radical`` (cached)."""
     return _radical_and_quotient(a)[1]
+
+
+@cached
+def _corner_pass(s: GradedAlgebra):
+    """(nonzero, rows, pivots): the corners e_i S e_j of a semisimple S (cached).
+
+    One product forms e_i b e_j for every i, j and basis element b of S.
+    nonzero[i, j] tells whether e_i S e_j != 0, which decides the simple
+    classes (``modules.simple_classes``, on S = A/rad A), and rows[i] and
+    pivots[i] are the RREF rows, then zero rows, and the pivot columns of
+    every diagonal corner e_i S e_i, from one ``modp.rrefs``; primitivity
+    (``_check_primitive``, on S = A_0/rad A_0) reads them too.
+    """
+    p = s.p
+    lefts = np.tensordot(s.idempotents, s.left, axes=1) % p
+    rights = np.tensordot(s.idempotents, s.right, axes=1) % p
+    # sandwich[i, j] has the columns e_i b e_j, one per basis element b of S
+    sandwich = lefts[:, None] @ rights[None, :] % p
+    rows, pivots = modp.rrefs(sandwich.diagonal().transpose(2, 1, 0), p)  # the rows e_i b e_i
+    return sandwich.any(axis=(2, 3)), rows, pivots
 
 
 def quotient_algebra(a: GradedAlgebra, ideal_rows: np.ndarray):

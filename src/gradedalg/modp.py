@@ -296,14 +296,18 @@ def invert(m: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 
 def mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """``m`` to a (possibly negative) integer power."""
+    """``m`` to a (possibly negative) integer power.
+
+    ``m`` may be a stack of square matrices, each raised to the power k; a
+    negative power inverts, so it needs a single 2-d matrix.
+    """
     a = normalize(m, p)
     if k < 0:
         inv = invert(a, p)
         if inv is None:
             raise ValueError("negative power of a singular matrix")
         a, k = inv, -k
-    out = identity(a.shape[0])
+    out = np.broadcast_to(identity(a.shape[-1]), a.shape).copy()
     while k:
         if k & 1:
             out = mat_mul(out, a, p)

@@ -34,6 +34,7 @@ import numpy as np
 from . import modp
 from .algebra import (
     GradedAlgebra,
+    _corner_pass,
     cached,
     generators,
     homogeneous_row_basis,
@@ -655,15 +656,11 @@ def simple_classes(a: GradedAlgebra):
     r lifts of a basis of e_r S e_r, S = A/rad(A) (the RREF rows of the
     e_r b e_r, b in S), which act on any top as e_r A e_r does.  There are
     dim End(S_r) of them, as e_r S e_r is End(S_r)^op.  e_i and e_j are
-    isomorphic iff e_i S e_j != 0.
+    isomorphic iff e_i S e_j != 0.  All of it is read off the corner pass
+    of S, ``algebra._corner_pass``, which primitivity shares.
     """
     s, _, sec = semisimple_quotient(a)
-    p = s.p
-    lefts = np.tensordot(s.idempotents, s.left, axes=1) % p
-    rights = np.tensordot(s.idempotents, s.right, axes=1) % p
-    # sandwich[i, j] has the columns e_i b e_j, one per basis element b of S
-    sandwich = lefts[:, None] @ rights[None, :] % p
-    nonzero = sandwich.any(axis=(2, 3))
+    nonzero, rows, pivots = _corner_pass(s)
     reps: list[int] = []
     class_of = [-1] * a.n_idempotents
     for i in range(a.n_idempotents):
@@ -674,9 +671,8 @@ def simple_classes(a: GradedAlgebra):
         else:
             class_of[i] = len(reps)
             reps.append(i)
-    rows, pivots = modp.rrefs(sandwich[reps, reps].transpose(0, 2, 1), p)
     corners = []
-    for basis, rank in zip(rows, pivots.sum(axis=1).tolist()):
+    for basis, rank in zip(rows[reps], pivots[reps].sum(axis=1).tolist()):
         lifted = basis[:rank] @ sec.T
         lifted.flags.writeable = False
         corners.append(lifted)

@@ -4,13 +4,12 @@ Graded self-injectivity is decided dually: every graded injective D(e_i A)
 must be projective, certified by the map of its minimal projective cover.
 The graded Frobenius test and the Nakayama data read the summands of those
 same covers (the tops of the projective-injectives) instead of computing
-their own.  Both sides of the Nakayama match come from one cover pass,
-``modules.cover_maps``: one call decides the covers of all the D(e_j A),
-and one more the tops of all the Ae_i.  A seeded
-randomized search for a Frobenius functional (a linear form whose induced
-pairing (u, v) -> lam(u v) is nondegenerate) serves as an independent
-oracle on basic algebras; a failed search is never treated as a proof of
-absence.
+their own.  One ``modules.cover_maps`` call decides the covers of all the
+D(e_j A); the top of each Ae_i is the simple of its class, which
+``modules.simple_classes`` names.  A seeded randomized search for a
+Frobenius functional (a linear form whose induced pairing
+(u, v) -> lam(u v) is nondegenerate) serves as an independent oracle on
+basic algebras; a failed search is never treated as a proof of absence.
 """
 
 from __future__ import annotations
@@ -154,19 +153,15 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
     Matches each injective's simple top against the projectives: the
     injective D(e_j A) with top S_i concentrated in degree g is isomorphic
     to Ae_i(-g), giving s(i) = j and d_i = g.  That top is read off the
-    single summand of the cover computed by the self-injectivity test, and
-    the top of each Ae_i from the summands of its cover, all of them from
-    one ``cover_maps`` call.
+    single summand of the cover computed by the self-injectivity test; the
+    top of Ae_i is S_i, named by the representative of its class in
+    ``simple_classes``, as its cover would name it.
     """
     cert = is_graded_selfinjective(a)
     if not cert.holds:
         raise NotSelfInjective(f"injective {cert.witness} is not projective")
     l = a.n_idempotents
-    top_of_proj = []  # class rep of top(Ae_i), to resolve class -> index
-    for i, (summands, _) in enumerate(cover_maps(ModuleFamily.of(a, [proj(a, i, 0) for i in range(l)]))):
-        if len(summands) != 1:
-            raise AmbiguousMatch(f"top of Ae_{i} is not simple: {summands}")
-        top_of_proj.append(summands[0][0])
+    reps, class_of, _ = simple_classes(a)
     s = [-1] * l
     d = [0] * l
     witnesses: list[dict] = []
@@ -176,7 +171,7 @@ def graded_nakayama(a: GradedAlgebra) -> NakayamaData:
         if len(summands) != 1:
             raise AmbiguousMatch(f"top of D(e_{j} A) is not simple: {summands}")
         rep, g = summands[0]
-        candidates = [i for i in range(l) if top_of_proj[i] == rep and not used[i]]
+        candidates = [i for i in range(l) if reps[class_of[i]] == rep and not used[i]]
         if len(candidates) != 1:
             raise AmbiguousMatch(
                 f"{len(candidates)} projectives match D(e_{j} A); non-basic input?"

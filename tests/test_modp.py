@@ -106,6 +106,19 @@ def test_mat_pow_negative():
     assert np.array_equal(modp.mat_pow(m, -2, p), np.array([[1, p - 2], [0, 1]]))
 
 
+@pytest.mark.parametrize("shape", [(4, 3, 3), (2, 5, 1, 1)])
+def test_mat_pow_on_a_stack_matches_each_matrix(shape):
+    p = 7919
+    stack = np.random.default_rng(len(shape)).integers(0, p, size=shape)
+    for k in (0, 1, 2, p, p + 1):
+        got = modp.mat_pow(stack, k, p)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(shape[:-2]):
+            assert np.array_equal(got[idx], modp.mat_pow(stack[idx], k, p)), (shape, k, idx)
+    with pytest.raises(ValueError):
+        modp.mat_pow(stack, -1, p)
+
+
 def test_prime_bound_keeps_int64_exact():
     # (p - 1)^2 * MAX_INNER fits in int64 at the bound and not one past it
     bound = modp.PRIME_BOUND

@@ -10,11 +10,11 @@ quotient for every idempotent, and sandwiches e_i A e_j in A projected to S.
 import numpy as np
 import pytest
 
-from gradedalg import modp
+from gradedalg import algebra, modp, modules, selfinj
 from gradedalg.algebra import (
     GradedAlgebra,
     _check_primitive,
-    _element_power,
+    cached,
     corner,
     degree_zero_subalgebra,
     quotient_algebra,
@@ -22,11 +22,24 @@ from gradedalg.algebra import (
     semisimple_quotient,
     validate_algebra,
 )
-from gradedalg.construct import T_of, beilinson
+from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import NotPrimitive
-from gradedalg.modules import simple_classes
+from gradedalg.modules import inj, simple_classes
+from gradedalg.selfinj import graded_nakayama, is_graded_frobenius
 
 P = 7919
+
+
+def _element_power(a, v, k):
+    """v^k in a, by repeated squaring from the unit: the reference's own power."""
+    out = a.unit.copy()
+    base = v % a.p
+    while k:
+        if k & 1:
+            out = a.mul(out, base)
+        base = a.mul(base, base)
+        k >>= 1
+    return out
 
 
 def division_invariants(q):
@@ -130,7 +143,7 @@ def test_primitivity_matches_reference(semisimple_corpus):
             want = division_invariants(ref_corner_quotient(a, i))
             assert division_invariants(corner(s, s.idempotents[i])) == want, (name, i)
             assert want[1:] == (True, 1), (name, i)
-            assert outcome(_check_primitive, a, i) is None, (name, i)
+        _check_primitive(a)
     # End(S) is F_{p^2}: the corner is two-dimensional and still a field
     nonsplit = dict(semisimple_corpus)["F_p2[x]/(x^2)"]
     assert division_invariants(ref_corner_quotient(nonsplit, 0)) == (2, True, 1)
@@ -181,3 +194,138 @@ def test_simple_classes_multiply_in_the_quotient_only(monkeypatch, rebased_nakay
     monkeypatch.setattr(GradedAlgebra, "left_mult", refuse)
     monkeypatch.setattr(GradedAlgebra, "right_mult", refuse)
     assert simple_classes(fresh)[:2] == ([0, 1, 2], [0, 1, 2])
+
+
+def set_partitions(items):
+    """Every partition of a list into non-empty blocks, each block in list order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for q in range(len(part)):
+            yield part[:q] + [[first] + part[q]] + part[q + 1 :]
+        yield [[first]] + part
+
+
+def direct_product(parts):
+    """(names, table, unit) of the product of algebras concentrated in degree 0."""
+    n = sum(x.dim for x in parts)
+    table = modp.zeros(n, n, n)
+    names, at = [], 0
+    for q, x in enumerate(parts):
+        block = slice(at, at + x.dim)
+        table[block, block, block] = x.table
+        names += [f"{q}:{name}" for name in x.names]
+        at += x.dim
+    return names, table, np.concatenate([x.unit for x in parts])
+
+
+def rebased(a, seed):
+    """``a``, concentrated in degree 0, in a seeded random basis."""
+    assert not a.degrees.any()
+    rng = np.random.default_rng(seed)
+    while True:
+        basis = rng.integers(0, P, size=(a.dim, a.dim))  # column t: old coordinates of new vector t
+        inv = modp.invert(basis, P)
+        if inv is not None:
+            break
+    prods = np.einsum("si,uj,suk->ijk", basis, basis, a.table % P) % P
+    table = np.einsum("lk,ijk->ijl", inv, prods) % P
+    return GradedAlgebra(P, a.names, a.degrees, table, inv @ a.unit % P, a.idempotents @ inv.T % P)
+
+
+def first_refusal(a):
+    """validate_algebra's NotPrimitive message on ``a``, or None when it passes."""
+    try:
+        validate_algebra(a)
+    except NotPrimitive as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def designations(matrix2x2, nonsplit_dual_numbers):
+    """(name, algebra, expected message) for k^n under every designation by
+    block sums, n = 2, 3, 4, and for M_2(k) x k and F_{p^2} x k under a
+    primitive and a merged designation."""
+    k = GradedAlgebra(P, ["1"], [0], [[[1]]], [1], [[1]])
+    out = []
+    for n in (2, 3, 4):
+        names, table, unit = direct_product([k] * n)
+        parts = list(set_partitions(list(range(n))))
+        assert len(parts) == {2: 2, 3: 5, 4: 15}[n]
+        for blocks in parts:
+            idems = [np.isin(np.arange(n), block).astype(np.int64) for block in blocks]
+            big = [(q, len(block)) for q, block in enumerate(blocks) if len(block) > 1]
+            want = f"idempotent {big[0][0]}: Frobenius fixed space has dimension {big[0][1]}" if big else None
+            out.append((f"k^{n} {blocks}", GradedAlgebra(P, names, [0] * n, table, unit, idems), want))
+    names, table, unit = direct_product([matrix2x2, k])  # m00, m01, m10, m11, f
+    for idems, want in (
+        ([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], None),
+        ([[1, 0, 0, 1, 0], [0, 0, 0, 0, 1]], "idempotent 0: corner semisimple quotient is noncommutative"),
+    ):
+        out.append((f"M_2(k) x k {idems}", GradedAlgebra(P, names, [0] * 5, table, unit, idems), want))
+    field = degree_zero_subalgebra(nonsplit_dual_numbers)  # F_{p^2}, basis 1 and i
+    names, table, unit = direct_product([field, k])
+    for idems, want in (
+        ([[1, 0, 0], [0, 0, 1]], None),
+        ([[1, 0, 1]], "idempotent 0: Frobenius fixed space has dimension 2"),
+    ):
+        out.append((f"F_p2 x k {idems}", GradedAlgebra(P, names, [0] * 3, table, unit, idems), want))
+    return out
+
+
+def test_primitivity_gate_matches_reference_on_designations(designations):
+    # validate_algebra decides every idempotent in one pass; the reference one
+    # at a time, each in a corner algebra of its own
+    assert len(designations) == 2 + 5 + 15 + 2 + 2
+    for name, a, want in designations:
+        for alg in (a, rebased(a, len(name))):
+            ref = [outcome(ref_check_primitive, alg, i) for i in range(alg.n_idempotents)]
+            assert next(filter(None, ref), None) == want, name
+            assert first_refusal(alg) == want, name
+
+
+def test_one_corner_pass_per_semisimple_quotient(monkeypatch, rebased_nakayama):
+    t = t_of(rebased_nakayama(4, 3, 43))
+    fresh = GradedAlgebra(t.p, t.names, t.degrees, t.table, t.unit, t.idempotents)
+    passes = []
+    real = algebra._corner_pass.__wrapped__
+
+    def counted(s):
+        passes.append(s)
+        return real(s)
+
+    def refuse(a, e):
+        raise AssertionError("validation built a corner algebra")
+
+    spy = cached(counted)
+    monkeypatch.setattr(algebra, "_corner_pass", spy)
+    monkeypatch.setattr(modules, "_corner_pass", spy)
+    monkeypatch.setattr(algebra, "corner", refuse)
+    for _ in range(2):
+        validate_algebra(fresh)
+        simple_classes(fresh)
+        assert is_graded_frobenius(fresh)
+    s0 = semisimple_quotient(degree_zero_subalgebra(fresh))[0]
+    s = semisimple_quotient(fresh)[0]
+    assert len(passes) == 2 and passes[0] is s0 and passes[1] is s
+
+
+def test_graded_nakayama_covers_the_injectives_only(monkeypatch, rebased_nakayama):
+    # the top of each Ae_i is named by its simple class, not by a cover
+    t = t_of(rebased_nakayama(4, 3, 43))
+    fresh = GradedAlgebra(t.p, t.names, t.degrees, t.table, t.unit, t.idempotents)
+    want = graded_nakayama(t).to_dict()
+    calls = []
+    real = selfinj.cover_maps
+
+    def counted(fam):
+        calls.append(fam.modules())
+        return real(fam)
+
+    monkeypatch.setattr(selfinj, "cover_maps", counted)
+    assert graded_nakayama(fresh).to_dict() == want
+    injectives = [inj(fresh, i, 0) for i in range(fresh.n_idempotents)]
+    assert len(calls) == 1 and all(m.equals(want) for m, want in zip(calls[0], injectives, strict=True))
