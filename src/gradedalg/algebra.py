@@ -112,9 +112,6 @@ class GradedAlgebra:
     def degree_indices(self, d: int) -> np.ndarray:
         return np.nonzero(self.degrees == d)[0]
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     # -- multiplication ------------------------------------------------
 
     @property
@@ -311,9 +308,19 @@ def _non_associative(a: GradedAlgebra, i: int, j: int, k: int) -> NonAssociative
 
 
 #: Most joined pairs of structure constants that one block of
-#: ``_associativity_fault`` forms (unless one i alone has more); about 50
+#: ``_associativity_fault`` forms (unless one i alone has more); about 34
 #: bytes each at the peak.
 _JOIN_BUDGET = 1 << 15
+
+
+def _join_packing(n: int, p: int) -> tuple[int, int]:
+    """(b, span) for the join of an n-dimensional algebra over F_p: each pair
+    is packed as key * 2^b + value, b the bit length of p - 1, with its key
+    taken relative to the block's first i, and a block spans at most ``span``
+    consecutive i.  So every packed value is below span n^3 2^b <= 2^63 (see
+    ``modp``)."""
+    b = (p - 1).bit_length()
+    return b, max(1, min(n, (1 << 63) // (n**3 << b)))
 
 
 def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
@@ -324,14 +331,17 @@ def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
     b_i (b_j b_k) is sum_m t[j, k, m] t[i, m, l].  So each non-zero (i, j, m)
     meets the non-zeros of first index m, and each (i, m, l) meets those of
     third index m.  Every product is reduced mod p, the right side's negated,
-    and both sides are summed by the key ((i n + j) n + k) n + l (a sort, then
-    ``np.add.reduceat``): the smallest key whose sum is not 0 mod p names the
-    triple.  The pairs are formed in blocks of consecutive i, each of at most
-    ``_JOIN_BUDGET`` pairs or of one i, and the first block with a fault ends
-    the check.  See ``modp`` for why int64 is exact here.
+    and packed under its key ((i n + j) n + k) n + l as key * 2^b + product
+    (``_join_packing``); one in-place sort of the packed values orders them
+    by key, and ``np.add.reduceat`` sums each key's products: the smallest
+    key whose sum is not 0 mod p names the triple.  The pairs are formed in
+    blocks of consecutive i, each of at most ``_JOIN_BUDGET`` pairs or of one
+    i, and of at most ``span`` i; the first block with a fault ends the
+    check.  See ``modp`` for why int64 is exact here.
     """
     n, p, left = a.dim, a.p, a.left
     n2, n3 = n * n, n * n * n
+    b, span = _join_packing(n, p)
     flat = np.flatnonzero(left)  # left[i, m, j] = t[i, j, m]: in order of i
     nnz = flat.size
     c = left.ravel()[flat]
@@ -347,40 +357,38 @@ def _associativity_fault(a: GradedAlgebra) -> Optional[tuple[int, int, int]]:
     reps = np.concatenate([first[m], third[j]])
     begin = np.concatenate([end1[m] - first[m], end3[j] - third[j] + nnz])
     okey = np.concatenate([i * n3 + j * n2, i * n3 + m])
-    ikey = np.concatenate([j * n + m, (i * n2 + j * n)[by_m]])
+    ikey = np.concatenate([j * n + m, (i * n2 + j * n)[by_m]]) << b
     oval = np.tile(c, 2)
     ival = np.concatenate([c, p - c[by_m]])
     cost = np.concatenate([[0], np.cumsum(reps[:nnz] + reps[nnz:])])  # pairs before each non-zero
-    if cost[-1] <= _JOIN_BUDGET:
-        blocks = [np.arange(2 * nnz)]
-    else:
-        blocks, lo = [], 0
-        while lo < nnz:  # whole i within the budget from non-zero lo, at least one
-            hi = int(np.searchsorted(cost, cost[lo] + _JOIN_BUDGET, "right")) - 1
-            if hi < nnz:
-                hi = int(end1[i[hi]] - first[i[hi]])
-            hi = max(hi, int(end1[i[lo]]))
-            blocks.append(np.r_[lo:hi, nnz + lo : nnz + hi])
-            lo = hi
-    for rows in blocks:
+    lo = 0
+    while lo < nnz:  # whole i within the budget and the span from non-zero lo, at least one
+        hi = int(np.searchsorted(cost, cost[lo] + _JOIN_BUDGET, "right")) - 1
+        if hi < nnz:
+            hi = int(end1[i[hi]] - first[i[hi]])
+        hi = min(max(hi, int(end1[i[lo]])), int(np.searchsorted(i, i[lo] + span)))
+        rows = np.r_[lo:hi, nnz + lo : nnz + hi]
         r = reps[rows]
-        outer = np.repeat(rows, r)
         inner = np.repeat(begin[rows] + r - np.cumsum(r), r)
         inner += np.arange(inner.size)
-        key = okey[outer]
-        key += ikey[inner]
-        val = oval[outer]
-        val *= ival[inner]
+        base = int(i[lo]) * n3
+        packed = ikey[inner]
+        packed += np.repeat((okey[rows] - base) << b, r)
+        val = ival[inner]
+        del inner
+        val *= np.repeat(oval[rows], r)
         val %= p
-        del outer, inner
-        order = np.argsort(key)
-        key, val = key[order], val[order]
-        del order
-        heads = np.flatnonzero(np.diff(key, prepend=-1))
-        bad = np.flatnonzero(np.add.reduceat(val, heads) % p)
+        packed += val
+        del val
+        packed.sort()
+        key = packed >> b
+        heads = np.flatnonzero(np.r_[key[:1] >= 0, key[1:] != key[:-1]])  # each key's first pair
+        packed &= (1 << b) - 1
+        bad = np.flatnonzero(np.add.reduceat(packed, heads) % p)
         if bad.size:
-            k = int(key[heads[bad[0]]])
+            k = base + int(key[heads[bad[0]]])
             return k // n3, k // n2 % n, k // n % n
+        lo = hi
     return None
 
 
@@ -450,18 +458,36 @@ def _check_primitive(a: GradedAlgebra) -> None:
 def _radical_and_quotient(a: GradedAlgebra):
     """(radical rows, (A/rad A, reduce, section)), built together (cached).
 
-    The radical is the kernel of the trace form (x, y) -> trace(L_{xy}),
-    valid whenever p > dim (Dickson), and the quotient that verifies it (its
-    own trace form must be nondegenerate) is the one kept.  Both forms are
-    read off the structure constants (see ``_trace_form``), so ``a`` must
-    be associative.
+    p > dim A is checked first, whatever the grading.  When A_0 and some
+    A_d with d >= 1 are both non-zero, rad A = rad A_0 + A_{>=1}: A_{>=1} is
+    an ideal, nilpotent as A_{>=1}^(c+1) = 0 for the top degree c, with
+    quotient A_0, so rad A is the preimage of rad A_0 (Assem-Simson-
+    Skowronski, Elements I, ch. I).  The rows are then rad A_0's, embedded,
+    and the unit rows of A_{>=1} in order of degree, which is the RREF per
+    degree that the trace form gives; A_0's columns are the only free ones,
+    so S(A) is the very S(A_0) object, with reduce and section zero-padded.
+    Otherwise the radical is the kernel of the trace form
+    (x, y) -> trace(L_{xy}), valid whenever p > dim (Dickson), and the
+    quotient that verifies it (its own trace form must be nondegenerate) is
+    the one kept.  Both forms are read off the structure constants (see
+    ``_trace_form``), so ``a`` must be associative.
     """
     modp.require_prime_exceeds(a.p, a.dim)
-    _, ker = modp.rank_kernel(_trace_form(a), a.p)
-    rows, _, _ = homogeneous_row_basis(ker, a.degrees, a.p)
-    q, red, sec = quotient_algebra(a, rows)
-    if modp.rank(_trace_form(q), q.p) != q.dim:
-        raise CheckFailed("radical check failed: quotient is not semisimple")
+    zero = a.degree_indices(0)
+    if 0 < zero.size < a.dim:
+        rows0, (q, red0, sec0) = _radical_and_quotient(degree_zero_subalgebra(a))
+        positive = np.argsort(a.degrees, kind="stable")[zero.size :]  # by degree, then index
+        rows = modp.zeros(a.dim - q.dim, a.dim)
+        rows[: len(rows0), zero] = rows0
+        rows[np.arange(len(rows0), len(rows)), positive] = 1
+        red, sec = modp.zeros(q.dim, a.dim), modp.zeros(a.dim, q.dim)
+        red[:, zero], sec[zero] = red0, sec0
+    else:
+        _, ker = modp.rank_kernel(_trace_form(a), a.p)
+        rows, _, _ = homogeneous_row_basis(ker, a.degrees, a.p)
+        q, red, sec = quotient_algebra(a, rows)
+        if modp.rank(_trace_form(q), q.p) != q.dim:
+            raise CheckFailed("radical check failed: quotient is not semisimple")
     rows.flags.writeable = False
     return rows, (q, red, sec)
 
@@ -552,7 +578,9 @@ def _corner_pass(s: GradedAlgebra):
     classes (``modules.simple_classes``, on S = A/rad A), and rows[i] and
     pivots[i] are the RREF rows, then zero rows, and the pivot columns of
     every diagonal corner e_i S e_i, from one ``modp.rrefs``; primitivity
-    (``_check_primitive``, on S = A_0/rad A_0) reads them too.
+    (``_check_primitive``, on S = A_0/rad A_0) reads them too.  Both read
+    one pass when A has a positive degree, as A/rad A is then the object
+    A_0/rad A_0 (``_radical_and_quotient``).
     """
     p = s.p
     lefts = np.tensordot(s.idempotents, s.left, axes=1) % p

@@ -14,11 +14,19 @@ A product key absent from "products" means the product is zero; the unit
 row products may be omitted too, they are filled in from the unit axiom
 only if explicitly present.  Serialization is canonical (basis order), so
 save(load(f)) reproduces f up to key ordering.
+
+A file is the text of ``json.dumps(doc)`` with a two-space indent and a
+newline, byte for byte, so the digest of a saved algebra is stable.  It is
+written by ``_indented``, which emits that text for the one document shape
+``algebra_to_doc`` makes (keys in its order, strings escaped by json's own
+ASCII encoder, integers as ``int`` prints them) in one join of strings,
+several times faster than the json module's pure-Python indented encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Union
 
@@ -186,8 +194,38 @@ def loads(text: str) -> GradedAlgebra:
     return algebra_from_doc(parse(text))
 
 
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """``items``, each already indented one level past ``pad``, between
+    brackets, as the indented json encoder writes a list or an object."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _terms(lin: list[dict], pad: str) -> str:
+    """A list of {basis, coeff} terms at indentation ``pad``."""
+    inner = pad + "  "
+    return _block(
+        [f'{inner}{{\n{inner}  "basis": {_string(t["basis"])},\n{inner}  "coeff": {t["coeff"]}\n{inner}}}' for t in lin],
+        pad,
+    )
+
+
+def _indented(doc: dict) -> str:
+    """The text of ``json.dumps(doc)`` with a two-space indent, byte for byte,
+    for a document that ``algebra_to_doc`` made (see the module docstring)."""
+    basis = [f'    {{\n      "name": {_string(e["name"])},\n      "degree": {e["degree"]}\n    }}' for e in doc["basis"]]
+    idems = ["    " + _terms(e, "    ") for e in doc["idempotents"]]
+    products = [f"    {_string(key)}: {_terms(lin, '    ')}" for key, lin in doc["products"].items()]
+    return (
+        f'{{\n  "prime": {doc["prime"]},\n  "basis": {_block(basis, "  ")},\n'
+        f'  "unit": {_terms(doc["unit"], "  ")},\n  "idempotents": {_block(idems, "  ")},\n'
+        f'  "products": {_block(products, "  ", "{}")}\n}}'
+    )
+
+
 def dumps(a: GradedAlgebra) -> str:
-    return json.dumps(algebra_to_doc(a), indent=2)
+    return _indented(algebra_to_doc(a))
 
 
 def load(path: Union[str, Path]) -> GradedAlgebra:
@@ -200,4 +238,4 @@ def save(path: Union[str, Path], a: GradedAlgebra) -> None:
 
 def _save_doc(path: Union[str, Path], doc: dict) -> None:
     """Write the document ``algebra_to_doc`` made: the text of ``dumps`` and a newline."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(_indented(doc) + "\n")

@@ -21,10 +21,16 @@ Two kinds of kernel multiply residues:
 
 The associativity check of ``algebra.validate_algebra`` is an int64 join
 of the n-dimensional algebra's non-zero structure constants.  Each product
-of two residues is below p^2 <= 2^40 and is reduced before any sum; each
-sum has at most 2n terms, n from each side of the associative law; and
-each key is below n^4, which is below 2^63 for every n < 55,000, far past
-any whose dense structure table fits in memory.
+of two residues is below p^2 <= 2^40 and is reduced before any sum, and
+each sum has at most 2n terms, n from each side of the associative law.
+Each reduced product, below 2^b for b the bit length of p - 1 (at most
+20), is packed with its key as key * 2^b + product, the key taken relative
+to the first i of its block and so below span n^3 when the block spans
+``span`` consecutive i.  A block spans at most 2^63 // (n^3 2^b) of them,
+and at least one, so every packed value is below 2^63 while
+n^3 2^b <= 2^63: for every n up to 20,642 at the largest accepted prime,
+far past any whose dense structure table (n^3 int64 entries, 70 TB at
+that n) fits in memory.
 
 Row reduction is plain Gauss-Jordan on dense arrays: all inputs in this
 project are desk-scale (dimension a few hundred at most).  There are two

@@ -80,9 +80,6 @@ class GradedModule:
         """Matrix of the action of an algebra element given by coordinates."""
         return np.einsum("i,iab->ab", v % self.p, self.action) % self.p
 
-    def slice_indices(self, n: int) -> np.ndarray:
-        return np.nonzero(self.degrees == n)[0]
-
     def slice_dims(self) -> dict[int, int]:
         vals, counts = np.unique(self.degrees, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}

@@ -4,11 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gradedalg import modp
+from gradedalg import corpus, modp
+from gradedalg import algebra
 from gradedalg.algebra import (
     _JOIN_BUDGET,
     Bimodule,
     _associativity_fault,
+    _join_packing,
+    _radical_and_quotient,
+    _trace_form,
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
@@ -21,6 +25,7 @@ from gradedalg.algebra import (
     quotient_algebra,
     radical,
     regular_bimodule,
+    semisimple_quotient,
     validate_algebra,
 )
 from gradedalg.construct import (
@@ -98,7 +103,7 @@ def test_nonassociative_detected():
 
 def test_bimodule_faults_detected(truncated):
     a = truncated(3)
-    x = a.index_of("x")
+    x = a.names.index("x")
     reg = regular_bimodule(a)
     for side in ("left", "right"):
         actions = {"left": np.array(reg.left_action), "right": np.array(reg.right_action)}
@@ -243,7 +248,7 @@ def test_radical_upper_triangular(uppertri):
     a = uppertri(2)
     rad = radical(a)
     assert rad.shape[0] == 1
-    assert rad[0][a.index_of("u01")] != 0
+    assert rad[0][a.names.index("u01")] != 0
 
 
 def test_radical_is_nilpotent(graded_corpus):
@@ -814,6 +819,149 @@ def test_associativity_join_matches_the_dense_int64_reference(truncated, rebased
         found.append(got)
     assert any(f is not None and f[0] < first_block for f in found)
     assert any(f is not None and f[0] >= first_block for f in found)
+
+
+def _associativity_fault_argsort(a, budget=_JOIN_BUDGET):
+    """The join as it was before values were packed under their keys: an
+    argsort of the keys and a gather of keys and values, kept as the oracle."""
+    n, p, left = a.dim, a.p, a.left
+    n2, n3 = n * n, n * n * n
+    flat = np.flatnonzero(left)
+    nnz = flat.size
+    c = left.ravel()[flat]
+    i, rest = np.divmod(flat, n2)
+    m, j = np.divmod(rest, n)
+    by_m = np.argsort(m)
+    first, third = np.bincount(i, minlength=n), np.bincount(m, minlength=n)
+    end1, end3 = np.cumsum(first), np.cumsum(third)
+    reps = np.concatenate([first[m], third[j]])
+    begin = np.concatenate([end1[m] - first[m], end3[j] - third[j] + nnz])
+    okey = np.concatenate([i * n3 + j * n2, i * n3 + m])
+    ikey = np.concatenate([j * n + m, (i * n2 + j * n)[by_m]])
+    oval = np.tile(c, 2)
+    ival = np.concatenate([c, p - c[by_m]])
+    cost = np.concatenate([[0], np.cumsum(reps[:nnz] + reps[nnz:])])
+    if cost[-1] <= budget:
+        blocks = [np.arange(2 * nnz)]
+    else:
+        blocks, lo = [], 0
+        while lo < nnz:
+            hi = int(np.searchsorted(cost, cost[lo] + budget, "right")) - 1
+            if hi < nnz:
+                hi = int(end1[i[hi]] - first[i[hi]])
+            hi = max(hi, int(end1[i[lo]]))
+            blocks.append(np.r_[lo:hi, nnz + lo : nnz + hi])
+            lo = hi
+    for rows in blocks:
+        r = reps[rows]
+        outer = np.repeat(rows, r)
+        inner = np.repeat(begin[rows] + r - np.cumsum(r), r)
+        inner += np.arange(inner.size)
+        key = okey[outer] + ikey[inner]
+        val = oval[outer] * ival[inner] % p
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        bad = np.flatnonzero(np.add.reduceat(val, heads) % p)
+        if bad.size:
+            k = int(key[heads[bad[0]]])
+            return k // n3, k // n2 % n, k // n % n
+    return None
+
+
+def _extensions(a):
+    """A, t(A) and T(b(A))."""
+    return [a, t_of(a), T_of(beilinson(a))]
+
+
+def test_packed_join_matches_the_argsort_join(
+    graded_corpus, exterior2, truncated, rebased_nakayama32, rebased_nakayama, monkeypatch
+):
+    # the same triple, or None, as the argsort join: on the algebras and their
+    # extensions, and on every single-entry corruption of four small tables,
+    # at the real budget and at one that cuts every table into many blocks
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32, rebased_nakayama(4, 3, 43)]
+    for a in algebras:
+        for alg in _extensions(a):
+            assert _associativity_fault(alg) is None and _associativity_fault_argsort(alg) is None
+    faults = Counter()
+    for budget in (_JOIN_BUDGET, 16):
+        monkeypatch.setattr(algebra, "_JOIN_BUDGET", budget)
+        for a in (truncated(4), exterior2, t_of(truncated(3)), rebased_nakayama32):
+            for table in _entry_corruptions(a.table):
+                bad = GradedAlgebra(a.p, a.names, a.degrees, table, a.unit, a.idempotents)
+                got = _associativity_fault(bad)
+                assert got == _associativity_fault_argsort(bad)
+                faults[got is not None] += 1
+    assert faults[True] + faults[False] == 2 * (4**3 + 4**3 + 6**3 + 9**3)
+    assert faults[True] > 2000 and faults[False] > 0
+    # past the first block of t(N(4, 3)), at the real budget
+    monkeypatch.setattr(algebra, "_JOIN_BUDGET", _JOIN_BUDGET)
+    t = t_of(rebased_nakayama(4, 3, 43))
+    rng = np.random.default_rng(27)
+    for _ in range(12):
+        bad = GradedAlgebra(t.p, t.names, t.degrees, _corrupt(t.table, rng, t.p), t.unit, t.idempotents)
+        assert _associativity_fault(bad) == _associativity_fault_argsort(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 48, 156, 1000, 20642])
+def test_join_packing_round_trips_the_largest_key_and_value(n):
+    # the largest key of a block, relative to its first i, packed with the
+    # largest reduced value at the largest accepted prime, unpacks exactly
+    p = max(q for q in range(modp.PRIME_BOUND - 100, modp.PRIME_BOUND + 1) if modp.is_prime(q))
+    b, span = _join_packing(n, p)
+    assert b == 20 and 1 <= span <= n
+    key = span * n**3 - 1
+    packed = np.array([key], dtype=np.int64) << b
+    packed += p - 1
+    assert int(packed[0]) == key * 2**b + p - 1 < 2**63
+    assert int(packed[0] >> b) == key and int(packed[0] & (2**b - 1)) == p - 1
+    assert span == n or (span + 1) * n**3 * 2**b > 2**63  # no i fewer than fit
+
+
+def _trace_form_radical(a):
+    """The radical and quotient from the trace form of A itself, as they were
+    computed before S(A) was read from A_0, kept as the oracle."""
+    modp.require_prime_exceeds(a.p, a.dim)
+    _, ker = modp.rank_kernel(_trace_form(a), a.p)
+    rows, _, _ = homogeneous_row_basis(ker, a.degrees, a.p)
+    q, red, sec = quotient_algebra(a, rows)
+    assert modp.rank(_trace_form(q), q.p) == q.dim
+    return rows, (q, red, sec)
+
+
+def _reversed_basis(a):
+    """``a`` with its basis in reverse order, so degrees fall along it."""
+    r = np.arange(a.dim)[::-1]
+    return GradedAlgebra(
+        a.p, [a.names[t] for t in r], a.degrees[r], a.table[np.ix_(r, r, r)], a.unit[r], a.idempotents[:, r]
+    )
+
+
+def test_radical_from_degree_zero_matches_the_trace_form(
+    graded_corpus, rebased_nakayama32, rebased_nakayama, left_only_well_graded, nonsplit_dual_numbers
+):
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32, rebased_nakayama(4, 3, 43)]
+    cases = [alg for a in algebras for alg in _extensions(a)] + [left_only_well_graded, nonsplit_dual_numbers]
+    cases += [_reversed_basis(a) for a in algebras]
+    for a in cases:
+        fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
+        rows, (q, red, sec) = _radical_and_quotient(fresh)
+        want_rows, (want_q, want_red, want_sec) = _trace_form_radical(fresh)
+        for got, want in ((rows, want_rows), (red, want_red), (sec, want_sec)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert q.same_as(want_q)
+        if fresh.top_degree() > 0:
+            assert q is semisimple_quotient(degree_zero_subalgebra(fresh))[0]
+
+
+def test_prime_between_dim_a0_and_dim_a_is_still_refused():
+    # dim A_0 = 1 < p = 7 <= dim A = 7: A_0 alone would pass the prime check
+    a = corpus.truncated_poly(7, 7)
+    with pytest.raises(PrimeTooSmall, match=r"^prime 7 must exceed dim 7$"):
+        validate_algebra(a)
+    with pytest.raises(PrimeTooSmall, match=r"^prime 7 must exceed the dimension 7$"):
+        radical(a)
 
 
 def test_homogeneous_row_basis_matches_rowwise_oracle():

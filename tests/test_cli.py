@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gradedalg import cli, fileio, modp, selfinj
+from gradedalg import cli, corpus, fileio, modp, selfinj
 from gradedalg.algebra import validate_algebra
 from gradedalg.cli import main
 from gradedalg.construct import beilinson, t_of
@@ -41,6 +41,15 @@ def test_file_round_trip(tmp_path):
     # save(load(f)) reproduces the document
     assert fileio.algebra_to_doc(a) == fileio.algebra_to_doc(b)
     assert json.loads(fileio.dumps(a)) == json.loads((tmp_path / "e2.json").read_text())
+
+
+def test_prime_between_dim_a0_and_dim_a_is_refused_by_info(capsys, tmp_path):
+    # k[x]/(x^7) at p = 7: dim A_0 = 1 < p <= dim A
+    path = tmp_path / "k7p7.json"
+    fileio.save(path, corpus.truncated_poly(7, 7))
+    code, report = run(capsys, "info", str(path))
+    assert code == 2 and report["results"] is None
+    assert report["error"] == {"kind": "precondition", "message": "prime 7 must exceed dim 7"}
 
 
 def test_parse_error_names_offender(tmp_path):

@@ -259,7 +259,7 @@ def test_dual_bimodule_product_algebra():
 def test_dual_bimodule_transpose_of_regular(uppertri):
     a = uppertri(2)
     d = dual_bimodule(a)
-    u = a.index_of("u01")
+    u = a.names.index("u01")
     assert np.array_equal(d.left_action[u], a.right[u].T)
     assert np.array_equal(d.right_action[u], a.left[u].T)
 

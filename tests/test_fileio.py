@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gradedalg import fileio, modp
+from gradedalg.algebra import GradedAlgebra
 from gradedalg.cli import main
 from gradedalg.construct import t_of
 from gradedalg.corpus import gen_example
@@ -89,6 +90,32 @@ def test_documents_match_the_per_pair_builder(rebased_nakayama):
         assert list(doc["products"]) == list(want["products"]), name  # same key order
         text = json.dumps(want, indent=2)
         assert fileio.dumps(a) == json.dumps(doc, indent=2) == text, name
+
+
+def test_the_writer_is_json_dumps_with_indent_2(tmp_path):
+    # names that json escapes (quote, backslash, non-ASCII, control
+    # characters) and t(A) of every bundled graded algebra: the written
+    # bytes are those of json.dumps(doc, indent=2) and a newline
+    k5 = gen_example("truncated_poly", n=5)
+    odd = GradedAlgebra(k5.p, ['q"1', "b\\x", "\u00e9", "\u2192", "c\x01\n\t"], k5.degrees, k5.table, k5.unit, k5.idempotents)
+    algebras = [odd] + [
+        t_of(gen_example(kind, **params))
+        for kind, params in [
+            ("truncated_poly", {"n": 2}), ("truncated_poly", {"n": 3}), ("truncated_poly", {"n": 4}),
+            ("truncated_poly", {"n": 5}), ("exterior", {"m": 1}), ("exterior", {"m": 2}),
+            ("product_counterexample", {}),
+        ]
+    ]
+    for a in algebras:
+        doc = fileio.algebra_to_doc(a)
+        assert fileio.dumps(a) == json.dumps(doc, indent=2)
+        fileio.save(tmp_path / "a.json", a)
+        assert (tmp_path / "a.json").read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+    # empty lists and objects, which algebra_to_doc makes for a zero unit,
+    # idempotent or table
+    doc = fileio.algebra_to_doc(odd)
+    for empty in ({"unit": []}, {"idempotents": [[]]}, {"idempotents": []}, {"products": {}}, {"products": {"x*x": []}}):
+        assert fileio._indented({**doc, **empty}) == json.dumps({**doc, **empty}, indent=2)
 
 
 def test_an_all_zero_product_row_is_left_out():
