@@ -131,9 +131,6 @@ class GradedAlgebra:
         # column b is basis_b * v
         return ((self.left @ (v % self.p)) % self.p).T
 
-    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (self.left_mult(u) @ (v % self.p)) % self.p
-
     def same_as(self, other: "GradedAlgebra") -> bool:
         if self is other:
             return True
@@ -157,28 +154,27 @@ class GradedAlgebra:
 def homogeneous_row_basis(
     rows: np.ndarray, ambient_degrees: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Split rows into degree components and reduce each degree separately.
+    """The RREF rows of each degree component of the span of ``rows``, in
+    order of degree: (basis rows, their degrees, pivot columns).
 
     Works for any rows spanning a graded subspace (components of a vector in
-    a graded subspace lie in it again).  Because homogeneous vectors of
-    different degrees have disjoint coordinate support, the pivot columns
-    are globally distinct and coordinates of any member vector can be read
-    off the pivots.  Returns (basis rows, their degrees, pivot columns).
+    a graded subspace lie in it again).  One ``modp.row_basis`` reduces the
+    degree components of every row together, and its rows are then ordered
+    stably by the degree of their pivots.  That is the RREF of each
+    component in turn: homogeneous vectors of different degrees have
+    disjoint coordinate supports, so the union of the components' RREFs is
+    in RREF, and it spans the whole, whose RREF is unique.  So the pivot
+    columns are globally distinct and coordinates of any member vector can
+    be read off the pivots.
     """
     rows = modp.normalize(rows, p)
     n = ambient_degrees.shape[0]
-    basis_rows: list[np.ndarray] = []
-    basis_degs: list[int] = []
-    pivots: list[int] = []
-    for d in np.unique(ambient_degrees[rows.any(axis=0)]).tolist():
-        comp = np.where(ambient_degrees == d, rows, 0)
-        red, piv = modp.row_basis(comp[comp.any(axis=1)], p)
-        basis_rows.extend(red)
-        basis_degs.extend([d] * len(piv))
-        pivots.extend(piv)
-    if not basis_rows:
-        return modp.zeros(0, n), np.zeros(0, dtype=np.int64), []
-    return np.array(basis_rows), np.array(basis_degs, dtype=np.int64), pivots
+    values = np.unique(ambient_degrees[rows.any(axis=0)])
+    comps = np.where(ambient_degrees == values[:, None, None], rows, 0).reshape(values.size * len(rows), n)
+    basis, pivots = modp.row_basis(comps[comps.any(axis=1)], p)
+    pivots = np.array(pivots, dtype=np.int64)
+    order = np.argsort(ambient_degrees[pivots], kind="stable")
+    return basis[order], ambient_degrees[pivots[order]], pivots[order].tolist()
 
 
 def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
@@ -427,9 +423,10 @@ def _check_primitive(a: GradedAlgebra) -> None:
     basis element u of e_i S e_i, read in that basis at its pivots; one
     comparison for commutativity; u^p = L_u^p e_i from one ``modp.mat_pow``
     of the whole stack; and the fixed spaces from one ``modp.ranks``.  The
-    first failing idempotent is refused, its commutativity first.
+    first failing idempotent is refused, its commutativity first.  S is read
+    from A itself when A is trivially graded, as A_0 is then A.
     """
-    s, _, _ = semisimple_quotient(degree_zero_subalgebra(a))
+    s, _, _ = semisimple_quotient(a if a.top_degree() == 0 else degree_zero_subalgebra(a))
     p, l = s.p, s.n_idempotents
     _, rows, pivots = _corner_pass(s)
     dims = pivots.sum(axis=1)
@@ -759,10 +756,6 @@ class Bimodule:
         if fault is not None:
             raise ActionFault(f"left/right actions do not commute at {a.names[fault[0]]}")
         return self
-
-
-def regular_bimodule(a: GradedAlgebra) -> Bimodule:
-    return Bimodule(a, list(a.names), a.left, a.right)
 
 
 def dual_bimodule_of(x: Bimodule) -> Bimodule:

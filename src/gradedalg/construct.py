@@ -47,8 +47,6 @@ from .algebra import (
     algebra_map_fault,
     cached,
     degree_zero_subalgebra,
-    dual_bimodule_of,
-    regular_bimodule,
 )
 from .errors import (
     ActionFault,
@@ -75,10 +73,6 @@ class AlgebraAutomorphism:
         self.matrix.flags.writeable = False
         self.inverse.flags.writeable = False
         self._cache = {}
-
-    @classmethod
-    def identity(cls, algebra: GradedAlgebra) -> "AlgebraAutomorphism":
-        return cls(algebra, modp.identity(algebra.dim))
 
     @cached
     def power(self, k: int) -> np.ndarray:
@@ -235,8 +229,9 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
 
 
 def dual_bimodule(b: GradedAlgebra) -> Bimodule:
-    """D(B): left action transposes right regular action and vice versa."""
-    return dual_bimodule_of(regular_bimodule(b))
+    """D(B): left action transposes right regular action and vice versa,
+    the arrays ``twisted_dual_bimodule`` gives at sigma = id."""
+    return Bimodule(b, [f"{s}^" for s in b.names], b.left.transpose(2, 0, 1), b.table)
 
 
 def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimodule:

@@ -5,7 +5,9 @@ A module is a tuple (algebra, degrees, action): ``degrees[t]`` is the
 matrix of the i-th algebra basis element acting on coordinate columns.
 
 Projectives Ae_i and graded injectives D(e_i A) are built from the regular
-representation, everything else by exact row reduction over F_p.  Each
+representation by one routine, ``_graded_spans``, which reduces each span
+of the rows b_j e_i or e_i b_j by one elimination
+(``homogeneous_row_basis``); everything else by exact row reduction over F_p.  Each
 question has one entry point, which treats a whole family at once, a
 ``ModuleFamily``, and names its members by their position in it:
 
@@ -75,10 +77,6 @@ class GradedModule:
     @property
     def p(self) -> int:
         return self.algebra.p
-
-    def act(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of the action of an algebra element given by coordinates."""
-        return np.einsum("i,iab->ab", v % self.p, self.action) % self.p
 
     def slice_dims(self) -> dict[int, int]:
         vals, counts = np.unique(self.degrees, return_counts=True)
@@ -355,48 +353,26 @@ def submodule(m: GradedModule, rows: np.ndarray) -> GradedModule:
     return GradedModule(m.algebra, degs, action)
 
 
-def _graded_bases(a: GradedAlgebra, spans: np.ndarray):
-    """(basis, degrees, pivots) of the row space of each spans[k], a graded
-    subspace of A, as ``homogeneous_row_basis`` gives them: the RREF rows of
-    each degree component in turn.  One ``modp.rrefs`` reduces the non-zero
-    rows of every (span, degree) component, on the columns of that degree,
-    zero-padded; the RREF is unique, so the rows are those of the
-    component's own reduction."""
-    p, n, count = a.p, a.dim, len(spans)
-    values = np.unique(a.degrees)
-    width = int(np.bincount(a.degrees).max())
-    # cols[g]: the basis elements of the g-th degree, padded with n, a zero column
-    cols = np.full((values.size, width), n)
-    for g, value in enumerate(values.tolist()):
-        at = a.degree_indices(value)
-        cols[g, : at.size] = at
-    padded = np.concatenate([spans % p, modp.zeros(count, n, 1)], axis=2)
-    parts = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(count * values.size, n, width)
-    live = parts.any(axis=2)
-    order = (~live).argsort(axis=1, kind="stable")[:, : max(int(live.sum(axis=1).max()), 1)]
-    rows, pivots = modp.rrefs(parts[np.arange(len(parts))[:, None], order], p)
-    e, j = (np.arange(width) < pivots.sum(axis=1)[:, None]).nonzero()  # (component, RREF row)
-    g = e % values.size
-    basis = modp.zeros(e.size, n + 1)
-    basis[np.arange(e.size)[:, None], cols[g]] = rows[e, j]
-    pivot = cols[g, (~pivots).argsort(axis=1, kind="stable")[e, j]]
-    bounds = np.searchsorted(e // values.size, np.arange(count + 1))
-    return [
-        (basis[lo:hi, :n], values[g[lo:hi]], pivot[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])
-    ]
+def _graded_spans(a: GradedAlgebra, mult: np.ndarray):
+    """(degrees, action, basis) of the span of the rows mult[j] e_i, for each
+    designated e_i: the rows of ``homogeneous_row_basis`` and the action of
+    every mult[k] on them, read off their pivots.  With mult = ``a.left``
+    the rows b_j e_i span Ae_i, and with mult = ``a.right`` the rows e_i b_j
+    span e_i A, acted on from the right."""
+    out = []
+    for span in (mult @ a.idempotents.T % a.p).transpose(2, 0, 1):  # span[j] = mult[j] e_i
+        basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
+        action = (mult[:, pivots, :] @ basis.T) % a.p
+        for arr in (degs, action, basis):
+            arr.flags.writeable = False
+        out.append((degs, action, basis))
+    return out
 
 
 @cached
 def _projectives(a: GradedAlgebra):
     """(degrees, action, basis) of every Ae_i, whose basis rows b_j e_i sit in A (cached)."""
-    spans = (a.left @ a.idempotents.T % a.p).transpose(2, 0, 1)  # spans[i]: rows b_j e_i
-    out = []
-    for basis, degs, pivots in _graded_bases(a, spans):
-        action = (a.left[:, pivots, :] @ basis.T) % a.p
-        for arr in (degs, action, basis):
-            arr.flags.writeable = False
-        out.append((degs, action, basis))
-    return out
+    return _graded_spans(a, a.left)
 
 
 def proj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
@@ -407,15 +383,13 @@ def proj(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
 
 @cached
 def _injectives(a: GradedAlgebra):
-    """(degrees, action) of every D(e_i A), from the rows e_i b_j in A (cached)."""
-    spans = np.tensordot(a.idempotents, a.left, axes=1) % a.p
+    """(degrees, action) of every D(e_i A): those of e_i A, from the rows
+    e_i b_j in A, negated and transposed (cached)."""
     out = []
-    for basis, degs, pivots in _graded_bases(a, spans.transpose(0, 2, 1)):  # rows e_i b_j
-        rho = (a.right[:, pivots, :] @ basis.T) % a.p  # right action on e_i A
-        degs, action = -degs, rho.transpose(0, 2, 1)
-        for arr in (degs, action):
-            arr.flags.writeable = False
-        out.append((degs, action))
+    for degs, rho, _ in _graded_spans(a, a.right):
+        degs = -degs
+        degs.flags.writeable = False
+        out.append((degs, rho.transpose(0, 2, 1)))
     return out
 
 

@@ -24,7 +24,6 @@ from gradedalg.algebra import (
     is_right_well_graded,
     quotient_algebra,
     radical,
-    regular_bimodule,
     semisimple_quotient,
     validate_algebra,
 )
@@ -58,6 +57,16 @@ from gradedalg.modules import GradedModule, GradedMorphism, ModuleFamily, hom_ba
 P = 7919
 
 
+def _mul(a, u, v):
+    """u * v in A, for coordinate vectors."""
+    return a.left_mult(u) @ (v % a.p) % a.p
+
+
+def _act(m, v):
+    """The matrix of the algebra element with coordinates v acting on m."""
+    return np.einsum("i,iab->ab", v % m.p, m.action) % m.p
+
+
 def test_validate_smallest_graded(truncated):
     a = truncated(2)
     assert a.top_degree() == 1
@@ -83,8 +92,8 @@ def test_exterior_associativity_brute_force(exterior2):
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                lhs = a.mul(a.mul(basis[i], basis[j]), basis[k])
-                rhs = a.mul(basis[i], a.mul(basis[j], basis[k]))
+                lhs = _mul(a, _mul(a, basis[i], basis[j]), basis[k])
+                rhs = _mul(a, basis[i], _mul(a, basis[j], basis[k]))
                 assert np.array_equal(lhs, rhs)
 
 
@@ -104,7 +113,7 @@ def test_nonassociative_detected():
 def test_bimodule_faults_detected(truncated):
     a = truncated(3)
     x = a.names.index("x")
-    reg = regular_bimodule(a)
+    reg = Bimodule(a, list(a.names), a.left, a.right)  # the regular bimodule
     for side in ("left", "right"):
         actions = {"left": np.array(reg.left_action), "right": np.array(reg.right_action)}
         actions[side][x] = 2 * actions[side][x] % P  # still unital, no longer multiplicative
@@ -154,7 +163,7 @@ def ref_idempotent_fault(a):
             return f"designated idempotent {i} is zero"
         for j in range(ide.shape[0]):
             expect = ide[i] if i == j else modp.zeros(a.dim)
-            if not np.array_equal(a.mul(ide[i], ide[j]), expect):
+            if not np.array_equal(_mul(a, ide[i], ide[j]), expect):
                 return f"e_{i} * e_{j} is not {'e_' + str(i) if i == j else '0'}"
     return None
 
@@ -396,7 +405,7 @@ def _module_validate_full(m):
     a, p = m.algebra, m.p
     if m.dim == 0:
         return
-    if not np.array_equal(m.act(a.unit), modp.identity(m.dim)):
+    if not np.array_equal(_act(m, a.unit), modp.identity(m.dim)):
         raise CheckFailed("module action is not unital")
     fault = _representation_fault_int64(a.table, m.action, p)
     if fault is not None:
@@ -767,7 +776,7 @@ def test_validate_algebra_names_the_oracles_non_associative_triple(truncated, re
                 i, j, k = want
                 assert str(exc) == f"({names[i]} * {names[j]}) * {names[k]} != {names[i]} * ({names[j]} * {names[k]})"
                 b_i, b_j, b_k = basis[[i, j, k]]
-                assert not np.array_equal(bad.mul(bad.mul(b_i, b_j), b_k), bad.mul(b_i, bad.mul(b_j, b_k)))
+                assert not np.array_equal(_mul(bad, _mul(bad, b_i, b_j), b_k), _mul(bad, b_i, _mul(bad, b_j, b_k)))
                 kinds[NonAssociative] += 1
                 continue
             except (IdempotentFault, NotPrimitive, CheckFailed):  # checked after associativity
@@ -964,6 +973,29 @@ def test_prime_between_dim_a0_and_dim_a_is_still_refused():
         radical(a)
 
 
+def test_validate_then_generators_form_one_trace_form_per_object(monkeypatch):
+    # a trivially graded A is its own A_0, so primitivity reads S(A) and
+    # not S of a copy: one form on A and one on its quotient
+    formed, form = [], algebra._trace_form
+
+    def spy(a):
+        formed.append(a.dim)
+        return form(a)
+
+    monkeypatch.setattr(algebra, "_trace_form", spy)
+    poly = corpus.truncated_poly(4)
+    flat = GradedAlgebra(P, poly.names, np.zeros(4, dtype=np.int64), poly.table, poly.unit, poly.idempotents)
+    for a, dims in ((flat, [4, 1]), (corpus.upper_triangular(3), [6, 3])):
+        formed.clear()
+        generators(validate_algebra(a))
+        assert formed == dims
+    # the refusal of a merged idempotent of a trivially graded A stays
+    tri = corpus.upper_triangular(2)
+    merged = GradedAlgebra(P, tri.names, tri.degrees, tri.table, tri.unit, [tri.unit])
+    with pytest.raises(NotPrimitive, match=r"^idempotent 0: Frobenius fixed space has dimension 2$"):
+        validate_algebra(merged)
+
+
 def test_homogeneous_row_basis_matches_rowwise_oracle():
     rng = np.random.default_rng(11)
     for p in (2, 7, P):
@@ -981,3 +1013,10 @@ def test_homogeneous_row_basis_matches_rowwise_oracle():
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+    # no columns (a module of dimension 0), no rows, and only zero rows
+    degrees = np.array([0, 2, 1, 2, 0])
+    for rows, degs in ((modp.zeros(3, 0), degrees[:0]), (modp.zeros(0, 5), degrees), (modp.zeros(4, 5), degrees)):
+        got = homogeneous_row_basis(rows, degs, P)
+        want = _homogeneous_row_basis_rowwise(rows, degs, P)
+        assert got[0].shape == want[0].shape == (0, degs.size)
+        assert got[1].shape == (0,) and got[2] == want[2] == []

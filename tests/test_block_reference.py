@@ -27,6 +27,11 @@ from gradedalg.modules import (
 )
 
 
+def _act(m, v):
+    """The matrix of the algebra element with coordinates v acting on m."""
+    return np.einsum("i,iab->ab", v % m.p, m.action) % m.p
+
+
 def ref_layout(a):
     c = a.top_degree()
     b_index = [
@@ -122,7 +127,7 @@ def ref_projectors(a, n):
         e = modp.zeros(n.algebra.dim)
         for j in a.degree_indices(0):
             e[bpos[(q, q, int(j))]] = a.unit[j]
-        projs.append(n.act(e))
+        projs.append(_act(n, e))
     return projs
 
 

@@ -9,6 +9,7 @@ from gradedalg.algebra import (
     GradedAlgebra,
     _radical_and_quotient,
     degree_zero_subalgebra,
+    dual_bimodule_of,
     generators,
     is_left_well_graded,
     is_right_well_graded,
@@ -264,9 +265,22 @@ def test_dual_bimodule_transpose_of_regular(uppertri):
     assert np.array_equal(d.right_action[u], a.left[u].T)
 
 
+def test_dual_bimodule_is_the_dual_of_the_regular_bimodule(graded_corpus, rebased_nakayama32):
+    # one Bimodule call gives the names and arrays that dualizing the regular
+    # bimodule gave: on the corpus, rebased N(3, 2) and the b(A) of each
+    for a in [a for _, a in graded_corpus] + [rebased_nakayama32]:
+        for b in (a, beilinson(a)):
+            want = dual_bimodule_of(Bimodule(b, list(b.names), b.left, b.right))
+            got = dual_bimodule(b)
+            assert got.names == want.names
+            assert np.array_equal(got.left_action, want.left_action)
+            assert np.array_equal(got.right_action, want.right_action)
+            assert got.left_action.flags.c_contiguous and got.right_action.flags.c_contiguous
+
+
 def test_twisted_dual_identity_reproduces_dual(truncated):
     b = beilinson(truncated(3))
-    ident = AlgebraAutomorphism.identity(b)
+    ident = AlgebraAutomorphism(b, modp.identity(b.dim))
     d = dual_bimodule(b)
     dt = twisted_dual_bimodule(b, ident)
     assert np.array_equal(d.left_action, dt.left_action)

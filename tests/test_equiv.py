@@ -305,7 +305,7 @@ def twisted(b, sigma, fam, sign=1):
 def test_twist_transport_identity(truncated):
     b = degree_zero_subalgebra(t_of(truncated(3)))
     tb = T_of(b)
-    ident = AlgebraAutomorphism.identity(b).validate()
+    ident = AlgebraAutomorphism(b, modp.identity(b.dim)).validate()
     fam = ModuleFamily.of(tb, [proj(tb, i, 0) for i in range(tb.n_idempotents)])
     assert np.array_equal(twisted(b, ident, fam).action, fam.action)
 

@@ -21,6 +21,8 @@ from gradedalg.modules import (
     COVER_CELLS,
     GradedModule,
     GradedMorphism,
+    _injectives,
+    _projectives,
     _splits,
     cover_maps,
     direct_sum,
@@ -45,12 +47,22 @@ from gradedalg.modules import (
 )
 
 
+def _mul(a, u, v):
+    """u * v in A, for coordinate vectors."""
+    return a.left_mult(u) @ (v % a.p) % a.p
+
+
+def _act(m, v):
+    """The matrix of the algebra element with coordinates v acting on m."""
+    return np.einsum("i,iab->ab", v % m.p, m.action) % m.p
+
+
 def slice0_dim_of_corner(a, i, m):
     """dim (e_i m)_0 computed directly; oracle for the projective hom formula."""
     cols = np.flatnonzero(m.degrees == 0)
     if cols.size == 0:
         return 0
-    block = m.act(a.idempotents[i])[:, cols]
+    block = _act(m, a.idempotents[i])[:, cols]
     return modp.rank(block.T, a.p)
 
 
@@ -95,6 +107,67 @@ def test_trivial_extension_projective_widths(truncated):
     assert t.n_idempotents == 2
     for i in range(t.n_idempotents):
         assert width(proj(t, i, 0)) == 2
+
+
+def _graded_bases_stacked(a, spans):
+    """(basis, degrees, pivots) of the row space of each spans[k], from one
+    stacked elimination of every (span, degree) component, zero-padded: how
+    Ae_i and D(e_i A) were reduced before ``homogeneous_row_basis`` reduced
+    each span in one ``modp.row_basis``, kept as the oracle."""
+    p, n, count = a.p, a.dim, len(spans)
+    values = np.unique(a.degrees)
+    width = int(np.bincount(a.degrees).max())
+    # cols[g]: the basis elements of the g-th degree, padded with n, a zero column
+    cols = np.full((values.size, width), n)
+    for g, value in enumerate(values.tolist()):
+        at = a.degree_indices(value)
+        cols[g, : at.size] = at
+    padded = np.concatenate([spans % p, modp.zeros(count, n, 1)], axis=2)
+    parts = padded[:, :, cols].transpose(0, 2, 1, 3).reshape(count * values.size, n, width)
+    live = parts.any(axis=2)
+    order = (~live).argsort(axis=1, kind="stable")[:, : max(int(live.sum(axis=1).max()), 1)]
+    rows, pivots = modp.rrefs(parts[np.arange(len(parts))[:, None], order], p)
+    e, j = (np.arange(width) < pivots.sum(axis=1)[:, None]).nonzero()  # (component, RREF row)
+    g = e % values.size
+    basis = modp.zeros(e.size, n + 1)
+    basis[np.arange(e.size)[:, None], cols[g]] = rows[e, j]
+    pivot = cols[g, (~pivots).argsort(axis=1, kind="stable")[e, j]]
+    bounds = np.searchsorted(e // values.size, np.arange(count + 1))
+    return [
+        (basis[lo:hi, :n], values[g[lo:hi]], pivot[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _stacked_projectives_and_injectives(a):
+    """Every Ae_i as (degrees, action, basis) and every D(e_i A) as
+    (degrees, action), from the spans and the stacked elimination above."""
+    p = a.p
+    spans = (a.left @ a.idempotents.T % p).transpose(2, 0, 1)  # spans[i]: rows b_j e_i
+    projs = [(degs, a.left[:, piv, :] @ basis.T % p, basis) for basis, degs, piv in _graded_bases_stacked(a, spans)]
+    spans = (np.tensordot(a.idempotents, a.left, axes=1) % p).transpose(0, 2, 1)  # rows e_i b_j
+    injs = [
+        (-degs, (a.right[:, piv, :] @ basis.T % p).transpose(0, 2, 1))
+        for basis, degs, piv in _graded_bases_stacked(a, spans)
+    ]
+    return projs, injs
+
+
+def test_projectives_and_injectives_match_the_stacked_elimination(graded_corpus, rebased_nakayama32, rebased_nakayama):
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32, rebased_nakayama(4, 3, 43)]
+    cases = [alg for a in algebras for alg in (a, t_of(a), T_of(beilinson(a)))]
+    cases.append(t_of(corpus.truncated_poly(11)))  # dimension 110
+    for a in algebras:  # the basis reversed, so that degrees fall along it
+        r = np.arange(a.dim)[::-1]
+        names = [a.names[t] for t in r]
+        cases.append(GradedAlgebra(a.p, names, a.degrees[r], a.table[np.ix_(r, r, r)], a.unit[r], a.idempotents[:, r]))
+    for a in cases:
+        want_projs, want_injs = _stacked_projectives_and_injectives(a)
+        for got, want in zip((_projectives(a), _injectives(a)), (want_projs, want_injs)):
+            assert len(got) == len(want) == a.n_idempotents
+            for got_parts, want_parts in zip(got, want):
+                for g, w in zip(got_parts, want_parts, strict=True):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+                    assert not g.flags.writeable
 
 
 def test_top_socle(truncated):
@@ -362,7 +435,7 @@ def _loop_split(m):
     idempotent at a time, with their inverse, degrees and vertices."""
     rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
     for i, e in enumerate(m.algebra.idempotents):
-        block, piv = modp.row_basis(m.act(e).T, m.p)
+        block, piv = modp.row_basis(_act(m, e).T, m.p)
         rows.append(block)
         pivots += piv
         verts += [i] * len(piv)
@@ -473,14 +546,14 @@ def test_generators_span_under_products(graded_corpus, product_c2, rebased_nakay
         gens = generators(a)
         span, piv = modp.row_basis(modp.identity(n)[gens], p)
         while True:
-            prods = [a.mul(u, v) for u in span for v in span]
+            prods = [_mul(a, u, v) for u in span for v in span]
             grown, grown_piv = modp.row_basis(np.vstack([span] + prods), p)
             if len(grown_piv) == len(piv):
                 break
             span, piv = grown, grown_piv
         assert len(piv) == n, name
         rad = radical(a)
-        rad2 = [a.mul(u, v) for u in rad for v in rad]
+        rad2 = [_mul(a, u, v) for u in rad for v in rad]
         assert len(gens) == n - _span_rank(rad2, p), name
     assert len(generators(truncated(6))) == 2
     assert len(generators(T_of(b6))) == 10
@@ -565,7 +638,7 @@ def test_syzygy_in_radical(truncated, uppertri):
             rad = radical(a)
             rad_rows = []
             for r in rad:
-                rad_rows.append((P.act(r) @ modp.identity(P.dim)).T)
+                rad_rows.append((_act(P, r) @ modp.identity(P.dim)).T)
             span, piv = modp.row_basis(np.vstack(rad_rows), a.p)
             for v in ker:
                 assert modp.in_row_span(span, piv, v, a.p)
@@ -636,7 +709,7 @@ def ref_socle(m):
     rad = radical(m.algebra)
     if rad.shape[0] == 0 or m.dim == 0:
         return submodule(m, modp.identity(m.dim))
-    _, ker = modp.rank_kernel(np.vstack([m.act(r) for r in rad]), m.p)
+    _, ker = modp.rank_kernel(np.vstack([_act(m, r) for r in rad]), m.p)
     return submodule(m, ker)
 
 
@@ -704,7 +777,7 @@ def ref_simple_multiplicities(m):
     reps, _, _ = simple_classes(a)
     out = {}
     for r, endo in zip(reps, ref_endo_dims(a)):
-        er = t.act(a.idempotents[r])
+        er = _act(t, a.idempotents[r])
         for g in np.unique(t.degrees).tolist():
             dim_slice = modp.rank(er[:, np.flatnonzero(t.degrees == g)].T, a.p)
             if dim_slice:
@@ -720,8 +793,8 @@ def ref_projective_cover(m):
     t, _, sec = ref_quotient_module(m, ref_radical_rows(m))
     summands, lifts = [], []
     for r in reps:
-        er_top = t.act(a.idempotents[r])
-        er_mod = m.act(a.idempotents[r])
+        er_top = _act(t, a.idempotents[r])
+        er_mod = _act(m, a.idempotents[r])
         corner_cols = (a.left_mult(a.idempotents[r]) @ a.right_mult(a.idempotents[r])) % p
         corner_mats = np.tensordot(corner_cols.T, t.action, axes=1) % p
         for g in sorted(set(int(x) for x in t.degrees)):

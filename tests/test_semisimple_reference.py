@@ -30,14 +30,19 @@ from gradedalg.selfinj import graded_nakayama, is_graded_frobenius
 P = 7919
 
 
+def _mul(a, u, v):
+    """u * v in A, for coordinate vectors."""
+    return a.left_mult(u) @ (v % a.p) % a.p
+
+
 def _element_power(a, v, k):
     """v^k in a, by repeated squaring from the unit: the reference's own power."""
     out = a.unit.copy()
     base = v % a.p
     while k:
         if k & 1:
-            out = a.mul(out, base)
-        base = a.mul(base, base)
+            out = _mul(a, out, base)
+        base = _mul(a, base, base)
         k >>= 1
     return out
 
