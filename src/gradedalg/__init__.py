@@ -14,7 +14,6 @@ from .algebra import (
     GradedAlgebra,
     corner,
     degree_zero_subalgebra,
-    dual_bimodule_of,
     is_basic,
     is_left_well_graded,
     is_right_well_graded,
@@ -26,7 +25,6 @@ from .algebra import (
 from .construct import (
     AlgebraAutomorphism,
     T_of,
-    T_twisted,
     beilinson,
     dual_bimodule,
     t_of,

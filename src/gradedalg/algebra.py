@@ -124,13 +124,6 @@ class GradedAlgebra:
         """Right-multiplication matrices, a view of ``left``: right[j] @ v = v * basis_j."""
         return self.left.transpose(2, 1, 0)
 
-    def left_mult(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,iab->ab", v % self.p, self.left) % self.p
-
-    def right_mult(self, v: np.ndarray) -> np.ndarray:
-        # column b is basis_b * v
-        return ((self.left @ (v % self.p)) % self.p).T
-
     def same_as(self, other: "GradedAlgebra") -> bool:
         if self is other:
             return True
@@ -268,10 +261,10 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     if p <= n:
         raise PrimeTooSmall(f"prime {p} must exceed dim {n}")
 
-    # unit: two-sided identity
-    if not np.array_equal(a.left_mult(a.unit), modp.identity(n)):
+    # unit: two-sided identity, L(1) and the transpose of R(1) one contraction each
+    if not np.array_equal(np.tensordot(a.unit, a.left, axes=1) % p, modp.identity(n)):
         raise UnitMismatch("unit is not a left identity")
-    if not np.array_equal(a.right_mult(a.unit), modp.identity(n)):
+    if not np.array_equal(a.left @ a.unit % p, modp.identity(n)):
         raise UnitMismatch("unit is not a right identity")
 
     # graded multiplicativity: support of b_i b_j sits in degree d_i + d_j
@@ -423,10 +416,12 @@ def _check_primitive(a: GradedAlgebra) -> None:
     basis element u of e_i S e_i, read in that basis at its pivots; one
     comparison for commutativity; u^p = L_u^p e_i from one ``modp.mat_pow``
     of the whole stack; and the fixed spaces from one ``modp.ranks``.  The
-    first failing idempotent is refused, its commutativity first.  S is read
-    from A itself when A is trivially graded, as A_0 is then A.
+    first failing idempotent is refused, its commutativity first.  S is
+    ``semisimple_quotient(a)``: the S(A_0) object when A has a positive
+    degree (see ``_radical_and_quotient``), and S(A) itself, A_0 being A,
+    when A is trivially graded.
     """
-    s, _, _ = semisimple_quotient(a if a.top_degree() == 0 else degree_zero_subalgebra(a))
+    s, _, _ = semisimple_quotient(a)
     p, l = s.p, s.n_idempotents
     _, rows, pivots = _corner_pass(s)
     dims = pivots.sum(axis=1)
@@ -530,7 +525,7 @@ def generators(a: GradedAlgebra) -> np.ndarray:
       same orbit maps, with src = R(g);
     * an intertwiner f from a representation M to a representation M', from
       M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra
-      (one map f: morphisms, and the iso of ``extract_sigma``);
+      (one map f: morphisms);
     * a multiplicative linear map h between associative algebras, from
       h(g b) = h(g) h(b) (f = h, src = L(g), tgt = L(h(g)));
     * commuting left and right actions, from la(g) ra(g') = ra(g') la(g) for
@@ -638,7 +633,8 @@ def corner(a: GradedAlgebra, e: np.ndarray) -> GradedAlgebra:
     """
     p = a.p
     e = modp.normalize(e, p)
-    left, right = a.left_mult(e), a.right_mult(e)
+    left = np.tensordot(e, a.left, axes=1) % p  # L(e)
+    right = (a.left @ e % p).T  # R(e): column j is b_j e
     if not np.array_equal(left @ e % p, e) or not np.any(e):
         raise NotIdempotent("corner element is not a nonzero idempotent")
     E = a.idempotents
@@ -660,25 +656,28 @@ def corner(a: GradedAlgebra, e: np.ndarray) -> GradedAlgebra:
 # predicates
 
 
-def _well_graded_witness(a: GradedAlgebra, mult) -> tuple[bool, Optional[int]]:
+def _well_graded_witness(a: GradedAlgebra, mult: np.ndarray) -> tuple[bool, Optional[int]]:
+    """(True, None) when every e_i acts non-trivially on A_c through the
+    stack ``mult`` (``left`` or ``right``), else (False, the first i that
+    does not): one contraction of the idempotents with the top-degree columns."""
     c = a.top_degree()
     if c == 0:
         raise TrivialGrading("well-gradedness needs top degree >= 1")
     top = a.degree_indices(c)
-    for i in range(a.n_idempotents):
-        if not np.any(mult(a.idempotents[i])[:, top]):
-            return False, i
-    return True, None
+    hits = (np.tensordot(a.idempotents, mult[:, :, top], axes=1) % a.p).any(axis=(1, 2))
+    if hits.all():
+        return True, None
+    return False, int(np.argmin(hits))
 
 
 def is_left_well_graded(a: GradedAlgebra) -> tuple[bool, Optional[int]]:
     """e_i A_c != 0 for every designated primitive idempotent (witness on failure)."""
-    return _well_graded_witness(a, a.left_mult)
+    return _well_graded_witness(a, a.left)
 
 
 def is_right_well_graded(a: GradedAlgebra) -> tuple[bool, Optional[int]]:
     """A_c e_i != 0 for every designated primitive idempotent (witness on failure)."""
-    return _well_graded_witness(a, a.right_mult)
+    return _well_graded_witness(a, a.right)
 
 
 def is_well_graded(a: GradedAlgebra) -> bool:
@@ -716,19 +715,13 @@ class Bimodule:
     def dim(self) -> int:
         return len(self.names)
 
-    def act_left(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,iab->ab", v % self.algebra.p, self.left_action) % self.algebra.p
-
-    def act_right(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,iab->ab", v % self.algebra.p, self.right_action) % self.algebra.p
-
     def unit_fault(self) -> Optional[str]:
         """Why the unit of A does not act as the identity, the left action
         first, or None."""
-        ident = modp.identity(self.dim)
-        if not np.array_equal(self.act_left(self.algebra.unit), ident):
+        ident, unit, p = modp.identity(self.dim), self.algebra.unit, self.algebra.p
+        if not np.array_equal(np.tensordot(unit, self.left_action, axes=1) % p, ident):
             return "left action is not unital"
-        if not np.array_equal(self.act_right(self.algebra.unit), ident):
+        if not np.array_equal(np.tensordot(unit, self.right_action, axes=1) % p, ident):
             return "right action is not unital"
         return None
 
@@ -756,10 +749,3 @@ class Bimodule:
         if fault is not None:
             raise ActionFault(f"left/right actions do not commute at {a.names[fault[0]]}")
         return self
-
-
-def dual_bimodule_of(x: Bimodule) -> Bimodule:
-    """Vector-space dual with (b f)(m) = f(m b) and (f b)(m) = f(b m)."""
-    left = x.right_action.transpose(0, 2, 1)
-    right = x.left_action.transpose(0, 2, 1)
-    return Bimodule(x.algebra, [f"{s}^" for s in x.names], left, right)

@@ -140,7 +140,9 @@ def _cmd_gldim(args) -> dict:
         gb = selfinj.global_dimension(beilinson(a), args.cutoff)
         res["gldim_degree0"] = g0.to_dict()
         res["gldim_beilinson"] = gb.to_dict()
-        res["finiteness_coincides"] = g0.finite == gb.finite
+        # the paper's criterion: finite on one side iff on the other; a side
+        # past the cutoff is undecided, so only two finite sides confirm it
+        res["finiteness_coincides"] = True if g0.finite and gb.finite else None
     return res
 
 

@@ -23,15 +23,14 @@ Trivial extensions B |x X put B in degree 0 and X in degree 1 with product
 constants it builds: X's unit checks, then the associativity join of
 ``algebra._associativity_fault``, which decides at once that B is
 associative and that X is a B-bimodule (see ``trivial_extension``).  So
-t(A), T(B) and T(B^sigma) are built without the radical or the generators
-of B.  The dual bimodule D(B) acts by (b f)(x) = f(x b), (f b)(x) = f(b x);
-the sigma-twisted variant precomposes the right action with the
-automorphism before dualizing, so D(B^sigma) acts by (b f)(x) = f(x sigma(b)),
-and the join of T(B^sigma) decides that an invertible sigma on a trivially
-graded B is an automorphism: the unit check holds iff sigma(1) = 1, the left
-action is associative iff sigma is multiplicative, and the other laws do not
-involve sigma.  ``AlgebraAutomorphism.validate`` decides it on its own, for
-an automorphism of a graded algebra.
+t(A) and T(B) are built without the radical or the generators of B.  The
+dual bimodule D(B) acts by (b f)(x) = f(x b), (f b)(x) = f(b x); the
+sigma-twisted variant precomposes the right action with the automorphism
+before dualizing, so D(B^sigma) acts by (b f)(x) = f(x sigma(b)).  It is a
+bimodule iff an invertible sigma on a trivially graded B is an
+automorphism, which ``equiv._sigma_of`` decides by conjugating a known
+bimodule onto it; ``AlgebraAutomorphism.validate`` decides it on its own,
+for an automorphism of a graded algebra.
 """
 
 from __future__ import annotations
@@ -239,9 +238,9 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
 
     The twist only moves the dual's left action: (b f)(x) = f(x sigma(b)).
     With sigma = id this reproduces dual_bimodule exactly.  sigma is not
-    checked here: the join of ``T_twisted`` refuses, with an ActionFault, a
-    sigma that does not fix 1 (the left action is not unital) or is not
-    multiplicative (it is not associative).
+    checked here: a sigma that does not fix 1 leaves the left action not
+    unital, and one that is not multiplicative leaves it not associative,
+    which ``equiv._sigma_of`` decides with its iso onto this bimodule.
     """
     if not sigma.algebra.same_as(b):
         raise NotAutomorphism("automorphism is not over the given algebra")
@@ -259,8 +258,3 @@ def t_of(a: GradedAlgebra) -> GradedAlgebra:
 def T_of(b: GradedAlgebra) -> GradedAlgebra:
     """T(B) = B |x D(B)."""
     return trivial_extension(b, dual_bimodule(b))
-
-
-def T_twisted(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> GradedAlgebra:
-    """T(B^sigma) = B |x D(B^sigma)."""
-    return trivial_extension(b, twisted_dual_bimodule(b, sigma))

@@ -34,13 +34,14 @@ _sigma_of realizes the dual of the degree-1 part of a well-graded
 self-injective trivial extension as a twisted regular bimodule: it hunts
 for a generator m of D(X) whose two multiplication maps B -> D(X) are
 bijective, reads off sigma = L_m^{-1} R_m, and dualizes to an explicit
-bimodule isomorphism theta : X -> D(B^sigma).  Every claim it returns is
-checked on its own, so the hypotheses only choose which refusal an unfit
-input gets, and _sigma_of does not decide them: sigma is decided by the
-join that builds T(B^sigma), and theta against D(B^sigma) as it sits in
-T(B^sigma).  That one check also makes h = diag(I, theta) : t(A) -> T(B^sigma)
-an algebra map, so theorem_pipeline checks only that h is invertible.
-extract_sigma is _sigma_of behind the refusals of an outside input.
+isomorphism theta : X -> D(B^sigma).  Every claim it returns is checked on
+its own, so the hypotheses only choose which refusal an unfit input gets,
+and _sigma_of does not decide them: one check of theta against both
+actions of D(B^sigma), on every basis element of B, decides at once that
+sigma is an automorphism and theta a bimodule isomorphism.  That check
+also makes h = diag(I, theta) : t(A) -> T(B^sigma) an algebra map, so
+theorem_pipeline checks only that h is invertible, and no T(B^sigma) is
+built.  extract_sigma is _sigma_of behind the refusals of an outside input.
 
 _transports moves a family of graded modules to another algebra by a change
 of algebra basis per degree slice, one product per degree over the whole
@@ -79,7 +80,6 @@ from .algebra import (
     Bimodule,
     GradedAlgebra,
     degree_zero_subalgebra,
-    dual_bimodule_of,
     generators,
     intertwine_fault,
     is_basic,
@@ -89,12 +89,11 @@ from .algebra import (
 from .construct import (
     AlgebraAutomorphism,
     T_of,
-    T_twisted,
     block_layout,
     t_of,
+    twisted_dual_bimodule,
 )
 from .errors import (
-    ActionFault,
     AlgebraMismatch,
     CheckFailed,
     GeneratorNotFound,
@@ -225,8 +224,10 @@ def _components(a: GradedAlgebra, fam: ModuleFamily):
 
 def _require_hypotheses(a: GradedAlgebra, basic: str, basic_detail: str) -> None:
     """Raise PreconditionFailed unless the degree-0 part of a is basic and a
-    is well-graded and graded self-injective; ``basic`` names the first hypothesis."""
-    if not is_basic(degree_zero_subalgebra(a)):
+    is well-graded and graded self-injective; ``basic`` names the first
+    hypothesis.  A_0 is basic iff A is, as S(A) is the S(A_0) object when
+    A has a positive degree (``algebra._radical_and_quotient``)."""
+    if not is_basic(a):
         raise PreconditionFailed(basic, basic_detail)
     ok, wit = is_left_well_graded(a)
     if not ok:
@@ -280,7 +281,9 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     top degree other than 1 ("trivial-extension-shape") and an algebra that
     is not a trivial extension of the theorem's kind ("B-basic",
     "well-graded", "self-injective", decided on t by _require_hypotheses),
-    then returns the construction of ``_sigma_of``.
+    then returns the construction of ``_sigma_of``.  t is taken to be
+    associative, as ``validate_algebra`` decides for a loaded file, so that
+    X is a bimodule, the premise of ``_sigma_of``'s one check.
     """
     require_seed(seed)
     b, x = split_trivial_extension(t)
@@ -292,22 +295,26 @@ def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int, trials: int = 128) -> Si
     """sigma and theta : X -> D(B^sigma) for the split (B, X) of a trivial extension.
 
     Finds a generator m of D(X) whose left and right multiplication maps
-    B -> D(X) are bijective (seeded random trials, then a deterministic
-    sweep over small sums of dual basis vectors), sets
-    sigma(b) = L_m^{-1}(m b), and returns the dualized bimodule isomorphism
-    theta : X -> D(B^sigma).  The hypotheses are not decided here: every
-    claim returned is checked on its own.  The join that builds T(B^sigma)
-    decides that sigma is an automorphism: B is trivially graded and sigma
-    invertible, and D(B^sigma) is unital iff sigma(1) = 1 and its left
-    action associative iff sigma is multiplicative, since (b (b' f))(x) =
-    f(x sigma(b) sigma(b')) and ((b b') f)(x) = f(x sigma(b b')).  Then
-    m b = sigma(b) m is checked on the basis, and theta against both
-    actions of the X-block of T(B^sigma) on the generators of B.
+    B -> D(X), L_m : b -> b m and R_m : b -> m b, are bijective (seeded
+    random trials, then a deterministic sweep over small sums of dual basis
+    vectors), sets sigma(b) = L_m^{-1}(m b), and returns the dualized
+    isomorphism theta = L_m^T : X -> D(B^sigma).  The hypotheses are not
+    decided here: every claim returned is checked on its own.  After m b =
+    sigma(b) m on the basis, theta is checked against both actions of
+    D(B^sigma) on every basis element of B, in basis order, which decides
+    sigma and theta together.  X is a bimodule, by the associativity of the
+    extension it was split from, and theta is invertible, so when
+    theta X(b) = D(B^sigma)(b) theta for every b on both sides, D(B^sigma)
+    is the bimodule theta X theta^{-1} and theta a bimodule isomorphism.
+    And D(B^sigma) is a bimodule iff sigma is an automorphism: B is
+    trivially graded and sigma invertible, and D(B^sigma) is unital iff
+    sigma(1) = 1 and its left action associative iff sigma is
+    multiplicative, since (b (b' f))(x) = f(x sigma(b) sigma(b')) and
+    ((b b') f)(x) = f(x sigma(b b')).
     """
     p = b.p
     if x.dim != b.dim:
         raise GeneratorNotFound(f"dim X = {x.dim} differs from dim B = {b.dim}")
-    dual = dual_bimodule_of(x)
     rng = np.random.default_rng(seed)
     draws = (rng.integers(0, p, size=x.dim, dtype=np.int64) for _ in range(trials))
     sweep = (
@@ -316,29 +323,23 @@ def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int, trials: int = 128) -> Si
         for combo in itertools.combinations(range(x.dim), size)
     )
     for trials_used, m_vec in enumerate(itertools.chain(draws, sweep), start=1):
-        lm = ((dual.left_action @ m_vec) % p).T
-        rm = ((dual.right_action @ m_vec) % p).T
+        # column i of L_m is b_i m : x -> m(x b_i), of R_m is m b_i : x -> m(b_i x)
+        lm = ((m_vec @ x.right_action) % p).T
+        rm = ((m_vec @ x.left_action) % p).T
         lm_inv = modp.invert(lm, p)
         if lm_inv is not None and modp.invert(rm, p) is not None:
             break
     else:
         raise GeneratorNotFound("no generator with bijective multiplication maps")
     sigma = AlgebraAutomorphism(b, (lm_inv @ rm) % p)
-    try:
-        twisted_ext = T_twisted(b, sigma)
-    except ActionFault as exc:  # post-condition of the construction; never expected
-        raise CheckFailed(f"extracted map is not an automorphism: {exc}") from exc
     if not np.array_equal((lm @ sigma.matrix) % p, rm):
         raise CheckFailed("m b != sigma(b) m on the basis")
     theta = lm.T % p
-    # D(B^sigma) as T(B^sigma) holds it, a bimodule by the join of
-    # ``trivial_extension`` as X is one by the associativity of t, so the
-    # generators of B suffice (see ``generators``)
-    _, twisted = split_trivial_extension(twisted_ext)
-    gens = generators(b)
+    twisted = twisted_dual_bimodule(b, sigma)
+    basis = np.arange(b.dim)
     sides = {"left": (x.left_action, twisted.left_action), "right": (x.right_action, twisted.right_action)}
     for side, (src, tgt) in sides.items():
-        fault = intertwine_fault(theta, src[gens], tgt[gens], gens, p)
+        fault = intertwine_fault(theta, src, tgt, basis, p)
         if fault is not None:
             raise CheckFailed(f"iso does not intertwine the {side} action at {b.names[fault[0]]}")
     return SigmaExtraction(b, sigma, m_vec, theta, trials_used)
@@ -443,8 +444,8 @@ def theorem_pipeline(
 
     # h = diag(I, theta) : t(A) = B |x X -> T(B^sigma) = B |x Y.  With
     # X^2 = 0 = Y^2, such a map is an algebra map iff theta is a B-bimodule
-    # map, which _sigma_of checked against the X-blocks of t(A) and of
-    # T(B^sigma), both decided by the join; so only its inverse is left
+    # map, which _sigma_of checked on every basis element of B against X,
+    # a bimodule by the join that built t(A); so only its inverse is left
     nb = b.dim
     h = modp.zeros(t.dim, t.dim)
     h[:nb, :nb] = modp.identity(nb)

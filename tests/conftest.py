@@ -120,7 +120,8 @@ def swap_twisted_extension():
     """T((k x k)^swap): twisted trivial extension with a genuine twist."""
     import numpy as np
 
-    from gradedalg.construct import AlgebraAutomorphism, T_twisted
+    from gradedalg.construct import AlgebraAutomorphism
+    from helpers import T_twisted
 
     table = np.zeros((2, 2, 2), dtype=np.int64)
     table[0, 0, 0] = 1

@@ -30,7 +30,6 @@ from gradedalg.algebra import (
 from gradedalg.construct import (
     AlgebraAutomorphism,
     T_of,
-    T_twisted,
     beilinson,
     dual_bimodule,
     t_of,
@@ -53,13 +52,15 @@ from gradedalg.errors import (
     UnitMismatch,
 )
 from gradedalg.modules import GradedModule, GradedMorphism, ModuleFamily, hom_bases, inj, module_faults, proj, regular_module
+from helpers import T_twisted, act_left, act_right, left_mult, right_mult
+from perfbench.inputs import random_graded_basis, rebase
 
 P = 7919
 
 
 def _mul(a, u, v):
     """u * v in A, for coordinate vectors."""
-    return a.left_mult(u) @ (v % a.p) % a.p
+    return left_mult(a, u) @ (v % a.p) % a.p
 
 
 def _act(m, v):
@@ -143,7 +144,12 @@ def test_unit_mismatch():
     table[0, 1, 1] = 1
     table[1, 0, 1] = 1
     a = GradedAlgebra(P, ["1", "x"], [0, 1], table, [0, 1], [[1, 0]])
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(UnitMismatch, match="^unit is not a left identity$"):
+        validate_algebra(a)
+    # e x = x but x e = 0: e is a left identity only
+    table[1, 0, 1] = 0
+    a = GradedAlgebra(P, ["e", "x"], [0, 1], table, [1, 0], [[1, 0]])
+    with pytest.raises(UnitMismatch, match="^unit is not a right identity$"):
         validate_algebra(a)
 
 
@@ -269,7 +275,7 @@ def test_radical_is_nilpotent(graded_corpus):
                 break
             nxt = []
             for r in rows:
-                nxt.append((a.left_mult(r) @ span.T).T % a.p)
+                nxt.append((left_mult(a, r) @ span.T).T % a.p)
             span, _ = modp.row_basis(np.vstack(nxt), a.p)
         assert span.shape[0] == 0, name
 
@@ -293,6 +299,9 @@ def test_well_graded(truncated, exterior2, a4, left_only_well_graded):
     assert not ok and witness == 0
     assert is_left_well_graded(left_only_well_graded) == (True, None)
     assert is_right_well_graded(left_only_well_graded) == (False, 1)  # A_1 e2 = 0
+    # in a dense basis e A_1 = 0 only modulo p, so the witness is read mod p
+    dense = rebase(a4, random_graded_basis(a4, np.random.default_rng(4)))
+    assert is_left_well_graded(dense) == (False, 0) and is_right_well_graded(dense) == (False, 0)
 
 
 def test_well_graded_needs_grading(uppertri):
@@ -335,7 +344,7 @@ def test_corner_dims_sum(truncated):
         per_degree = []
         for d in range(t.top_degree() + 1):
             idx = t.degree_indices(d)
-            block = (t.left_mult(e) @ t.right_mult(e))[np.ix_(idx, idx)]
+            block = (left_mult(t, e) @ right_mult(t, e))[np.ix_(idx, idx)]
             per_degree.append(modp.rank(block.T, t.p))
         assert c.component_dims() == per_degree
 
@@ -419,9 +428,9 @@ def _module_validate_full(m):
 def _bimodule_validate_full(x):
     a, p = x.algebra, x.algebra.p
     ident = modp.identity(x.dim)
-    if not np.array_equal(x.act_left(a.unit), ident):
+    if not np.array_equal(act_left(x, a.unit), ident):
         raise ActionFault("left action is not unital")
-    if not np.array_equal(x.act_right(a.unit), ident):
+    if not np.array_equal(act_right(x, a.unit), ident):
         raise ActionFault("right action is not unital")
     la, ra = x.left_action, x.right_action
     fault = _representation_fault_int64(a.table, la, p)
@@ -605,7 +614,8 @@ def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncate
     assert joins[ActionFault, "left action is not unital"] > 100
     assert joins[ActionFault, "left action not associative at"] > 100
 
-    # the bimodule isomorphism theta, checked as extract_sigma does
+    # the bimodule isomorphism theta on the generators of B, against every
+    # basis element, which is where extract_sigma checks it
     sides = ((x.left_action, twisted.left_action), (x.right_action, twisted.right_action))
     for src, tgt in sides:
         assert intertwine_fault(ext.iso, src[gens], tgt[gens], gens, p) is None

@@ -25,6 +25,7 @@ from gradedalg.modules import (
     simple,
     zero_module,
 )
+from helpers import right_mult
 
 
 def _act(m, v):
@@ -157,7 +158,7 @@ def ref_twisted_dual(b, sigma):
     """(names, left, right) of D(B^sigma)."""
     left = modp.zeros(b.dim, b.dim, b.dim)
     for i in range(b.dim):
-        left[i] = b.right_mult(sigma.matrix[:, i]).T
+        left[i] = right_mult(b, sigma.matrix[:, i]).T
     right = np.ascontiguousarray(b.left.transpose(0, 2, 1)) % b.p
     return [f"{s}^" for s in b.names], left, right
 

@@ -120,6 +120,28 @@ def test_cli_selfinj_nakayama_gldim(capsys, t4_file):
     assert rep["results"]["finiteness_coincides"]
 
 
+def test_cli_gldim_leaves_a_side_past_the_cutoff_undecided(capsys, tmp_path):
+    # k[x]/(x^3): A_0 = k has gldim 0, b(A) gldim 1.  At cutoff 0 the
+    # Beilinson side is past the cutoff, which proves nothing against the
+    # paper's criterion, so the coincidence is undecided (null), not false
+    path = str(tmp_path / "t3.json")
+    assert run(capsys, "gen-example", "truncated_poly", "--n", "3", "--algebra-out", path)[0] == 0
+    code, rep = run(capsys, "gldim", path, "--cutoff", "0")
+    assert code == 0 and rep["results"] == {
+        "cutoff": 0,
+        "gldim_degree0": {"finite": True, "value": 0, "cutoff": 0},
+        "gldim_beilinson": {"finite": False, "value": None, "cutoff": 0},
+        "finiteness_coincides": None,
+    }
+    code, rep = run(capsys, "gldim", path, "--cutoff", "1")
+    assert code == 0 and rep["results"] == {
+        "cutoff": 1,
+        "gldim_degree0": {"finite": True, "value": 0, "cutoff": 1},
+        "gldim_beilinson": {"finite": True, "value": 1, "cutoff": 1},
+        "finiteness_coincides": True,
+    }
+
+
 def test_cli_equiv_and_derive_sigma(capsys, tmp_path, t4_file):
     out_t = tmp_path / "t.json"
     run(capsys, "trivext", t4_file, "--algebra-out", str(out_t))

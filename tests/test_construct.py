@@ -9,7 +9,6 @@ from gradedalg.algebra import (
     GradedAlgebra,
     _radical_and_quotient,
     degree_zero_subalgebra,
-    dual_bimodule_of,
     generators,
     is_left_well_graded,
     is_right_well_graded,
@@ -18,7 +17,6 @@ from gradedalg.algebra import (
 from gradedalg.construct import (
     AlgebraAutomorphism,
     T_of,
-    T_twisted,
     beilinson,
     block_layout,
     dual_bimodule,
@@ -38,6 +36,7 @@ from gradedalg.errors import (
 )
 from gradedalg.modules import proj, width
 from gradedalg.selfinj import is_graded_frobenius, is_graded_selfinjective
+from helpers import T_twisted, dual_bimodule_of, left_mult, right_mult
 
 P = 7919
 
@@ -363,7 +362,7 @@ def test_corner_morita_hom_spot_checks(matrix2x2):
     for i in range(t.n_idempotents):
         for j in range(t.n_idempotents):
             z = t.degree_indices(0)
-            block = (t.left_mult(t.idempotents[j]) @ t.right_mult(t.idempotents[i]))[
+            block = (left_mult(t, t.idempotents[j]) @ right_mult(t, t.idempotents[i]))[
                 np.ix_(z, z)
             ]
             expected.append(modp.rank(block.T % t.p, t.p))

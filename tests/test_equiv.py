@@ -11,14 +11,16 @@ from gradedalg.algebra import (
     Bimodule,
     algebra_map_fault,
     degree_zero_subalgebra,
-    dual_bimodule_of,
     generators,
+    intertwine_fault,
     is_left_well_graded,
     radical,
     semisimple_quotient,
 )
-from gradedalg.construct import AlgebraAutomorphism, T_of, T_twisted, block_layout, t_of
+from gradedalg.construct import AlgebraAutomorphism, T_of, block_layout, t_of, trivial_extension
 from gradedalg.equiv import (
+    SigmaExtraction,
+    _sigma_of,
     _transports,
     _twist,
     extract_sigma,
@@ -27,7 +29,7 @@ from gradedalg.equiv import (
     split_trivial_extension,
     theorem_pipeline,
 )
-from gradedalg.errors import CheckFailed, PreconditionFailed, TrivialGrading
+from gradedalg.errors import ActionFault, CheckFailed, GeneratorNotFound, PreconditionFailed, TrivialGrading
 from gradedalg.modules import (
     GradedModule,
     ModuleFamily,
@@ -49,6 +51,7 @@ from gradedalg.modules import (
     zero_module,
 )
 from gradedalg.selfinj import frobenius_functional_search, global_dimension, is_graded_selfinjective
+from helpers import T_twisted, act_left, act_right, dual_bimodule_of, left_mult, right_mult
 
 
 def labelled_samples(a, window=None):
@@ -250,13 +253,11 @@ def test_extract_sigma_soundness(equivalence_corpus):
         # multiplicative on all basis pairs and unit-fixing (validate re-checks)
         ext.sigma.validate()
         # m b = sigma(b) m for every basis b
-        from gradedalg.algebra import dual_bimodule_of
-
         _, x = split_trivial_extension(t)
         dual = dual_bimodule_of(x)
         for i in range(b.dim):
-            lhs = dual.act_right(modp.identity(b.dim)[i]) @ ext.generator % p
-            rhs = dual.act_left(s[:, i]) @ ext.generator % p
+            lhs = act_right(dual, modp.identity(b.dim)[i]) @ ext.generator % p
+            rhs = act_left(dual, s[:, i]) @ ext.generator % p
             assert np.array_equal(lhs, rhs), name
 
 
@@ -579,57 +580,65 @@ def test_certificate_transport_is_an_algebra_map(equivalence_corpus, rebased_nak
 
 
 def test_pipeline_builds_the_twisted_extension_once(rebased_nakayama, monkeypatch):
-    # t(A), T(B^sigma) inside _sigma_of, and T(b(A)): three trivial
-    # extensions and one twisted dual; nothing about t(A) is decided but the
-    # join that built it, so the only entry cached on it is its degree-0
-    # part, recorded by that join
+    # t(A) and T(b(A)): two trivial extensions, and the one twisted dual that
+    # _sigma_of checks theta against, with no T(B^sigma) built around it and
+    # no generators of B; nothing about t(A) is decided but the join that
+    # built it, so the only entry cached on it is its degree-0 part,
+    # recorded by that join
     calls = Counter()
 
-    def counted(name):
-        real = getattr(construct, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(construct, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("trivial_extension")
-    counted("twisted_dual_bimodule")
+    counted(construct, "trivial_extension")
+    counted(equiv, "twisted_dual_bimodule")
     a = rebased_nakayama(3, 2, 32)  # a fresh algebra, and so a fresh t(A)
     assert theorem_pipeline(a).passed
-    assert calls == {"trivial_extension": 3, "twisted_dual_bimodule": 1}
+    assert calls == {"trivial_extension": 2, "twisted_dual_bimodule": 1}
     assert list(t_of(a)._cache) == [(degree_zero_subalgebra.__wrapped__,)]
+    assert (generators.__wrapped__,) not in degree_zero_subalgebra(t_of(a))._cache
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_extract_sigma_checks_the_iso_on_both_actions(rebased_nakayama, monkeypatch, side):
-    # double one action of D(B^sigma), as extract_sigma reads it off T(B^sigma)
-    # after the join, at the last generator of B, so that the iso
-    # X -> D(B^sigma) intertwines every other generator; b(N(4,3)) has
-    # rad^2 != 0, so not every basis element is a generator
+    # double one action of D(B^sigma), as _sigma_of builds it, at the last
+    # generator of B, so that the iso X -> D(B^sigma) intertwines every
+    # basis element before it; b(N(4,3)) has rad^2 != 0, so not every basis
+    # element is a generator
     t = t_of(rebased_nakayama(4, 3, 43))
     b = degree_zero_subalgebra(t)
     gens = generators(b)
     assert len(gens) < b.dim
     g = int(gens[-1])
-    real = equiv.split_trivial_extension
+    real = equiv.twisted_dual_bimodule
     corrupted = []
 
-    def split(ext):
-        base, out = real(ext)
-        if ext is t:
-            return base, out
-        corrupted.append(ext)
+    def twisted(base, sigma):
+        out = real(base, sigma)
+        corrupted.append(out)
         actions = {"left": np.array(out.left_action), "right": np.array(out.right_action)}
         actions[side][g] = 2 * actions[side][g] % b.p
-        return base, Bimodule(base, out.names, actions["left"], actions["right"])
+        return Bimodule(base, out.names, actions["left"], actions["right"])
 
-    monkeypatch.setattr(equiv, "split_trivial_extension", split)
+    monkeypatch.setattr(equiv, "twisted_dual_bimodule", twisted)
     want = rf"^iso does not intertwine the {side} action at {re.escape(b.names[g])}$"
     with pytest.raises(CheckFailed, match=want):
         extract_sigma(t)
-    assert len(corrupted) == 1  # the one T(B^sigma), split after its join
+    assert len(corrupted) == 1  # the one D(B^sigma)
+
+
+def inner_automorphism(b):
+    """The matrix of b -> u b u^-1 for u = sum_r 2^r e_r: column j is u b_j u^-1."""
+    p = b.p
+    u = (2 ** np.arange(b.n_idempotents)) @ b.idempotents % p
+    u_inv = modp.invert(left_mult(b, u), p) @ b.unit % p
+    return left_mult(b, u) @ right_mult(b, u_inv) % p
 
 
 def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatch):
@@ -638,9 +647,7 @@ def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatc
     t = t_of(truncated(3))
     b = degree_zero_subalgebra(t)
     p = b.p
-    u = (2 ** np.arange(b.n_idempotents)) @ b.idempotents % p
-    u_inv = modp.invert(b.left_mult(u), p) @ b.unit % p
-    inner = b.left_mult(u) @ b.right_mult(u_inv) % p  # column j: u b_j u^-1
+    inner = inner_automorphism(b)
     assert not np.array_equal(inner, modp.identity(b.dim))
     real = equiv.AlgebraAutomorphism
     monkeypatch.setattr(equiv, "AlgebraAutomorphism", lambda alg, mat: real(alg, mat @ inner % p))
@@ -648,17 +655,115 @@ def test_extract_sigma_checks_m_b_against_the_automorphism(truncated, monkeypatc
         extract_sigma(t)
 
 
-def test_extract_sigma_has_the_join_decide_the_automorphism(truncated, monkeypatch):
+def test_extract_sigma_refuses_a_sigma_that_moves_the_unit(truncated, monkeypatch):
     # hand back sigma with its first idempotent doubled: invertible, but it
-    # moves 1, so the join of T(B^sigma) finds D(B^sigma) not unital
+    # moves 1, and it is not the map that m defines, which is checked first
     t = t_of(truncated(3))
     b = degree_zero_subalgebra(t)
     scale = np.ones(b.dim, dtype=np.int64)
     scale[np.flatnonzero(b.idempotents[0])[0]] = 2
     real = equiv.AlgebraAutomorphism
     monkeypatch.setattr(equiv, "AlgebraAutomorphism", lambda alg, mat: real(alg, mat * scale % b.p))
-    with pytest.raises(CheckFailed, match=r"^extracted map is not an automorphism: left action is not unital$"):
+    with pytest.raises(CheckFailed, match=r"^m b != sigma\(b\) m on the basis$"):
         extract_sigma(t)
+
+
+def ref_theta_refusal(b, x, theta, twisted):
+    """The check of sigma and theta as it stood with T(B^sigma) built: the
+    join of B |x D(B^sigma), then theta on the generators of B.  The refusal
+    it gave, or None."""
+    try:
+        trivial_extension(b, twisted)
+    except ActionFault as exc:
+        return f"extracted map is not an automorphism: {exc}"
+    gens = generators(b)
+    for side in ("left", "right"):
+        src, tgt = getattr(x, f"{side}_action"), getattr(twisted, f"{side}_action")
+        fault = intertwine_fault(theta, src[gens], tgt[gens], gens, b.p)
+        if fault is not None:
+            return f"iso does not intertwine the {side} action at {b.names[fault[0]]}"
+    return None
+
+
+def ref_sigma_of(t, seed=0, trials=128):
+    """_sigma_of on the split of t as it stood with T(B^sigma) built: m from
+    D(X), then ``ref_theta_refusal``.  The SigmaExtraction, or the refusal."""
+    b, x = split_trivial_extension(t)
+    p = b.p
+    m_vec, used = ref_generator_search(t, seed, trials)
+    if m_vec is None:
+        return "no generator with bijective multiplication maps"
+    dual = dual_bimodule_of(x)
+    lm = ((dual.left_action @ m_vec) % p).T
+    rm = ((dual.right_action @ m_vec) % p).T
+    sigma = AlgebraAutomorphism(b, (modp.invert(lm, p) @ rm) % p)
+    theta = lm.T % p
+    refusal = ref_theta_refusal(b, x, theta, equiv.twisted_dual_bimodule(b, sigma))
+    return refusal or SigmaExtraction(b, sigma, m_vec, theta, used)
+
+
+def test_sigma_of_equals_the_construction_through_t_twisted(equivalence_corpus, rebased_nakayama):
+    # sigma, the generator, the iso and the trials used are those of the
+    # construction that built T(B^sigma) and checked theta on the generators,
+    # and so is a search that finds no generator
+    cases = [*equivalence_corpus, ("rebased N(3,2)", rebased_nakayama(3, 2, 32))]
+    cases.append(("rebased N(4,3)", rebased_nakayama(4, 3, 43)))
+    found = Counter()
+    for name, a in cases:
+        t = t_of(a)
+        b, x = split_trivial_extension(t)
+        for seed, trials in ((0, 128), (7, 1), (0, 0)):
+            want = ref_sigma_of(t, seed, trials)
+            found[isinstance(want, SigmaExtraction)] += 1
+            if not isinstance(want, SigmaExtraction):
+                with pytest.raises(GeneratorNotFound, match=f"^{want}$"):
+                    _sigma_of(b, x, seed, trials)
+                continue
+            got = _sigma_of(b, x, seed, trials)
+            assert got.base is want.base and got.trials_used == want.trials_used, name
+            for field in ("generator", "iso"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+            assert np.array_equal(got.sigma.matrix, want.sigma.matrix), name
+    assert found[True] > 20 and found[False]
+
+
+def test_sigma_of_refuses_exactly_where_the_join_and_the_generators_refuse(
+    truncated, rebased_nakayama32, monkeypatch
+):
+    # one check of theta on every basis element against the oracle of the
+    # join of B |x D(B^sigma) and theta on the generators of B: every
+    # single-entry corruption of D(B^sigma)'s two actions, D(B^sigma) itself,
+    # and D(B^sigma') for sigma' = sigma composed with an inner automorphism,
+    # a bimodule that theta does not intertwine
+    real = equiv.twisted_dual_bimodule
+    verdicts = Counter()
+    for a in (truncated(4), rebased_nakayama32):
+        b, x = split_trivial_extension(t_of(a))
+        p = b.p
+        monkeypatch.setattr(equiv, "twisted_dual_bimodule", real)
+        ext = _sigma_of(b, x, 0)
+        honest = real(b, ext.sigma)
+        bimodules = [honest, real(b, AlgebraAutomorphism(b, ext.sigma.matrix @ inner_automorphism(b) % p))]
+        # a bimodule, so the join accepts it, but theta does not intertwine it
+        assert ref_theta_refusal(b, x, ext.iso, bimodules[1]).startswith("iso does not intertwine")
+        for side in ("left", "right"):
+            for entry in np.ndindex(honest.left_action.shape):
+                actions = {"left": np.array(honest.left_action), "right": np.array(honest.right_action)}
+                actions[side][entry] = (actions[side][entry] + 1) % p
+                bimodules.append(Bimodule(b, honest.names, actions["left"], actions["right"]))
+        for y in bimodules:
+            monkeypatch.setattr(equiv, "twisted_dual_bimodule", lambda base, s: y)
+            want = ref_theta_refusal(b, x, ext.iso, y)
+            try:
+                _sigma_of(b, x, 0)
+                got = None
+            except CheckFailed as exc:
+                got = str(exc)
+            assert (got is None) == (want is None), (got, want)
+            verdicts[got is None, y is bimodules[1]] += 1
+    # the honest bimodule passes on both algebras, the inner twist is refused
+    # although the join accepts it, and so is every corruption
+    assert verdicts == {(True, False): 2, (False, True): 2, (False, False): 432 + 1458}
 
 
 def test_pipeline_rejects_product(a4):

@@ -45,11 +45,12 @@ from gradedalg.modules import (
     width,
     zero_module,
 )
+from helpers import left_mult, right_mult
 
 
 def _mul(a, u, v):
     """u * v in A, for coordinate vectors."""
-    return a.left_mult(u) @ (v % a.p) % a.p
+    return left_mult(a, u) @ (v % a.p) % a.p
 
 
 def _act(m, v):
@@ -740,7 +741,7 @@ def ref_quotient_module(m, rows):
 
 
 def ref_proj_with_embedding(a, i):
-    span = a.right_mult(a.idempotents[i]).T
+    span = right_mult(a, a.idempotents[i]).T
     basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
     k = basis.shape[0]
     action = modp.zeros(a.dim, k, k)
@@ -750,7 +751,7 @@ def ref_proj_with_embedding(a, i):
 
 
 def ref_inj(a, i, d=0):
-    span = a.left_mult(a.idempotents[i]).T
+    span = left_mult(a, a.idempotents[i]).T
     basis, degs, pivots = homogeneous_row_basis(span, a.degrees, a.p)
     k = basis.shape[0]
     action = modp.zeros(a.dim, k, k)
@@ -766,7 +767,7 @@ def ref_endo_dims(a):
     out = []
     for r in reps:
         e = a.idempotents[r]
-        ere = (red @ ((a.left_mult(e) @ a.right_mult(e)) % a.p)) % a.p
+        ere = (red @ ((left_mult(a, e) @ right_mult(a, e)) % a.p)) % a.p
         out.append(modp.rank(ere.T, a.p))
     return out
 
@@ -795,7 +796,7 @@ def ref_projective_cover(m):
     for r in reps:
         er_top = _act(t, a.idempotents[r])
         er_mod = _act(m, a.idempotents[r])
-        corner_cols = (a.left_mult(a.idempotents[r]) @ a.right_mult(a.idempotents[r])) % p
+        corner_cols = (left_mult(a, a.idempotents[r]) @ right_mult(a, a.idempotents[r])) % p
         corner_mats = np.tensordot(corner_cols.T, t.action, axes=1) % p
         for g in sorted(set(int(x) for x in t.degrees)):
             cols = np.flatnonzero(t.degrees == g)

@@ -26,13 +26,14 @@ from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import NotPrimitive
 from gradedalg.modules import inj, simple_classes
 from gradedalg.selfinj import graded_nakayama, is_graded_frobenius
+from helpers import left_mult, right_mult
 
 P = 7919
 
 
 def _mul(a, u, v):
     """u * v in A, for coordinate vectors."""
-    return a.left_mult(u) @ (v % a.p) % a.p
+    return left_mult(a, u) @ (v % a.p) % a.p
 
 
 def _element_power(a, v, k):
@@ -77,8 +78,8 @@ def ref_simple_classes(a):
     """(reps, class_of, corners) from the l^2 sandwiches e_i A e_j in A."""
     _, red, _ = semisimple_quotient(a)
     l, p = a.n_idempotents, a.p
-    lefts = [a.left_mult(e) for e in a.idempotents]
-    rights = [a.right_mult(e) for e in a.idempotents]
+    lefts = [left_mult(a, e) for e in a.idempotents]
+    rights = [right_mult(a, e) for e in a.idempotents]
     sandwich = [[(left @ right) % p for right in rights] for left in lefts]
     nonzero = [[bool(np.any((red @ s) % p)) for s in row] for row in sandwich]
     reps, class_of = [], [-1] * l
@@ -188,17 +189,22 @@ def test_simple_classes_match_reference(semisimple_corpus):
 
 
 def test_simple_classes_multiply_in_the_quotient_only(monkeypatch, rebased_nakayama32):
-    # the classes come from S: no multiplication map of A itself is formed
+    # the classes come from S: the one corner pass, which forms the
+    # multiplication maps of the idempotents, only ever receives S, never A
     a = rebased_nakayama32
     fresh = GradedAlgebra(a.p, a.names, a.degrees, a.table, a.unit, a.idempotents)
-    semisimple_quotient(fresh)
+    s, _, _ = semisimple_quotient(fresh)
+    received = []
+    real = algebra._corner_pass
 
-    def refuse(self, v):
-        raise AssertionError("a multiplication map of A was formed")
+    def spy(alg):
+        received.append(alg)
+        return real(alg)
 
-    monkeypatch.setattr(GradedAlgebra, "left_mult", refuse)
-    monkeypatch.setattr(GradedAlgebra, "right_mult", refuse)
+    monkeypatch.setattr(algebra, "_corner_pass", spy)
+    monkeypatch.setattr(modules, "_corner_pass", spy)
     assert simple_classes(fresh)[:2] == ([0, 1, 2], [0, 1, 2])
+    assert received and all(alg is s for alg in received)
 
 
 def set_partitions(items):
