@@ -198,10 +198,10 @@ def intertwine_fault(
     per member of a family, whose maps then fill f in turn, as many to a
     member: map m is checked against tgt[k][m // (len(f) // members)].  The
     first failing row wins, then the first column failing in any map, then
-    the first map failing there.  The one check of every action and map in
-    the package, and of ``Bimodule.validate`` (``generators`` gives its
-    forms; the associativity of A itself, and the bimodule of a trivial
-    extension that ``construct`` builds, are ``_associativity_fault``).
+    the first map failing there.  The one check of module actions, module
+    maps (``generators`` gives their forms) and theta in ``equiv._sigma_of``;
+    the associativity of A itself, and every bimodule, are decided by
+    ``_associativity_fault`` instead (``bimodule_extension``).
     Works one row at a time, so its arrays stay the size of the stack f.
     Both sides come from ``modp.dot``, so their difference is an integer
     below 2^53 in magnitude, exact in float64 and in int64, and its int64
@@ -225,25 +225,6 @@ def intertwine_fault(
             bad = wrong.reshape(members, dt, per, ds).any(axis=1).reshape(n, ds)  # bad[m, b]
             col = int(np.flatnonzero(bad.any(axis=0))[0])
             return row, col, int(np.flatnonzero(bad[:, col])[0])
-    return None
-
-
-def algebra_map_fault(h: np.ndarray, src: GradedAlgebra, tgt: GradedAlgebra) -> Optional[str]:
-    """Why the linear map h : src -> tgt (a coordinate matrix) is not an algebra
-    map, or None when it is.
-
-    Checks h(1) = 1, then h(g b) = h(g) h(b) for g in ``generators(src)`` and
-    every basis element b, which suffices (see ``generators``).  Both algebras
-    must be associative, with p > dim src.
-    """
-    p = src.p
-    if not np.array_equal(h @ src.unit % p, tgt.unit):
-        return "does not fix the unit"
-    gens = generators(src)
-    images = np.tensordot(h[:, gens].T, tgt.left, axes=1) % p  # images[k] = L(h(g_k))
-    fault = intertwine_fault(h, src.left[gens], images, gens, p)
-    if fault is not None:
-        return f"is not multiplicative at {src.names[fault[0]]}"
     return None
 
 
@@ -498,13 +479,13 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     trace-form one, so ``a`` must be associative, with p > dim A or this
     raises PrimeTooSmall.
 
-    Every multiplication check of an action, a map or a ``Bimodule.validate``
-    in the package is a call of ``intertwine_fault(f, src, tgt, rows)`` that
-    reads only the rows G, by the lemma below.  The lemma presumes that A is
-    associative, which ``validate_algebra`` checks on every basis triple by a
-    join of the non-zero structure constants, not by ``intertwine_fault``;
-    the bimodules of the trivial extensions that ``construct`` builds are
-    checked by the same join on the extension, without G.
+    Every multiplication check of a module or a module map in the package
+    is a call of ``intertwine_fault(f, src, tgt, rows)`` that reads only the
+    rows G, by the lemma below.  The lemma presumes that A is associative,
+    which ``validate_algebra`` checks on every basis triple by a join of the
+    non-zero structure constants, not by ``intertwine_fault``; every
+    bimodule, and so every automorphism, is checked by the same join on its
+    extension (``bimodule_extension``), without G.
     Let M be a linear map from A to matrices with M(g) M(b) = M(gb) for
     every g in G and every basis element b.  Then M(a) M(b) = M(ab) for all a, b.  Proof: the
     a with M(a) M(b) = M(ab) for all b form a subspace S.  It contains G, and
@@ -515,22 +496,13 @@ def generators(a: GradedAlgebra) -> np.ndarray:
     products gives rad^j in C + rad^(j+1) for every j, and then
     A = C + rad^2 = C + rad^3 = ... = C, since rad^k = 0 for some k
     (Assem-Simson-Skowronski, Elements I, ch. II).  With M(1) = I checked on
-    its own, M is a representation.  The check reads the orbit maps
-    F_c : b -> M(b) e_c (f = M.T, src = L(g), tgt = M(g)): column b of
+    its own, M is a representation, a module.  The check reads the orbit
+    maps F_c : b -> M(b) e_c (f = M.T, src = L(g), tgt = M(g)): column b of
     M(g) F_c = F_c L(g) is M(g) M(b) e_c = M(gb) e_c.  So it rests on this
     case, not on the intertwiner case below, as M is not yet known to be a
-    representation.  The same argument gives:
-
-    * an anti-representation (a right action), from M(g) M(b) = M(bg): the
-      same orbit maps, with src = R(g);
-    * an intertwiner f from a representation M to a representation M', from
-      M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra
-      (one map f: morphisms);
-    * a multiplicative linear map h between associative algebras, from
-      h(g b) = h(g) h(b) (f = h, src = L(g), tgt = L(h(g)));
-    * commuting left and right actions, from la(g) ra(g') = ra(g') la(g) for
-      g, g' in G, applying the intertwiner case once on each side
-      (f = ra(G), src = tgt = la(g)).
+    representation.  The same argument gives the module maps: an
+    intertwiner f from a representation M to a representation M', from
+    M'(g) f = f M(g), since the a with M'(a) f = f M(a) form a subalgebra.
     """
     rad = radical(a)
     rows = _products(a, rad, rad).transpose(0, 2, 1).reshape(-1, a.dim)
@@ -726,26 +698,61 @@ class Bimodule:
         return None
 
     def validate(self) -> "Bimodule":
-        """Check that both actions are unital, the left one a representation,
-        the right one an anti-representation, and that they commute.
-
-        Each product is checked on ``generators(A)`` only, which suffices (see
-        there): A must be associative, with p > dim A or this raises
-        PrimeTooSmall.
-        """
-        a, p = self.algebra, self.algebra.p
+        """Check that both actions are unital, then that A is associative and
+        the actions a bimodule, by the join of ``bimodule_extension``: for any
+        A, graded or not, and any p."""
         fault = self.unit_fault()
         if fault is not None:
             raise ActionFault(fault)
-        la, ra, gens = self.left_action, self.right_action, generators(a)
-        # the orbit maps .T: la(g) la(b) = la(gb) and ra(g) ra(b) = ra(bg)
-        fault = intertwine_fault(la.T, a.left[gens], la[gens], gens, p)
-        if fault is not None:
-            raise ActionFault(f"left action not associative at {a.names[fault[0]]}")
-        fault = intertwine_fault(ra.T, a.right[gens], ra[gens], gens, p)
-        if fault is not None:
-            raise ActionFault(f"right action not associative at {a.names[fault[1]]}")
-        fault = intertwine_fault(ra[gens], la[gens], la[gens], gens, p)
-        if fault is not None:
-            raise ActionFault(f"left/right actions do not commute at {a.names[fault[0]]}")
+        bimodule_extension(self)
         return self
+
+
+#: The law of a bimodule X that a triple of basis elements of A |x X states,
+#: by the position of its one element in X (see ``bimodule_extension``).
+_LAWS = ("right action not associative", "left/right actions do not commute", "left action not associative")
+
+
+def bimodule_extension(x: Bimodule) -> GradedAlgebra:
+    """A |x X, for X over A, after one join has decided that A is associative
+    and X an A-bimodule; X's unit is the caller's to check.
+
+    The product is (a, m)(a', m') = (a a', a m' + m a'), with A's degrees
+    and X in degree 1 (a grading only when A is trivially graded; the check
+    reads none).  One ``_associativity_fault`` on the extension decides the
+    laws, since a triple of basis elements states one of them by which of
+    its elements lie in X: (a a') m = a (a' m) for the left action,
+    (m a) a' = m (a a') for the right one, (a m) a' = a (m a') for the two
+    commuting, and the associativity of A when none does.
+
+    Lemma: no triple with two or three elements in X can fail.  As X^2 = 0
+    and A X, X A lie in X, a product of three factors two of which lie in X
+    is 0 whichever pair is multiplied first.
+
+    So the first failing triple names the law, at its first element in A:
+    ActionFault for a law of X (``_LAWS``), NonAssociative as
+    ``validate_algebra`` words it for a triple inside A.
+    """
+    b = x.algebra
+    nb, nx = b.dim, x.dim
+    n = nb + nx
+    table = modp.zeros(n, n, n)
+    table[:nb, :nb, :nb] = b.table
+    table[:nb, nb:, nb:] = x.left_action.transpose(0, 2, 1)
+    table[nb:, :nb, nb:] = x.right_action.transpose(2, 0, 1)
+    names = list(b.names) + list(x.names)
+    if len(set(names)) != n:
+        names = list(b.names) + [f"X.{s}" for s in x.names]
+    degrees = np.concatenate([b.degrees, np.ones(nx, dtype=np.int64)])
+    unit = np.concatenate([b.unit, modp.zeros(nx)])
+    idems = np.hstack([b.idempotents, modp.zeros(b.n_idempotents, nx)])
+    t = GradedAlgebra(b.p, names, degrees, table, unit, idems)
+    del table  # t keeps its own reduced copy: free this one before the join
+    fault = _associativity_fault(t)
+    if fault is not None:
+        in_x = [q >= nb for q in fault]  # by the lemma, one True at most
+        if not any(in_x):
+            raise _non_associative(t, *fault)
+        first_b = fault[1] if in_x[0] else fault[0]
+        raise ActionFault(f"{_LAWS[in_x.index(True)]} at {names[first_b]}")
+    return t

@@ -21,16 +21,17 @@ masked to the block products (row, k)(k, col) -> (row, col).
 Trivial extensions B |x X put B in degree 0 and X in degree 1 with product
 (b, m)(b', m') = (b b', b m' + m b').  Each is checked on the structure
 constants it builds: X's unit checks, then the associativity join of
-``algebra._associativity_fault``, which decides at once that B is
-associative and that X is a B-bimodule (see ``trivial_extension``).  So
-t(A) and T(B) are built without the radical or the generators of B.  The
-dual bimodule D(B) acts by (b f)(x) = f(x b), (f b)(x) = f(b x); the
-sigma-twisted variant precomposes the right action with the automorphism
-before dualizing, so D(B^sigma) acts by (b f)(x) = f(x sigma(b)).  It is a
-bimodule iff an invertible sigma on a trivially graded B is an
-automorphism, which ``equiv._sigma_of`` decides by conjugating a known
-bimodule onto it; ``AlgebraAutomorphism.validate`` decides it on its own,
-for an automorphism of a graded algebra.
+``algebra.bimodule_extension``, the one routine that assembles an
+extension and names the law its first failing triple breaks.  That join
+decides at once that B is associative and that X is a B-bimodule, so t(A)
+and T(B) are built without the radical or the generators of B, and
+``Bimodule.validate`` is the same join.  The dual bimodule D(B) acts by
+(b f)(x) = f(x b), (f b)(x) = f(b x); the sigma-twisted variant
+precomposes the right action with the automorphism before dualizing, so
+D(B^sigma) acts by (b f)(x) = f(x sigma(b)).  It is a bimodule iff sigma
+is an automorphism, which ``equiv._sigma_of`` decides by conjugating a
+known bimodule onto it and ``AlgebraAutomorphism.validate`` by the join of
+B |x D(B^sigma).
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ import numpy as np
 
 from . import modp
 from .algebra import (
+    _LAWS,
     Bimodule,
     GradedAlgebra,
-    _associativity_fault,
-    _non_associative,
-    algebra_map_fault,
+    bimodule_extension,
     cached,
     degree_zero_subalgebra,
 )
@@ -82,13 +82,28 @@ class AlgebraAutomorphism:
         return out
 
     def validate(self) -> "AlgebraAutomorphism":
-        """Raise NotAutomorphism unless this is a degree-preserving algebra automorphism."""
+        """Raise NotAutomorphism unless this is a degree-preserving algebra automorphism.
+
+        After the degrees, the join of A |x D(A^sigma) (``bimodule_extension``)
+        decides it, for any A and p: D(A^sigma) is a bimodule iff sigma is an
+        automorphism of an associative unital A, as its left action is unital
+        iff sigma(1) = 1 and associative iff sigma is multiplicative (see
+        ``twisted_dual_bimodule``).  A unit fault reads "does not fix the
+        unit", a broken left law "is not multiplicative at b"; any other
+        refusal, such as a non-associative A, is the join's own.
+        """
         a, s = self.algebra, self.matrix
         if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
             raise NotAutomorphism("does not preserve degrees")
-        fault = algebra_map_fault(s, a, a)
-        if fault is not None:
-            raise NotAutomorphism(fault)
+        x = twisted_dual_bimodule(a, self)
+        if x.unit_fault() is not None:
+            raise NotAutomorphism("does not fix the unit")
+        try:
+            bimodule_extension(x)
+        except ActionFault as exc:
+            if not str(exc).startswith(_LAWS[2]):
+                raise
+            raise NotAutomorphism(str(exc).replace(_LAWS[2], "is not multiplicative", 1)) from None
         return self
 
 
@@ -174,21 +189,13 @@ def x_bimodule(a: GradedAlgebra) -> Bimodule:
 def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
     """B |x X, B in degree 0 (and cached as the degree-0 part) and X in degree 1.
 
-    X is checked on the extension it builds.  After X's unit checks, one
-    ``_associativity_fault`` decides both that B is associative and that X
-    is a B-bimodule, since a triple of basis elements states one of their
-    laws by which of its elements lie in X: (b b') x = b (b' x) for the
-    left action, (x b) b' = x (b b') for the right one, (b x) b' = b (x b')
-    for the two commuting, and the associativity of B when none does.
-
-    Lemma: no triple with two or three elements in X can fail.  As X^2 = 0
-    and B X, X B lie in X, a product of three factors two of which lie in X
-    is 0 whichever pair is multiplied first.
-
-    So the first failing triple names the law, at its first element in B:
-    ActionFault for a law of X, NonAssociative as ``validate_algebra``
-    words it for a triple inside B.  A prime p <= dim B |x X is refused
-    (PrimeTooSmall) before any check.
+    Refuses, in this order, a graded B (GradingViolation), an X over another
+    algebra, a zero X (ZeroBimodule), a prime p <= dim B |x X
+    (PrimeTooSmall) and an X whose unit does not act as the identity
+    (ActionFault).  Then ``bimodule_extension`` builds the extension and its
+    join decides that B is associative and X a B-bimodule, refusing the
+    first failing triple: ActionFault for a law of X, NonAssociative for a
+    triple inside B.
     """
     if b.top_degree() != 0:
         raise GradingViolation("trivial extensions here require B trivially graded")
@@ -196,33 +203,13 @@ def trivial_extension(b: GradedAlgebra, x: Bimodule) -> GradedAlgebra:
         raise ActionFault("bimodule is not over the given algebra")
     if x.dim == 0:
         raise ZeroBimodule("trivial extension by the zero bimodule is trivially graded")
-    nb, nx = b.dim, x.dim
-    n = nb + nx
+    n = b.dim + x.dim
     if b.p <= n:
         raise PrimeTooSmall(f"prime {b.p} must exceed dim {n}")
     fault = x.unit_fault()
     if fault is not None:
         raise ActionFault(fault)
-    table = modp.zeros(n, n, n)
-    table[:nb, :nb, :nb] = b.table
-    table[:nb, nb:, nb:] = x.left_action.transpose(0, 2, 1)
-    table[nb:, :nb, nb:] = x.right_action.transpose(2, 0, 1)
-    names = list(b.names) + list(x.names)
-    if len(set(names)) != n:
-        names = list(b.names) + [f"X.{s}" for s in x.names]
-    degrees = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nx, dtype=np.int64)])
-    unit = np.concatenate([b.unit, modp.zeros(nx)])
-    idems = np.hstack([b.idempotents, modp.zeros(b.n_idempotents, nx)])
-    t = GradedAlgebra(b.p, names, degrees, table, unit, idems)
-    del table  # t keeps its own reduced copy: free this one before the join
-    fault = _associativity_fault(t)
-    if fault is not None:
-        in_x = [q >= nb for q in fault]  # by the lemma, one True at most
-        if not any(in_x):
-            raise _non_associative(t, *fault)
-        law = ("right action not associative", "left/right actions do not commute", "left action not associative")
-        first_b = fault[1] if in_x[0] else fault[0]
-        raise ActionFault(f"{law[in_x.index(True)]} at {names[first_b]}")
+    t = bimodule_extension(x)
     degree_zero_subalgebra.record(t, b)  # equal to the one it would build
     return t
 
@@ -239,8 +226,10 @@ def twisted_dual_bimodule(b: GradedAlgebra, sigma: AlgebraAutomorphism) -> Bimod
     The twist only moves the dual's left action: (b f)(x) = f(x sigma(b)).
     With sigma = id this reproduces dual_bimodule exactly.  sigma is not
     checked here: a sigma that does not fix 1 leaves the left action not
-    unital, and one that is not multiplicative leaves it not associative,
-    which ``equiv._sigma_of`` decides with its iso onto this bimodule.
+    unital, and one that is not multiplicative leaves it not associative, as
+    (b (b' f))(x) = f(x sigma(b) sigma(b')) and ((b b') f)(x) =
+    f(x sigma(b b')).  ``equiv._sigma_of`` decides that with its iso onto
+    this bimodule, and ``AlgebraAutomorphism.validate`` with the join.
     """
     if not sigma.algebra.same_as(b):
         raise NotAutomorphism("automorphism is not over the given algebra")

@@ -69,7 +69,6 @@ sample, and a failure is the one the first failing sample gives.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -274,7 +273,7 @@ def split_trivial_extension(t: GradedAlgebra) -> tuple[GradedAlgebra, Bimodule]:
     return b, x
 
 
-def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaExtraction:
+def extract_sigma(t: GradedAlgebra, seed: int = 0) -> SigmaExtraction:
     """Realize a well-graded self-injective B |x X as a twisted trivial extension.
 
     Refuses, in this order, a seed below 0 (PreconditionFailed "seed"), a
@@ -288,16 +287,23 @@ def extract_sigma(t: GradedAlgebra, seed: int = 0, trials: int = 128) -> SigmaEx
     require_seed(seed)
     b, x = split_trivial_extension(t)
     _require_hypotheses(t, "B-basic", "degree-0 part is not basic")
-    return _sigma_of(b, x, seed, trials)
+    return _sigma_of(b, x, seed)
 
 
-def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int, trials: int = 128) -> SigmaExtraction:
+#: Seeded draws of a generator m of D(X) that ``_sigma_of`` makes before it
+#: refuses.  Under the theorem's hypotheses a draw fails with probability at
+#: most l/p < 1/2 (l simple classes, p > dim t(A) >= 2 l), so all of them
+#: fail with probability below 2^-128.
+SIGMA_DRAWS = 128
+
+
+def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int) -> SigmaExtraction:
     """sigma and theta : X -> D(B^sigma) for the split (B, X) of a trivial extension.
 
     Finds a generator m of D(X) whose left and right multiplication maps
-    B -> D(X), L_m : b -> b m and R_m : b -> m b, are bijective (seeded
-    random trials, then a deterministic sweep over small sums of dual basis
-    vectors), sets sigma(b) = L_m^{-1}(m b), and returns the dualized
+    B -> D(X), L_m : b -> b m and R_m : b -> m b, are bijective (up to
+    ``SIGMA_DRAWS`` seeded random draws; GeneratorNotFound after them),
+    sets sigma(b) = L_m^{-1}(m b), and returns the dualized
     isomorphism theta = L_m^T : X -> D(B^sigma).  The hypotheses are not
     decided here: every claim returned is checked on its own.  After m b =
     sigma(b) m on the basis, theta is checked against both actions of
@@ -316,13 +322,8 @@ def _sigma_of(b: GradedAlgebra, x: Bimodule, seed: int, trials: int = 128) -> Si
     if x.dim != b.dim:
         raise GeneratorNotFound(f"dim X = {x.dim} differs from dim B = {b.dim}")
     rng = np.random.default_rng(seed)
-    draws = (rng.integers(0, p, size=x.dim, dtype=np.int64) for _ in range(trials))
-    sweep = (
-        np.isin(np.arange(x.dim), combo).astype(np.int64)
-        for size in (1, 2, 3)
-        for combo in itertools.combinations(range(x.dim), size)
-    )
-    for trials_used, m_vec in enumerate(itertools.chain(draws, sweep), start=1):
+    for trials_used in range(1, SIGMA_DRAWS + 1):
+        m_vec = rng.integers(0, p, size=x.dim, dtype=np.int64)
         # column i of L_m is b_i m : x -> m(x b_i), of R_m is m b_i : x -> m(b_i x)
         lm = ((m_vec @ x.right_action) % p).T
         rm = ((m_vec @ x.left_action) % p).T

@@ -11,8 +11,9 @@ Two kinds of kernel multiply residues:
   below 2^53, and longer inner dimensions are reduced blockwise (the
   delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS
   35(3), 2008).  ``mat_mul`` uses it, and so does the multiplication check
-  of actions and maps, ``algebra.intertwine_fault``, which reads only the
-  rows of ``algebra.generators``.  Results are reduced by casting to int64
+  of module actions, module maps and theta, ``algebra.intertwine_fault``,
+  which reads only the rows it is given (those of ``algebra.generators``
+  for modules and maps).  Results are reduced by casting to int64
   and taking ``%``: every value is an integer below 2^53 in magnitude;
 * everything else (row reduction, and the einsum, tensordot and matmul
   contractions such as the trace form) sums in int64, which is exact while

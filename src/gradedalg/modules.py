@@ -24,7 +24,7 @@ question has one entry point, which treats a whole family at once, a
 The passes that stack the members' matrices (the cover pass, the module
 checks and the split along the idempotents, ``_splits``) cut the family
 one way, ``ModuleFamily.batches``.  ``hom_basis``, ``projective_cover``,
-``syzygy`` and the ``validate`` methods are their calls on one object.
+``syzygy`` and ``GradedModule.validate`` are their calls on one object.
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ class GradedMorphism:
         self.source = source
         self.target = target
         self.matrix = modp.normalize(matrix, source.p).reshape(target.dim, source.dim)
-
-    def validate(self) -> "GradedMorphism":
-        """Check that the matrix preserves degrees and intertwines the action:
-        ``morphism_faults`` on this matrix alone, whose fault it raises as CheckFailed."""
-        fault = morphism_faults(self.source, self.target, [self.matrix])[0]
-        if fault is not None:
-            raise CheckFailed(fault)
-        return self
 
 
 class ModuleFamily:

@@ -75,21 +75,24 @@ def require_seed(seed: int) -> None:
         raise PreconditionFailed("seed", f"seed {seed} is negative")
 
 
-def frobenius_functional_search(
-    a: GradedAlgebra, seed: int = 0, trials: int = 64
-) -> Optional[np.ndarray]:
+#: Seeded draws of a linear form that ``frobenius_functional_search`` makes
+#: before it returns None.
+FUNCTIONAL_DRAWS = 64
+
+
+def frobenius_functional_search(a: GradedAlgebra, seed: int = 0) -> Optional[np.ndarray]:
     """Search for a linear form with nondegenerate pairing (u, v) -> lam(uv).
 
     Success proves the (basic) algebra is Frobenius, hence self-injective.
     Deterministic given the seed, which must be at least 0; returns None
-    after the trial budget.
+    after ``FUNCTIONAL_DRAWS`` draws.
     """
     require_seed(seed)
     if not is_basic(a):
         raise NotBasic("functional search is only run on basic algebras")
     rng = np.random.default_rng(seed)
     n = a.dim
-    for _ in range(trials):
+    for _ in range(FUNCTIONAL_DRAWS):
         lam = rng.integers(0, a.p, size=n, dtype=np.int64)
         gram = (lam @ a.left) % a.p  # gram[i, j] = lam(b_i b_j)
         if modp.invert(gram, a.p) is not None:
@@ -98,18 +101,16 @@ def frobenius_functional_search(
 
 
 def is_Ac_faithful(a: GradedAlgebra) -> bool:
-    """Is the top component faithful as a left module over the degree-0 part?"""
+    """Is the top component faithful as a left module over the degree-0 part?
+
+    One rank: row j is the map A_c -> A_c of the basis element b_j of A_0.
+    """
     c = a.top_degree()
     if c == 0:
         raise TrivialGrading("faithfulness of A_c needs top degree >= 1")
-    zero_idx = a.degree_indices(0)
-    top_idx = a.degree_indices(c)
-    cols = []
-    for j in zero_idx:
-        cols.append(a.left[j][:, top_idx].ravel())
-    system = np.array(cols).T % a.p
-    rank, _ = modp.rank_kernel(system, a.p)
-    return rank == len(zero_idx)
+    zero = a.degree_indices(0)
+    maps = a.left[zero][:, :, a.degree_indices(c)]  # maps[j] = L(b_j), top columns only
+    return modp.rank(maps.reshape(zero.size, -1), a.p) == zero.size
 
 
 def is_graded_frobenius(a: GradedAlgebra) -> bool:

@@ -137,7 +137,7 @@ def test_criterion_06_oracle_agreement(graded_corpus, uppertri):
     for name, a in cases:
         if not is_basic(a):
             continue
-        hit = frobenius_functional_search(a, seed=0, trials=64) is not None
+        hit = frobenius_functional_search(a, seed=0) is not None
         assert hit == is_graded_selfinjective(a).holds, name
     elapsed = time.time() - t0
     assert elapsed < 2.0

@@ -52,7 +52,16 @@ from gradedalg.errors import (
     UnitMismatch,
 )
 from gradedalg.modules import GradedModule, GradedMorphism, ModuleFamily, hom_bases, inj, module_faults, proj, regular_module
-from helpers import T_twisted, act_left, act_right, left_mult, right_mult
+from helpers import (
+    T_twisted,
+    act_left,
+    act_right,
+    algebra_map_fault,
+    left_mult,
+    right_mult,
+    validate_bimodule_by_generators,
+    validate_morphism,
+)
 from perfbench.inputs import random_graded_basis, rebase
 
 P = 7919
@@ -475,9 +484,33 @@ def _outcome(check):
     return None
 
 
-def _same_outcomes(obj, full):
-    got, want = _outcome(obj.validate), _outcome(lambda: full(obj))
+def _same_outcomes(obj, full, check=lambda obj: obj.validate()):
+    got, want = _outcome(lambda: check(obj)), _outcome(lambda: full(obj))
     assert got == want
+    return got
+
+
+def _automorphism_validate_by_generators(sigma):
+    """The automorphism check that read ``generators(A)``: degrees, then
+    ``algebra_map_fault`` of sigma on A."""
+    a, s = sigma.algebra, sigma.matrix
+    if np.any((s != 0) & (a.degrees[:, None] != a.degrees[None, :])):
+        raise NotAutomorphism("does not preserve degrees")
+    fault = algebra_map_fault(s, a, a)
+    if fault is not None:
+        raise NotAutomorphism(fault)
+
+
+def _bimodule_refusal_agrees(x):
+    """The outcome of ``x.validate()``, after asserting that it refuses
+    exactly where the full int64 check does: a unit fault word for word, a
+    law as one that ``_laws_broken_int64`` finds broken."""
+    got, want = _outcome(x.validate), _outcome(lambda: _bimodule_validate_full(x))
+    assert (got is None) == (want is None)
+    if got is not None and "unital" in got[1] + want[1]:
+        assert got == want
+    elif got is not None:
+        assert got[0] is ActionFault and got[1] in _laws_broken_int64(x)
     return got
 
 
@@ -515,17 +548,22 @@ def test_generator_checks_agree_with_full_checks_on_every_single_entry(truncated
     # both actions of D(b(k[x]/(x^4))): 6 x 6 x 6 entries each
     b = validate_algebra(beilinson(truncated(4)))
     assert len(generators(b)) < b.dim
+    # validate names the law of the join's first failing triple, which need
+    # not be the first law the full check finds broken
     d = dual_bimodule(b)
-    assert _same_outcomes(d, _bimodule_validate_full) is None
-    kinds = Counter()
-    for left in _entry_corruptions(d.left_action):
-        kinds[_same_outcomes(Bimodule(b, d.names, left, d.right_action), _bimodule_validate_full)] += 1
-    for right in _entry_corruptions(d.right_action):
-        kinds[_same_outcomes(Bimodule(b, d.names, d.left_action, right), _bimodule_validate_full)] += 1
+    assert _bimodule_refusal_agrees(d) is None
+    kinds, wants = Counter(), Counter()
+    corrupted = [Bimodule(b, d.names, left, d.right_action) for left in _entry_corruptions(d.left_action)]
+    corrupted += [Bimodule(b, d.names, d.left_action, right) for right in _entry_corruptions(d.right_action)]
+    for bad in corrupted:
+        kinds[_bimodule_refusal_agrees(bad)] += 1
+        wants[_outcome(lambda: _bimodule_validate_full(bad))] += 1
     assert sum(kinds.values()) == 432
+    assert wants[ActionFault, "left action not associative at"] > 100
+    assert wants[ActionFault, "right action not associative at"] > 100
+    assert wants[ActionFault, "left/right actions do not commute at"] > 0
     assert kinds[ActionFault, "left action not associative at"] > 100
-    assert kinds[ActionFault, "right action not associative at"] > 100
-    assert kinds[ActionFault, "left/right actions do not commute at"] > 0
+    assert kinds[ActionFault, "left/right actions do not commute at"] > 100
 
 
 def _laws_broken_int64(x):
@@ -552,17 +590,19 @@ def _message(check):
 
 def test_trivial_extension_join_agrees_with_bimodule_validate_on_every_single_entry(truncated, rebased_nakayama32):
     # x(k[x]/(x^4)) over b(k[x]/(x^4)), 6 x 6 x 6 entries per action, and
-    # D(b(N(3, 2))) in a dense basis, 9 x 9 x 9: the associativity join on
-    # B |x X refuses each copy with one entry moved exactly when the
-    # generator-based Bimodule.validate does
+    # D(b(N(3, 2))) in a dense basis, 9 x 9 x 9: Bimodule.validate, and the
+    # trivial extension by the same join, refuse each copy with one entry
+    # moved exactly when the generator-based check did
     kinds, single = Counter(), 0
     for x in (x_bimodule(truncated(4)), dual_bimodule(beilinson(rebased_nakayama32))):
         b = x.algebra
-        assert trivial_extension(b, x).dim == 2 * b.dim
+        assert trivial_extension(b, x).dim == 2 * b.dim and x.validate() is x
         corrupted = [Bimodule(b, x.names, left, x.right_action) for left in _entry_corruptions(x.left_action)]
         corrupted += [Bimodule(b, x.names, x.left_action, right) for right in _entry_corruptions(x.right_action)]
         for bad in corrupted:
-            got, want = _message(lambda: trivial_extension(b, bad)), _message(bad.validate)
+            got = _message(bad.validate)
+            assert got == _message(lambda: trivial_extension(b, bad))
+            want = _message(lambda: validate_bimodule_by_generators(bad))
             assert (got is None) == (want is None)
             if got is None:
                 kinds[None] += 1
@@ -571,7 +611,7 @@ def test_trivial_extension_join_agrees_with_bimodule_validate_on_every_single_en
                 kinds[got] += 1
             else:
                 # the join names the law of the first failing triple, which
-                # need not be the first law validate checks
+                # need not be the first law the generator check checked
                 law, broken = got.rpartition(" ")[0], _laws_broken_int64(bad)
                 assert law in broken
                 if len(broken) == 1:
@@ -586,6 +626,35 @@ def test_trivial_extension_join_agrees_with_bimodule_validate_on_every_single_en
     # triple (b, x, b') that comes before every (x, b, b')
     assert kinds["right action not associative at"] > 0
     assert single > 20
+
+
+def test_bimodule_validate_needs_no_generators(truncated):
+    # the join reads no radical, so a zero bimodule passes, and so does a
+    # regular bimodule at p <= dim A, which the generators cannot reach
+    a = truncated(3)
+    assert Bimodule(a, [], modp.zeros(a.dim, 0, 0), modp.zeros(a.dim, 0, 0)).validate().dim == 0
+    small = corpus.truncated_poly(3, prime=3)
+    reg = Bimodule(small, small.names, small.left, small.right)
+    with pytest.raises(PrimeTooSmall):
+        validate_bimodule_by_generators(reg)
+    assert reg.validate() is reg
+    kinds = Counter()
+    for side in ("left", "right"):
+        for bad in _entry_corruptions(getattr(reg, f"{side}_action")):
+            actions = {"left": reg.left_action, "right": reg.right_action, side: bad}
+            kinds[_bimodule_refusal_agrees(Bimodule(small, small.names, actions["left"], actions["right"]))] += 1
+    # x acting as x + x2 on one side twists the bimodule by an automorphism,
+    # so exactly two copies stay bimodules
+    assert sum(kinds.values()) == 2 * 27 and kinds[None] == 2
+    # the zero bimodule over a non-associative algebra is refused as the
+    # algebra: x (x x) = x y = 1 but (x x) x = y x = 0
+    table = modp.zeros(3, 3, 3)
+    table[0] = modp.identity(3)
+    table[1, 0, 1] = table[2, 0, 2] = 1
+    table[1, 1, 2] = table[1, 2, 0] = 1
+    bad = GradedAlgebra(P, ["1", "x", "y"], [0, 0, 0], table, [1, 0, 0], [[1, 0, 0]])
+    with pytest.raises(NonAssociative):
+        Bimodule(bad, [], modp.zeros(3, 0, 0), modp.zeros(3, 0, 0)).validate()
 
 
 def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncated, rebased_nakayama):
@@ -605,6 +674,7 @@ def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncate
         except NotAutomorphism:
             continue  # singular
         want = _same_outcomes(sigma, _automorphism_validate_full)
+        assert _outcome(lambda: _automorphism_validate_by_generators(sigma)) == want
         kinds[want] += 1
         # the join of T(B^sigma) refuses exactly the maps that are not automorphisms
         got = _outcome(lambda: T_twisted(b, sigma))
@@ -634,11 +704,44 @@ def test_generator_checks_agree_with_full_checks_on_sigma_and_morphisms(truncate
     for (k, l), maps in zip(pairs, hom_bases(ModuleFamily.of(tb, mods), pairs)):
         src, tgt = mods[k], mods[l]
         for f in maps:
-            assert _same_outcomes(GradedMorphism(src, tgt, f), _morphism_validate_full) is None
+            assert _same_outcomes(GradedMorphism(src, tgt, f), _morphism_validate_full, validate_morphism) is None
             for _ in range(8):
                 bad = GradedMorphism(src, tgt, _corrupt(f, rng, p))
-                kinds[_same_outcomes(bad, _morphism_validate_full)] += 1
+                kinds[_same_outcomes(bad, _morphism_validate_full, validate_morphism)] += 1
     assert kinds[CheckFailed, "morphism does not intertwine"] > 100
+
+
+def test_automorphism_validate_agrees_with_the_generator_check_on_graded_algebras(truncated, exterior2):
+    # graded automorphisms of k[x]/(x^3), x -> l x, and of Lambda(2), g on
+    # the degree-1 part and det g on xy; every copy with one entry moved to
+    # another residue is refused exactly where the check on the generators
+    # (and the full int64 check) refuses it
+    rng = np.random.default_rng(30)
+    kinds = Counter()
+    for a in (truncated(3), exterior2):
+        p = a.p
+        for _ in range(4):
+            if a.dim == 3:
+                mat = np.diag(int(rng.integers(1, p)) ** np.arange(3) % p)
+            else:
+                g = rng.integers(0, p, size=(2, 2))
+                if (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % p == 0:
+                    continue
+                mat = modp.zeros(4, 4)
+                mat[0, 0], mat[1:3, 1:3], mat[3, 3] = 1, g, (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % p
+            sigma = AlgebraAutomorphism(a, mat)
+            assert _same_outcomes(sigma, _automorphism_validate_by_generators) is None
+            for _ in range(40):
+                try:
+                    bad = AlgebraAutomorphism(a, _corrupt(mat, rng, p))
+                except NotAutomorphism:
+                    continue  # singular
+                want = _same_outcomes(bad, _automorphism_validate_by_generators)
+                assert want == _outcome(lambda: _automorphism_validate_full(bad))
+                kinds[want] += 1
+    assert kinds[NotAutomorphism, "does not preserve degrees"] > 50
+    assert kinds[NotAutomorphism, "does not fix the unit"] > 5
+    assert kinds[NotAutomorphism, "is not multiplicative at"] > 50
 
 
 def _permuted(a, order):
@@ -659,15 +762,17 @@ def test_faults_name_the_failing_generator(truncated):
     doubled[2] = 2 * doubled[2] % a.p  # only the action of x is wrong
     with pytest.raises(CheckFailed, match=r"not associative at x$"):
         GradedModule(a, a.degrees, doubled).validate()
-    with pytest.raises(ActionFault, match=r"left action not associative at x$"):
+    # the join names the first element of its first failing triple,
+    # (x2, x, m): (x2 x) m = x3 m but x2 (x m) = 2 x3 m
+    with pytest.raises(ActionFault, match=r"^left action not associative at x2$"):
         Bimodule(a, a.names, doubled, a.right).validate()
     m = regular_module(a)
     f = modp.identity(a.dim)
     f[2, 2] = 2  # degree-preserving, commutes with 1 but not with x
     with pytest.raises(CheckFailed, match=r"does not intertwine x$"):
-        GradedMorphism(m, m, f).validate()
-    # fixes the unit and preserves degrees, but sigma(x)^2 = 4 x2 != sigma(x2)
-    with pytest.raises(NotAutomorphism, match=r"not multiplicative at x$"):
+        validate_morphism(GradedMorphism(m, m, f))
+    # fixes the unit and preserves degrees, but sigma(x2) sigma(x) = 2 x3 != sigma(x3)
+    with pytest.raises(NotAutomorphism, match=r"^is not multiplicative at x2$"):
         AlgebraAutomorphism(a, f).validate()
 
 

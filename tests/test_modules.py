@@ -45,7 +45,7 @@ from gradedalg.modules import (
     width,
     zero_module,
 )
-from helpers import left_mult, right_mult
+from helpers import left_mult, right_mult, validate_morphism
 
 
 def _mul(a, u, v):
@@ -209,7 +209,7 @@ def test_morphism_validation_rejects_non_intertwiner(truncated):
     f = modp.zeros(m.dim, m.dim)
     f[0, 0] = 1  # degree-preserving, but kills x while fixing 1
     with pytest.raises(CheckFailed, match="does not intertwine"):
-        GradedMorphism(m, m, f).validate()
+        validate_morphism(GradedMorphism(m, m, f))
 
 
 def test_width_biconditional_with_well_gradedness(graded_corpus):
@@ -594,7 +594,7 @@ def test_hom_morphisms_are_valid(truncated):
     m = regular_module(a)
     n = inj(a, 0, 0)
     for f in hom_basis(m, shift(m, 0)) + hom_basis(m, shift(n, -2)):
-        f.validate()
+        validate_morphism(f)
 
 
 def cover_dims(mods):

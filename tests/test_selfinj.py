@@ -57,7 +57,7 @@ def test_functional_search_point():
 
 
 def test_functional_search_fails_on_non_frobenius(uppertri):
-    assert frobenius_functional_search(uppertri(2), seed=0, trials=64) is None
+    assert frobenius_functional_search(uppertri(2), seed=0) is None
 
 
 def test_functional_search_requires_basic(matrix2x2):
@@ -83,6 +83,24 @@ def test_faithful_predicate(truncated, exterior2, a4):
     assert is_Ac_faithful(truncated(4))
     assert is_Ac_faithful(exterior2)
     assert not is_Ac_faithful(a4)
+
+
+def _is_Ac_faithful_loop(a):
+    """The faithfulness of A_c over A_0 as the loop over A_0 decided it: one
+    column per basis element of A_0, its map A_c -> A_c, and one rank."""
+    c = a.top_degree()
+    top_idx = a.degree_indices(c)
+    cols = [a.left[j][:, top_idx].ravel() for j in a.degree_indices(0)]
+    rank, _ = modp.rank_kernel(np.array(cols).T % a.p, a.p)
+    return rank == len(cols)
+
+
+def test_faithful_predicate_matches_the_loop(graded_corpus, rebased_nakayama):
+    cases = [a for _, a in graded_corpus] + [rebased_nakayama(3, 2, 32), rebased_nakayama(4, 3, 43)]
+    cases += [t_of(a) for a in cases]
+    answers = [is_Ac_faithful(a) for a in cases]
+    assert answers == [_is_Ac_faithful_loop(a) for a in cases]
+    assert True in answers and False in answers
 
 
 def test_faithful_needs_grading(uppertri):
@@ -114,7 +132,7 @@ def test_search_agrees_with_criterion(graded_corpus, uppertri):
     for name, a in cases:
         if not is_basic(a):
             continue
-        hit = frobenius_functional_search(a, seed=0, trials=64) is not None
+        hit = frobenius_functional_search(a, seed=0) is not None
         si = is_graded_selfinjective(a).holds
         assert hit == si, name
 
