@@ -187,6 +187,14 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
 # ---------------------------------------------------------------------------
 # validation
 
+#: Most entries of the arrays that one step of a batched pass forms.  It
+#: bounds the chunk of rows that ``intertwine_fault`` compares at once, and
+#: the batches of ``modules.ModuleFamily.batches``: members x per x d^2, d the
+#: family's largest dimension and per the matrices a pass stacks for each
+#: member (dim A for the cover pass and ``modules.module_faults``, n + 4 for
+#: ``modules._splits``, n idempotents).  128 KiB an int64 or float64 array.
+COVER_CELLS = 2**14
+
 
 def intertwine_fault(
     f: np.ndarray, src: np.ndarray, tgt: np.ndarray, rows: np.ndarray, p: int
@@ -202,7 +210,12 @@ def intertwine_fault(
     maps (``generators`` gives their forms) and theta in ``equiv._sigma_of``;
     the associativity of A itself, and every bimodule, are decided by
     ``_associativity_fault`` instead (``bimodule_extension``).
-    Works one row at a time, so its arrays stay the size of the stack f.
+    Compares a chunk of consecutive rows per step, one ``modp.dot`` per
+    side: as many rows as keep rows x (entries of f) within ``COVER_CELLS``,
+    and at least one.  So each product, and each array formed from it, has
+    at most the larger of ``COVER_CELLS`` and f's entries, and a stack f of
+    at least the budget's entries goes one row at a time.  The first
+    failing row of the first failing chunk is the first failing row.
     Both sides come from ``modp.dot``, so their difference is an integer
     below 2^53 in magnitude, exact in float64 and in int64, and its int64
     remainder tells whether it vanishes mod p; most entries are exactly 0,
@@ -216,15 +229,19 @@ def intertwine_fault(
     g = f.reshape(members, per, dt, ds).transpose(0, 2, 1, 3).astype(np.float64, order="C")
     wide, tall = g.reshape(members, dt, per * ds), g.reshape(n * dt, ds)
     src, tgt = (np.asarray(x, dtype=np.float64, order="C") for x in (src, tgt))
-    for k, row in enumerate(rows.tolist()):
-        diff = modp.dot(tgt[k], wide, p)  # diff[q, a, (m, b)] = (tgt[k] @ f[q per + m])[a, b]
-        diff -= modp.dot(tall, src[k], p).reshape(members, dt, per * ds)
+    step = max(COVER_CELLS // max(f.size, 1), 1)
+    for lo in range(0, len(rows), step):
+        hi = min(lo + step, len(rows))
+        # diff[k, q, a, (m, b)] = (tgt[lo + k] @ f[q per + m] - f[q per + m] @ src[lo + k])[a, b]
+        diff = modp.dot(tgt[lo:hi], wide, p).reshape(hi - lo, members, dt, per * ds)
+        diff -= modp.dot(tall, src[lo:hi], p).reshape(hi - lo, members, dt, per * ds)
         wrong = diff != 0
         wrong[wrong] = diff[wrong].astype(np.int64) % p != 0
         if wrong.any():
-            bad = wrong.reshape(members, dt, per, ds).any(axis=1).reshape(n, ds)  # bad[m, b]
+            k = int(np.flatnonzero(wrong.reshape(hi - lo, -1).any(axis=1))[0])
+            bad = wrong[k].reshape(members, dt, per, ds).any(axis=1).reshape(n, ds)  # bad[m, b]
             col = int(np.flatnonzero(bad.any(axis=0))[0])
-            return row, col, int(np.flatnonzero(bad[:, col])[0])
+            return int(rows[lo + k]), col, int(np.flatnonzero(bad[:, col])[0])
     return None
 
 
@@ -238,6 +255,31 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
     A_0/rad A_0 is commutative with Frobenius fixed space of dimension one),
     all of them from one pass over the corners (``_check_primitive``).
     """
+    _check_unit_and_grading(a)
+    # associativity on every triple: the generators, which the other
+    # multiplication checks read, come from the radical, which presumes it
+    fault = _associativity_fault(a)
+    if fault is not None:
+        raise _non_associative(a, *fault)
+    _check_idempotents(a)
+    _check_primitive(a)
+    return a
+
+
+def validate_extension(t: GradedAlgebra) -> GradedAlgebra:
+    """``validate_algebra`` without the join, for an algebra that
+    ``bimodule_extension`` has just built: its join on the same table
+    decided associativity there, so only the prime, the unit, the grading,
+    the idempotents and their primitivity are checked, in that order."""
+    _check_unit_and_grading(t)
+    _check_idempotents(t)
+    _check_primitive(t)
+    return t
+
+
+def _check_unit_and_grading(a: GradedAlgebra) -> None:
+    """Refuse a prime p <= dim A, a unit that is not two-sided, or a product
+    b_i b_j outside degree d_i + d_j."""
     p, n = a.p, a.dim
     if p <= n:
         raise PrimeTooSmall(f"prime {p} must exceed dim {n}")
@@ -257,16 +299,6 @@ def validate_algebra(a: GradedAlgebra) -> GradedAlgebra:
         raise GradingViolation(
             f"product {a.names[i]} * {a.names[j]} leaves the graded component"
         )
-
-    # associativity on every triple: the generators, which the other
-    # multiplication checks read, come from the radical, which presumes it
-    fault = _associativity_fault(a)
-    if fault is not None:
-        raise _non_associative(a, *fault)
-
-    _check_idempotents(a)
-    _check_primitive(a)
-    return a
 
 
 def _non_associative(a: GradedAlgebra, i: int, j: int, k: int) -> NonAssociative:

@@ -30,6 +30,7 @@ from .algebra import (
     is_right_well_graded,
     radical,
     validate_algebra,
+    validate_extension,
 )
 from .construct import beilinson, t_of
 from .errors import (
@@ -110,7 +111,8 @@ def _cmd_beilinson(args) -> dict:
 
 
 def _cmd_trivext(args) -> dict:
-    return _construction_report(args, validate_algebra(t_of(_load(args))))
+    # t_of's join decided the associativity of t(A); the other checks remain
+    return _construction_report(args, validate_extension(t_of(_load(args))))
 
 
 def _cmd_selfinj(args) -> dict:

@@ -113,7 +113,7 @@ from .modules import (
     shift,
     simple,
 )
-from .selfinj import is_graded_selfinjective, require_seed
+from .selfinj import form_is_nondegenerate, is_graded_selfinjective, require_seed
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +501,15 @@ def theorem_pipeline(
                 {"certificate": cert.to_dict(), "counterexample": transcript()},
             )
 
-    tb_selfinj = is_graded_selfinjective(tb)
+    # T(B) is symmetric: in T_of's coordinates eps = (0, unit of B), so that
+    # eps(b, f) = f(1), is a form of degree 1 whose pairing eps(xy) is
+    # nondegenerate, which makes T(B) graded self-injective; its one rank
+    # decides the record, and a degenerate form is a bug in T_of
+    eps = np.concatenate([modp.zeros(b.dim), b.unit])
     record(
         "target",
         "T(b(A)) graded self-injective",
-        tb_selfinj.holds,
+        form_is_nondegenerate(tb, eps),
         "injectivity over the target is tested via projectivity",
     )
 

@@ -13,8 +13,11 @@ Two kinds of kernel multiply residues:
   35(3), 2008).  ``mat_mul`` uses it, and so does the multiplication check
   of module actions, module maps and theta, ``algebra.intertwine_fault``,
   which reads only the rows it is given (those of ``algebra.generators``
-  for modules and maps).  Results are reduced by casting to int64
-  and taking ``%``: every value is an integer below 2^53 in magnitude;
+  for modules and maps) and hands ``dot`` a chunk of consecutive rows per
+  product, a stack of one matrix per row, as many as keep the product
+  within ``algebra.COVER_CELLS`` entries, and at least one.  Results are
+  reduced by casting to int64 and taking ``%``: every value is an integer
+  below 2^53 in magnitude;
 * everything else (row reduction, and the einsum, tensordot and matmul
   contractions such as the trace form) sums in int64, which is exact while
   the inner dimension is at most ``MAX_INNER``.  Each such sum runs over

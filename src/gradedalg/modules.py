@@ -35,6 +35,7 @@ import numpy as np
 
 from . import modp
 from .algebra import (
+    COVER_CELLS,
     GradedAlgebra,
     _corner_pass,
     cached,
@@ -50,13 +51,6 @@ from .errors import AlgebraMismatch, CheckFailed, PreconditionFailed
 #: ``hom_bases`` eliminate, at once.  It bounds the memory of one batch,
 #: whose padded stack has this many matrices.
 HOM_BATCH = 128
-
-#: Most entries of the padded stacks of one batch of ``ModuleFamily.batches``,
-#: members x per x d^2, d the family's largest dimension and per the matrices
-#: a pass stacks for each member: dim A for the cover pass and
-#: ``module_faults``, n + 4 for ``_splits`` (n idempotents).  It bounds a
-#: batch's memory (128 KiB an array).
-COVER_CELLS = 2**14
 
 
 class GradedModule:

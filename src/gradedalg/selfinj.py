@@ -8,8 +8,10 @@ their own.  One ``modules.cover_maps`` call decides the covers of all the
 D(e_j A); the top of each Ae_i is the simple of its class, which
 ``modules.simple_classes`` names.  A seeded randomized search for a
 Frobenius functional (a linear form whose induced pairing
-(u, v) -> lam(u v) is nondegenerate) serves as an independent oracle on
-basic algebras; a failed search is never treated as a proof of absence.
+(u, v) -> lam(u v) is nondegenerate, ``form_is_nondegenerate``) serves as
+an independent oracle on basic algebras; a failed search is never treated
+as a proof of absence.  The certificate reads the same rank for a form it
+knows, the symmetrizing form of T(B).
 """
 
 from __future__ import annotations
@@ -91,13 +93,22 @@ def frobenius_functional_search(a: GradedAlgebra, seed: int = 0) -> Optional[np.
     if not is_basic(a):
         raise NotBasic("functional search is only run on basic algebras")
     rng = np.random.default_rng(seed)
-    n = a.dim
     for _ in range(FUNCTIONAL_DRAWS):
-        lam = rng.integers(0, a.p, size=n, dtype=np.int64)
-        gram = (lam @ a.left) % a.p  # gram[i, j] = lam(b_i b_j)
-        if modp.invert(gram, a.p) is not None:
+        lam = rng.integers(0, a.p, size=a.dim, dtype=np.int64)
+        if form_is_nondegenerate(a, lam):
             return lam
     return None
+
+
+def form_is_nondegenerate(a: GradedAlgebra, eps: np.ndarray) -> bool:
+    """Is the pairing (x, y) -> eps(x y) of a linear form ``eps`` nondegenerate?
+
+    One rank of gram = eps @ ``left``, so that gram[i, j] = eps(b_i b_j).
+    When it is, x -> eps(. x) is an isomorphism of left modules from A onto
+    D(A), graded up to a shift when eps is homogeneous, so A is (graded)
+    self-injective.
+    """
+    return modp.rank(eps @ a.left % a.p, a.p) == a.dim
 
 
 def is_Ac_faithful(a: GradedAlgebra) -> bool:

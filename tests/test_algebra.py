@@ -803,17 +803,13 @@ def _corrupt(arr, rng, p):
     return out
 
 
-def _representation_fault(table, mats, rows, p):
-    """The library's module check: the orbit maps mats.T (b -> mats[b] e_c)
-    intertwine the left multiplications of ``table`` with ``mats``."""
-    return intertwine_fault(mats.T, table.transpose(0, 2, 1)[rows], mats[rows], rows, p)
-
-
-def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakayama32):
+def _single_target_cases(algebras):
+    """(f, src, tgt, rows, p, want) for checks with one target matrix per row:
+    the representation checks of the regular, anti-regular, projective and
+    injective actions, and of right multiplications against the left regular
+    action, each whole and with one entry corrupted; want is the fault of the
+    int64 oracle."""
     rng = np.random.default_rng(2024)
-    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32]
-    algebras += [t_of(a) for a in algebras]
-    faults = 0
     for a in algebras:
         p, table, left, right = a.p, a.table, a.left, a.right
         rows = np.arange(a.dim)  # every row: a corrupted table need not be associative
@@ -821,24 +817,21 @@ def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakaya
         actions = [(table, left), (anti, right)]
         actions += [(table, m.action) for m in (proj(a, 0, 0), inj(a, 0, 1))]
         for tab, mats in actions:
-            assert _representation_fault(tab, mats, rows, p) is None
+            yield mats.T, tab.transpose(0, 2, 1), mats, rows, p, None
             for _ in range(4):
-                cases = [(_corrupt(tab, rng, p), mats), (tab, _corrupt(mats, rng, p))]
-                for t2, m2 in cases:
-                    got = _representation_fault(t2, m2, rows, p)
-                    assert got == _representation_fault_int64(t2, m2, p)
-                    faults += got is not None
+                for t2, m2 in [(_corrupt(tab, rng, p), mats), (tab, _corrupt(mats, rng, p))]:
+                    # the library's module check: the orbit maps m2.T (b -> m2[b] e_c)
+                    # intertwine the left multiplications of t2 with m2
+                    yield m2.T, t2.transpose(0, 2, 1), m2, rows, p, _representation_fault_int64(t2, m2, p)
         # right multiplications intertwine the left regular action, and back
         for j in range(a.dim):
-            assert intertwine_fault(right[j], left, left, rows, p) is None
-            assert intertwine_fault(left[j], right, right, rows, p) is None
+            yield right[j], left, left, rows, p, None
+            yield left[j], right, right, rows, p, None
         for _ in range(6):
             f = _corrupt(right[int(rng.integers(0, a.dim))], rng, p)
             src = _corrupt(left, rng, p) if rng.integers(0, 2) else left
-            got, want = intertwine_fault(f, src, left, rows, p), _intertwine_fault_int64(f, src, left, p)
-            assert got == (None if want is None else (*want, 0))
-            faults += got is not None
-    assert faults > 300  # the corruptions are mostly caught, so faults are compared
+            want = _intertwine_fault_int64(f, src, left, p)
+            yield f, src, left, rows, p, None if want is None else (*want, 0)
 
 
 def _grouped_fault_int64(f, src, tgt, p):
@@ -853,25 +846,95 @@ def _grouped_fault_int64(f, src, tgt, p):
     return None
 
 
-def test_intertwine_fault_with_one_target_per_member(graded_corpus, rebased_nakayama32):
-    # three members of two maps each, the right multiplications by basis
-    # elements, checked against the left regular action as each member's own
-    # target; a corrupted target of one member, map or source gives the fault
-    # of the int64 loop
+def _member_target_cases(algebras):
+    """(f, src, tgt, rows, p, want) for checks with one target per member:
+    three members of two maps each, the right multiplications by basis
+    elements, checked against the left regular action as each member's own
+    target, whole and with a corrupted target of one member, map or source;
+    want is the fault of the int64 loop."""
     rng = np.random.default_rng(7)
-    faults = 0
-    for a in [a for _, a in graded_corpus] + [rebased_nakayama32]:
+    for a in algebras:
         p, left, right, rows = a.p, a.left, a.right, np.arange(a.dim)
         f = right[rng.integers(0, a.dim, size=6)]
         tgt = np.repeat(left[:, None], 3, axis=1)  # tgt[k, q]: L(b_k) for member q
-        assert intertwine_fault(f, left, tgt, rows, p) is None
+        yield f, left, tgt, rows, p, None
         for _ in range(6):
             cases = [(f, left, _corrupt(tgt, rng, p)), (_corrupt(f, rng, p), left, tgt), (f, _corrupt(left, rng, p), tgt)]
             for f2, src2, tgt2 in cases:
-                got = intertwine_fault(f2, src2, tgt2, rows, p)
-                assert got == _grouped_fault_int64(f2, src2, tgt2, p)
-                faults += got is not None
+                yield f2, src2, tgt2, rows, p, _grouped_fault_int64(f2, src2, tgt2, p)
+
+
+def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakayama32):
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32]
+    faults = 0
+    for f, src, tgt, rows, p, want in _single_target_cases(algebras + [t_of(a) for a in algebras]):
+        got = intertwine_fault(f, src, tgt, rows, p)
+        assert got == want
+        faults += got is not None
+    assert faults > 300  # the corruptions are mostly caught, so faults are compared
+
+
+def test_intertwine_fault_with_one_target_per_member(graded_corpus, rebased_nakayama32):
+    faults = 0
+    for f, src, tgt, rows, p, want in _member_target_cases([a for _, a in graded_corpus] + [rebased_nakayama32]):
+        got = intertwine_fault(f, src, tgt, rows, p)
+        assert got == want
+        faults += got is not None
     assert faults > 60
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_intertwine_fault_compares_chunks_of_rows_as_the_oracles_do(graded_corpus, rebased_nakayama32, monkeypatch, chunk):
+    # the budget set so that a chunk holds `chunk` rows gives the (row, col,
+    # map) of the int64 oracles on every case above, and on faults placed in
+    # a later chunk, and in two rows of one chunk, of which the first wins
+    algebras = [a for _, a in graded_corpus] + [rebased_nakayama32]
+    extensions = [t_of(a) for a in algebras]
+    cases = [*_single_target_cases(algebras + extensions), *_member_target_cases(algebras)]
+    rng = np.random.default_rng(chunk)
+    pairs = 0
+    for a in algebras + extensions:
+        # the identity among the maps sees every corrupted entry of src
+        f = np.concatenate([modp.identity(a.dim)[None], a.right])
+        rows = np.arange(a.dim)
+        for first in range(chunk, a.dim):
+            src = a.left.copy()
+            hit = [first, first + 1] if chunk > 1 and first + 1 < a.dim and first % chunk < chunk - 1 else [first]
+            for k in hit:
+                src[k] = _corrupt(src[k], rng, a.p)
+            pairs += len(hit) == 2
+            want = _grouped_fault_int64(f, src, a.left[:, None], a.p)
+            assert want[0] == first
+            cases.append((f, src, a.left, rows, a.p, want))
+    faults = 0
+    for f, src, tgt, rows, p, want in cases:
+        monkeypatch.setattr(algebra, "COVER_CELLS", chunk * np.size(f))
+        got = intertwine_fault(f, src, tgt, rows, p)
+        assert got == want
+        faults += got is not None and got[0] >= chunk  # in a later chunk than the first
+    assert faults > 150 and pairs >= 30 * (chunk > 1)
+
+
+def test_intertwine_fault_compares_a_stack_at_the_budget_one_row_at_a_time(truncated, monkeypatch):
+    # no array it forms is larger than the budget or f's size, whichever is
+    # larger: a stack f of the budget's entries goes one row per product,
+    # and one of half as many two rows per product
+    a = truncated(5)
+    shapes = []
+    real = modp.dot
+
+    def dot(x, y, p):
+        out = real(x, y, p)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(modp, "dot", dot)
+    for maps, rows in ((algebra.COVER_CELLS // a.dim**2 + 1, 1), (algebra.COVER_CELLS // (2 * a.dim**2), 2)):
+        f = a.right[np.arange(maps) % a.dim]
+        shapes.clear()
+        assert intertwine_fault(f, a.left, a.left, np.arange(a.dim), a.p) is None
+        assert len(shapes) == 2 * -(-a.dim // rows) and {s[0] for s in shapes} <= {rows, a.dim % rows}
+        assert all(np.prod(s) <= max(algebra.COVER_CELLS, f.size) for s in shapes)
 
 
 def test_validate_algebra_names_the_oracles_non_associative_triple(truncated, rebased_nakayama32):

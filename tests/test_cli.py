@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gradedalg import cli, corpus, fileio, modp, selfinj
+from gradedalg import algebra, cli, corpus, fileio, modp, selfinj
 from gradedalg.algebra import validate_algebra
 from gradedalg.cli import main
 from gradedalg.construct import beilinson, t_of
@@ -329,6 +329,32 @@ def test_cli_gen_example(capsys, tmp_path):
     assert rep["results"]["dim"] == 4
     code, rep = run(capsys, "validate", str(out))
     assert code == 0
+
+
+def test_trivext_joins_t_of_a_once(capsys, monkeypatch, tmp_path, t4_file, rebased_nakayama32):
+    # t_of's join decides the associativity of t(A), and the command checks
+    # everything else without joining the same table again; its report and
+    # --algebra-out file are those of t(A) under the full validation
+    files = [t4_file, str(tmp_path / "n32.json")]
+    fileio.save(files[1], rebased_nakayama32)
+    wants = [validate_algebra(t_of(fileio.load(path))) for path in files]
+    joined = []
+    real = algebra._associativity_fault
+    monkeypatch.setattr(algebra, "_associativity_fault", lambda a: joined.append(a) or real(a))
+    for path, want in zip(files, wants):
+        joined.clear()
+        out = tmp_path / "t.json"
+        code, rep = run(capsys, "trivext", path, "--algebra-out", str(out))
+        assert code == 0
+        assert sum(a.same_as(want) for a in joined) == 1 and len(joined) == 2  # A when loaded, t(A) once
+        assert out.read_bytes() == (fileio.dumps(want) + "\n").encode()
+        assert rep["results"] == {
+            "dim": want.dim,
+            "top_degree": want.top_degree(),
+            "component_dims": want.component_dims(),
+            "n_idempotents": want.n_idempotents,
+            "algebra": fileio.algebra_to_doc(want),
+        }
 
 
 def test_algebra_out_is_the_saved_algebra(capsys, tmp_path, t4_file):

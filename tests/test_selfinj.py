@@ -11,6 +11,7 @@ from gradedalg.algebra import (
 from gradedalg.construct import T_of, beilinson, t_of
 from gradedalg.errors import AmbiguousMatch, NotBasic, NotSelfInjective, TrivialGrading
 from gradedalg.selfinj import (
+    form_is_nondegenerate,
     frobenius_functional_search,
     global_dimension,
     graded_nakayama,
@@ -135,6 +136,22 @@ def test_search_agrees_with_criterion(graded_corpus, uppertri):
         hit = frobenius_functional_search(a, seed=0) is not None
         si = is_graded_selfinjective(a).holds
         assert hit == si, name
+
+
+def test_symmetrizing_form_of_T_b_decides_its_self_injectivity(graded_corpus, rebased_nakayama32):
+    # the pipeline's target record: eps = (0, unit of B) on T(B) = B |x D(B),
+    # eps(b, f) = f(1), has a nondegenerate pairing, and the cover pass
+    # agrees that T(b(A)) is graded self-injective; a form of 0, or one on B
+    # alone, is degenerate, as every row of D(B) in its gram is 0
+    rng = np.random.default_rng(12)
+    for a in [a for _, a in graded_corpus] + [rebased_nakayama32]:
+        b = degree_zero_subalgebra(t_of(a))
+        tb, zero = T_of(b), modp.zeros(b.dim)
+        assert form_is_nondegenerate(tb, np.concatenate([zero, b.unit]))
+        assert is_graded_selfinjective(tb).holds
+        assert not form_is_nondegenerate(tb, modp.zeros(tb.dim))
+        assert not form_is_nondegenerate(tb, np.concatenate([b.unit, zero]))
+        assert not form_is_nondegenerate(tb, np.concatenate([rng.integers(0, b.p, size=b.dim), zero]))
 
 
 def test_nakayama_point():
