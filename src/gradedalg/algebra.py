@@ -191,8 +191,8 @@ def quotient_maps(rows_basis: np.ndarray, pivots: list[int], n: int, p: int):
 #: bounds the chunk of rows that ``intertwine_fault`` compares at once, and
 #: the batches of ``modules.ModuleFamily.batches``: members x per x d^2, d the
 #: family's largest dimension and per the matrices a pass stacks for each
-#: member (dim A for the cover pass and ``modules.module_faults``, n + 4 for
-#: ``modules._splits``, n idempotents).  128 KiB an int64 or float64 array.
+#: member (dim A for the cover pass, ``modules.module_faults`` and
+#: ``modules._splits``).  128 KiB an int64 or float64 array.
 COVER_CELLS = 2**14
 
 
@@ -204,10 +204,12 @@ def intertwine_fault(
     ``f`` is one matrix or a stack of them; src[k] and tgt[k] are the matrices
     of the basis element rows[k].  tgt[k] may also be a stack of one matrix
     per member of a family, whose maps then fill f in turn, as many to a
-    member: map m is checked against tgt[k][m // (len(f) // members)].  The
-    first failing row wins, then the first column failing in any map, then
-    the first map failing there.  The one check of module actions, module
-    maps (``generators`` gives their forms) and theta in ``equiv._sigma_of``;
+    member: map m is checked against tgt[k][m // (len(f) // members)].  Then
+    src[k] may be such a stack too, or one matrix, which meets every map by
+    broadcasting, in the same product.  The first failing row wins, then
+    the first column failing in any map, then the first map failing there.
+    The one check of module actions, module maps (``generators`` gives
+    their forms) and theta in ``equiv._sigma_of``;
     the associativity of A itself, and every bimodule, are decided by
     ``_associativity_fault`` instead (``bimodule_extension``).
     Compares a chunk of consecutive rows per step, one ``modp.dot`` per
@@ -223,12 +225,13 @@ def intertwine_fault(
     """
     f = np.asarray(f)
     n, dt, ds = f.shape if f.ndim == 3 else (1, *f.shape)
-    members = tgt.shape[1] if np.ndim(tgt) == 4 else 1
-    per = n // members
-    # g[q, a, m, b] = f[q per + m][a, b]
-    g = f.reshape(members, per, dt, ds).transpose(0, 2, 1, 3).astype(np.float64, order="C")
-    wide, tall = g.reshape(members, dt, per * ds), g.reshape(n * dt, ds)
     src, tgt = (np.asarray(x, dtype=np.float64, order="C") for x in (src, tgt))
+    members = tgt.shape[1] if tgt.ndim == 4 else 1
+    per = n // members
+    # g[q, a, m, b] = f[q per + m][a, b]; the products broadcast over q, and
+    # src of one matrix a row meets every map of every member at once
+    g = f.reshape(members, per, dt, ds).transpose(0, 2, 1, 3).astype(np.float64, order="C")
+    wide, tall = g.reshape(members, dt, per * ds), g.reshape(members if src.ndim == 4 else 1, -1, ds)
     step = max(COVER_CELLS // max(f.size, 1), 1)
     for lo in range(0, len(rows), step):
         hi = min(lo + step, len(rows))

@@ -15,9 +15,9 @@ component, for every member in one fancy index, and ``psis`` scatters them
 back in one ``np.add.at``, so that each (basis element, component) is read
 from exactly one block.  The members whose basis mixes components are first
 rewritten in the basis of their split along the designated idempotents of
-t(A), one ``modules._splits`` call for all of them, in which each vector
-lies in one component.  ``phi`` and ``psi``, the paper's F and G on one
-module, are their calls on one module.
+t(A), the family that one ``modules._splits`` call returns for all of them,
+in which each vector lies in one component.  ``phi`` and ``psi``, the
+paper's F and G on one module, are their calls on one module.
 Both take t(A) from ``t_of(a)``, which is built once per algebra, so their
 modules live over the very algebra object that theorem_pipeline uses.
 
@@ -54,15 +54,16 @@ inverse.
 theorem_pipeline composes everything into an equivalence
 F : A-gr -> T(b(A))-gr and certifies it on a finite sample set: exact
 round trips, hom-dimension equality on all pairs, preservation of
-projectives and injectives, and functoriality on hom bases.  F, the checks
-of the images (``modules.module_faults``) and G each make one pass over the
-sample family.  The images are held as that one family, and every later
-pass names members by position: ``modules.hom_dims`` on the family of the
-base modules, keyed by relative shift, and on the images, every pair;
-``modules.cover_maps`` on the images less the simples; and one
-``modules.hom_bases`` call on the samples for functoriality.  The checks
-of each hom basis and of its composites are one stacked
-``modules.morphism_faults`` call each; the records still read sample by
+projectives and injectives, and functoriality on hom bases.  The simple
+samples are the tops of the Ae_i, from one ``modules.tops`` call.  F, the
+checks of the images (``modules.module_faults``) and G each make one pass
+over the sample family.  The images are held as that one family, and every
+later pass names members by position: ``modules.hom_dims`` on the family of
+the base modules, keyed by relative shift, and on the images, every pair;
+``modules.cover_maps`` on the images less the simples; one
+``modules.hom_bases`` call on the samples for functoriality; and one
+``modules.morphism_faults`` call on the images, which checks every
+identity, hom basis and composite.  The records still read sample by
 sample, and a failure is the one the first failing sample gives.
 """
 
@@ -111,7 +112,7 @@ from .modules import (
     morphism_faults,
     proj,
     shift,
-    simple,
+    tops,
 )
 from .selfinj import form_is_nondegenerate, is_graded_selfinjective, require_seed
 
@@ -161,26 +162,22 @@ def psis(a: GradedAlgebra, fam: ModuleFamily) -> ModuleFamily:
     and one ``np.add.at`` scatters the blocks back, each (basis element of A,
     component) from exactly one block.  The other members are first
     rewritten in the basis of their split along the designated idempotents
-    of t(A), from one ``modules._splits`` call: each is e_rr e_i in b(A),
-    under the one diagonal unit e_rr, so each vector of that basis has one
-    component.  Raises CheckFailed, naming the first such member by its
-    position in the family, if a member is still not adapted in that basis,
-    as when a designated idempotent does not act on it as a projection.
+    of t(A), the family that one ``modules._splits`` call returns: each is
+    e_rr e_i in b(A), under the one diagonal unit e_rr, so each vector of
+    that basis has one component.  Raises CheckFailed, naming the first
+    such member by its position in the family, if a member is still not
+    adapted in that basis, as when a designated idempotent does not act on
+    it as a projection.
     """
     c = a.top_degree()
     if c < 1:
         raise TrivialGrading("psi needs a nontrivially graded target")
-    t, p = fam.algebra, fam.algebra.p
+    t = fam.algebra
     if not t.same_as(t_of(a)):
         raise AlgebraMismatch("module is not over t(A)")
     comp, adapted = _components(a, fam)
     if not adapted.all():
-        mixed = fam.select(~adapted)
-        rewritten = [
-            GradedModule(t, degs, ((inv @ n.action) % p @ basis.T) % p)
-            for n, (basis, inv, degs, _) in zip(mixed.modules(), _splits(mixed))
-        ]
-        split = ModuleFamily.of(t, rewritten)
+        split, _ = _splits(fam.select(~adapted))
         degrees, action = fam.degrees.copy(), fam.action.copy()
         degrees[~adapted[fam.owner]] = split.degrees
         action[:, ~adapted[fam.member]] = split.action
@@ -469,9 +466,10 @@ def theorem_pipeline(
     samples: list[tuple[str, GradedModule, str]] = []
     bases: list[GradedModule] = []
     origin: list[tuple[int, int]] = []  # (index in bases, shift) of each sample
-    for i in range(a.n_idempotents):
+    projs = [proj(a, i) for i in range(a.n_idempotents)]
+    for i, top in enumerate(tops(ModuleFamily.of(a, projs))):
         k = len(bases)
-        bases += [proj(a, i), simple(a, i), inj(a, i)]
+        bases += [projs[i], top, inj(a, i)]
         for d in range(-w, w + 1):
             samples.append((f"Ae_{i}({d})", shift(bases[k], d), "projective"))
             samples.append((f"S_{i}({d})", shift(bases[k + 1], d), "simple"))
@@ -545,9 +543,6 @@ def theorem_pipeline(
         )
     del back  # as large as the images, the family that is read from here on
 
-    def image(k: int) -> GradedModule:  # F(M) of sample k
-        return fam.select(np.arange(count) == k).modules()[0]
-
     # Hom(M(d), N(d')) = Hom(M, N(d' - d)), so the source side is keyed on
     # the relative shift and solved on the base modules, without building a
     # shift.  F(M(d)) is only isomorphic to a shift of F(M), so every image
@@ -580,12 +575,10 @@ def theorem_pipeline(
     # functoriality: the functor is the identity on morphism matrices, so
     # F(id) = id and F(g.f) = F(g)F(f) hold as matrix identities; the content
     # checked here is that identities, transported hom bases, and composites
-    # are still morphisms between the image modules.
-    for k, (label, _, _) in enumerate(samples[:9]):
-        fm = image(k)
-        record("functoriality", f"F(id_{label}) = id", morphism_faults(fm, fm, [modp.identity(fm.dim)])[0] is None)
-    # up to six pairs, each a sample with the first other sample that has
-    # maps both ways, whose hom bases both ways come from one call
+    # are still morphisms between the image modules: one check of them all,
+    # whose faults are read in the order of the records.  The pairs are up to
+    # six, each a sample with the first other sample that has maps both ways,
+    # whose hom bases both ways come from one call
     pairs = []
     for ia in range(count):
         ib = next((ib for ib in range(count) if ib != ia and src_dims[ia, ib] and src_dims[ib, ia]), None)
@@ -593,13 +586,19 @@ def theorem_pipeline(
             pairs.append((ia, ib))
         if len(pairs) == 6:
             break
-    found = iter(hom_bases(sources, [pair for ia, ib in pairs for pair in ((ia, ib), (ib, ia))]))
-    for ia, ib in pairs:
+    found = hom_bases(sources, [pair for ia, ib in pairs for pair in ((ia, ib), (ib, ia))])
+    checked = [(k, k) for k in range(min(count, 9))]
+    stacks = [modp.identity(int(fam.dims[k]))[None] for k, _ in checked]
+    for (ia, ib), homs, backs in zip(pairs, found[::2], found[1::2]):
+        checked += [(ia, ib), (ia, ia)]
+        composites = backs[None] @ homs[:, None] % p  # composites[f, g] = g.f
+        stacks += [homs, composites.reshape(-1, *composites.shape[2:])]
+    faults = iter(morphism_faults(fam, checked, stacks))
+    for label, _, _ in samples[:9]:
+        record("functoriality", f"F(id_{label}) = id", next(faults)[0] is None)
+    for (ia, ib), backs in zip(pairs, found[1::2]):
         la, lb = samples[ia][0], samples[ib][0]
-        homs, backs = next(found), next(found)
-        # each stack of maps is one check: the hom basis, then its composites
-        moved = morphism_faults(image(ia), image(ib), homs)
-        composed = iter(morphism_faults(image(ia), image(ia), [(g @ f) % p for f in homs for g in backs]))
+        moved, composed = next(faults), iter(next(faults))
         for fault in moved:
             record("functoriality", f"F on hom {la} -> {lb}", fault is None)
             for _ in backs:

@@ -19,12 +19,14 @@ question has one entry point, which treats a whole family at once, a
 - ``cover_maps``: the minimal projective covers, and ``syzygies`` their
   kernels;
 - ``module_faults`` and ``morphism_faults``: the checks of modules and of
-  module maps.
+  the maps between members, each stack of maps named by its pair (k, l).
 
-The passes that stack the members' matrices (the cover pass, the module
-checks and the split along the idempotents, ``_splits``) cut the family
-one way, ``ModuleFamily.batches``.  ``hom_basis``, ``projective_cover``,
-``syzygy`` and ``GradedModule.validate`` are their calls on one object.
+The split along the idempotents, ``_splits``, returns the family rewritten
+in its split bases.  The passes that stack the members' matrices (the cover
+pass, the module checks and ``_splits``) cut the family one way,
+``ModuleFamily.batches``, and every stack is zero-padded one way,
+``ModuleFamily.padded``.  ``hom_basis``, ``projective_cover``, ``syzygy``
+and ``GradedModule.validate`` are their calls on one object.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ class GradedMorphism:
     def __init__(self, source: GradedModule, target: GradedModule, matrix):
         self.source = source
         self.target = target
-        self.matrix = modp.normalize(matrix, source.p).reshape(target.dim, source.dim)
+        self.matrix = modp.normalize(matrix, source.p)
+        if self.matrix.shape != (target.dim, source.dim):
+            raise ValueError(f"morphism matrix must have shape (dim N, dim M) = {(target.dim, source.dim)}")
 
 
 class ModuleFamily:
@@ -182,15 +186,29 @@ class ModuleFamily:
             for d, hi, cols in zip(self.dims.tolist(), ends, col_ends)
         ]
 
+    def padded(self, rows):
+        """(stack, degrees): stack[k, j] is the matrix of basis element
+        rows[j] on member k and degrees[k] its degrees, both zero-padded to
+        the family's largest dimension (at least 1)."""
+        # inside[k, r]: whether member k has a basis vector r; the mask below
+        # lists the members' entries in the order of their columns
+        inside = np.arange(max(int(self.dims.max(initial=0)), 1)) < self.dims[:, None]
+        action = self.action[rows]
+        stack = modp.zeros(self.dims.size, len(action), inside.shape[1], inside.shape[1])
+        stack.transpose(1, 0, 2, 3)[:, inside[:, :, None] & inside[:, None, :]] = action
+        degrees = np.zeros(inside.shape, dtype=np.int64)
+        degrees[inside] = self.degrees
+        return stack, degrees
+
     def batches(self, per: int):
         """(first, part, stack, degrees) for each batch of consecutive members, in order.
 
         ``first`` is the position of the batch's first member and ``part``
         the batch as a family; stack[k, i] is the matrix of basis element i
         on member k of the batch and degrees[k] its degrees, both zero-padded
-        to the batch's largest dimension (at least 1).  A batch holds as many
-        members as keep members x per x d^2 within ``COVER_CELLS``, d the
-        family's largest dimension, and at least one.
+        to the batch's largest dimension by ``padded``.  A batch holds as
+        many members as keep members x per x d^2 within ``COVER_CELLS``, d
+        the family's largest dimension, and at least one.
         """
         count, d = self.dims.size, int(self.dims.max(initial=0))
         size = max(COVER_CELLS // max(per * d * d, 1), 1)
@@ -203,14 +221,7 @@ class ModuleFamily:
             part = self if size >= count else ModuleFamily(
                 self.algebra, dims, degrees, self.action[:, col_ends[first] : col_ends[last]]
             )
-            # inside[k, r]: whether member k has a basis vector r; the masks
-            # below list the members' entries in the order of their columns
-            inside = np.arange(max(int(dims.max()), 1)) < dims[:, None]
-            stack = modp.zeros(last - first, self.algebra.dim, inside.shape[1], inside.shape[1])
-            stack.transpose(1, 0, 2, 3)[:, inside[:, :, None] & inside[:, None, :]] = part.action
-            padded = np.zeros(inside.shape, dtype=np.int64)
-            padded[inside] = degrees
-            yield first, part, stack, padded
+            yield first, part, *part.padded(slice(None))
 
 
 def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
@@ -257,32 +268,54 @@ def module_faults(fam: ModuleFamily) -> list[Optional[str]]:
     return faults
 
 
-def morphism_faults(m: GradedModule, n: GradedModule, matrices) -> list[Optional[str]]:
-    """Why each matrix of a stack is not a module map M -> N, or None where it is one.
+def morphism_faults(fam: ModuleFamily, pairs, stacks) -> list[list[Optional[str]]]:
+    """Why each map of each stack is not a module map M -> N, or None where it is one.
 
-    A map must preserve degrees, and it must intertwine the action of
-    ``generators(A)``, which suffices when both endpoints are modules (see
-    ``generators``): one comparison over the stack, then one stacked
-    ``intertwine_fault`` over the matrices that preserve degrees.  When it
-    finds a fault, they are checked again one at a time, which finds the
-    first generator at which each of them fails.
+    stacks[q] holds the maps of the pair q = (k, l), M member k and N member
+    l of the family, each a (dim N, dim M) matrix: another shape raises
+    ValueError, and a member outside 0 .. count - 1 PreconditionFailed
+    "family-index".  A map must preserve degrees, and it must intertwine the
+    action of ``generators(A)``, which suffices when both endpoints are
+    modules (see ``generators``).  Every map, zero-padded with its endpoints
+    by ``ModuleFamily.padded``, goes through one comparison of degrees, then
+    one stacked ``intertwine_fault`` over those that preserve degrees, each
+    against its own endpoints.  When it finds a fault, they are checked
+    again one at a time, which finds the first generator at which each of
+    them fails.
     """
-    if not m.algebra.same_as(n.algebra):
-        raise AlgebraMismatch("morphism endpoints live over different algebras")
-    a, p = m.algebra, m.p
-    f = modp.normalize(np.reshape(matrices, (len(matrices), n.dim, m.dim)), p)
-    moved = ((f != 0) & (n.degrees[:, None] != m.degrees[None, :])).any(axis=(1, 2))
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    _require_members(fam, pairs)
+    a, p = fam.algebra, fam.algebra.p
+    gens = generators(a)
+    action, degrees = fam.padded(gens)
+    sizes = [len(stack) for stack in stacks]
+    f = modp.zeros(sum(sizes), degrees.shape[1], degrees.shape[1])
+    for (k, l), stack, end in zip(pairs.tolist(), stacks, np.cumsum(sizes).tolist()):
+        shape = (len(stack), int(fam.dims[l]), int(fam.dims[k]))
+        if np.shape(stack) != shape:
+            raise ValueError(f"morphism matrices must have shape (dim N, dim M) = {shape[1:]}")
+        f[end - shape[0] : end, : shape[1], : shape[2]] = modp.normalize(stack, p)
+    src, tgt = np.repeat(pairs, sizes, axis=0).T
+    moved = ((f != 0) & (degrees[tgt][:, :, None] != degrees[src][:, None, :])).any(axis=(1, 2))
     faults = ["morphism does not preserve degrees" if x else None for x in moved.tolist()]
     rest = np.flatnonzero(~moved)
-    if rest.size:
-        gens = generators(a)
-        src, tgt = m.action[gens], n.action[gens]
-        if intertwine_fault(f[rest], src, tgt, gens, p) is not None:
-            for i in rest.tolist():
-                fault = intertwine_fault(f[i], src, tgt, gens, p)
-                if fault is not None:
-                    faults[i] = f"morphism does not intertwine {a.names[fault[0]]}"
-    return faults
+    ends = (action[x[rest]].swapaxes(0, 1) for x in (src, tgt))  # generator j on an end of map q, at [j, q]
+    if rest.size and intertwine_fault(f[rest], *ends, gens, p) is not None:
+        for i in rest.tolist():
+            fault = intertwine_fault(f[i], action[src[i]], action[tgt[i]], gens, p)
+            if fault is not None:
+                faults[i] = f"morphism does not intertwine {a.names[fault[0]]}"
+    return [faults[end - size : end] for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+
+
+def _require_members(fam: ModuleFamily, index: np.ndarray) -> None:
+    """Raise PreconditionFailed "family-index", naming the first entry (row
+    of ``index``) that names a member outside 0 .. count - 1 of the family."""
+    count = fam.dims.size
+    outside = (index < 0) | (index >= count)
+    if outside.any():
+        q, side = np.argwhere(outside)[0].tolist()
+        raise PreconditionFailed("family-index", f"entry {q} names member {index[q, side]} of a family of {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +428,17 @@ def simple(a: GradedAlgebra, i: int, d: int = 0) -> GradedModule:
 
 
 def _splits(fam: ModuleFamily):
-    """Each member of a family split along the designated idempotents e_i, M = sum of the e_i M_g.
+    """A family rewritten in the bases of its split along the designated idempotents e_i, M = sum of the e_i M_g.
 
-    Returns (basis, inverse of basis.T, degrees, vertices) for each member:
-    the RREF row basis of each e_i M in turn, and the degree and index i of
-    each row.  e_i has degree 0, so the rows of e_i M of degree g are the
-    RREF of e_i M_g, homogeneous.  Each batch of ``ModuleFamily.batches``,
-    at n + 4 matrices a member (n idempotents), goes through one
+    Returns (split, vertices): the family of the same dimensions whose
+    member k is member k in that basis, the RREF row basis of each e_i M in
+    turn, and the index i of each of its vectors, as ``degrees`` lists
+    them.  e_i has degree 0, so the rows of e_i M of degree g are the RREF
+    of e_i M_g, homogeneous.  Each batch of ``ModuleFamily.batches``, at
+    dim A matrices a member, as many as its products have, goes through one
     ``modp.rrefs`` of every e_i M and one of every [basis.T | I], whose
-    basis is padded with the identity to stay invertible.
+    basis is padded with the identity to stay invertible, and the product
+    (basis.T)^-1 M(b) basis.T on its padded stack.
 
     Raises CheckFailed, naming the first failing member by its position in
     the family, unless the rows form a basis, as they do when the e_i are
@@ -411,8 +446,8 @@ def _splits(fam: ModuleFamily):
     """
     a, p = fam.algebra, fam.algebra.p
     n = a.n_idempotents
-    out = []
-    for first, part, stack, degrees in fam.batches(n + 4):
+    actions, degrees_of, vertices = [modp.zeros(a.dim, 0)], [modp.zeros(0)], [modp.zeros(0)]
+    for first, part, stack, degrees in fam.batches(a.dim):
         count, d = stack.shape[0], stack.shape[2]
         # rows[k, i]: the e_i b_j of member k, one per row j
         rows = (a.idempotents @ stack.reshape(count, a.dim, d * d) % p).reshape(count * n, d, d)
@@ -421,7 +456,8 @@ def _splits(fam: ModuleFamily):
         ech = ech.reshape(count, n * d, d)
         order = (~ech.any(axis=2)).argsort(axis=1, kind="stable")[:, :d]
         basis = ech[np.arange(count)[:, None], order]
-        basis += modp.identity(d) * (np.arange(d) >= part.dims[:, None])[:, :, None]
+        inside = np.arange(d) < part.dims[:, None]
+        basis += modp.identity(d) * ~inside[:, :, None]
         degs = np.take_along_axis(degrees, (basis != 0).argmax(axis=2), axis=1)
         unit = np.broadcast_to(modp.identity(d), basis.shape)
         inv, full = modp.rrefs(np.concatenate([basis.transpose(0, 2, 1), unit], axis=2), p)
@@ -431,9 +467,11 @@ def _splits(fam: ModuleFamily):
             raise CheckFailed(
                 f"the idempotents do not split the module into a basis (member {first + int(bad.argmax())})"
             )
-        for k, e in enumerate(part.dims.tolist()):
-            out.append((basis[k, :e, :e], inv[k, :e, d : d + e], degs[k, :e], order[k, :e] // d))
-    return out
+        split = inv[:, None, :d, d:] @ stack % p @ basis.transpose(0, 2, 1)[:, None] % p
+        actions.append(split.transpose(1, 0, 2, 3)[:, inside[:, :, None] & inside[:, None, :]])
+        degrees_of.append(degs[inside])
+        vertices.append(order[inside] // d)
+    return fam.like(a, np.concatenate(degrees_of), np.concatenate(actions, axis=1)), np.concatenate(vertices)
 
 
 def _expand(groups, bounds, order):
@@ -459,9 +497,10 @@ def _hom_systems(fam: ModuleFamily, entries, split: bool):
     by -d, and the equations are those for x in ``generators(A)``, which cut
     out the module maps (the lemma at ``generators``); A must be
     associative, with p > dim A or this raises PrimeTooSmall.  With ``split``
-    the frame is the split of ``_splits``, one call on the family, which
-    raises CheckFailed if the idempotents fail to split a member; without
-    it, it is the member's own basis under one vertex label.  N(d) is never
+    the frame is the split of ``_splits``, whose family, of one call, is
+    read in place of this one, and which raises CheckFailed if the
+    idempotents fail to split a member; without it, it is the member's own
+    basis under one vertex label.  N(d) is never
     built: it has the frame and the action of N.  An entry that names a
     member outside 0 .. count - 1 raises PreconditionFailed "family-index"
     before anything is assembled.
@@ -474,27 +513,11 @@ def _hom_systems(fam: ModuleFamily, entries, split: bool):
     entries = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
     if not len(entries):
         return
-    count = fam.dims.size
-    outside = (entries[:, :2] < 0) | (entries[:, :2] >= count)
-    if outside.any():
-        q, side = np.argwhere(outside)[0].tolist()
-        raise PreconditionFailed(
-            "family-index", f"entry {q} names member {entries[q, side]} of a family of {count}"
-        )
-    a, p = fam.algebra, fam.algebra.p
-    gens = generators(a)
-    act, deg, vert = fam.action[gens], fam.degrees, np.zeros(fam.degrees.size, dtype=np.int64)
+    _require_members(fam, entries[:, :2])
+    gens, vert = generators(fam.algebra), np.zeros(fam.degrees.size, dtype=np.int64)
     if split:
-        splits = _splits(fam)
-        blocks = np.split(act, np.cumsum(fam.dims * fam.dims)[:-1], axis=1)
-        act = np.concatenate(
-            [
-                ((inv @ x.reshape(len(gens), e, e)) % p @ basis.T % p).reshape(len(gens), e * e)
-                for x, (basis, inv, _, _), e in zip(blocks, splits, fam.dims.tolist())
-            ],
-            axis=1,
-        )
-        deg, vert = (np.concatenate([x[j] for x in splits]) for j in (2, 3))
+        fam, vert = _splits(fam)
+    act, deg = fam.action[gens], fam.degrees
     dims = fam.dims
     off = np.cumsum(dims) - dims
     total, most = int(dims.sum()), int(dims.max())

@@ -1,15 +1,18 @@
 """Operations the tests read their references through, which the package
 itself no longer needs: the multiplication map of one element, of an
 algebra or of a bimodule; the dual of a bimodule; T(B^sigma); the check of
-one module map; and, as oracles for the join that now decides them, the
-generator-based checks of a bimodule and of an algebra map."""
+one module map; as oracles for the join that now decides them, the
+generator-based checks of a bimodule and of an algebra map; and, as the
+oracle of the family check, the check of a stack of maps between two
+modules."""
 
 import numpy as np
 
+from gradedalg import modp
 from gradedalg.algebra import Bimodule, generators, intertwine_fault
 from gradedalg.construct import trivial_extension, twisted_dual_bimodule
-from gradedalg.errors import ActionFault, CheckFailed
-from gradedalg.modules import morphism_faults
+from gradedalg.errors import ActionFault, AlgebraMismatch, CheckFailed
+from gradedalg.modules import ModuleFamily, morphism_faults
 
 
 def left_mult(a, v):
@@ -46,11 +49,37 @@ def T_twisted(b, sigma):
 
 def validate_morphism(f):
     """Raise CheckFailed with the fault of ``morphism_faults`` on the one
-    GradedMorphism f, or return f."""
-    fault = morphism_faults(f.source, f.target, [f.matrix])[0]
+    GradedMorphism f, a map between the members of a family of two, or
+    return f."""
+    fam = ModuleFamily.of(f.source.algebra, [f.source, f.target])
+    fault = morphism_faults(fam, [(0, 1)], [f.matrix[None]])[0][0]
     if fault is not None:
         raise CheckFailed(fault)
     return f
+
+
+def pair_morphism_faults(m, n, matrices):
+    """Why each matrix of a stack is not a module map M -> N, or None where
+    it is one: the check of one pair of modules that ``morphism_faults``
+    made before it took a family.  Degrees first, over the stack, then one
+    stacked ``intertwine_fault`` over the generators, and on a fault each
+    matrix again on its own, which names its first failing generator."""
+    if not m.algebra.same_as(n.algebra):
+        raise AlgebraMismatch("morphism endpoints live over different algebras")
+    a, p = m.algebra, m.p
+    f = modp.normalize(np.reshape(matrices, (len(matrices), n.dim, m.dim)), p)
+    moved = ((f != 0) & (n.degrees[:, None] != m.degrees[None, :])).any(axis=(1, 2))
+    faults = ["morphism does not preserve degrees" if x else None for x in moved.tolist()]
+    rest = np.flatnonzero(~moved)
+    if rest.size:
+        gens = generators(a)
+        src, tgt = m.action[gens], n.action[gens]
+        if intertwine_fault(f[rest], src, tgt, gens, p) is not None:
+            for i in rest.tolist():
+                fault = intertwine_fault(f[i], src, tgt, gens, p)
+                if fault is not None:
+                    faults[i] = f"morphism does not intertwine {a.names[fault[0]]}"
+    return faults
 
 
 def algebra_map_fault(h, src, tgt):

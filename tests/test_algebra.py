@@ -836,10 +836,13 @@ def _single_target_cases(algebras):
 
 def _grouped_fault_int64(f, src, tgt, p):
     """First (k, col, m) where tgt[k][q] @ f[m] != f[m] @ src[k], q the member
-    of map m, the maps filling the members in turn."""
+    of map m, the maps filling the members in turn; with a 4-d src, against
+    src[k][q]."""
     per = len(f) // tgt.shape[1]
+    source = (lambda k, m: src[k][m // per]) if src.ndim == 4 else (lambda k, m: src[k])
     for k in range(len(src)):
-        bad = np.array([((tgt[k][m // per] @ f[m]) % p != (f[m] @ src[k]) % p).any(axis=0) for m in range(len(f))])
+        sides = [((tgt[k][m // per] @ f[m]) % p, (f[m] @ source(k, m)) % p) for m in range(len(f))]
+        bad = np.array([(left != right).any(axis=0) for left, right in sides])
         if bad.any():
             col = int(np.flatnonzero(bad.any(axis=0))[0])
             return k, col, int(np.flatnonzero(bad[:, col])[0])
@@ -851,7 +854,8 @@ def _member_target_cases(algebras):
     three members of two maps each, the right multiplications by basis
     elements, checked against the left regular action as each member's own
     target, whole and with a corrupted target of one member, map or source;
-    want is the fault of the int64 loop."""
+    then the same with one source per member too, whole and with a corrupted
+    source of one member or map; want is the fault of the int64 loop."""
     rng = np.random.default_rng(7)
     for a in algebras:
         p, left, right, rows = a.p, a.left, a.right, np.arange(a.dim)
@@ -862,6 +866,10 @@ def _member_target_cases(algebras):
             cases = [(f, left, _corrupt(tgt, rng, p)), (_corrupt(f, rng, p), left, tgt), (f, _corrupt(left, rng, p), tgt)]
             for f2, src2, tgt2 in cases:
                 yield f2, src2, tgt2, rows, p, _grouped_fault_int64(f2, src2, tgt2, p)
+        yield f, tgt, tgt, rows, p, None
+        for _ in range(6):
+            for f2, src2 in ((f, _corrupt(tgt, rng, p)), (_corrupt(f, rng, p), tgt)):
+                yield f2, src2, tgt, rows, p, _grouped_fault_int64(f2, src2, tgt, p)
 
 
 def test_multiplication_checks_match_int64_oracles(graded_corpus, rebased_nakayama32):

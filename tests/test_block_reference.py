@@ -322,5 +322,5 @@ def test_family_passes_match_one_member_references(rebased_nakayama32, monkeypat
 
 def _rewritten(n):
     """(degrees, action) of n in the basis of its split along the idempotents."""
-    basis, inv, degs, _ = _splits(ModuleFamily.of(n.algebra, [n]))[0]
-    return degs, ((inv @ n.action) % n.p @ basis.T) % n.p
+    split = _splits(ModuleFamily.of(n.algebra, [n]))[0].modules()[0]
+    return split.degrees, split.action

@@ -56,6 +56,7 @@ from helpers import (
     algebra_map_fault,
     dual_bimodule_of,
     left_mult,
+    pair_morphism_faults,
     right_mult,
     validate_morphism,
 )
@@ -417,21 +418,23 @@ def test_pipeline_splits_no_shifted_source(rebased_nakayama, monkeypatch):
     for ns in (modules, equiv):
         monkeypatch.setattr(ns, "_splits", splits)
         monkeypatch.setattr(ns, "shift", spy("shifted", real_shift, lambda out, m, d: out if d else None))
-    for name in ("proj", "simple", "inj"):
+    for name in ("proj", "inj"):
         monkeypatch.setattr(equiv, name, spy("base", getattr(equiv, name)))
     # the images are the one family that the pipeline moves to T(b(A)); G
     # moves families back to t(A)
     image = lambda out, fam, target, change: None if target is t_of(a) else out.modules()
     monkeypatch.setattr(equiv, "_transports", spy("image", equiv._transports, image))
-    monkeypatch.setattr(modules, "tops", spy("top", modules.tops))
+    # the simple bases are the tops of the Ae_i, from one call
+    monkeypatch.setattr(equiv, "tops", spy("top", equiv.tops))
     assert theorem_pipeline(a).passed
+    assert len(built["top"]) == 1
     built["image"] = [m for family in built["image"] for m in family]
     built["top"] = [m for family in built["top"] for m in family]
     assert len(built["top"]) == a.n_idempotents  # one top per simple sample
     key = lambda m: (id(m.algebra), m.degrees.tobytes(), m.action.tobytes())
     ids = {kind: {key(m) for m in mods} for kind, mods in built.items()}
-    assert len(built["base"]) == 3 * a.n_idempotents and len(built["shifted"]) == 36
-    assert ids["base"] | ids["image"] <= {key(m) for m in made}
+    assert len(built["base"]) == 2 * a.n_idempotents and len(built["shifted"]) == 36
+    assert ids["base"] | ids["top"] | ids["image"] <= {key(m) for m in made}
     assert not ids["shifted"] & {key(m) for m in made}
     assert all(key(m) in ids["base"] | ids["image"] | ids["top"] for m in made)
 
@@ -880,8 +883,20 @@ def test_pipeline_nonsplit_endomorphism_field(nonsplit_dual_numbers):
 
 
 def test_pipeline_records_a_failed_morphism_check(truncated, monkeypatch):
-    # a refused morphism check is a failed functoriality check
-    monkeypatch.setattr(equiv, "morphism_faults", lambda m, n, matrices: ["refused"] * len(matrices))
+    # the pipeline makes one morphism check, on the image family, with a map
+    # for each functoriality record, whose verdicts are those of the check of
+    # each pair alone; a refused morphism check is a failed functoriality check
+    calls, real = [], equiv.morphism_faults
+    monkeypatch.setattr(equiv, "morphism_faults", lambda *args: calls.append(args) or real(*args))
+    cert = theorem_pipeline(truncated(2))
+    assert cert.passed and len(calls) == 1
+    fam, pairs, stacks = calls[0]
+    mods = fam.modules()
+    assert fam.algebra.dim == cert.dims["T(b(A))"] and len(mods) == len(cert.samples)
+    assert sum(map(len, stacks)) == sum(c.family == "functoriality" for c in cert.checks)
+    want = [pair_morphism_faults(mods[k], mods[l], stack) for (k, l), stack in zip(pairs, stacks)]
+    assert real(fam, pairs, stacks) == want and want[0] == [None]
+    monkeypatch.setattr(equiv, "morphism_faults", lambda fam, pairs, stacks: [["refused"] * len(s) for s in stacks])
     with pytest.raises(CheckFailed, match=r"^functoriality: F\(id_") as err:
         theorem_pipeline(truncated(2))
     checks = err.value.transcript["certificate"]["checks"]

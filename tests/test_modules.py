@@ -5,7 +5,7 @@ import pytest
 
 from gradedalg import modp
 from gradedalg import corpus
-from gradedalg import modules
+from gradedalg import algebra, modules
 from gradedalg.algebra import (
     GradedAlgebra,
     generators,
@@ -32,6 +32,7 @@ from gradedalg.modules import (
     ModuleFamily,
     hom_dims,
     inj,
+    morphism_faults,
     proj,
     projective_cover,
     regular_module,
@@ -45,7 +46,7 @@ from gradedalg.modules import (
     width,
     zero_module,
 )
-from helpers import left_mult, right_mult, validate_morphism
+from helpers import left_mult, pair_morphism_faults, right_mult, validate_morphism
 
 
 def _mul(a, u, v):
@@ -433,7 +434,8 @@ def test_hom_dims_split_each_member_once(rebased_nakayama32, monkeypatch):
 
 def _loop_split(m):
     """Reference: the RREF rows of each e_i M in turn, one module and one
-    idempotent at a time, with their inverse, degrees and vertices."""
+    idempotent at a time, and M rewritten in that basis: its degrees, its
+    action (basis.T)^-1 M(b) basis.T and the vertex of each vector."""
     rows, pivots, verts = [modp.zeros(0, m.dim)], [], []
     for i, e in enumerate(m.algebra.idempotents):
         block, piv = modp.row_basis(_act(m, e).T, m.p)
@@ -441,7 +443,15 @@ def _loop_split(m):
         pivots += piv
         verts += [i] * len(piv)
     basis = np.vstack(rows)
-    return basis, modp.invert(basis.T, m.p), m.degrees[pivots], np.array(verts, dtype=np.int64)
+    action = modp.invert(basis.T, m.p) @ m.action % m.p @ basis.T % m.p
+    return m.degrees[pivots], action, np.array(verts, dtype=np.int64)
+
+
+def _split_members(fam):
+    """(degrees, action, vertices) of each member of ``_splits(fam)``."""
+    split, verts = _splits(fam)
+    ends = np.cumsum(split.dims).tolist()
+    return [(m.degrees, m.action, verts[end - m.dim : end]) for m, end in zip(split.modules(), ends)]
 
 
 def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
@@ -456,21 +466,23 @@ def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
         bases = _base_samples(a)
         family = [zero_module(a)] + [shift(m, d) for m in bases for d in (0, c)]
         family += [zero_module(a), regular_module(a), zero_module(a)]
-        got = _splits(ModuleFamily.of(a, family))
+        fam = ModuleFamily.of(a, family)
+        assert _splits(fam)[0].algebra is a and _splits(fam)[0].dims is fam.dims, name
+        got = _split_members(fam)
         assert len(got) == len(family), name
         for m, split in zip(family, got):
-            for x, y, z in zip(split, _splits(ModuleFamily.of(a, [m]))[0], _loop_split(m)):
+            for x, y, z in zip(split, _split_members(ModuleFamily.of(a, [m]))[0], _loop_split(m)):
                 assert x.dtype == y.dtype == z.dtype == np.int64, name
                 assert np.array_equal(x, y) and np.array_equal(x, z), name
         most = max(m.dim for m in family)
-        spanned |= len(family) > 2**10 // ((a.n_idempotents + 4) * most * most)
+        spanned |= len(family) > 2**10 // (a.dim * most * most)
         pairs, members = [], []
         for m in bases:
-            basis, inv, degs, verts = _splits(ModuleFamily.of(a, [m]))[0]
+            degs, action, verts = _split_members(ModuleFamily.of(a, [m]))[0]
             for d in range(-c, c + 1):
                 n = shift(m, d)
-                n_basis, n_inv, n_degs, n_verts = _splits(ModuleFamily.of(a, [n]))[0]
-                assert np.array_equal(n_basis, basis) and np.array_equal(n_inv, inv), name
+                n_degs, n_action, n_verts = _split_members(ModuleFamily.of(a, [n]))[0]
+                assert np.array_equal(n_action, action), name
                 assert np.array_equal(n_degs, degs - d) and np.array_equal(n_verts, verts), name
                 fresh = GradedModule(a, n.degrees, n.action)
                 im, i_n, i_fresh = range(len(members), len(members) + 3)
@@ -479,7 +491,8 @@ def test_splits_match_one_module_calls(vertex_corpus, monkeypatch):
         dims = np.array(hom_dims(ModuleFamily.of(a, members), [(k, l, 0) for k, l in pairs])).reshape(-1, 5)
         assert (dims[:, :2] == dims[:, 2:3]).all() and (dims[:, 3] == dims[:, 4]).all(), name
     assert spanned
-    assert _splits(ModuleFamily.of(a, [])) == []
+    empty, verts = _splits(ModuleFamily.of(a, []))
+    assert _split_members(ModuleFamily.of(a, [])) == [] and empty.action.shape == (a.dim, 0) and verts.size == 0
 
 
 def test_top_summands_leaves_the_generators_uncomputed(vertex_corpus):
@@ -575,18 +588,68 @@ def test_hom_algebra_mismatch(truncated):
 
 def test_hom_entries_outside_the_family_are_refused(truncated):
     # a negative index would answer for another member, and one past the end
-    # would fail in numpy; both name the entry and the size of the family
+    # would fail in numpy; both name the entry and the size of the family,
+    # for the hom passes and for the morphism check, before any map is read
     a = truncated(3)
     fam = ModuleFamily.of(a, [proj(a, 0), inj(a, 0)])
+    check = lambda fam, pairs: morphism_faults(fam, pairs, [modp.identity(3)[None], modp.zeros(0, 3, 3)])
     cases = [
         (hom_dims, [(-1, 0, 0)], "entry 0 names member -1 of a family of 2"),
         (hom_bases, [(0, 1), (-2, -1)], "entry 1 names member -2 of a family of 2"),
         (hom_dims, [(2, 0, 0)], "entry 0 names member 2 of a family of 2"),
+        (check, [(0, 0), (0, 2)], "entry 1 names member 2 of a family of 2"),
+        (check, [(-1, 0), (0, 1)], "entry 0 names member -1 of a family of 2"),
     ]
     for call, entries, detail in cases:
         with pytest.raises(PreconditionFailed) as refused:
             call(fam, entries)
         assert (refused.value.hypothesis, refused.value.detail) == ("family-index", detail)
+
+
+def test_misshapen_maps_are_refused(truncated):
+    # the hom basis map f : Ae_0 -> S_0 + S_0(-1) of k[x]/(x^3) is (2, 3), and
+    # its transpose has the entries of f in row-major order: reshaped, it
+    # would pass as f itself, as the check of one pair used to let it
+    a = truncated(3)
+    p, m = proj(a, 0), direct_sum([simple(a, 0), simple(a, 0, -1)])
+    (f,) = hom_basis(p, m)
+    assert f.matrix.shape == (2, 3) and pair_morphism_faults(p, m, [f.matrix.T]) == [None]
+    fam = ModuleFamily.of(a, [p, m])
+    assert morphism_faults(fam, [(0, 1)], [[f.matrix]]) == [[None]]
+    for maps in ([f.matrix.T], [f.matrix.T[None]], [f.matrix]):
+        with pytest.raises(ValueError, match=r"^morphism matrices must have shape \(dim N, dim M\) = \(2, 3\)$"):
+            morphism_faults(fam, [(0, 1)], maps)
+    with pytest.raises(ValueError, match=r"^morphism matrix must have shape \(dim N, dim M\) = \(2, 3\)$"):
+        GradedMorphism(p, m, f.matrix.T)
+
+
+@pytest.mark.parametrize("cells", [COVER_CELLS, 1])
+def test_morphism_faults_match_the_check_of_one_pair(truncated, rebased_nakayama32, monkeypatch, cells):
+    # every single-entry corruption of every hom basis map between members of
+    # mixed dimension, over an adapted and a rebased algebra, in one family
+    # check, against the check of each pair alone: verdicts and messages
+    monkeypatch.setattr(algebra, "COVER_CELLS", cells)
+    kinds = Counter()
+    for a in (T_of(beilinson(truncated(3))), rebased_nakayama32):
+        c = a.top_degree()
+        mods = [shift(m, d) for m in _base_samples(a) for d in (0, c)] + [regular_module(a)]
+        fam = ModuleFamily.of(a, mods)
+        pairs = [(k, l) for k in range(len(mods)) for l in range(len(mods))]
+        stacks = []
+        for (k, l), maps in zip(pairs, hom_bases(fam, pairs)):
+            stacks.append(np.concatenate([maps] + [_each_entry_moved(f, a.p) for f in maps]))
+        got = morphism_faults(fam, pairs, stacks)
+        want = [pair_morphism_faults(mods[k], mods[l], stack) for (k, l), stack in zip(pairs, stacks)]
+        assert got == want
+        kinds.update(fault.split()[3] if fault else None for faults in got for fault in faults)
+    assert kinds[None] > 100 and kinds["preserve"] > 500 and kinds["intertwine"] > 200
+
+
+def _each_entry_moved(f, p):
+    """A copy of the matrix f for each of its entries, that entry moved by 1."""
+    moved = np.repeat(f[None], f.size, axis=0).reshape(f.size, f.size)
+    moved[np.arange(f.size), np.arange(f.size)] += 1
+    return moved.reshape(f.size, *f.shape) % p
 
 
 def test_hom_morphisms_are_valid(truncated):

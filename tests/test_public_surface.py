@@ -19,6 +19,7 @@ KEPT = (
     ("projective_cover", "cover_maps on one module with P built; the benchmark tracer rebinds it"),
     ("syzygy", "syzygies on one module; the benchmark tracer rebinds it"),
     ("regular_module", "the constructor of AA, beside proj, inj and simple"),
+    ("simple", "tops on one Ae_i, shifted: the constructor of S_i, beside proj and inj"),
     ("save", "writes an algebra file; the benchmark prepares its inputs with it"),
     ("load", "reads an algebra file, the library's counterpart of save; the benchmark tracer rebinds it"),
     ("width", "the well-gradedness oracle: Ae_i of full width c + 1"),
